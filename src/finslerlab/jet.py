@@ -10,6 +10,12 @@ and smooth functions are applied by composing their univariate Taylor
 expansion with the jet.  Coefficients of total degree > 4 are identically
 zero and never consulted.
 
+The product is one index-map kernel, not a loop over coefficients: the 70
+index triples of the truncated Cauchy product over the flattened 5x5 array
+are tabulated at import and list only entries of total degree <= 4, so the
+kernel relies on the zero invariant above.  Each output bin sums its terms
+in the order of the textbook quadruple loop, so products match it bit for bit.
+
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
 truncated arithmetic never propagates high-order error downward, so
@@ -30,6 +36,19 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 # abs() is rejected this close to the kink, sqrt/ln this close to zero.
 SINGULAR_TOL = 1e-12
+
+_N = DEGREE + 1
+_LOW = [(a, b) for a in range(_N) for b in range(_N - a)]  # total degree <= 4
+_LOW3 = [(a, b) for a, b in _LOW if a + b < DEGREE]
+
+# Cauchy product: out[K] += x[I] * y[J] over the flattened 5x5 layout.
+_MUL_I, _MUL_J, _MUL_K = np.array(
+    [(i * _N + j, (a - i) * _N + b - j, a * _N + b)
+     for a, b in _LOW for i in range(a + 1) for j in range(b + 1)]
+).T.copy()
+# d_r, d_s: out[DST] = c[SRC] * W on the targets of total degree <= 3.
+_DR = tuple(np.array([((a + 1) * _N + b, a * _N + b, a + 1) for a, b in _LOW3]).T.copy())
+_DS = tuple(np.array([(a * _N + b + 1, a * _N + b, b + 1) for a, b in _LOW3]).T.copy())
 
 
 class Jet:
@@ -72,64 +91,62 @@ class Jet:
 
     def d_r(self) -> "Jet":
         """Jet of df/dr (exact to one total degree less)."""
-        c = np.zeros((DEGREE + 1, DEGREE + 1))
-        for a in range(DEGREE):
-            c[a, : DEGREE - a] = self.c[a + 1, : DEGREE - a] * (a + 1)
-        return Jet(c)
+        return self._shift(*_DR)
 
     def d_s(self) -> "Jet":
         """Jet of df/ds (exact to one total degree less)."""
-        c = np.zeros((DEGREE + 1, DEGREE + 1))
-        for a in range(DEGREE):
-            for b in range(DEGREE - a):
-                c[a, b] = self.c[a, b + 1] * (b + 1)
-        return Jet(c)
+        return self._shift(*_DS)
+
+    def _shift(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> "Jet":
+        c = np.zeros(_N * _N)
+        c[dst] = self.c.ravel()[src] * w
+        return Jet(c.reshape(_N, _N))
 
     # -- ring operations ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(float(other))
+    # A float operand gives exactly the constant-jet result: that route adds
+    # +0.0 to every entry (turning -0.0 into 0.0) and starts each sum at 0.0.
 
     def __add__(self, other) -> "Jet":
-        return Jet(self.c + Jet._coerce(other).c)
+        if isinstance(other, Jet):
+            return Jet(self.c + other.c)
+        return _with_value(self.c + 0.0, self.c[0, 0] + float(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        return Jet(self.c - Jet._coerce(other).c)
+        if isinstance(other, Jet):
+            return Jet(self.c - other.c)
+        return _with_value(self.c - 0.0, self.c[0, 0] - float(other))
 
     def __rsub__(self, other) -> "Jet":
-        return Jet(Jet._coerce(other).c - self.c)
+        return _with_value(0.0 - self.c, float(other) - self.c[0, 0])
 
     def __neg__(self) -> "Jet":
         return Jet(-self.c)
 
     def __mul__(self, other) -> "Jet":
-        y = Jet._coerce(other).c
-        x = self.c
-        out = np.zeros((DEGREE + 1, DEGREE + 1))
-        for a in range(DEGREE + 1):
-            for b in range(DEGREE + 1 - a):
-                acc = 0.0
-                for i in range(a + 1):
-                    for j in range(b + 1):
-                        acc += x[i, j] * y[a - i, b - j]
-                out[a, b] = acc
-        return Jet(out)
+        if not isinstance(other, Jet):
+            return Jet(self.c * float(other) + 0.0)
+        terms = self.c.ravel()[_MUL_I] * other.c.ravel()[_MUL_J]
+        return Jet(np.bincount(_MUL_K, terms, minlength=_N * _N).reshape(_N, _N))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
-        return self * _reciprocal(Jet._coerce(other))
+        if not isinstance(other, Jet):
+            other = Jet.constant(float(other))
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet":
-        return Jet._coerce(other) * _reciprocal(self)
+        return _reciprocal(self) * float(other)
 
     def __repr__(self) -> str:
         return f"Jet(value={self.value!r})"
+
+
+def _with_value(c: np.ndarray, v: float) -> Jet:
+    c[0, 0] = v
+    return Jet(c)
 
 
 def _compose(derivs: tuple[float, ...], g: Jet) -> Jet:
@@ -138,8 +155,8 @@ def _compose(derivs: tuple[float, ...], g: Jet) -> Jet:
     ``derivs[k]`` is the k-th derivative of f at g.value, k = 0..4.
     """
     h = g - g.value
-    acc: Jet = Jet.constant(derivs[DEGREE] / _FACT[DEGREE])
-    for k in range(DEGREE - 1, -1, -1):
+    acc = h * (derivs[DEGREE] / _FACT[DEGREE]) + derivs[DEGREE - 1] / _FACT[DEGREE - 1]
+    for k in range(DEGREE - 2, -1, -1):
         acc = acc * h + derivs[k] / _FACT[k]
     return acc
 
@@ -148,7 +165,10 @@ def _reciprocal(g: Jet) -> Jet:
     v = g.value
     if v == 0.0:
         raise DomainError("division by a jet with zero value")
-    derivs = tuple((-1.0) ** k * _FACT[k] / v ** (k + 1) for k in range(DEGREE + 1))
+    try:
+        derivs = tuple((-1.0) ** k * _FACT[k] / v ** (k + 1) for k in range(DEGREE + 1))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"reciprocal of jet value {v!r} is out of float range") from exc
     return _compose(derivs, g)
 
 
@@ -162,7 +182,10 @@ def jet_sqrt(g: Jet) -> Jet:
 
 
 def jet_exp(g: Jet) -> Jet:
-    f0 = math.exp(g.value)
+    try:
+        f0 = math.exp(g.value)
+    except OverflowError as exc:
+        raise DomainError(f"exp of jet value {g.value!r} overflows") from exc
     return _compose((f0,) * (DEGREE + 1), g)
 
 
@@ -208,9 +231,7 @@ def jet_ipow(g: Jet, n: int) -> Jet:
 
 
 def _is_constant(g: Jet) -> bool:
-    c = g.c.copy()
-    c[0, 0] = 0.0
-    return bool(np.max(np.abs(c)) < 1e-14)
+    return bool(np.max(np.abs(g.c.ravel()[1:])) < 1e-14)
 
 
 def jet_pow(base: Jet, expo: Jet) -> Jet:
@@ -275,7 +296,10 @@ def eval_jet(e: Node, r: float, s: float) -> Jet:
                 raise DomainError(f"{exc} in {to_string(node)}") from exc
         raise TypeError(f"not an expression node: {node!r}")
 
-    return rec(e)
+    out = rec(e)
+    if not np.isfinite(out.c).all():
+        raise DomainError(f"non-finite jet coefficient in {to_string(e)}")
+    return out
 
 
 # -- finite-difference oracle ----------------------------------------------

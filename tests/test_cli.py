@@ -140,6 +140,14 @@ def test_all_points_skipped_exits_3(capsys):
     assert code == 3
 
 
+def test_reciprocal_underflow_skips_every_point(capsys, tmp_path):
+    path = tmp_path / "out.json"
+    code, _, _ = run_cli(["report", "--phi", "1/(1e-70+0*s)", "--json", str(path)], capsys)
+    assert code == 3
+    doc = json.loads(path.read_text())
+    assert doc["points"] == [] and len(doc["skipped"]) == 30
+
+
 def test_json_output_is_deterministic(capsys, tmp_path):
     args = [
         "report",

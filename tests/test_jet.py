@@ -6,7 +6,7 @@ import pytest
 
 from conftest import sympy_partial
 from finslerlab import DomainError, eval_jet, fd_partials, parse
-from finslerlab.jet import Jet
+from finslerlab.jet import Jet, jet_cos, jet_exp, jet_ipow, jet_ln, jet_pow, jet_sin, jet_sqrt
 
 ORDERS = [(a, b) for a in range(5) for b in range(5 - a)]
 
@@ -165,3 +165,104 @@ def test_derivative_jets_shift_coefficients():
     # d/ds (r^2 s^2) = 2 r^2 s
     assert ds.partial(0, 0) == pytest.approx(24.0)
     assert ds.partial(1, 1) == pytest.approx(8.0)  # d^2/drds of 2 r^2 s = 4r
+
+
+# -- index-map kernel against the loop it replaced ---------------------------
+
+
+def cauchy_reference(x, y):
+    """The truncated Cauchy product as the textbook quadruple loop."""
+    out = np.zeros((5, 5))
+    for a in range(5):
+        for b in range(5 - a):
+            acc = 0.0
+            for i in range(a + 1):
+                for j in range(b + 1):
+                    acc += x[i, j] * y[a - i, b - j]
+            out[a, b] = acc
+    return out
+
+
+def random_jet(rng):
+    """A jet with random coefficients through degree 4, some of them +-0.0."""
+    c = np.zeros((5, 5))
+    for a, b in ORDERS:
+        c[a, b] = rng.choice([rng.normal() * 10.0 ** rng.integers(-3, 4), 0.0, -0.0])
+    return Jet(c)
+
+
+def same_bits(j, k):
+    return j.c.tobytes() == k.c.tobytes()
+
+
+def high_order_is_zero(j):
+    return all(j.c[a, b] == 0.0 for a in range(5) for b in range(5) if a + b > 4)
+
+
+def test_product_matches_reference_loop_exactly():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        x, y = random_jet(rng), random_jet(rng)
+        assert (x * y).c.tobytes() == cauchy_reference(x.c, y.c).tobytes()
+
+
+def test_float_operands_match_constant_jet_route():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        j = random_jet(rng)
+        for v in (2.0, -0.5, 0.0, 3):
+            k = Jet.constant(float(v))
+            assert same_bits(j * v, j * k)
+            assert same_bits(v * j, k * j)
+            assert same_bits(j + v, j + k)
+            assert same_bits(v + j, k + j)
+            assert same_bits(j - v, j - k)
+            assert same_bits(v - j, k - j)
+            if v:
+                assert same_bits(j / v, j / k)
+            if j.value:
+                assert same_bits(v / j, k / j)
+
+
+def test_derivative_jets_match_explicit_shift():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        j = random_jet(rng)
+        dr, ds = np.zeros((5, 5)), np.zeros((5, 5))
+        for a in range(4):
+            for b in range(4 - a):
+                dr[a, b] = j.c[a + 1, b] * (a + 1)
+                ds[a, b] = j.c[a, b + 1] * (b + 1)
+        assert j.d_r().c.tobytes() == dr.tobytes()
+        assert j.d_s().c.tobytes() == ds.tobytes()
+
+
+def test_high_order_coefficients_stay_zero():
+    rng = np.random.default_rng(5)
+    x = random_jet(rng)
+    x.c[0, 0] = 1.5
+    y = random_jet(rng)
+    y.c[0, 0] = -0.7
+    results = [
+        x * y, x * 2.0, 2.0 * x, x + y, x + 1.0, 1.0 - x, x - y, -x, x / y, x / 2.0, 2.0 / x,
+        x.d_r(), x.d_s(), jet_sqrt(x), jet_exp(x), jet_ln(x), jet_sin(x), jet_cos(x),
+        jet_ipow(x, 5), jet_ipow(x, -2), jet_pow(x, y + 0.3),
+    ]
+    for j in results:
+        assert high_order_is_zero(j)
+    assert high_order_is_zero(eval_jet(parse(EX45), 1.2, -0.5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,point,match",
+    [
+        ("exp(1000*s)", (1.0, 0.9), "exp of jet value"),
+        ("1/(1e-70 + 0*s)", (1.0, 0.5), "reciprocal of jet value"),
+        ("1/(1e70 + s)", (1.0, 0.5), "reciprocal of jet value"),
+        ("exp(s)^800", (1.0, 0.9), "non-finite jet coefficient in"),
+    ],
+)
+def test_float_range_failures_raise_domain_error(text, point, match):
+    with pytest.raises(DomainError, match=match):
+        eval_jet(parse(text), *point)
