@@ -12,38 +12,35 @@ point was skipped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .curvature import flag_curvature, riemann_pack, scalar_classify
-from .expr import DomainError, Node, ParseError, parse
+from .expr import Node, ParseError, parse
 from .geometry import (
     GeometryError,
+    _ell_lo,
     canonical_point,
     cartan_pack,
     degeneracy_classify,
     metric_pack,
+    phi_scalars,
     random_rotation,
 )
 from .jet import DEGREE, eval_jet
-from .spray import (
-    metrizability_from_spray,
-    metrizability_residuals,
-    pq_from_phi,
-    spray_pack_from_jets,
-    horizontal_residual,
-)
-from .surface import berwald_frame, main_scalar, riemannian_test
+from .spray import horizontal_residual, metrizability_from_spray, pq_from_phi, spray_pack_from_jets
+from .surface import main_scalar, riemannian_test
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     subcommand: str
     phi: str
@@ -60,21 +57,10 @@ class RunConfig:
     output: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "phi": self.phi,
-            "dim": self.dim,
-            "r_grid": self.r_grid,
-            "s_fraction_grid": self.s_fraction_grid,
-            "u_grid": self.u_grid,
-            "seed": self.seed,
-            "rotate": self.rotate,
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
-            "p_expr": self.p_expr,
-            "q_expr": self.q_expr,
-            "jet_degree": DEGREE,
-        }
+        doc = dataclasses.asdict(self)
+        del doc["output"]
+        doc["jet_degree"] = DEGREE
+        return doc
 
 
 def parse_range(text: str) -> list[float]:
@@ -88,40 +74,13 @@ def parse_range(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-@dataclass
-class _Check:
-    name: str
-    max_residual: float = 0.0
-    passed: bool = True
-
-    def feed(self, residual: float, tol: float):
-        residual = float(abs(residual))
-        if residual > self.max_residual:
-            self.max_residual = residual
-        if residual > tol:
-            self.passed = False
-
-
-def _grid_points(cfg: RunConfig):
-    """Materialized grid in deterministic index order, plus skip records."""
-    rotation = None
-    if cfg.rotate:
-        rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
-    points, skipped = [], []
-    for r in cfg.r_grid:
-        for frac in cfg.s_fraction_grid:
-            for u in cfg.u_grid:
-                s = frac * r
-                try:
-                    points.append(canonical_point(cfg.dim, r, s, u, rotation=rotation))
-                except GeometryError as exc:
-                    skipped.append({"r": r, "s": s, "u": u, "reason": str(exc)})
-    return points, skipped
-
-
-def _point_record(phi: Node, p, dim: int) -> dict:
+def _evaluate(phi: Node, p, with_checks: bool) -> tuple[dict, dict]:
+    """The report record of one point and, if asked, its identity-check
+    residuals by check name, all from a single phi jet."""
     jet = eval_jet(phi, p.r, p.s)
+    ps = phi_scalars(jet)
     mp = metric_pack(jet, p)
+    phi0 = mp.F / p.u
     sp = pq_from_phi(jet, p)
     cv = riemann_pack(sp, jet, p)
     mr = metrizability_from_spray(jet, sp, p)
@@ -137,7 +96,7 @@ def _point_record(phi: Node, p, dim: int) -> dict:
         "R3": cv.R3,
         "R4": cv.R4,
         "R5": cv.R5,
-        "K": flag_curvature(cv, mp.F / p.u, p),
+        "K": flag_curvature(cv, phi0, p),
         "C1": mr.C1,
         "C2": mr.C2,
         "C3": cv.C3,
@@ -145,108 +104,73 @@ def _point_record(phi: Node, p, dim: int) -> dict:
         "det_formula": mp.det_formula,
         "regular": list(mp.regular),
     }
-    if dim == 2:
+    if p.n == 2:
         ms = main_scalar(jet, p)
-        rec["I"] = ms.I
-        rec["I_direct"] = ms.I_direct
-    return rec
+        rec.update(I=ms.I, I_direct=ms.I_direct)
+    if not with_checks:
+        return rec, {}
+
+    cp = cartan_pack(jet, p)
+    w = p.r**2 - p.s**2
+    dval = phi0 - p.s * ps.phi_s + w * ps.phi_ss
+    contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
+    contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * dval)
+    scale = max(1.0, abs(cv.R1), abs(cv.R2), abs(cv.R3), abs(cv.R4), abs(cv.R5))
+    trace = np.trace(cv.Rmat) - p.u**2 * ((p.n - 1) * cv.R1 + w * cv.R3)
+    F2 = max(1.0, mp.F**2)
+    residuals = {
+        "metric_inverse": np.max(np.abs(mp.g @ mp.ginv - np.eye(p.n))),
+        "energy_homogeneity": (p.y @ mp.g @ p.y - mp.F**2) / F2,
+        "euler_identity": np.max(np.abs(mp.g @ p.y - mp.F * _ell_lo(ps, p))) / F2,
+        "det_formula": (mp.det_direct - mp.det_formula) / max(1.0, abs(mp.det_formula)),
+        "rho_contractions": max(abs(contr1), abs(contr2)),
+        "cartan_y_annihilation": np.max(np.abs(np.einsum("ijk,k->ij", cp.C, p.y)))
+        / max(1.0, np.max(np.abs(cp.C)) * p.u),
+        "metrizability_C1_C2": max(abs(mr.C1), abs(mr.C2)) / max(1.0, phi0),
+        "horizontal_dhF": np.max(np.abs(horizontal_residual(jet, sp, p)))
+        / (p.u * max(1.0, phi0)),
+        "spray_homogeneity": np.max(np.abs(sp.N @ p.y - 2 * sp.G))
+        / max(1.0, np.max(np.abs(sp.G))),
+        "curvature_C3": cv.C3 / (scale * max(1.0, phi0)),
+        "identity_R2": cv.id_R2 / scale,
+        "identity_R4": cv.id_R4 / scale,
+        "jacobi_y_annihilation": np.max(np.abs(cv.Rmat @ p.y))
+        / (scale * p.u**2 * max(1.0, p.u, p.r)),
+        "curvature_trace": trace / (scale * p.u**2),
+    }
+    if p.n == 2:
+        fr = ms.frame
+        recon = np.outer(fr.ell_lo, fr.ell_lo) + np.outer(fr.m_lo, fr.m_lo)
+        orth = (fr.ell_hi @ fr.ell_lo - 1.0, fr.ell_hi @ fr.m_lo, fr.m_hi @ fr.m_lo - 1.0)
+        residuals["frame_orthonormality"] = max(abs(v) for v in orth)
+        residuals["frame_resolves_metric"] = (
+            np.max(np.abs(mp.g - recon)) / max(1.0, np.max(np.abs(mp.g)))
+        )
+        residuals["main_scalar_two_routes"] = (ms.I - ms.I_direct) / max(1.0, abs(ms.I))
+    return rec, residuals
 
 
-def _run_checks(phi: Node, points, cfg: RunConfig) -> list[_Check]:
-    tol = max(cfg.tol_abs, cfg.tol_rel)
-    names = [
-        "metric_inverse",
-        "energy_homogeneity",
-        "euler_identity",
-        "det_formula",
-        "rho_contractions",
-        "cartan_y_annihilation",
-        "metrizability_C1_C2",
-        "horizontal_dhF",
-        "spray_homogeneity",
-        "curvature_C3",
-        "identity_R2",
-        "identity_R4",
-        "jacobi_y_annihilation",
-        "curvature_trace",
-    ]
-    if cfg.dim == 2:
-        names += ["frame_orthonormality", "frame_resolves_metric", "main_scalar_two_routes"]
-    checks = {name: _Check(name) for name in names}
+def _metrize_point(phi: Node, p_ast: Node, q_ast: Node, p, tol: float) -> dict:
+    """C1/C2 and C3 of the user spray (P, Q) at one point."""
+    jet = eval_jet(phi, p.r, p.s)
+    user_sp = spray_pack_from_jets(eval_jet(p_ast, p.r, p.s), eval_jet(q_ast, p.r, p.s), p)
+    mr = metrizability_from_spray(jet, user_sp, p)
+    c3 = riemann_pack(user_sp, jet, p).C3
+    ok = max(abs(mr.C1), abs(mr.C2)) <= tol * max(1.0, abs(jet.partial(0, 0)))
+    return {"r": p.r, "s": p.s, "u": p.u, "C1": mr.C1, "C2": mr.C2, "C3": c3, "pass": ok}
 
-    for p in points:
-        jet = eval_jet(phi, p.r, p.s)
-        mp = metric_pack(jet, p)
-        cp = cartan_pack(jet, p)
-        sp = pq_from_phi(jet, p)
-        cv = riemann_pack(sp, jet, p)
-        w = p.r**2 - p.s**2
-        phi0 = mp.F / p.u
-        phi_s = jet.partial(0, 1)
-        phi_ss = jet.partial(0, 2)
-        dval = phi0 - p.s * phi_s + w * phi_ss
 
-        checks["metric_inverse"].feed(
-            np.max(np.abs(mp.g @ mp.ginv - np.eye(p.n))), tol
-        )
-        checks["energy_homogeneity"].feed(
-            (p.y @ mp.g @ p.y - mp.F**2) / max(1.0, mp.F**2), tol
-        )
-        n_lo = p.x - (p.s / p.u) * p.y
-        dF_dy = (phi0 / p.u) * p.y + phi_s * n_lo
-        checks["euler_identity"].feed(
-            np.max(np.abs(mp.g @ p.y - mp.F * dF_dy)) / max(1.0, mp.F**2), tol
-        )
-        checks["det_formula"].feed(
-            (mp.det_direct - mp.det_formula) / max(1.0, abs(mp.det_formula)), tol
-        )
-        contr1 = phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * phi_s) * mp.rho3
-        contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * dval)
-        checks["rho_contractions"].feed(max(abs(contr1), abs(contr2)), tol)
-        checks["cartan_y_annihilation"].feed(
-            np.max(np.abs(np.einsum("ijk,k->ij", cp.C, p.y)))
-            / max(1.0, np.max(np.abs(cp.C)) * p.u),
-            tol,
-        )
-        mr = metrizability_from_spray(jet, sp, p)
-        checks["metrizability_C1_C2"].feed(
-            max(abs(mr.C1), abs(mr.C2)) / max(1.0, phi0), tol
-        )
-        checks["horizontal_dhF"].feed(
-            np.max(np.abs(horizontal_residual(jet, sp, p))) / (p.u * max(1.0, phi0)),
-            tol,
-        )
-        checks["spray_homogeneity"].feed(
-            np.max(np.abs(sp.N @ p.y - 2 * sp.G)) / max(1.0, np.max(np.abs(sp.G))),
-            tol,
-        )
-        scale = max(1.0, abs(cv.R1), abs(cv.R2), abs(cv.R3), abs(cv.R4), abs(cv.R5))
-        checks["curvature_C3"].feed(cv.C3 / (scale * max(1.0, phi0)), tol)
-        checks["identity_R2"].feed(cv.id_R2 / scale, tol)
-        checks["identity_R4"].feed(cv.id_R4 / scale, tol)
-        checks["jacobi_y_annihilation"].feed(
-            np.max(np.abs(cv.Rmat @ p.y)) / (scale * p.u**2 * max(1.0, p.u, p.r)),
-            tol,
-        )
-        trace = np.trace(cv.Rmat) - p.u**2 * ((p.n - 1) * cv.R1 + w * cv.R3)
-        checks["curvature_trace"].feed(trace / (scale * p.u**2), tol)
-
-        if cfg.dim == 2:
-            fr = berwald_frame(jet, p)
-            resid = max(
-                abs(fr.ell_hi @ fr.ell_lo - 1.0),
-                abs(fr.ell_hi @ fr.m_lo),
-                abs(fr.m_hi @ fr.m_lo - 1.0),
-            )
-            checks["frame_orthonormality"].feed(resid, tol)
-            recon = np.outer(fr.ell_lo, fr.ell_lo) + np.outer(fr.m_lo, fr.m_lo)
-            checks["frame_resolves_metric"].feed(
-                np.max(np.abs(mp.g - recon)) / max(1.0, np.max(np.abs(mp.g))), tol
-            )
-            ms = main_scalar(jet, p)
-            checks["main_scalar_two_routes"].feed(
-                (ms.I - ms.I_direct) / max(1.0, abs(ms.I)), tol
-            )
+def _fold_checks(residual_sets, tol: float) -> list[dict]:
+    """Largest |residual| per check over the points, and whether all stay
+    within tol; checks keep the order of the residual dicts."""
+    checks: dict[str, dict] = {}
+    for residuals in residual_sets:
+        for name, value in residuals.items():
+            value = float(abs(value))
+            check = checks.setdefault(name, {"name": name, "max_residual": 0.0, "pass": True})
+            check["max_residual"] = max(check["max_residual"], value)
+            if value > tol:
+                check["pass"] = False
     return list(checks.values())
 
 
@@ -261,8 +185,31 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     phi = parse(cfg.phi)
     p_ast = parse(cfg.p_expr) if cfg.p_expr is not None else None
     q_ast = parse(cfg.q_expr) if cfg.q_expr is not None else None
+    if cfg.subcommand == "metrize" and (p_ast is None or q_ast is None):
+        raise ValueError("metrize requires --p and --q")
+    tol = max(cfg.tol_abs, cfg.tol_rel)
+    evaluators = {
+        "report": lambda p: _evaluate(phi, p, False),
+        "check": lambda p: _evaluate(phi, p, True),
+        # the classifiers evaluate their own jets; this pass only screens the domain
+        "classify": lambda p: eval_jet(phi, p.r, p.s),
+        "metrize": lambda p: _metrize_point(phi, p_ast, q_ast, p, tol),
+    }
+    if cfg.subcommand not in evaluators:
+        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
+    evaluate = evaluators[cfg.subcommand]
 
-    points, skipped = _grid_points(cfg)
+    rotation = None
+    if cfg.rotate:
+        rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
+    evaluated, skipped = [], []
+    for r, frac, u in itertools.product(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid):
+        s = frac * r
+        try:
+            p = canonical_point(cfg.dim, r, s, u, rotation=rotation)
+            evaluated.append((p, evaluate(p)))
+        except (ArithmeticError, GeometryError) as exc:
+            skipped.append({"r": r, "s": s, "u": u, "reason": str(exc)})
     doc: dict = {
         "config": cfg.as_dict(),
         "points": [],
@@ -271,85 +218,38 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         "skipped": skipped,
         "version": __version__,
     }
-    exit_code = 0
-
-    usable = []
-    for p in points:
-        try:
-            eval_jet(phi, p.r, p.s)
-            usable.append(p)
-        except DomainError as exc:
-            skipped.append({"r": p.r, "s": p.s, "u": p.u, "reason": str(exc)})
-    if not usable:
+    if not evaluated:
         return doc, 3
 
-    if cfg.subcommand in ("report", "check"):
-        for p in usable:
-            try:
-                doc["points"].append(_point_record(phi, p, cfg.dim))
-            except (DomainError, GeometryError) as exc:
-                skipped.append({"r": p.r, "s": p.s, "u": p.u, "reason": str(exc)})
-        if not doc["points"]:
-            return doc, 3
-        if cfg.subcommand == "check":
-            checks = _run_checks(phi, usable, cfg)
-            doc["checks"] = [
-                {"name": c.name, "max_residual": c.max_residual, "pass": c.passed}
-                for c in checks
-            ]
-            if not all(c.passed for c in checks):
-                exit_code = 1
-
-    elif cfg.subcommand == "classify":
+    if cfg.subcommand == "classify":
+        usable, verdicts = [p for p, _ in evaluated], doc["verdicts"]
         try:
             report = scalar_classify(phi, usable)
-            doc["verdicts"]["is_scalar"] = report.is_scalar
-            doc["verdicts"]["max_R3_residual"] = report.max_R3_residual
-            doc["points"] = [
-                {"r": p.r, "s": p.s, "u": p.u, "K": K} for p, K in report.K_samples
-            ]
-        except (DomainError, GeometryError) as exc:
-            doc["verdicts"]["is_scalar"] = None
-            doc["verdicts"]["scalar_error"] = str(exc)
-        doc["verdicts"]["degeneracy"] = degeneracy_classify(phi, usable).value
+            verdicts["is_scalar"] = report.is_scalar
+            verdicts["max_R3_residual"] = report.max_R3_residual
+            doc["points"] = [{"r": p.r, "s": p.s, "u": p.u, "K": K} for p, K in report.K_samples]
+        except (ArithmeticError, GeometryError) as exc:
+            verdicts["is_scalar"] = None
+            verdicts["scalar_error"] = str(exc)
+        try:
+            verdicts["degeneracy"] = degeneracy_classify(phi, usable).value
+        except ArithmeticError as exc:
+            verdicts["degeneracy"] = None
+            verdicts["degeneracy_error"] = str(exc)
         if cfg.dim == 2:
             try:
-                doc["verdicts"]["riemannian"] = riemannian_test(phi, usable)
-            except (DomainError, GeometryError) as exc:
-                doc["verdicts"]["riemannian"] = None
-                doc["verdicts"]["riemannian_error"] = str(exc)
-
-    elif cfg.subcommand == "metrize":
-        if p_ast is None or q_ast is None:
-            raise ValueError("metrize requires --p and --q")
-        tol = max(cfg.tol_abs, cfg.tol_rel)
-        all_pass = True
-        for p in usable:
-            try:
-                jet = eval_jet(phi, p.r, p.s)
-                mr = metrizability_residuals(jet, p_ast, q_ast, p)
-                user_sp = spray_pack_from_jets(
-                    eval_jet(p_ast, p.r, p.s), eval_jet(q_ast, p.r, p.s), p
-                )
-                c3 = riemann_pack(user_sp, jet, p).C3
-            except (DomainError, GeometryError) as exc:
-                skipped.append({"r": p.r, "s": p.s, "u": p.u, "reason": str(exc)})
-                continue
-            phi0 = jet.partial(0, 0)
-            ok = max(abs(mr.C1), abs(mr.C2)) <= tol * max(1.0, abs(phi0))
-            all_pass = all_pass and ok
-            doc["points"].append(
-                {"r": p.r, "s": p.s, "u": p.u, "C1": mr.C1, "C2": mr.C2, "C3": c3, "pass": ok}
-            )
-        if not doc["points"]:
-            return doc, 3
-        doc["verdicts"]["metrizable"] = all_pass
-        if not all_pass:
-            exit_code = 1
-    else:
-        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
-
-    return doc, exit_code
+                verdicts["riemannian"] = riemannian_test(phi, usable)
+            except (ArithmeticError, GeometryError) as exc:
+                verdicts["riemannian"] = None
+                verdicts["riemannian_error"] = str(exc)
+        return doc, 0
+    if cfg.subcommand == "metrize":
+        doc["points"] = [rec for _, rec in evaluated]
+        doc["verdicts"]["metrizable"] = all(rec["pass"] for rec in doc["points"])
+        return doc, 0 if doc["verdicts"]["metrizable"] else 1
+    doc["points"] = [rec for _, (rec, _) in evaluated]
+    doc["checks"] = _fold_checks((res for _, (_, res) in evaluated), tol)
+    return doc, 0 if all(c["pass"] for c in doc["checks"]) else 1
 
 
 def _print_summary(doc: dict, file=None):

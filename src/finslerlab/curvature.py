@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, phi_scalars
+from .geometry import EvalPoint, GeometryError, _ell_lo, _require_grid, phi_scalars
 from .jet import Jet, eval_jet
 from .spray import SprayPack, pq_from_phi
 
@@ -26,8 +26,6 @@ class CurvaturePack:
     R3: float
     R4: float  # printed-formula value
     R5: float
-    R2_id: float  # -R1 - s R5
-    R4_id: float  # -s R3
     Rmat: np.ndarray  # R^i_j, identity values used for R2/R4
     C3: float
     id_R4: float  # R4 + s R3
@@ -126,8 +124,6 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         R3=R3,
         R4=R4,
         R5=R5,
-        R2_id=R2_id,
-        R4_id=R4_id,
         Rmat=Rmat,
         C3=C3,
         id_R4=R4 + s * R3,
@@ -163,8 +159,7 @@ def scalar_classify(
     requires R3 ~ 0 at every point, and the reconstruction
     R^i_j = K F^2 (d^i_j - (y^i / F) dF/dy_j) is verified entrywise.
     """
-    if len(grid) < 8:
-        raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
+    _require_grid(grid)
     dims = {p.n for p in grid}
     if len(dims) != 1:
         raise GeometryError(f"mixed dimensions in grid: {sorted(dims)}")
@@ -173,6 +168,7 @@ def scalar_classify(
     samples: list[tuple[EvalPoint, float]] = []
     max_resid = 0.0
     failing = None
+    recon_failed = False
     for p in grid:
         jet = eval_jet(phi, p.r, p.s)
         ps = phi_scalars(jet)
@@ -187,20 +183,13 @@ def scalar_classify(
         if n == 2 or resid < tol:
             # reconstruction check of the scalar-curvature form
             F = p.u * ps.phi
-            n_lo = p.x - (p.s / p.u) * p.y
-            dF_dy = (ps.phi / p.u) * p.y + ps.phi_s * n_lo
-            recon = K * F * F * (np.eye(n) - np.outer(p.y, dF_dy) / F)
+            recon = K * F * F * (np.eye(n) - np.outer(p.y, _ell_lo(ps, p)) / F)
             rscale = max(1.0, float(np.max(np.abs(cp.Rmat))))
             if np.max(np.abs(cp.Rmat - recon)) > 1e-6 * rscale:
-                return ScalarCurvatureReport(
-                    is_scalar=False,
-                    K_samples=samples,
-                    max_R3_residual=max_resid,
-                    n=n,
-                    failing_point=p,
-                )
+                failing, recon_failed = p, True
+                break
 
-    is_scalar = n == 2 or max_resid < tol
+    is_scalar = not recon_failed and (n == 2 or max_resid < tol)
     return ScalarCurvatureReport(
         is_scalar=is_scalar,
         K_samples=samples,

@@ -95,6 +95,34 @@ def phi_scalars(jet: Jet) -> PhiScalars:
     )
 
 
+def _positive_scalars(jet: Jet, p: EvalPoint) -> PhiScalars:
+    """phi_scalars, rejecting a point where phi <= 0 (F is not a norm there)."""
+    ps = phi_scalars(jet)
+    if ps.phi <= 0:
+        raise GeometryError(f"phi = {ps.phi} is not positive at (r, s) = ({p.r}, {p.s})")
+    return ps
+
+
+def _mu(ps: PhiScalars, s: float) -> float:
+    """mu = phi phi_s - s phi_s^2 - s phi phi_ss."""
+    return ps.phi * ps.phi_s - s * ps.phi_s**2 - s * ps.phi * ps.phi_ss
+
+
+def _n_lo(p: EvalPoint) -> np.ndarray:
+    """n_j = x_j - (s/u) y_j."""
+    return p.x - (p.s / p.u) * p.y
+
+
+def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
+    """dF/dy^i = (phi/u) y_i + phi_s n_i."""
+    return (ps.phi / p.u) * p.y + ps.phi_s * _n_lo(p)
+
+
+def _require_grid(grid: list[EvalPoint]) -> None:
+    if len(grid) < 8:
+        raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
+
+
 @dataclass(frozen=True)
 class MetricPack:
     sigma0: float
@@ -122,15 +150,13 @@ def metric_pack(jet: Jet, p: EvalPoint) -> MetricPack:
             + rho3 x^j x^k
     det   = phi^(n+1) (phi - s phi_s)^(n-2) (phi - s phi_s + (r^2-s^2) phi_ss)
     """
-    ps = phi_scalars(jet)
+    ps = _positive_scalars(jet, p)
     phi, phi_s, phi_ss = ps.phi, ps.phi_s, ps.phi_ss
-    if phi <= 0:
-        raise GeometryError(f"phi = {phi} is not positive at (r, s) = ({p.r}, {p.s})")
     r, s, u, n = p.r, p.s, p.u, p.n
     w = r * r - s * s
     t = phi - s * phi_s  # first regularity factor
     d = t + w * phi_ss  # second regularity factor
-    mu = phi * phi_s - s * phi_s**2 - s * phi * phi_ss
+    mu = _mu(ps, s)
 
     sigma0 = phi * t
     sigma1 = phi_s**2 + phi * phi_ss
@@ -204,11 +230,9 @@ def cartan_pack(jet: Jet, p: EvalPoint) -> CartanPack:
     mu = phi phi_s - s phi_s^2 - s phi phi_ss,
     nu = 3 phi_s phi_ss + phi phi_sss.
     """
-    ps = phi_scalars(jet)
-    if ps.phi <= 0:
-        raise GeometryError(f"phi = {ps.phi} is not positive at (r, s) = ({p.r}, {p.s})")
+    ps = _positive_scalars(jet, p)
     s, u, n = p.s, p.u, p.n
-    mu = ps.phi * ps.phi_s - s * ps.phi_s**2 - s * ps.phi * ps.phi_ss
+    mu = _mu(ps, s)
     nu = 3.0 * ps.phi_s * ps.phi_ss + ps.phi * ps.phi_sss
     x, y = p.x, p.y
     C = (
@@ -238,8 +262,7 @@ def degeneracy_classify(
             (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)).
     Either family forces det(g) = 0.
     """
-    if len(grid) < 8:
-        raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
+    _require_grid(grid)
     type_a = True
     type_b = True
     for p in grid:

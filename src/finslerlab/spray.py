@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, phi_scalars
+from .geometry import EvalPoint, GeometryError, _ell_lo, _positive_scalars, phi_scalars
 from .jet import Jet, eval_jet
 
 
@@ -69,9 +69,7 @@ def pq_jets(jet: Jet, r: float, s: float) -> tuple[Jet, Jet]:
 
 def pq_from_phi(jet: Jet, p: EvalPoint) -> SprayPack:
     """Spray data of the metric F = u phi at the point p."""
-    ps = phi_scalars(jet)
-    if ps.phi <= 0:
-        raise GeometryError(f"phi = {ps.phi} is not positive at (r, s) = ({p.r}, {p.s})")
+    _positive_scalars(jet, p)
     pj, qj = pq_jets(jet, p.r, p.s)
     return spray_pack_from_jets(pj, qj, p)
 
@@ -118,15 +116,18 @@ def horizontal_residual(jet: Jet, sp: SprayPack, p: EvalPoint) -> np.ndarray:
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
     ps = phi_scalars(jet)
-    u, r, s = p.u, p.r, p.s
+    u, r = p.u, p.r
     dF_dx = u * (ps.phi_r * p.x / r + ps.phi_s * p.y / u)
-    n_lo = p.x - (s / u) * p.y
-    dF_dy = (ps.phi / u) * p.y + ps.phi_s * n_lo
-    return dF_dx - dF_dy @ sp.N
+    return dF_dx - _ell_lo(ps, p) @ sp.N
 
 
 def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> MetrizabilityResiduals:
-    """C1/C2 evaluated from an already-computed spray pack (self-check)."""
+    """C1/C2 residuals of the spray pack sp against phi.
+
+    C1 = (1 + sP - (r^2-s^2)(2Q - s Q_s)) phi_s
+         + (s P_s - 2P - s(2Q - s Q_s)) phi
+    C2 = phi_r / r - (P + Q_s (r^2-s^2)) phi_s - (P_s + s Q_s) phi
+    """
     ps = phi_scalars(jet)
     r, s = p.r, p.s
     w = r * r - s * s
@@ -139,20 +140,6 @@ def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> Metrizabi
 def metrizability_residuals(
     jet: Jet, p_expr: Node, q_expr: Node, p: EvalPoint
 ) -> MetrizabilityResiduals:
-    """C1/C2 residuals of a candidate spray (P, Q) against phi.
-
-    C1 = (1 + sP - (r^2-s^2)(2Q - s Q_s)) phi_s
-         + (s P_s - 2P - s(2Q - s Q_s)) phi
-    C2 = phi_r / r - (P + Q_s (r^2-s^2)) phi_s - (P_s + s Q_s) phi
-    """
-    ps = phi_scalars(jet)
-    r, s = p.r, p.s
-    w = r * r - s * s
-    pj = eval_jet(p_expr, r, s)
-    qj = eval_jet(q_expr, r, s)
-    P, P_s = pj.partial(0, 0), pj.partial(0, 1)
-    Q, Q_s = qj.partial(0, 0), qj.partial(0, 1)
-    two_q = 2 * Q - s * Q_s
-    c1 = (1 + s * P - w * two_q) * ps.phi_s + (s * P_s - 2 * P - s * two_q) * ps.phi
-    c2 = ps.phi_r / r - (P + Q_s * w) * ps.phi_s - (P_s + s * Q_s) * ps.phi
-    return MetrizabilityResiduals(C1=c1, C2=c2)
+    """C1/C2 residuals of a candidate spray (P, Q) against phi."""
+    sp = spray_pack_from_jets(eval_jet(p_expr, p.r, p.s), eval_jet(q_expr, p.r, p.s), p)
+    return metrizability_from_spray(jet, sp, p)

@@ -13,6 +13,10 @@ from .expr import Node
 from .geometry import (
     EvalPoint,
     GeometryError,
+    MetricPack,
+    _ell_lo,
+    _n_lo,
+    _require_grid,
     cartan_pack,
     metric_pack,
     phi_scalars,
@@ -39,6 +43,11 @@ def berwald_frame(jet: Jet, p: EvalPoint) -> BerwaldFrame:
     a(r, s) = sqrt(phi (phi - s phi_s + (r^2-s^2) phi_ss) / (r^2 - s^2)),
     n^i = rho0 n^i_euclid + ((r^2-s^2)/u)(rho2 y^i + u rho3 x^i).
     """
+    return _frame(jet, p)[0]
+
+
+def _frame(jet: Jet, p: EvalPoint) -> tuple[BerwaldFrame, MetricPack]:
+    """The Berwald frame and the metric pack it was built from."""
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
     ps = phi_scalars(jet)
@@ -54,19 +63,18 @@ def berwald_frame(jet: Jet, p: EvalPoint) -> BerwaldFrame:
     a = math.sqrt(radicand)
 
     mp = metric_pack(jet, p)
-    n_lo = p.x - (s / u) * p.y
+    n_lo = _n_lo(p)
     n_hi = mp.rho0 * n_lo + (w / u) * (mp.rho2 * p.y + u * mp.rho3 * p.x)
-    ell_lo = (ps.phi / u) * p.y + ps.phi_s * n_lo
-    ell_hi = p.y / mp.F
-    return BerwaldFrame(
-        ell_lo=ell_lo,
-        ell_hi=ell_hi,
+    frame = BerwaldFrame(
+        ell_lo=_ell_lo(ps, p),
+        ell_hi=p.y / mp.F,
         n_lo=n_lo,
         n_hi=n_hi,
         a=a,
         m_lo=a * n_lo,
         m_hi=a * n_hi,
     )
+    return frame, mp
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,7 @@ class MainScalarPack:
     B: float  # rho2 + s rho3
     I: float  # closed-form route
     I_direct: float  # F C_ijk m^i m^j m^k
+    frame: BerwaldFrame  # the frame both routes used
 
 
 def main_scalar(jet: Jet, p: EvalPoint) -> MainScalarPack:
@@ -85,8 +94,7 @@ def main_scalar(jet: Jet, p: EvalPoint) -> MainScalarPack:
                       - 3 a mu (r^2-s^2)^2 B^2 + nu / a^3 )
     Direct: contraction of the full Cartan tensor with m^i.
     """
-    frame = berwald_frame(jet, p)
-    mp = metric_pack(jet, p)
+    frame, mp = _frame(jet, p)
     cp = cartan_pack(jet, p)
     ps = phi_scalars(jet)
     w = p.r**2 - p.s**2
@@ -96,7 +104,7 @@ def main_scalar(jet: Jet, p: EvalPoint) -> MainScalarPack:
     a = frame.a
     I = (ps.phi / 2.0) * (3 * cp.mu / a * msq - 3 * a * cp.mu * w * w * B * B + cp.nu / a**3)
     I_direct = mp.F * float(np.einsum("ijk,i,j,k->", cp.C, frame.m_hi, frame.m_hi, frame.m_hi))
-    return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct)
+    return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame)
 
 
 def riemannian_test(
@@ -107,8 +115,7 @@ def riemannian_test(
     When mu vanishes, nu is checked too: d(mu)/ds = -s nu forces nu = 0,
     so a nonzero nu flags an inconsistent evaluation.
     """
-    if len(grid) < 8:
-        raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
+    _require_grid(grid)
     for p in grid:
         if p.n != 2:
             raise GeometryError(f"Riemannian test requires n = 2, got n = {p.n}")

@@ -180,3 +180,90 @@ def test_report_records_expected_fields(capsys, tmp_path):
     for key in ("F", "P", "Q", "R1", "R5", "K", "C1", "C2", "C3", "I", "I_direct"):
         assert key in rec
     assert doc["config"]["phi"] == "1 + 0.3*s"
+
+
+def run_json(args, capsys, tmp_path):
+    path = tmp_path / "out.json"
+    code = main([*args, "--json", str(path)])
+    capsys.readouterr()
+    return code, json.loads(path.read_text()) if path.exists() else None
+
+
+def test_jet_overflow_and_pack_underflow_are_skips(capsys, tmp_path):
+    # s > 0 overflows exp in the jet, s < 0 underflows phi^3 in metric_pack
+    code, doc = run_json(["report", "--phi", "exp(1000*s)"], capsys, tmp_path)
+    assert code == 0
+    assert len(doc["points"]) == 6 and len(doc["skipped"]) == 24
+
+
+@pytest.mark.parametrize(
+    "args", [["--phi", "1e-120*(2+s)"], ["--phi", "1e90*(2+s)", "--dim", "3"]]
+)
+def test_check_skips_every_point_whose_packs_fail(args, capsys, tmp_path):
+    code, doc = run_json(["check", *args], capsys, tmp_path)
+    assert code == 3
+    assert doc["points"] == [] and len(doc["skipped"]) == 30
+
+
+def test_classify_numeric_failures_become_null_verdicts(capsys, tmp_path):
+    code, doc = run_json(["classify", "--phi", "1e200*(2+s)"], capsys, tmp_path)
+    assert code == 0
+    verdicts = doc["verdicts"]
+    for verdict, error in (
+        ("is_scalar", "scalar_error"),
+        ("degeneracy", "degeneracy_error"),
+        ("riemannian", "riemannian_error"),
+    ):
+        assert verdicts[verdict] is None and verdicts[error]
+
+
+def test_classify_grid_too_small_exits_2(capsys):
+    args = ["classify", "--phi", "1+s", "--r", "1:1:1", "--s-frac", "0:0.5:3", "--u", "1:1:1"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "grid of >= 8 points" in err
+
+
+@pytest.mark.parametrize("phi, dim", [("1+s^2-0.9*r", "3"), ("ln(s+0.5)+2", "2")])
+def test_check_reports_the_points_report_evaluates(phi, dim, capsys, tmp_path):
+    # phi <= 0 (pack) skips; for ln also jet-domain and frame-radicand skips
+    args = ["--phi", phi, "--dim", dim]
+    _, report = run_json(["report", *args], capsys, tmp_path)
+    code, check = run_json(["check", *args], capsys, tmp_path)
+    assert code == 0
+    assert check["points"] == report["points"]
+    assert check["skipped"] == report["skipped"] and check["skipped"]
+
+
+def count_eval_jet_calls(monkeypatch) -> list:
+    """Wrap eval_jet in every finslerlab namespace that binds it."""
+    import sys
+
+    from finslerlab import jet
+
+    original, calls = jet.eval_jet, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finslerlab" and getattr(module, "eval_jet", None) is original:
+            monkeypatch.setattr(module, "eval_jet", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, per_point",
+    [
+        (["report"], 1),
+        (["check"], 1),
+        (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], 3),
+    ],
+)
+def test_one_evaluation_pass_per_point(args, per_point, monkeypatch, capsys, tmp_path):
+    calls = count_eval_jet_calls(monkeypatch)
+    code, doc = run_json([*args, "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
+    assert code == 0
+    assert len(doc["points"]) == 30
+    assert len(calls) == per_point * len(doc["points"])

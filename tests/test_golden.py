@@ -1,0 +1,73 @@
+"""Golden-output regression: small CLI runs against committed reports.
+
+Each file in tests/golden holds the argv, the exit code and the JSON report
+of one run below.  A rerun must give the same exit code, the same keys and
+values, and every float within 1e-12 relative.  Regenerate (only for an
+intended output change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from finslerlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+EX45 = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
+ROTATED = ["--rotate", "--seed", "3"]
+RUNS = {
+    "ex45_report_n2": ["report", "--phi", EX45, "--dim", "2", *ROTATED],
+    "ex45_check_n2": ["check", "--phi", EX45, "--dim", "2", *ROTATED],
+    "ex45_classify_n3": ["classify", "--phi", EX45, "--dim", "3", *ROTATED],
+    "metrize_randers": ["metrize", "--phi", "1+0.5*s", "--p", "0.5/(2*(1+0.5*s))", "--q", "0"],
+    "report_pack_skips_n3": ["report", "--phi", "1+s^2-0.9*r", "--dim", "3"],
+}
+REL = 1e-12
+
+
+def _run(argv, path):
+    code = main([*argv, "--json", str(path)])
+    return code, json.loads(Path(path).read_text())
+
+
+def _assert_close(got, want, where="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        if math.isnan(want):
+            assert isinstance(got, float) and math.isnan(got), where
+        else:
+            assert abs(got - want) <= REL * max(1.0, abs(want)), f"{where}: {got} != {want}"
+    else:
+        assert got == want and type(got) is type(want), f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_output(name, tmp_path, capsys):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    code, doc = _run(RUNS[name], tmp_path / "out.json")
+    capsys.readouterr()
+    assert code == golden["exit_code"]
+    _assert_close(doc, golden["report"])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in RUNS.items():
+            code, doc = _run(argv, Path(tmp) / "out.json")
+            record = {"argv": argv, "exit_code": code, "report": doc}
+            text = json.dumps(record, indent=1, sort_keys=True)
+            (GOLDEN / f"{name}.json").write_text(text + "\n")
