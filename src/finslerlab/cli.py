@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -21,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .curvature import flag_curvature, riemann_pack, scalar_classify
-from .expr import Node, ParseError, parse
+from .expr import ParseError, parse
 from .geometry import (
     GeometryError,
     _ell_lo,
+    _GridJets,
     canonical_point,
     cartan_pack,
     degeneracy_classify,
@@ -32,12 +34,18 @@ from .geometry import (
     phi_scalars,
     random_rotation,
 )
-from .jet import DEGREE, eval_jet
-from .spray import horizontal_residual, metrizability_from_spray, pq_from_phi, spray_pack_from_jets
+from .jet import DEGREE
+from .spray import (
+    _grid_spray,
+    horizontal_residual,
+    metrizability_from_spray,
+    spray_pack_from_jets,
+)
 from .surface import main_scalar, riemannian_test
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
+SUBCOMMANDS = ("report", "check", "classify", "metrize")
 
 
 @dataclasses.dataclass
@@ -74,14 +82,14 @@ def parse_range(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _evaluate(phi: Node, p, with_checks: bool) -> tuple[dict, dict]:
+def _evaluate(phi_jets: _GridJets, spray_at, p, with_checks: bool) -> tuple[dict, dict]:
     """The report record of one point and, if asked, its identity-check
-    residuals by check name, all from a single phi jet."""
-    jet = eval_jet(phi, p.r, p.s)
+    residuals by check name, all from the point's phi jet."""
+    jet = phi_jets.at(p)
     ps = phi_scalars(jet)
     mp = metric_pack(jet, p)
     phi0 = mp.F / p.u
-    sp = pq_from_phi(jet, p)
+    sp = spray_at(jet, p)
     cv = riemann_pack(sp, jet, p)
     mr = metrizability_from_spray(jet, sp, p)
     rec = {
@@ -150,10 +158,10 @@ def _evaluate(phi: Node, p, with_checks: bool) -> tuple[dict, dict]:
     return rec, residuals
 
 
-def _metrize_point(phi: Node, p_ast: Node, q_ast: Node, p, tol: float) -> dict:
+def _metrize_point(phi_jets, p_jets, q_jets, p, tol: float) -> dict:
     """C1/C2 and C3 of the user spray (P, Q) at one point."""
-    jet = eval_jet(phi, p.r, p.s)
-    user_sp = spray_pack_from_jets(eval_jet(p_ast, p.r, p.s), eval_jet(q_ast, p.r, p.s), p)
+    jet = phi_jets.at(p)
+    user_sp = spray_pack_from_jets(p_jets.at(p), q_jets.at(p), p)
     mr = metrizability_from_spray(jet, user_sp, p)
     c3 = riemann_pack(user_sp, jet, p).C3
     ok = max(abs(mr.C1), abs(mr.C2)) <= tol * max(1.0, abs(jet.partial(0, 0)))
@@ -188,25 +196,40 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.subcommand == "metrize" and (p_ast is None or q_ast is None):
         raise ValueError("metrize requires --p and --q")
     tol = max(cfg.tol_abs, cfg.tol_rel)
-    evaluators = {
-        "report": lambda p: _evaluate(phi, p, False),
-        "check": lambda p: _evaluate(phi, p, True),
-        # the classifiers evaluate their own jets; this pass only screens the domain
-        "classify": lambda p: eval_jet(phi, p.r, p.s),
-        "metrize": lambda p: _metrize_point(phi, p_ast, q_ast, p, tol),
-    }
-    if cfg.subcommand not in evaluators:
+    if cfg.subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
-    evaluate = evaluators[cfg.subcommand]
 
     rotation = None
     if cfg.rotate:
         rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
-    evaluated, skipped = [], []
+    cells = []  # ((r, s, u), the point or the error building it raised)
     for r, frac, u in itertools.product(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid):
         s = frac * r
         try:
-            p = canonical_point(cfg.dim, r, s, u, rotation=rotation)
+            cells.append(((r, s, u), canonical_point(cfg.dim, r, s, u, rotation=rotation)))
+        except (ArithmeticError, GeometryError) as exc:
+            cells.append(((r, s, u), exc))
+    # Jets depend on (r, s) only: one batch per expression over the unique
+    # (r, s); each point meets its recorded errors in the per-point loop.
+    grid = [p for _, p in cells if not isinstance(p, Exception)]
+    phi_jets = _GridJets.evaluate(phi, grid)
+    if cfg.subcommand == "classify":
+        # the classifiers evaluate their own jets; this pass only screens the domain
+        evaluate = phi_jets.at
+    elif cfg.subcommand == "metrize":
+        p_jets, q_jets = _GridJets.evaluate(p_ast, grid), _GridJets.evaluate(q_ast, grid)
+        evaluate = functools.partial(_metrize_point, phi_jets, p_jets, q_jets, tol=tol)
+    else:
+        with_checks = cfg.subcommand == "check"
+        evaluate = functools.partial(
+            _evaluate, phi_jets, _grid_spray(phi_jets), with_checks=with_checks
+        )
+
+    evaluated, skipped = [], []
+    for (r, s, u), p in cells:
+        try:
+            if isinstance(p, Exception):
+                raise p
             evaluated.append((p, evaluate(p)))
         except (ArithmeticError, GeometryError) as exc:
             skipped.append({"r": r, "s": s, "u": u, "reason": str(exc)})
@@ -271,7 +294,7 @@ def _print_summary(doc: dict, file=None):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="finsler-lab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("report", "check", "classify", "metrize"):
+    for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--phi", required=True, help="phi(r, s) expression")
         sp.add_argument("--dim", type=int, default=2)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, _ell_lo, _require_grid, phi_scalars
-from .jet import Jet, eval_jet
-from .spray import SprayPack, pq_from_phi
+from .geometry import EvalPoint, GeometryError, _ell_lo, _GridJets, _require_grid, phi_scalars
+from .jet import Jet
+from .spray import SprayPack, _grid_spray
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
@@ -169,10 +169,12 @@ def scalar_classify(
     max_resid = 0.0
     failing = None
     recon_failed = False
+    jets = _GridJets.evaluate(phi, grid)
+    spray_at = _grid_spray(jets)
     for p in grid:
-        jet = eval_jet(phi, p.r, p.s)
+        jet = jets.at(p)
         ps = phi_scalars(jet)
-        cp = riemann_pack(pq_from_phi(jet, p), jet, p)
+        cp = riemann_pack(spray_at(jet, p), jet, p)
         K = flag_curvature(cp, ps.phi, p)
         samples.append((p, K))
         scale = max(1.0, abs(cp.R1), abs(cp.R2), abs(cp.R3), abs(cp.R4), abs(cp.R5))

@@ -118,6 +118,44 @@ def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     return (ps.phi / p.u) * p.y + ps.phi_s * _n_lo(p)
 
 
+class _GridJets:
+    """The jets of one expression at the points of a grid, from one batched
+    ``eval_jet`` over the grid's unique (r, s).
+
+    ``at(p)`` returns the jet at p or raises the error its evaluation
+    recorded, so each error surfaces where a per-point evaluation raised it.
+    """
+
+    def __init__(self, keys: list, jets: Jet, errors: list):
+        self.keys = keys  # the _rs_key of each batch column
+        self.jets = jets
+        self.errors = errors
+        self.column = {key: k for k, key in enumerate(keys)}
+
+    @classmethod
+    def evaluate(cls, e: Node, grid: list[EvalPoint]) -> "_GridJets":
+        keys = list(dict.fromkeys(_rs_key(p.r, p.s) for p in grid))
+        errors = [None] * len(keys)
+        return cls(keys, eval_jet(e, *_rs_arrays(keys), errors), errors)
+
+    def at(self, p: EvalPoint) -> Jet:
+        k = self.column[_rs_key(p.r, p.s)]
+        if self.errors[k] is not None:
+            raise self.errors[k].with_traceback(None)
+        return self.jets[k]
+
+
+def _rs_key(r: float, s: float) -> tuple[float, float, float]:
+    """Grid points share a jet when their (r, s) match, sign of zero included."""
+    return (r, s, math.copysign(1.0, s))
+
+
+def _rs_arrays(keys: list) -> tuple[np.ndarray, np.ndarray]:
+    """The r and the s values of a list of _rs_key keys."""
+    rs = np.array([key[:2] for key in keys], dtype=float).reshape(-1, 2)
+    return rs[:, 0], rs[:, 1]
+
+
 def _require_grid(grid: list[EvalPoint]) -> None:
     if len(grid) < 8:
         raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
@@ -263,10 +301,11 @@ def degeneracy_classify(
     Either family forces det(g) = 0.
     """
     _require_grid(grid)
+    jets = _GridJets.evaluate(phi, grid)
     type_a = True
     type_b = True
     for p in grid:
-        ps = phi_scalars(eval_jet(phi, p.r, p.s))
+        ps = phi_scalars(jets.at(p))
         w = p.r**2 - p.s**2
         scale = max(1.0, ps.phi**2)
         t = ps.phi - p.s * ps.phi_s

@@ -1,20 +1,34 @@
-"""Degree-4 bivariate truncated Taylor jets in (r, s).
+"""Degree-4 bivariate truncated Taylor jets in (r, s), over batches of points.
 
 A :class:`Jet` holds the Taylor-normalized coefficients
 
-    c[a][b] = (d/dr)^a (d/ds)^b f / (a! b!),   a + b <= 4,
+    c[a, b] = (d/dr)^a (d/ds)^b f / (a! b!),   a + b <= 4,
 
-of a function at a fixed base point.  Arithmetic is exact truncated
-polynomial arithmetic: products are Cauchy products cut at total degree 4,
-and smooth functions are applied by composing their univariate Taylor
-expansion with the jet.  Coefficients of total degree > 4 are identically
-zero and never consulted.
+of a function at one base point, or at a batch of them: ``c`` has shape
+(5, 5, *batch), with the batch axes trailing, so a one-point jet is a 5x5
+array and ``c[a, b]`` is a float or an array over the batch.  Arithmetic is
+exact truncated polynomial arithmetic: products are Cauchy products cut at
+total degree 4, and smooth functions are applied by composing their
+univariate Taylor expansion with the jet.  Coefficients of total degree > 4
+are identically zero and never consulted.
 
-The product is one index-map kernel, not a loop over coefficients: the 70
-index triples of the truncated Cauchy product over the flattened 5x5 array
-are tabulated at import and list only entries of total degree <= 4, so the
-kernel relies on the zero invariant above.  Each output bin sums its terms
-in the order of the textbook quadruple loop, so products match it bit for bit.
+Every jet operation is one numpy call over the whole batch, and the batch
+columns never mix, so each row of a batched result equals the one-point
+result bit for bit.  The product is one index-map kernel: the 70 index
+triples of the truncated Cauchy product over the flattened 5x5 array are
+tabulated at import and list only entries of total degree <= 4, so the kernel
+relies on the zero invariant above.  One bincount over keys offset by the
+batch column sums each output bin in the order of the textbook quadruple
+loop, so products match that loop bit for bit.
+
+The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
+jet's value) and the domain guards are computed per point on Python floats,
+so values, exception types and messages are those of a one-point
+evaluation.  The batched entry points take an optional ``errors`` list, one
+entry per point in flat batch order: a failing point records its first error
+there and the rest of the batch runs on (with numpy's overflow and invalid
+warnings silenced); without the list, the first failing point's error is
+raised.
 
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
@@ -24,6 +38,8 @@ values and low-order partials of downstream expressions stay exact.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -50,9 +66,32 @@ _MUL_I, _MUL_J, _MUL_K = np.array(
 _DR = tuple(np.array([((a + 1) * _N + b, a * _N + b, a + 1) for a, b in _LOW3]).T.copy())
 _DS = tuple(np.array([(a * _N + b + 1, a * _N + b, b + 1) for a, b in _LOW3]).T.copy())
 
+_NAN_SEEDS = (math.nan,) * _N
+
+
+def _cols(c: np.ndarray) -> np.ndarray:
+    """The coefficients as a (25, points) array, points in flat batch order."""
+    return c.reshape(_N * _N, -1)
+
+
+@functools.lru_cache(maxsize=64)
+def _mul_index(n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of the product terms of n points, term-major: term t of
+    point k multiplies x[I[t], k] by y[J[t], k] into bin K[t] of point k."""
+    k = np.arange(n)
+    out = tuple((idx[:, None] * n + k).ravel() for idx in (_MUL_I, _MUL_J, _MUL_K))
+    for idx in out:
+        idx.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    i, j, k = _mul_index(x.size // (_N * _N))
+    return np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape)
+
 
 class Jet:
-    """Bivariate Taylor jet of total degree 4."""
+    """Bivariate Taylor jet of total degree 4, at one point or a batch."""
 
     __slots__ = ("c",)
 
@@ -60,34 +99,47 @@ class Jet:
         self.c = c
 
     @classmethod
-    def constant(cls, v: float) -> "Jet":
-        c = np.zeros((DEGREE + 1, DEGREE + 1))
+    def constant(cls, v, batch: tuple = ()) -> "Jet":
+        c = np.zeros((_N, _N, *batch))
         c[0, 0] = v
         return cls(c)
 
     @classmethod
-    def variable_r(cls, r0: float) -> "Jet":
-        c = np.zeros((DEGREE + 1, DEGREE + 1))
+    def variable_r(cls, r0) -> "Jet":
+        r0 = np.asarray(r0, dtype=float)
+        c = np.zeros((_N, _N, *r0.shape))
         c[0, 0] = r0
         c[1, 0] = 1.0
         return cls(c)
 
     @classmethod
-    def variable_s(cls, s0: float) -> "Jet":
-        c = np.zeros((DEGREE + 1, DEGREE + 1))
+    def variable_s(cls, s0) -> "Jet":
+        s0 = np.asarray(s0, dtype=float)
+        c = np.zeros((_N, _N, *s0.shape))
         c[0, 0] = s0
         c[0, 1] = 1.0
         return cls(c)
 
     @property
-    def value(self) -> float:
-        return float(self.c[0, 0])
+    def batch(self) -> tuple:
+        return self.c.shape[2:]
 
-    def partial(self, a: int, b: int) -> float:
-        """The mixed partial (d/dr)^a (d/ds)^b at the base point."""
+    @property
+    def value(self):
+        """The value at the base point: a float, or an array over the batch."""
+        v = self.c[0, 0]
+        return float(v) if v.ndim == 0 else v
+
+    def partial(self, a: int, b: int):
+        """The mixed partial (d/dr)^a (d/ds)^b at the base point(s)."""
         if a < 0 or b < 0 or a + b > DEGREE:
             raise ValueError(f"partial order ({a},{b}) outside the jet degree")
-        return float(self.c[a, b] * _FACT[a] * _FACT[b])
+        v = self.c[a, b] * _FACT[a] * _FACT[b]
+        return float(v) if v.ndim == 0 else v
+
+    def __getitem__(self, index) -> "Jet":
+        """The jet at one point, or a sub-batch, of the first batch axis."""
+        return Jet(self.c[:, :, index])
 
     def d_r(self) -> "Jet":
         """Jet of df/dr (exact to one total degree less)."""
@@ -98,126 +150,197 @@ class Jet:
         return self._shift(*_DS)
 
     def _shift(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> "Jet":
-        c = np.zeros(_N * _N)
-        c[dst] = self.c.ravel()[src] * w
-        return Jet(c.reshape(_N, _N))
+        x = _cols(self.c)
+        c = np.zeros(x.shape)
+        c[dst] = x[src] * w[:, None]
+        return Jet(c.reshape(self.c.shape))
 
     # -- ring operations ---------------------------------------------------
     # A float operand gives exactly the constant-jet result: that route adds
     # +0.0 to every entry (turning -0.0 into 0.0) and starts each sum at 0.0.
+    # An array operand holds one such float per point of the batch.
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
             return Jet(self.c + other.c)
-        return _with_value(self.c + 0.0, self.c[0, 0] + float(other))
+        return _with_value(self.c + 0.0, self.c[0, 0] + other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
         if isinstance(other, Jet):
             return Jet(self.c - other.c)
-        return _with_value(self.c - 0.0, self.c[0, 0] - float(other))
+        return _with_value(self.c - 0.0, self.c[0, 0] - other)
 
     def __rsub__(self, other) -> "Jet":
-        return _with_value(0.0 - self.c, float(other) - self.c[0, 0])
+        return _with_value(0.0 - self.c, other - self.c[0, 0])
 
     def __neg__(self) -> "Jet":
         return Jet(-self.c)
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return Jet(self.c * float(other) + 0.0)
-        terms = self.c.ravel()[_MUL_I] * other.c.ravel()[_MUL_J]
-        return Jet(np.bincount(_MUL_K, terms, minlength=_N * _N).reshape(_N, _N))
+            return Jet(self.c * other + 0.0)
+        return Jet(_cauchy(self.c, other.c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            other = Jet.constant(float(other))
+            other = Jet.constant(other, self.batch)
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet":
-        return _reciprocal(self) * float(other)
+        return _reciprocal(self) * other
 
     def __repr__(self) -> str:
         return f"Jet(value={self.value!r})"
 
 
-def _with_value(c: np.ndarray, v: float) -> Jet:
+def _with_value(c: np.ndarray, v) -> Jet:
     c[0, 0] = v
     return Jet(c)
 
 
-def _compose(derivs: tuple[float, ...], g: Jet) -> Jet:
-    """Truncated composition f(g) from f's derivatives at g.value.
+def _values(g: Jet) -> list[float]:
+    """The value at each point, as Python floats in flat batch order."""
+    return _cols(g.c)[0].tolist()
 
-    ``derivs[k]`` is the k-th derivative of f at g.value, k = 0..4.
+
+def _per_point(args, fn, errors: list | None) -> list:
+    """fn of each point's arguments (Python floats); None where it raised.
+
+    With ``errors``, a point that has already failed is passed over and a
+    new failure is recorded there; without it, the failure is raised."""
+    out = []
+    for i, arg in enumerate(args):
+        if errors is not None and errors[i] is not None:
+            out.append(None)
+            continue
+        try:
+            out.append(fn(arg))
+        except Exception as exc:
+            if errors is None:
+                raise
+            errors[i] = exc
+            out.append(None)
+    return out
+
+
+@contextlib.contextmanager
+def _point_errors(errors: list | None, size: int):
+    """The error list of a batched call, with overflow and invalid warnings
+    silenced; without a caller's list, the first failing point's error is
+    raised when the call ends."""
+    sink = [None] * size if errors is None else errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield sink
+    if errors is None:
+        for exc in sink:
+            if exc is not None:
+                raise exc
+
+
+def _compose(derivs: np.ndarray, g: Jet) -> Jet:
+    """Truncated composition f(g) from f's derivatives at g's value.
+
+    ``derivs[k]`` is the k-th derivative of f at g's value, k = 0..4, one
+    per point of the batch.
     """
-    h = g - g.value
+    h = g - g.c[0, 0]
     acc = h * (derivs[DEGREE] / _FACT[DEGREE]) + derivs[DEGREE - 1] / _FACT[DEGREE - 1]
     for k in range(DEGREE - 2, -1, -1):
         acc = acc * h + derivs[k] / _FACT[k]
     return acc
 
 
-def _reciprocal(g: Jet) -> Jet:
-    v = g.value
+def _taylor(g: Jet, derivs_at, errors: list | None) -> Jet:
+    """f(g), with f's derivatives at each point's value from derivs_at."""
+    rows = _per_point(_values(g), derivs_at, errors)
+    table = np.array([_NAN_SEEDS if row is None else row for row in rows]).T
+    return _compose(table.reshape(_N, *g.batch), g)
+
+
+def _reciprocal_derivs(v: float) -> tuple[float, ...]:
     if v == 0.0:
         raise DomainError("division by a jet with zero value")
     try:
-        derivs = tuple((-1.0) ** k * _FACT[k] / v ** (k + 1) for k in range(DEGREE + 1))
+        return tuple((-1.0) ** k * _FACT[k] / v ** (k + 1) for k in range(DEGREE + 1))
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"reciprocal of jet value {v!r} is out of float range") from exc
-    return _compose(derivs, g)
 
 
-def jet_sqrt(g: Jet) -> Jet:
-    v = g.value
+def _reciprocal(g: Jet, errors: list | None = None) -> Jet:
+    return _taylor(g, _reciprocal_derivs, errors)
+
+
+def _sqrt_derivs(v: float) -> tuple[float, ...]:
     if v <= SINGULAR_TOL:
         raise DomainError(f"sqrt of non-positive jet value {v!r}")
     f0 = math.sqrt(v)
-    derivs = (f0, 0.5 * f0 / v, -0.25 * f0 / v**2, 0.375 * f0 / v**3, -0.9375 * f0 / v**4)
-    return _compose(derivs, g)
+    return (f0, 0.5 * f0 / v, -0.25 * f0 / v**2, 0.375 * f0 / v**3, -0.9375 * f0 / v**4)
 
 
-def jet_exp(g: Jet) -> Jet:
+def jet_sqrt(g: Jet, errors: list | None = None) -> Jet:
+    return _taylor(g, _sqrt_derivs, errors)
+
+
+def _exp_derivs(v: float) -> tuple[float, ...]:
     try:
-        f0 = math.exp(g.value)
+        f0 = math.exp(v)
     except OverflowError as exc:
-        raise DomainError(f"exp of jet value {g.value!r} overflows") from exc
-    return _compose((f0,) * (DEGREE + 1), g)
+        raise DomainError(f"exp of jet value {v!r} overflows") from exc
+    return (f0,) * (DEGREE + 1)
 
 
-def jet_ln(g: Jet) -> Jet:
-    v = g.value
+def jet_exp(g: Jet, errors: list | None = None) -> Jet:
+    return _taylor(g, _exp_derivs, errors)
+
+
+def _ln_derivs(v: float) -> tuple[float, ...]:
     if v <= SINGULAR_TOL:
         raise DomainError(f"ln of non-positive jet value {v!r}")
-    return _compose((math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4), g)
+    return (math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
 
 
-def jet_sin(g: Jet) -> Jet:
-    sv, cv = math.sin(g.value), math.cos(g.value)
-    return _compose((sv, cv, -sv, -cv, sv), g)
+def jet_ln(g: Jet, errors: list | None = None) -> Jet:
+    return _taylor(g, _ln_derivs, errors)
 
 
-def jet_cos(g: Jet) -> Jet:
-    sv, cv = math.sin(g.value), math.cos(g.value)
-    return _compose((cv, -sv, -cv, sv, cv), g)
+def _sin_derivs(v: float) -> tuple[float, ...]:
+    sv, cv = math.sin(v), math.cos(v)
+    return (sv, cv, -sv, -cv, sv)
 
 
-def jet_abs(g: Jet) -> Jet:
-    if abs(g.value) <= SINGULAR_TOL:
+def jet_sin(g: Jet, errors: list | None = None) -> Jet:
+    return _taylor(g, _sin_derivs, errors)
+
+
+def _cos_derivs(v: float) -> tuple[float, ...]:
+    sv, cv = math.sin(v), math.cos(v)
+    return (cv, -sv, -cv, sv, cv)
+
+
+def jet_cos(g: Jet, errors: list | None = None) -> Jet:
+    return _taylor(g, _cos_derivs, errors)
+
+
+def _abs_guard(v: float) -> None:
+    if abs(v) <= SINGULAR_TOL:
         raise DomainError("abs of a jet with value at the kink (|value| <= 1e-12)")
-    return g if g.value > 0 else -g
 
 
-def jet_ipow(g: Jet, n: int) -> Jet:
+def jet_abs(g: Jet, errors: list | None = None) -> Jet:
+    _per_point(_values(g), _abs_guard, errors)
+    return Jet(np.where(g.c[0, 0] > 0, g.c, -g.c))
+
+
+def jet_ipow(g: Jet, n: int, errors: list | None = None) -> Jet:
     """Integer power by repeated squaring."""
     if n == 0:
-        return Jet.constant(1.0)
+        return Jet.constant(1.0, g.batch)
     if n < 0:
-        return _reciprocal(jet_ipow(g, -n))
+        return _reciprocal(jet_ipow(g, -n), errors)
     out: Jet | None = None
     base = g
     while n:
@@ -230,21 +353,53 @@ def jet_ipow(g: Jet, n: int) -> Jet:
     return out
 
 
-def _is_constant(g: Jet) -> bool:
-    return bool(np.max(np.abs(g.c.ravel()[1:])) < 1e-14)
+def _take(g: Jet, idx: list[int]) -> Jet:
+    """The jet at the points idx (flat batch order), as a 1-D batch."""
+    return Jet(_cols(g.c)[:, idx].reshape(_N, _N, len(idx)))
 
 
-def jet_pow(base: Jet, expo: Jet) -> Jet:
-    """base^expo: integer constant exponents by squaring, else exp(e*ln(b))."""
-    if _is_constant(expo):
-        p = expo.value
-        if p == round(p) and abs(p) <= 1024:
-            return jet_ipow(base, int(round(p)))
-    if base.value <= 0.0:
-        raise DomainError(
-            f"non-integer power of non-positive base {base.value!r}"
-        )
-    return jet_exp(expo * jet_ln(base))
+def _pow_route(args: tuple[bool, float, float]) -> int | None:
+    """The integer exponent of a point's power, or None for exp(e*ln(b))."""
+    constant, p, b = args
+    if constant and p == round(p) and abs(p) <= 1024:
+        return int(round(p))
+    if b <= 0.0:
+        raise DomainError(f"non-integer power of non-positive base {b!r}")
+    return None
+
+
+def _pow_on(base: Jet, expo: Jet, route: int | None, errors: list) -> Jet:
+    if route is not None:
+        return jet_ipow(base, route, errors)
+    return jet_exp(expo * jet_ln(base, errors), errors)
+
+
+def jet_pow(base: Jet, expo: Jet, errors: list | None = None) -> Jet:
+    """base^expo: integer constant exponents by squaring, else exp(e*ln(b)).
+
+    The route is chosen per point; points that take different routes are
+    evaluated as separate sub-batches."""
+    with _point_errors(errors, _cols(base.c).shape[1]) as sink:
+        constant = np.max(np.abs(_cols(expo.c)[1:]), axis=0) < 1e-14
+        args = zip(constant.tolist(), _values(expo), _values(base))
+        groups: dict[int | None, list[int]] = {}
+        for i, route in enumerate(_per_point(args, _pow_route, sink)):
+            if sink[i] is None:
+                groups.setdefault(route, []).append(i)
+        if len(groups) <= 1:
+            return _pow_on(base, expo, next(iter(groups), None), sink)
+        out = np.full(_cols(base.c).shape, math.nan)
+        for route, idx in groups.items():
+            part = [sink[i] for i in idx]
+            sub = _pow_on(_take(base, idx), _take(expo, idx), route, part)
+            out[:, idx] = _cols(sub.c)
+            for i, exc in zip(idx, part):
+                sink[i] = exc
+        return Jet(out.reshape(base.c.shape))
+
+
+def _divide(a: Jet, b: Jet, errors: list) -> Jet:
+    return a * _reciprocal(b, errors)
 
 
 _JET_FUNCS = {
@@ -257,24 +412,46 @@ _JET_FUNCS = {
 }
 
 
-def eval_jet(e: Node, r: float, s: float) -> Jet:
-    """Evaluate an expression AST as a degree-4 Taylor jet at (r, s)."""
+def _in_node(message, node: Node) -> Exception:
+    """DomainError(f"{message} in {node}"), or the error printing node raises
+    (``to_string`` rejects an infinite number)."""
+    try:
+        return DomainError(f"{message} in {to_string(node)}")
+    except Exception as exc:
+        return exc
+
+
+def _named(node: Node, errors: list, fn, *args) -> Jet:
+    """fn(*args, errors), naming node in each DomainError it records."""
+    before = list(errors)
+    out = fn(*args, errors)
+    for i, (old, new) in enumerate(zip(before, errors)):
+        if old is None and isinstance(new, DomainError):
+            errors[i] = _in_node(new, node)
+            errors[i].__cause__ = new
+    return out
+
+
+def eval_jet(e: Node, r, s, errors: list | None = None) -> Jet:
+    """Evaluate an expression AST as degree-4 Taylor jets at the points (r, s).
+
+    r and s are floats, or arrays whose broadcast shape becomes the jet's
+    batch shape.  Each point gets the error a one-point evaluation raises,
+    in the same post-order: it is raised (the first failing point's) or,
+    with ``errors``, recorded there.
+    """
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    batch = r.shape
 
     def rec(node: Node) -> Jet:
         if isinstance(node, Num):
-            return Jet.constant(node.value)
+            return Jet.constant(node.value, batch)
         if isinstance(node, Var):
             return Jet.variable_r(r) if node.name == "r" else Jet.variable_s(s)
         if isinstance(node, Neg):
             return -rec(node.arg)
         if isinstance(node, BinOp):
             a = rec(node.left)
-            if node.op == "^":
-                b = rec(node.right)
-                try:
-                    return jet_pow(a, b)
-                except DomainError as exc:
-                    raise DomainError(f"{exc} in {to_string(node)}") from exc
             b = rec(node.right)
             if node.op == "+":
                 return a + b
@@ -283,22 +460,20 @@ def eval_jet(e: Node, r: float, s: float) -> Jet:
             if node.op == "*":
                 return a * b
             if node.op == "/":
-                try:
-                    return a / b
-                except DomainError as exc:
-                    raise DomainError(f"{exc} in {to_string(node)}") from exc
+                return _named(node, sink, _divide, a, b)
+            if node.op == "^":
+                return _named(node, sink, jet_pow, a, b)
             raise TypeError(f"unknown operator {node.op!r}")
         if isinstance(node, Call):
-            g = rec(node.arg)
-            try:
-                return _JET_FUNCS[node.func](g)
-            except DomainError as exc:
-                raise DomainError(f"{exc} in {to_string(node)}") from exc
+            return _named(node, sink, _JET_FUNCS[node.func], rec(node.arg))
         raise TypeError(f"not an expression node: {node!r}")
 
-    out = rec(e)
-    if not np.isfinite(out.c).all():
-        raise DomainError(f"non-finite jet coefficient in {to_string(e)}")
+    with _point_errors(errors, r.size) as sink:
+        out = rec(e)
+        finite = np.isfinite(_cols(out.c)).all(axis=0)
+        for i in np.flatnonzero(~finite).tolist():
+            if sink[i] is None:
+                sink[i] = _in_node("non-finite jet coefficient", e)
     return out
 
 

@@ -13,8 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, _ell_lo, _positive_scalars, phi_scalars
-from .jet import Jet, eval_jet
+from .geometry import (
+    EvalPoint,
+    GeometryError,
+    _ell_lo,
+    _GridJets,
+    _positive_scalars,
+    _rs_arrays,
+    phi_scalars,
+)
+from .jet import Jet, _per_point, _point_errors, _reciprocal, _values, eval_jet
 
 
 @dataclass(frozen=True)
@@ -39,31 +47,40 @@ class MetrizabilityResiduals:
     C2: float
 
 
-def pq_jets(jet: Jet, r: float, s: float) -> tuple[Jet, Jet]:
-    """Jets of P and Q at (r, s) from the phi jet.
+def _type_b_guard(args: tuple[float, float]) -> None:
+    denom, phi = args
+    if abs(denom) < 1e-12 * max(1.0, phi**2):
+        raise GeometryError(
+            "degenerate denominator phi - s phi_s + (r^2 - s^2) phi_ss ~ 0 "
+            "(TYPE_B degeneracy suspected)"
+        )
+
+
+def pq_jets(jet: Jet, r, s, errors: list | None = None) -> tuple[Jet, Jet]:
+    """Jets of P and Q at the points (r, s) from the phi jet.
 
     Q = (1/2r) (-phi_r + s phi_rs + r phi_ss) / (phi - s phi_s + (r^2-s^2) phi_ss)
     P = -(Q/phi) (s phi + (r^2-s^2) phi_s) + (1/2 r phi)(s phi_r + r phi_s)
 
     The results are exact through total degree 2, which covers every
-    P/Q partial the curvature formulas consume.
+    P/Q partial the curvature formulas consume.  r and s are floats or
+    arrays matching the jet's batch; per-point errors behave as in
+    ``eval_jet``.
     """
-    phi = jet
-    phi_r = jet.d_r()
-    phi_s = jet.d_s()
-    phi_ss = phi_s.d_s()
-    phi_rs = phi_r.d_s()
-    rj = Jet.variable_r(r)
-    sj = Jet.variable_s(s)
-    w = rj * rj - sj * sj
-    denom = phi - sj * phi_s + w * phi_ss
-    if abs(denom.value) < 1e-12 * max(1.0, phi.value**2):
-        raise GeometryError(
-            "degenerate denominator phi - s phi_s + (r^2 - s^2) phi_ss ~ 0 "
-            "(TYPE_B degeneracy suspected)"
-        )
-    q = (-phi_r + sj * phi_rs + rj * phi_ss) / (2.0 * rj * denom)
-    p = -(q / phi) * (sj * phi + w * phi_s) + (sj * phi_r + rj * phi_s) / (2.0 * rj * phi)
+    with _point_errors(errors, np.size(r)) as sink:
+        phi = jet
+        phi_r = jet.d_r()
+        phi_s = jet.d_s()
+        phi_ss = phi_s.d_s()
+        phi_rs = phi_r.d_s()
+        rj = Jet.variable_r(r)
+        sj = Jet.variable_s(s)
+        w = rj * rj - sj * sj
+        denom = phi - sj * phi_s + w * phi_ss
+        _per_point(zip(_values(denom), _values(phi)), _type_b_guard, sink)
+        q = (-phi_r + sj * phi_rs + rj * phi_ss) * _reciprocal(2.0 * rj * denom, sink)
+        p = -(q * _reciprocal(phi, sink)) * (sj * phi + w * phi_s)
+        p = p + (sj * phi_r + rj * phi_s) * _reciprocal(2.0 * rj * phi, sink)
     return p, q
 
 
@@ -72,6 +89,25 @@ def pq_from_phi(jet: Jet, p: EvalPoint) -> SprayPack:
     _positive_scalars(jet, p)
     pj, qj = pq_jets(jet, p.r, p.s)
     return spray_pack_from_jets(pj, qj, p)
+
+
+def _grid_spray(phi: _GridJets):
+    """``pq_from_phi`` at the points of phi's grid, as a function of (jet, p).
+
+    The P/Q jets come from one batched ``pq_jets`` over the (r, s) where
+    phi's jet is valid and phi > 0; the other points fail the phi > 0 guard
+    (or their jet) before they need them."""
+    keep = [k for k, exc in enumerate(phi.errors) if exc is None and phi.jets.c[0, 0, k] > 0]
+    keys = [phi.keys[k] for k in keep]
+    errors = [None] * len(keys)
+    pj, qj = pq_jets(phi.jets[keep], *_rs_arrays(keys), errors)
+    p_jets, q_jets = _GridJets(keys, pj, errors), _GridJets(keys, qj, errors)
+
+    def at(jet: Jet, p: EvalPoint) -> SprayPack:
+        _positive_scalars(jet, p)
+        return spray_pack_from_jets(p_jets.at(p), q_jets.at(p), p)
+
+    return at
 
 
 def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:

@@ -15,13 +15,14 @@ from .geometry import (
     GeometryError,
     MetricPack,
     _ell_lo,
+    _GridJets,
     _n_lo,
     _require_grid,
     cartan_pack,
     metric_pack,
     phi_scalars,
 )
-from .jet import Jet, eval_jet
+from .jet import Jet
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -119,9 +120,10 @@ def riemannian_test(
     for p in grid:
         if p.n != 2:
             raise GeometryError(f"Riemannian test requires n = 2, got n = {p.n}")
+    jets = _GridJets.evaluate(phi, grid)
     packs = []
     for p in grid:
-        jet = eval_jet(phi, p.r, p.s)
+        jet = jets.at(p)
         ps = phi_scalars(jet)
         cp = cartan_pack(jet, p)
         packs.append((ps, cp))

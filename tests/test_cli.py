@@ -1,7 +1,9 @@
 """End-to-end tests for the finsler-lab command line interface."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from finslerlab.cli import main, parse_range
@@ -235,35 +237,71 @@ def test_check_reports_the_points_report_evaluates(phi, dim, capsys, tmp_path):
     assert check["skipped"] == report["skipped"] and check["skipped"]
 
 
-def count_eval_jet_calls(monkeypatch) -> list:
-    """Wrap eval_jet in every finslerlab namespace that binds it."""
+def record_eval_jet_points(monkeypatch) -> list:
+    """Wrap eval_jet in every finslerlab namespace that binds it; each call
+    records (expression text, the (r, s) pairs it evaluated)."""
     import sys
 
-    from finslerlab import jet
+    from finslerlab import jet, to_string
 
     original, calls = jet.eval_jet, []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording(e, r, s, *rest):
+        calls.append((to_string(e), list(zip(np.ravel(r).tolist(), np.ravel(s).tolist()))))
+        return original(e, r, s, *rest)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "finslerlab" and getattr(module, "eval_jet", None) is original:
-            monkeypatch.setattr(module, "eval_jet", counting)
+            monkeypatch.setattr(module, "eval_jet", recording)
     return calls
 
 
 @pytest.mark.parametrize(
-    "args, per_point",
+    "args, expressions",
     [
         (["report"], 1),
         (["check"], 1),
         (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], 3),
     ],
 )
-def test_one_evaluation_pass_per_point(args, per_point, monkeypatch, capsys, tmp_path):
-    calls = count_eval_jet_calls(monkeypatch)
+def test_one_evaluation_pass_per_point(args, expressions, monkeypatch, capsys, tmp_path):
+    # each unique (r, s) is evaluated once per expression, whatever the u values
+    calls = record_eval_jet_points(monkeypatch)
     code, doc = run_json([*args, "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
     assert code == 0
     assert len(doc["points"]) == 30
-    assert len(calls) == per_point * len(doc["points"])
+    evaluated = [(text, rs) for text, pairs in calls for rs in pairs]
+    assert len(evaluated) == 15 * expressions
+    assert len(set(evaluated)) == len(evaluated)
+    assert len({text for text, _ in evaluated}) == expressions
+    assert {rs for _, rs in evaluated} == {(p["r"], p["s"]) for p in doc["points"]}
+
+
+def test_classify_evaluates_each_classifier_in_one_batch(monkeypatch, capsys, tmp_path):
+    calls = record_eval_jet_points(monkeypatch)
+    code, doc = run_json(["classify", "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
+    assert code == 0 and doc["verdicts"]["riemannian"] is False
+    # the domain screen, then at most one batch per classifier (three at n = 2)
+    assert len(calls) <= 4
+    for _, pairs in calls:
+        assert len(pairs) == len(set(pairs)) == 15
+
+
+@pytest.mark.parametrize(
+    "sub, phi, exit_code, points, skipped",
+    [
+        ("check", "1e308*(2+s)", 3, 0, 30),
+        ("classify", "1e308*(2+s)", 0, 0, 20),
+        ("check", "exp(s)^800", 0, 6, 24),
+        ("classify", "exp(s)^800", 0, 0, 2),
+    ],
+)
+def test_jet_overflow_prints_no_runtime_warning(
+    sub, phi, exit_code, points, skipped, capsys, tmp_path
+):
+    # the jet overflows at some points; those become skips without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json([sub, "--phi", phi], capsys, tmp_path)
+    assert code == exit_code
+    assert len(doc["points"]) == points and len(doc["skipped"]) == skipped

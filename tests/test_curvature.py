@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_grid
 from finslerlab import (
+    DomainError,
     GeometryError,
     canonical_point,
     eval_jet,
@@ -147,3 +148,18 @@ def test_scalar_classify_mixed_dimensions_rejected():
 def test_scalar_classify_grid_too_small():
     with pytest.raises(GeometryError):
         scalar_classify(parse("1+s"), make_grid(2, (1.0,), (0.2, 0.4)))
+
+
+@pytest.mark.parametrize(
+    "text, error, match",
+    [
+        ("1+s^2-0.7*r", GeometryError, "is not positive"),
+        ("2 + 0.3*s + ln(1.4 - r)", DomainError, "ln of non-positive"),
+    ],
+)
+def test_scalar_classify_raises_the_first_failing_points_error(text, error, match):
+    # phi <= 0, or a jet outside its domain, at r = 1.5 only; the grid is evaluated
+    # in one batch, and the error surfaces when the loop reaches that point
+    grid = make_grid(2, (1.2, 1.5), (-0.4, 0.0, 0.3, 0.6))
+    with pytest.raises(error, match=match):
+        scalar_classify(parse(text), grid)

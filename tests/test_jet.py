@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,3 +267,99 @@ def test_high_order_coefficients_stay_zero():
 def test_float_range_failures_raise_domain_error(text, point, match):
     with pytest.raises(DomainError, match=match):
         eval_jet(parse(text), *point)
+
+
+# -- batches: every row equals the one-point evaluation ------------------------
+
+FLAT = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
+BASIS_COMBINATION = (
+    "1.2 + 0.1*s + 0.05*s^2 + 0.2*sqrt(1+s^2) + 0.1*exp(s/10) + 0.03*r^2 + 0.07*r*s"
+)
+COMPOSITION_CASES = [
+    ("exp(r*s)", (0.7, 0.4)),
+    ("ln(1 + r + s^2)", (0.5, 0.8)),
+    ("sin(r + s)", (1.1, -0.4)),
+    ("cos(r*s)", (0.9, 0.6)),
+    ("sqrt(1 + r^2 + s^2)", (1.3, -0.7)),
+    ("1/(r + s)", (1.0, 0.5)),
+    ("r^2.5", (1.7, 0.0)),
+    ("(1 + s^2)^(1/2)", (1.0, 0.4)),
+    ("abs(s - 2)", (1.0, 0.5)),
+    (EX45, (1.2, -0.5)),
+]
+GRID_R = np.repeat([0.6, 0.9, 1.2, 1.7], 5)
+GRID_S = GRID_R * np.tile([-0.7, -0.3, 0.0, 0.4, 0.8], 4)
+
+
+def batch_cases():
+    for text in (FLAT, "1+s", BASIS_COMBINATION, EX45):
+        yield text, GRID_R, GRID_S
+    for text, (r0, s0) in COMPOSITION_CASES:
+        yield text, r0 + np.array([0.0, 0.05, 0.1]), s0 + np.array([0.0, -0.05, 0.05])
+    # the exponent's jet is constant only at r = 1: squaring there, exp(e ln b) elsewhere
+    yield "s^((r-1)^5+2)", np.array([1.0, 1.2, 1.0, 0.8]), np.array([0.3, 0.3, -0.4, 0.5])
+
+
+@pytest.mark.parametrize("text, r, s", list(batch_cases()))
+def test_batch_rows_match_single_point_bits(text, r, s):
+    e = parse(text)
+    batch = eval_jet(e, r, s)
+    assert batch.c.shape == (5, 5, len(r))
+    for k in range(len(r)):
+        assert batch.c[:, :, k].tobytes() == eval_jet(e, r[k], s[k]).c.tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "text, s",
+    [
+        ("sqrt(s-0.3)", (0.5, 0.3, -0.2, 0.9)),
+        ("ln(s)", (0.4, 0.0, -0.3, 0.7)),
+        ("1/(s-0.2)", (0.5, 0.2, -0.1, 0.2)),
+        ("exp(1000*s)", (-0.5, 0.9, 0.1, 0.2)),
+        ("s^0.5", (0.25, -0.5, 0.0, 0.6)),
+        ("abs(s)", (0.3, 1e-15, -0.4, 0.0)),
+        # at s = -0.2 both ln and sqrt fail; the point keeps the ln error
+        ("ln(s) + sqrt(s-0.3)", (0.5, -0.2, 0.1, 0.8)),
+    ],
+)
+def test_failing_points_keep_their_single_point_error(text, s):
+    e = parse(text)
+    r = np.ones(len(s))
+    errors = [None] * len(s)
+    batch = eval_jet(e, r, np.array(s), errors)
+    failed = 0
+    for k, s0 in enumerate(s):
+        try:
+            single = eval_jet(e, 1.0, s0)
+        except Exception as exc:
+            failed += 1
+            assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc), k
+        else:
+            assert errors[k] is None
+            assert batch.c[:, :, k].tobytes() == single.c.tobytes(), k
+    assert 0 < failed < len(s)
+    # without an error list, the first failing point's error is raised
+    first = next(exc for exc in errors if exc is not None)
+    with pytest.raises(type(first), match="^" + re.escape(str(first)) + "$"):
+        eval_jet(e, r, np.array(s))
+
+
+def test_first_error_in_post_order_wins():
+    # both ln and sqrt fail at s = -0.2; evaluation stops being meaningful at ln
+    errors = [None, None]
+    eval_jet(parse("ln(s) + sqrt(s-0.3)"), np.ones(2), np.array([-0.2, 0.1]), errors)
+    assert str(errors[0]) == "ln of non-positive jet value -0.2 in ln(s)"
+    assert str(errors[1]).startswith("sqrt of non-positive jet value -0.")
+    with pytest.raises(DomainError, match=r"^ln of non-positive jet value -0\.2 in ln\(s\)$"):
+        eval_jet(parse("ln(s) + sqrt(s-0.3)"), 1.0, -0.2)
+
+
+def test_batched_product_matches_reference_loop_exactly():
+    rng = np.random.default_rng(99)
+    for size in (1, 7, 48):
+        x = np.stack([random_jet(rng).c for _ in range(size)], axis=-1)
+        y = np.stack([random_jet(rng).c for _ in range(size)], axis=-1)
+        product = (Jet(x) * Jet(y)).c
+        for k in range(size):
+            want = cauchy_reference(x[:, :, k], y[:, :, k])
+            assert product[:, :, k].tobytes() == want.tobytes(), (size, k)

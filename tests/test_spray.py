@@ -14,6 +14,7 @@ from finslerlab import (
     parse,
     pq_from_phi,
 )
+from finslerlab.spray import pq_jets
 
 EX45 = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
 
@@ -138,3 +139,54 @@ def test_metrizability_rejects_zero_spray():
     res = metrizability_residuals(jet, parse("0"), parse("0"), p)
     assert res.C2 == pytest.approx(0.0, abs=1e-14)  # phi_r = 0
     assert abs(res.C1) > 0.5  # C1 reduces to phi_s = 1
+
+
+# -- batched P/Q jets: every row equals the one-point evaluation ---------------
+
+BASIS_COMBINATION = (
+    "1.2 + 0.1*s + 0.05*s^2 + 0.2*sqrt(1+s^2) + 0.1*exp(s/10) + 0.03*r^2 + 0.07*r*s"
+)
+GRID_R = np.repeat([0.6, 0.9, 1.2, 1.7], 5)
+GRID_S = GRID_R * np.tile([-0.7, -0.3, 0.0, 0.4, 0.8], 4)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))", "1+s", BASIS_COMBINATION, "sqrt(1+s^2)"],
+)
+def test_batched_pq_jets_match_single_point_bits(text):
+    e = parse(text)
+    p_batch, q_batch = pq_jets(eval_jet(e, GRID_R, GRID_S), GRID_R, GRID_S)
+    for k, (r, s) in enumerate(zip(GRID_R, GRID_S)):
+        p_one, q_one = pq_jets(eval_jet(e, r, s), r, s)
+        assert p_batch.c[:, :, k].tobytes() == p_one.c.tobytes(), k
+        assert q_batch.c[:, :, k].tobytes() == q_one.c.tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # TYPE_B at r = 1, where phi = 2s + 0.5 sqrt(r^2 - s^2); the others are regular
+        "2*s + 0.5*sqrt(r^2-s^2) + 0.1*s^2*(r-1)",
+        # at r = 1 the denominator is exactly 0: the TYPE_B error comes first
+        "3*s + 0.1*(r-1)",
+    ],
+)
+def test_batched_pq_jets_keep_each_point_error(text):
+    e = parse(text)
+    r = np.array([1.0, 1.2, 1.0, 0.8])
+    s = np.array([0.5, 0.3, -0.2, 0.1])
+    errors = [None] * len(r)
+    p_batch, q_batch = pq_jets(eval_jet(e, r, s), r, s, errors)
+    failed = 0
+    for k in range(len(r)):
+        try:
+            p_one, q_one = pq_jets(eval_jet(e, r[k], s[k]), r[k], s[k])
+        except GeometryError as exc:
+            failed += 1
+            assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc)
+        else:
+            assert errors[k] is None
+            assert p_batch.c[:, :, k].tobytes() == p_one.c.tobytes()
+            assert q_batch.c[:, :, k].tobytes() == q_one.c.tobytes()
+    assert 0 < failed < len(r)
