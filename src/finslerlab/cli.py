@@ -26,7 +26,6 @@ from .expr import ParseError, parse
 from .geometry import (
     GeometryError,
     _ell_lo,
-    _GridJets,
     canonical_point,
     cartan_pack,
     degeneracy_classify,
@@ -34,7 +33,7 @@ from .geometry import (
     phi_scalars,
     random_rotation,
 )
-from .jet import DEGREE
+from .jet import DEGREE, GridJets
 from .spray import (
     _grid_spray,
     horizontal_residual,
@@ -82,7 +81,7 @@ def parse_range(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _evaluate(phi_jets: _GridJets, spray_at, p, with_checks: bool) -> tuple[dict, dict]:
+def _evaluate(phi_jets: GridJets, spray_at, p, with_checks: bool) -> tuple[dict, dict]:
     """The report record of one point and, if asked, its identity-check
     residuals by check name, all from the point's phi jet."""
     jet = phi_jets.at(p)
@@ -212,12 +211,12 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     # Jets depend on (r, s) only: one batch per expression over the unique
     # (r, s); each point meets its recorded errors in the per-point loop.
     grid = [p for _, p in cells if not isinstance(p, Exception)]
-    phi_jets = _GridJets.evaluate(phi, grid)
+    phi_jets = GridJets.evaluate(phi, grid)
     if cfg.subcommand == "classify":
         # the classifiers evaluate their own jets; this pass only screens the domain
         evaluate = phi_jets.at
     elif cfg.subcommand == "metrize":
-        p_jets, q_jets = _GridJets.evaluate(p_ast, grid), _GridJets.evaluate(q_ast, grid)
+        p_jets, q_jets = GridJets.evaluate(p_ast, grid), GridJets.evaluate(q_ast, grid)
         evaluate = functools.partial(_metrize_point, phi_jets, p_jets, q_jets, tol=tol)
     else:
         with_checks = cfg.subcommand == "check"

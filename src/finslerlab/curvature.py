@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, _ell_lo, _GridJets, _require_grid, phi_scalars
-from .jet import Jet
+from .geometry import EvalPoint, GeometryError, _ell_lo, _require_grid, phi_scalars
+from .jet import GridJets, Jet
 from .spray import SprayPack, _grid_spray
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
@@ -169,7 +169,7 @@ def scalar_classify(
     max_resid = 0.0
     failing = None
     recon_failed = False
-    jets = _GridJets.evaluate(phi, grid)
+    jets = GridJets.evaluate(phi, grid)
     spray_at = _grid_spray(jets)
     for p in grid:
         jet = jets.at(p)

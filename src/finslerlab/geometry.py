@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .jet import Jet, eval_jet
+from .jet import GridJets, Jet
 
 # Points closer to the |s| = r cone than this relative margin are rejected;
 # the inverse-metric scalars blow up there.
@@ -116,44 +116,6 @@ def _n_lo(p: EvalPoint) -> np.ndarray:
 def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     """dF/dy^i = (phi/u) y_i + phi_s n_i."""
     return (ps.phi / p.u) * p.y + ps.phi_s * _n_lo(p)
-
-
-class _GridJets:
-    """The jets of one expression at the points of a grid, from one batched
-    ``eval_jet`` over the grid's unique (r, s).
-
-    ``at(p)`` returns the jet at p or raises the error its evaluation
-    recorded, so each error surfaces where a per-point evaluation raised it.
-    """
-
-    def __init__(self, keys: list, jets: Jet, errors: list):
-        self.keys = keys  # the _rs_key of each batch column
-        self.jets = jets
-        self.errors = errors
-        self.column = {key: k for k, key in enumerate(keys)}
-
-    @classmethod
-    def evaluate(cls, e: Node, grid: list[EvalPoint]) -> "_GridJets":
-        keys = list(dict.fromkeys(_rs_key(p.r, p.s) for p in grid))
-        errors = [None] * len(keys)
-        return cls(keys, eval_jet(e, *_rs_arrays(keys), errors), errors)
-
-    def at(self, p: EvalPoint) -> Jet:
-        k = self.column[_rs_key(p.r, p.s)]
-        if self.errors[k] is not None:
-            raise self.errors[k].with_traceback(None)
-        return self.jets[k]
-
-
-def _rs_key(r: float, s: float) -> tuple[float, float, float]:
-    """Grid points share a jet when their (r, s) match, sign of zero included."""
-    return (r, s, math.copysign(1.0, s))
-
-
-def _rs_arrays(keys: list) -> tuple[np.ndarray, np.ndarray]:
-    """The r and the s values of a list of _rs_key keys."""
-    rs = np.array([key[:2] for key in keys], dtype=float).reshape(-1, 2)
-    return rs[:, 0], rs[:, 1]
 
 
 def _require_grid(grid: list[EvalPoint]) -> None:
@@ -301,7 +263,7 @@ def degeneracy_classify(
     Either family forces det(g) = 0.
     """
     _require_grid(grid)
-    jets = _GridJets.evaluate(phi, grid)
+    jets = GridJets.evaluate(phi, grid)
     type_a = True
     type_b = True
     for p in grid:

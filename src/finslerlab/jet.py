@@ -22,13 +22,17 @@ batch column sums each output bin in the order of the textbook quadruple
 loop, so products match that loop bit for bit.
 
 The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
-jet's value) and the domain guards are computed per point on Python floats,
-so values, exception types and messages are those of a one-point
-evaluation.  The batched entry points take an optional ``errors`` list, one
-entry per point in flat batch order: a failing point records its first error
-there and the rest of the batch runs on (with numpy's overflow and invalid
-warnings silenced); without the list, the first failing point's error is
-raised.
+jet's value) and the domain guards are computed per point on Python floats
+(``per_point``), so values, exception types and messages are those of a
+one-point evaluation.  A failing point gets NaN seeds and its error is
+recorded in an ``errors`` dict under its flat batch index; a point keeps its
+first error, in the order a one-point evaluation meets them, and the rest of
+the batch runs on.  The batched entry points (``eval_jet``, and
+``spray.pq_jets``) run under numpy's ``errstate``, so overflow in a failing
+column is not warned about; called without ``errors``, they raise the first
+failing point's error (``batched``).  ``GridJets`` holds one expression's
+jets over a grid's unique (r, s) and raises each point's error where that
+point's jet is read.
 
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
@@ -38,7 +42,6 @@ values and low-order partials of downstream expressions stay exact.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 
@@ -83,11 +86,6 @@ def _mul_index(n: int) -> tuple[np.ndarray, ...]:
     for idx in out:
         idx.flags.writeable = False  # shared by every caller through the cache
     return out
-
-
-def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    i, j, k = _mul_index(x.size // (_N * _N))
-    return np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape)
 
 
 class Jet:
@@ -181,17 +179,19 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
-        return Jet(_cauchy(self.c, other.c))
+        x, y = self.c, other.c
+        i, j, k = _mul_index(x.size // (_N * _N))
+        return Jet(np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             other = Jet.constant(other, self.batch)
-        return self * _reciprocal(other)
+        return self * jet_reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet":
-        return _reciprocal(self) * other
+        return jet_reciprocal(self) * other
 
     def __repr__(self) -> str:
         return f"Jet(value={self.value!r})"
@@ -202,43 +202,46 @@ def _with_value(c: np.ndarray, v) -> Jet:
     return Jet(c)
 
 
-def _values(g: Jet) -> list[float]:
-    """The value at each point, as Python floats in flat batch order."""
-    return _cols(g.c)[0].tolist()
+def batched(fn):
+    """Decorator for a batched entry point ``fn(..., errors=dict)``.
+
+    fn runs with numpy's overflow and invalid warnings silenced, because a
+    failing point's columns turn NaN or infinite and its error is recorded
+    instead.  Called without ``errors``, the entry point records into a
+    fresh dict and raises the first failing point's error."""
+
+    @functools.wraps(fn)
+    def entry(*args, errors: dict | None = None):
+        sink = {} if errors is None else errors
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(*args, errors=sink)
+        if errors is None and sink:
+            raise sink[min(sink)]
+        return out
+
+    return entry
 
 
-def _per_point(args, fn, errors: list | None) -> list:
-    """fn of each point's arguments (Python floats); None where it raised.
+def per_point(fn, errors: dict | None, *columns) -> list:
+    """fn(*values) at each point, in flat batch order; None where it failed.
 
-    With ``errors``, a point that has already failed is passed over and a
-    new failure is recorded there; without it, the failure is raised."""
+    Each column holds one value per point (a jet's ``c[0, 0]``, say), and fn
+    gets them as Python floats.  With ``errors``, a point that has already
+    failed is passed over and what fn raises becomes the point's error;
+    without it, the error is raised."""
     out = []
-    for i, arg in enumerate(args):
-        if errors is not None and errors[i] is not None:
+    for i, args in enumerate(zip(*(c.ravel().tolist() for c in columns))):
+        if errors is not None and i in errors:
             out.append(None)
             continue
         try:
-            out.append(fn(arg))
+            out.append(fn(*args))
         except Exception as exc:
             if errors is None:
                 raise
             errors[i] = exc
             out.append(None)
     return out
-
-
-@contextlib.contextmanager
-def _point_errors(errors: list | None, size: int):
-    """The error list of a batched call, with overflow and invalid warnings
-    silenced; without a caller's list, the first failing point's error is
-    raised when the call ends."""
-    sink = [None] * size if errors is None else errors
-    with np.errstate(over="ignore", invalid="ignore"):
-        yield sink
-    if errors is None:
-        for exc in sink:
-            if exc is not None:
-                raise exc
 
 
 def _compose(derivs: np.ndarray, g: Jet) -> Jet:
@@ -254,9 +257,9 @@ def _compose(derivs: np.ndarray, g: Jet) -> Jet:
     return acc
 
 
-def _taylor(g: Jet, derivs_at, errors: list | None) -> Jet:
+def _taylor(g: Jet, derivs_at, errors: dict | None) -> Jet:
     """f(g), with f's derivatives at each point's value from derivs_at."""
-    rows = _per_point(_values(g), derivs_at, errors)
+    rows = per_point(derivs_at, errors, g.c[0, 0])
     table = np.array([_NAN_SEEDS if row is None else row for row in rows]).T
     return _compose(table.reshape(_N, *g.batch), g)
 
@@ -270,7 +273,7 @@ def _reciprocal_derivs(v: float) -> tuple[float, ...]:
         raise DomainError(f"reciprocal of jet value {v!r} is out of float range") from exc
 
 
-def _reciprocal(g: Jet, errors: list | None = None) -> Jet:
+def jet_reciprocal(g: Jet, errors: dict | None = None) -> Jet:
     return _taylor(g, _reciprocal_derivs, errors)
 
 
@@ -281,7 +284,7 @@ def _sqrt_derivs(v: float) -> tuple[float, ...]:
     return (f0, 0.5 * f0 / v, -0.25 * f0 / v**2, 0.375 * f0 / v**3, -0.9375 * f0 / v**4)
 
 
-def jet_sqrt(g: Jet, errors: list | None = None) -> Jet:
+def jet_sqrt(g: Jet, errors: dict | None = None) -> Jet:
     return _taylor(g, _sqrt_derivs, errors)
 
 
@@ -293,7 +296,7 @@ def _exp_derivs(v: float) -> tuple[float, ...]:
     return (f0,) * (DEGREE + 1)
 
 
-def jet_exp(g: Jet, errors: list | None = None) -> Jet:
+def jet_exp(g: Jet, errors: dict | None = None) -> Jet:
     return _taylor(g, _exp_derivs, errors)
 
 
@@ -303,7 +306,7 @@ def _ln_derivs(v: float) -> tuple[float, ...]:
     return (math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
 
 
-def jet_ln(g: Jet, errors: list | None = None) -> Jet:
+def jet_ln(g: Jet, errors: dict | None = None) -> Jet:
     return _taylor(g, _ln_derivs, errors)
 
 
@@ -312,7 +315,7 @@ def _sin_derivs(v: float) -> tuple[float, ...]:
     return (sv, cv, -sv, -cv, sv)
 
 
-def jet_sin(g: Jet, errors: list | None = None) -> Jet:
+def jet_sin(g: Jet, errors: dict | None = None) -> Jet:
     return _taylor(g, _sin_derivs, errors)
 
 
@@ -321,7 +324,7 @@ def _cos_derivs(v: float) -> tuple[float, ...]:
     return (cv, -sv, -cv, sv, cv)
 
 
-def jet_cos(g: Jet, errors: list | None = None) -> Jet:
+def jet_cos(g: Jet, errors: dict | None = None) -> Jet:
     return _taylor(g, _cos_derivs, errors)
 
 
@@ -330,17 +333,17 @@ def _abs_guard(v: float) -> None:
         raise DomainError("abs of a jet with value at the kink (|value| <= 1e-12)")
 
 
-def jet_abs(g: Jet, errors: list | None = None) -> Jet:
-    _per_point(_values(g), _abs_guard, errors)
+def jet_abs(g: Jet, errors: dict | None = None) -> Jet:
+    per_point(_abs_guard, errors, g.c[0, 0])
     return Jet(np.where(g.c[0, 0] > 0, g.c, -g.c))
 
 
-def jet_ipow(g: Jet, n: int, errors: list | None = None) -> Jet:
+def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
     """Integer power by repeated squaring."""
     if n == 0:
         return Jet.constant(1.0, g.batch)
     if n < 0:
-        return _reciprocal(jet_ipow(g, -n), errors)
+        return jet_reciprocal(jet_ipow(g, -n), errors)
     out: Jet | None = None
     base = g
     while n:
@@ -358,9 +361,8 @@ def _take(g: Jet, idx: list[int]) -> Jet:
     return Jet(_cols(g.c)[:, idx].reshape(_N, _N, len(idx)))
 
 
-def _pow_route(args: tuple[bool, float, float]) -> int | None:
+def _pow_route(constant: bool, p: float, b: float) -> int | None:
     """The integer exponent of a point's power, or None for exp(e*ln(b))."""
-    constant, p, b = args
     if constant and p == round(p) and abs(p) <= 1024:
         return int(round(p))
     if b <= 0.0:
@@ -368,38 +370,31 @@ def _pow_route(args: tuple[bool, float, float]) -> int | None:
     return None
 
 
-def _pow_on(base: Jet, expo: Jet, route: int | None, errors: list) -> Jet:
-    if route is not None:
-        return jet_ipow(base, route, errors)
-    return jet_exp(expo * jet_ln(base, errors), errors)
-
-
-def jet_pow(base: Jet, expo: Jet, errors: list | None = None) -> Jet:
+def jet_pow(base: Jet, expo: Jet, errors: dict | None = None) -> Jet:
     """base^expo: integer constant exponents by squaring, else exp(e*ln(b)).
 
-    The route is chosen per point; points that take different routes are
-    evaluated as separate sub-batches."""
-    with _point_errors(errors, _cols(base.c).shape[1]) as sink:
-        constant = np.max(np.abs(_cols(expo.c)[1:]), axis=0) < 1e-14
-        args = zip(constant.tolist(), _values(expo), _values(base))
-        groups: dict[int | None, list[int]] = {}
-        for i, route in enumerate(_per_point(args, _pow_route, sink)):
-            if sink[i] is None:
-                groups.setdefault(route, []).append(i)
-        if len(groups) <= 1:
-            return _pow_on(base, expo, next(iter(groups), None), sink)
-        out = np.full(_cols(base.c).shape, math.nan)
-        for route, idx in groups.items():
-            part = [sink[i] for i in idx]
-            sub = _pow_on(_take(base, idx), _take(expo, idx), route, part)
-            out[:, idx] = _cols(sub.c)
-            for i, exc in zip(idx, part):
-                sink[i] = exc
-        return Jet(out.reshape(base.c.shape))
+    The route is chosen per point, and the points of each route are
+    evaluated as one sub-batch."""
+    constant = np.abs(_cols(expo.c)[1:]).max(axis=0) < 1e-14
+    groups: dict[int | None, list[int]] = {}
+    for i, route in enumerate(per_point(_pow_route, errors, constant, expo.c[0, 0], base.c[0, 0])):
+        if errors is None or i not in errors:
+            groups.setdefault(route, []).append(i)
+    out = np.full(_cols(base.c).shape, math.nan)
+    for route, idx in groups.items():
+        sub_base, part = _take(base, idx), None if errors is None else {}
+        if route is None:
+            sub = jet_exp(_take(expo, idx) * jet_ln(sub_base, part), part)
+        else:
+            sub = jet_ipow(sub_base, route, part)
+        out[:, idx] = _cols(sub.c)
+        if part:
+            errors.update((idx[k], exc) for k, exc in part.items())
+    return Jet(out.reshape(base.c.shape))
 
 
-def _divide(a: Jet, b: Jet, errors: list) -> Jet:
-    return a * _reciprocal(b, errors)
+def _divide(a: Jet, b: Jet, errors: dict) -> Jet:
+    return a * jet_reciprocal(b, errors)
 
 
 _JET_FUNCS = {
@@ -421,24 +416,30 @@ def _in_node(message, node: Node) -> Exception:
         return exc
 
 
-def _named(node: Node, errors: list, fn, *args) -> Jet:
-    """fn(*args, errors), naming node in each DomainError it records."""
-    before = list(errors)
+def _named(node: Node, errors: dict, fn, *args) -> Jet:
+    """fn(*args, errors), naming node in each DomainError it records.
+
+    A point records only its first error, so the errors fn records are the
+    keys it appends."""
+    known = len(errors)
     out = fn(*args, errors)
-    for i, (old, new) in enumerate(zip(before, errors)):
-        if old is None and isinstance(new, DomainError):
-            errors[i] = _in_node(new, node)
-            errors[i].__cause__ = new
+    for i in list(errors)[known:]:
+        if isinstance(errors[i], DomainError):
+            cause = errors[i]
+            errors[i] = _in_node(cause, node)
+            errors[i].__cause__ = cause
     return out
 
 
-def eval_jet(e: Node, r, s, errors: list | None = None) -> Jet:
+@batched
+def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
     """Evaluate an expression AST as degree-4 Taylor jets at the points (r, s).
 
     r and s are floats, or arrays whose broadcast shape becomes the jet's
     batch shape.  Each point gets the error a one-point evaluation raises,
-    in the same post-order: it is raised (the first failing point's) or,
-    with ``errors``, recorded there.
+    in the same post-order: with an ``errors`` dict it is recorded there
+    under the point's flat batch index; without one, the first failing
+    point's error is raised.
     """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     batch = r.shape
@@ -460,21 +461,69 @@ def eval_jet(e: Node, r, s, errors: list | None = None) -> Jet:
             if node.op == "*":
                 return a * b
             if node.op == "/":
-                return _named(node, sink, _divide, a, b)
+                return _named(node, errors, _divide, a, b)
             if node.op == "^":
-                return _named(node, sink, jet_pow, a, b)
+                return _named(node, errors, jet_pow, a, b)
             raise TypeError(f"unknown operator {node.op!r}")
         if isinstance(node, Call):
-            return _named(node, sink, _JET_FUNCS[node.func], rec(node.arg))
+            return _named(node, errors, _JET_FUNCS[node.func], rec(node.arg))
         raise TypeError(f"not an expression node: {node!r}")
 
-    with _point_errors(errors, r.size) as sink:
-        out = rec(e)
-        finite = np.isfinite(_cols(out.c)).all(axis=0)
-        for i in np.flatnonzero(~finite).tolist():
-            if sink[i] is None:
-                sink[i] = _in_node("non-finite jet coefficient", e)
+    out = rec(e)
+    finite = np.isfinite(_cols(out.c)).all(axis=0)
+    for i in np.flatnonzero(~finite).tolist():
+        if i not in errors:
+            errors[i] = _in_node("non-finite jet coefficient", e)
     return out
+
+
+class GridJets:
+    """The jets of one expression at the points of a grid, from one batched
+    ``eval_jet`` over the grid's unique (r, s).
+
+    The points are any objects with ``r`` and ``s``.  ``at(p)`` returns the
+    jet at p or raises the error its evaluation recorded, so each error
+    surfaces where a one-point evaluation raised it.
+    """
+
+    def __init__(self, keys: list, jets: Jet, errors: dict):
+        self.keys = keys  # the _rs_key of each batch column
+        self.jets = jets
+        self.errors = errors  # batch column -> its recorded error
+        self.column = {key: k for k, key in enumerate(keys)}
+
+    @classmethod
+    def evaluate(cls, e: Node, points) -> "GridJets":
+        keys = list(dict.fromkeys(_rs_key(p.r, p.s) for p in points))
+        errors = {}
+        return cls(keys, eval_jet(e, *_key_rs(keys), errors=errors), errors)
+
+    def rs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The r and the s values of the batch columns."""
+        return _key_rs(self.keys)
+
+    def positive(self) -> "GridJets":
+        """The columns whose jet evaluated and whose value is > 0."""
+        value = self.jets.c[0, 0]
+        keep = [k for k in range(len(self.keys)) if k not in self.errors and value[k] > 0]
+        return GridJets([self.keys[k] for k in keep], self.jets[keep], {})
+
+    def at(self, p) -> Jet:
+        k = self.column[_rs_key(p.r, p.s)]
+        if k in self.errors:
+            raise self.errors[k].with_traceback(None)
+        return self.jets[k]
+
+
+def _rs_key(r: float, s: float) -> tuple[float, float, float]:
+    """Grid points share a jet when their (r, s) match, sign of zero included."""
+    return (r, s, math.copysign(1.0, s))
+
+
+def _key_rs(keys: list) -> tuple[np.ndarray, np.ndarray]:
+    """The r and the s values of a list of _rs_key keys."""
+    rs = np.array([key[:2] for key in keys], dtype=float).reshape(-1, 2)
+    return rs[:, 0], rs[:, 1]
 
 
 # -- finite-difference oracle ----------------------------------------------

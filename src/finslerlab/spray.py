@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import (
-    EvalPoint,
-    GeometryError,
-    _ell_lo,
-    _GridJets,
-    _positive_scalars,
-    _rs_arrays,
-    phi_scalars,
-)
-from .jet import Jet, _per_point, _point_errors, _reciprocal, _values, eval_jet
+from .geometry import EvalPoint, GeometryError, _ell_lo, _positive_scalars, phi_scalars
+from .jet import GridJets, Jet, batched, eval_jet, jet_reciprocal, per_point
 
 
 @dataclass(frozen=True)
@@ -47,8 +39,7 @@ class MetrizabilityResiduals:
     C2: float
 
 
-def _type_b_guard(args: tuple[float, float]) -> None:
-    denom, phi = args
+def _type_b_guard(denom: float, phi: float) -> None:
     if abs(denom) < 1e-12 * max(1.0, phi**2):
         raise GeometryError(
             "degenerate denominator phi - s phi_s + (r^2 - s^2) phi_ss ~ 0 "
@@ -56,7 +47,8 @@ def _type_b_guard(args: tuple[float, float]) -> None:
         )
 
 
-def pq_jets(jet: Jet, r, s, errors: list | None = None) -> tuple[Jet, Jet]:
+@batched
+def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     """Jets of P and Q at the points (r, s) from the phi jet.
 
     Q = (1/2r) (-phi_r + s phi_rs + r phi_ss) / (phi - s phi_s + (r^2-s^2) phi_ss)
@@ -67,20 +59,19 @@ def pq_jets(jet: Jet, r, s, errors: list | None = None) -> tuple[Jet, Jet]:
     arrays matching the jet's batch; per-point errors behave as in
     ``eval_jet``.
     """
-    with _point_errors(errors, np.size(r)) as sink:
-        phi = jet
-        phi_r = jet.d_r()
-        phi_s = jet.d_s()
-        phi_ss = phi_s.d_s()
-        phi_rs = phi_r.d_s()
-        rj = Jet.variable_r(r)
-        sj = Jet.variable_s(s)
-        w = rj * rj - sj * sj
-        denom = phi - sj * phi_s + w * phi_ss
-        _per_point(zip(_values(denom), _values(phi)), _type_b_guard, sink)
-        q = (-phi_r + sj * phi_rs + rj * phi_ss) * _reciprocal(2.0 * rj * denom, sink)
-        p = -(q * _reciprocal(phi, sink)) * (sj * phi + w * phi_s)
-        p = p + (sj * phi_r + rj * phi_s) * _reciprocal(2.0 * rj * phi, sink)
+    phi = jet
+    phi_r = jet.d_r()
+    phi_s = jet.d_s()
+    phi_ss = phi_s.d_s()
+    phi_rs = phi_r.d_s()
+    rj = Jet.variable_r(r)
+    sj = Jet.variable_s(s)
+    w = rj * rj - sj * sj
+    denom = phi - sj * phi_s + w * phi_ss
+    per_point(_type_b_guard, errors, denom.c[0, 0], phi.c[0, 0])
+    q = (-phi_r + sj * phi_rs + rj * phi_ss) * jet_reciprocal(2.0 * rj * denom, errors)
+    p = -(q * jet_reciprocal(phi, errors)) * (sj * phi + w * phi_s)
+    p = p + (sj * phi_r + rj * phi_s) * jet_reciprocal(2.0 * rj * phi, errors)
     return p, q
 
 
@@ -91,17 +82,15 @@ def pq_from_phi(jet: Jet, p: EvalPoint) -> SprayPack:
     return spray_pack_from_jets(pj, qj, p)
 
 
-def _grid_spray(phi: _GridJets):
+def _grid_spray(phi: GridJets):
     """``pq_from_phi`` at the points of phi's grid, as a function of (jet, p).
 
     The P/Q jets come from one batched ``pq_jets`` over the (r, s) where
     phi's jet is valid and phi > 0; the other points fail the phi > 0 guard
     (or their jet) before they need them."""
-    keep = [k for k, exc in enumerate(phi.errors) if exc is None and phi.jets.c[0, 0, k] > 0]
-    keys = [phi.keys[k] for k in keep]
-    errors = [None] * len(keys)
-    pj, qj = pq_jets(phi.jets[keep], *_rs_arrays(keys), errors)
-    p_jets, q_jets = _GridJets(keys, pj, errors), _GridJets(keys, qj, errors)
+    valid, errors = phi.positive(), {}
+    pj, qj = pq_jets(valid.jets, *valid.rs(), errors=errors)
+    p_jets, q_jets = GridJets(valid.keys, pj, errors), GridJets(valid.keys, qj, errors)
 
     def at(jet: Jet, p: EvalPoint) -> SprayPack:
         _positive_scalars(jet, p)

@@ -15,14 +15,13 @@ from .geometry import (
     GeometryError,
     MetricPack,
     _ell_lo,
-    _GridJets,
     _n_lo,
     _require_grid,
     cartan_pack,
     metric_pack,
     phi_scalars,
 )
-from .jet import Jet
+from .jet import GridJets, Jet
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -120,7 +119,7 @@ def riemannian_test(
     for p in grid:
         if p.n != 2:
             raise GeometryError(f"Riemannian test requires n = 2, got n = {p.n}")
-    jets = _GridJets.evaluate(phi, grid)
+    jets = GridJets.evaluate(phi, grid)
     packs = []
     for p in grid:
         jet = jets.at(p)

@@ -246,9 +246,9 @@ def record_eval_jet_points(monkeypatch) -> list:
 
     original, calls = jet.eval_jet, []
 
-    def recording(e, r, s, *rest):
+    def recording(e, r, s, **kwargs):
         calls.append((to_string(e), list(zip(np.ravel(r).tolist(), np.ravel(s).tolist()))))
-        return original(e, r, s, *rest)
+        return original(e, r, s, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "finslerlab" and getattr(module, "eval_jet", None) is original:

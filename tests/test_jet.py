@@ -310,48 +310,58 @@ def test_batch_rows_match_single_point_bits(text, r, s):
 
 
 @pytest.mark.parametrize(
-    "text, s",
+    "text, s, r",
     [
-        ("sqrt(s-0.3)", (0.5, 0.3, -0.2, 0.9)),
-        ("ln(s)", (0.4, 0.0, -0.3, 0.7)),
-        ("1/(s-0.2)", (0.5, 0.2, -0.1, 0.2)),
-        ("exp(1000*s)", (-0.5, 0.9, 0.1, 0.2)),
-        ("s^0.5", (0.25, -0.5, 0.0, 0.6)),
-        ("abs(s)", (0.3, 1e-15, -0.4, 0.0)),
+        ("sqrt(s-0.3)", (0.5, 0.3, -0.2, 0.9), None),
+        ("ln(s)", (0.4, 0.0, -0.3, 0.7), None),
+        ("1/(s-0.2)", (0.5, 0.2, -0.1, 0.2), None),
+        ("exp(1000*s)", (-0.5, 0.9, 0.1, 0.2), None),
+        ("s^0.5", (0.25, -0.5, 0.0, 0.6), None),
+        ("abs(s)", (0.3, 1e-15, -0.4, 0.0), None),
         # at s = -0.2 both ln and sqrt fail; the point keeps the ln error
-        ("ln(s) + sqrt(s-0.3)", (0.5, -0.2, 0.1, 0.8)),
+        ("ln(s) + sqrt(s-0.3)", (0.5, -0.2, 0.1, 0.8), None),
+        # 1/s^2 at r = 1, which fails at s = 0; exp(e ln b) elsewhere, which fails for s < 0
+        ("s^((r-1)^5-2)", (0.0, -0.3, 0.5, 0.2), (1.0, 1.2, 1.2, 1.0)),
     ],
 )
-def test_failing_points_keep_their_single_point_error(text, s):
+def test_failing_points_keep_their_single_point_error(text, s, r):
     e = parse(text)
-    r = np.ones(len(s))
-    errors = [None] * len(s)
-    batch = eval_jet(e, r, np.array(s), errors)
+    r = np.ones(len(s)) if r is None else np.array(r)
+    errors = {}
+    batch = eval_jet(e, r, np.array(s), errors=errors)
     failed = 0
     for k, s0 in enumerate(s):
         try:
-            single = eval_jet(e, 1.0, s0)
+            single = eval_jet(e, r[k], s0)
         except Exception as exc:
             failed += 1
             assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc), k
         else:
-            assert errors[k] is None
+            assert k not in errors
             assert batch.c[:, :, k].tobytes() == single.c.tobytes(), k
     assert 0 < failed < len(s)
     # without an error list, the first failing point's error is raised
-    first = next(exc for exc in errors if exc is not None)
+    first = errors[min(errors)]
     with pytest.raises(type(first), match="^" + re.escape(str(first)) + "$"):
         eval_jet(e, r, np.array(s))
 
 
 def test_first_error_in_post_order_wins():
     # both ln and sqrt fail at s = -0.2; evaluation stops being meaningful at ln
-    errors = [None, None]
-    eval_jet(parse("ln(s) + sqrt(s-0.3)"), np.ones(2), np.array([-0.2, 0.1]), errors)
+    errors = {}
+    eval_jet(parse("ln(s) + sqrt(s-0.3)"), np.ones(2), np.array([-0.2, 0.1]), errors=errors)
     assert str(errors[0]) == "ln of non-positive jet value -0.2 in ln(s)"
     assert str(errors[1]).startswith("sqrt of non-positive jet value -0.")
     with pytest.raises(DomainError, match=r"^ln of non-positive jet value -0\.2 in ln\(s\)$"):
         eval_jet(parse("ln(s) + sqrt(s-0.3)"), 1.0, -0.2)
+
+
+def test_power_routes_record_their_own_errors():
+    # 1/s^2 fails inside the squaring route, the base guard before exp(e ln b)
+    errors = {}
+    eval_jet(parse("s^((r-1)^5-2)"), np.array([1.0, 1.2]), np.array([0.0, -0.3]), errors=errors)
+    assert str(errors[0]) == "division by a jet with zero value in (s ^ (((r - 1) ^ 5) - 2))"
+    assert str(errors[1]).startswith("non-integer power of non-positive base -0.3 in ")
 
 
 def test_batched_product_matches_reference_loop_exactly():

@@ -176,8 +176,8 @@ def test_batched_pq_jets_keep_each_point_error(text):
     e = parse(text)
     r = np.array([1.0, 1.2, 1.0, 0.8])
     s = np.array([0.5, 0.3, -0.2, 0.1])
-    errors = [None] * len(r)
-    p_batch, q_batch = pq_jets(eval_jet(e, r, s), r, s, errors)
+    errors = {}
+    p_batch, q_batch = pq_jets(eval_jet(e, r, s), r, s, errors=errors)
     failed = 0
     for k in range(len(r)):
         try:
@@ -186,7 +186,7 @@ def test_batched_pq_jets_keep_each_point_error(text):
             failed += 1
             assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc)
         else:
-            assert errors[k] is None
+            assert k not in errors
             assert p_batch.c[:, :, k].tobytes() == p_one.c.tobytes()
             assert q_batch.c[:, :, k].tobytes() == q_one.c.tobytes()
     assert 0 < failed < len(r)
