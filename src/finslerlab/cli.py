@@ -21,11 +21,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import flag_curvature, riemann_pack, scalar_classify
+from .curvature import _scale, flag_curvature, riemann_pack, scalar_classify
 from .expr import ParseError, parse
 from .geometry import (
+    EvalPoint,
     GeometryError,
+    _dot,
     _ell_lo,
+    _lift,
+    _matvec,
+    _outer,
     canonical_point,
     cartan_pack,
     degeneracy_classify,
@@ -33,9 +38,9 @@ from .geometry import (
     phi_scalars,
     random_rotation,
 )
-from .jet import DEGREE, GridJets
+from .jet import DEGREE, GridJets, fail_nonfinite
 from .spray import (
-    _grid_spray,
+    _grid_pq,
     horizontal_residual,
     metrizability_from_spray,
     spray_pack_from_jets,
@@ -81,20 +86,25 @@ def parse_range(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _evaluate(phi_jets: GridJets, spray_at, p, with_checks: bool) -> tuple[dict, dict]:
-    """The report record of one point and, if asked, its identity-check
-    residuals by check name, all from the point's phi jet."""
-    jet = phi_jets.at(p)
+def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """max |a| over the last axes axes, per point."""
+    return np.abs(a).max(axis=tuple(range(-axes, 0)))
+
+
+def _evaluate(
+    phi_jets: GridJets, p: EvalPoint, errors: dict, with_checks: bool
+) -> tuple[dict, dict]:
+    """The report columns of the points p and, if asked, their
+    identity-check residuals, by name, all from the points' phi jets.  A
+    point that fails a guard gets its error in errors."""
+    jet = phi_jets.rows(errors)
     ps = phi_scalars(jet)
-    mp = metric_pack(jet, p)
-    phi0 = mp.F / p.u
-    sp = spray_at(jet, p)
+    mp = metric_pack(jet, p, errors=errors)
+    p_jets, q_jets = _grid_pq(phi_jets)
+    sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), p)
     cv = riemann_pack(sp, jet, p)
     mr = metrizability_from_spray(jet, sp, p)
-    rec = {
-        "r": p.r,
-        "s": p.s,
-        "u": p.u,
+    columns = {
         "F": mp.F,
         "P": sp.P,
         "Q": sp.Q,
@@ -103,82 +113,73 @@ def _evaluate(phi_jets: GridJets, spray_at, p, with_checks: bool) -> tuple[dict,
         "R3": cv.R3,
         "R4": cv.R4,
         "R5": cv.R5,
-        "K": flag_curvature(cv, phi0, p),
+        "K": flag_curvature(cv, ps.phi, p),
         "C1": mr.C1,
         "C2": mr.C2,
         "C3": cv.C3,
         "det_direct": mp.det_direct,
         "det_formula": mp.det_formula,
-        "regular": list(mp.regular),
+        "regular": np.stack(mp.regular, axis=-1),
     }
     if p.n == 2:
-        ms = main_scalar(jet, p)
-        rec.update(I=ms.I, I_direct=ms.I_direct)
+        ms = main_scalar(jet, p, mp, errors=errors)
+        columns.update(I=ms.I, I_direct=ms.I_direct)
     if not with_checks:
-        return rec, {}
+        return columns, {}
 
-    cp = cartan_pack(jet, p)
-    w = p.r**2 - p.s**2
+    cp = cartan_pack(jet, p, errors=errors)
+    phi0, u, eye = ps.phi, p.u, np.eye(p.n)
+    w = p.r * p.r - p.s * p.s
     dval = phi0 - p.s * ps.phi_s + w * ps.phi_ss
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
     contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * dval)
-    scale = max(1.0, abs(cv.R1), abs(cv.R2), abs(cv.R3), abs(cv.R4), abs(cv.R5))
-    trace = np.trace(cv.Rmat) - p.u**2 * ((p.n - 1) * cv.R1 + w * cv.R3)
-    F2 = max(1.0, mp.F**2)
-    residuals = {
-        "metric_inverse": np.max(np.abs(mp.g @ mp.ginv - np.eye(p.n))),
-        "energy_homogeneity": (p.y @ mp.g @ p.y - mp.F**2) / F2,
-        "euler_identity": np.max(np.abs(mp.g @ p.y - mp.F * _ell_lo(ps, p))) / F2,
-        "det_formula": (mp.det_direct - mp.det_formula) / max(1.0, abs(mp.det_formula)),
-        "rho_contractions": max(abs(contr1), abs(contr2)),
-        "cartan_y_annihilation": np.max(np.abs(np.einsum("ijk,k->ij", cp.C, p.y)))
-        / max(1.0, np.max(np.abs(cp.C)) * p.u),
-        "metrizability_C1_C2": max(abs(mr.C1), abs(mr.C2)) / max(1.0, phi0),
-        "horizontal_dhF": np.max(np.abs(horizontal_residual(jet, sp, p)))
-        / (p.u * max(1.0, phi0)),
-        "spray_homogeneity": np.max(np.abs(sp.N @ p.y - 2 * sp.G))
-        / max(1.0, np.max(np.abs(sp.G))),
-        "curvature_C3": cv.C3 / (scale * max(1.0, phi0)),
+    scale = _scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
+    trace = np.trace(cv.Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
+    F2 = np.maximum(1.0, mp.F * mp.F)
+    gy = _matvec(mp.g, p.y)
+    checks = {
+        "metric_inverse": _maxabs(mp.g @ mp.ginv - eye, 2),
+        "energy_homogeneity": (_dot(p.y, gy) - mp.F * mp.F) / F2,
+        "euler_identity": _maxabs(gy - _lift(mp.F) * _ell_lo(ps, p)) / F2,
+        "det_formula": (mp.det_direct - mp.det_formula) / np.maximum(1.0, np.abs(mp.det_formula)),
+        "rho_contractions": np.maximum(np.abs(contr1), np.abs(contr2)),
+        "cartan_y_annihilation": _maxabs(_matvec(cp.C, p.y[..., None, :]), 2)
+        / np.maximum(1.0, _maxabs(cp.C, 3) * u),
+        "metrizability_C1_C2": np.maximum(np.abs(mr.C1), np.abs(mr.C2)) / np.maximum(1.0, phi0),
+        "horizontal_dhF": _maxabs(horizontal_residual(jet, sp, p)) / (u * np.maximum(1.0, phi0)),
+        "spray_homogeneity": _maxabs(_matvec(sp.N, p.y) - 2 * sp.G)
+        / np.maximum(1.0, _maxabs(sp.G)),
+        "curvature_C3": cv.C3 / (scale * np.maximum(1.0, phi0)),
         "identity_R2": cv.id_R2 / scale,
         "identity_R4": cv.id_R4 / scale,
-        "jacobi_y_annihilation": np.max(np.abs(cv.Rmat @ p.y))
-        / (scale * p.u**2 * max(1.0, p.u, p.r)),
-        "curvature_trace": trace / (scale * p.u**2),
+        "jacobi_y_annihilation": _maxabs(_matvec(cv.Rmat, p.y))
+        / (scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
+        "curvature_trace": trace / (scale * u * u),
     }
     if p.n == 2:
         fr = ms.frame
-        recon = np.outer(fr.ell_lo, fr.ell_lo) + np.outer(fr.m_lo, fr.m_lo)
-        orth = (fr.ell_hi @ fr.ell_lo - 1.0, fr.ell_hi @ fr.m_lo, fr.m_hi @ fr.m_lo - 1.0)
-        residuals["frame_orthonormality"] = max(abs(v) for v in orth)
-        residuals["frame_resolves_metric"] = (
-            np.max(np.abs(mp.g - recon)) / max(1.0, np.max(np.abs(mp.g)))
+        recon = _outer(fr.ell_lo, fr.ell_lo) + _outer(fr.m_lo, fr.m_lo)
+        orth = (
+            _dot(fr.ell_hi, fr.ell_lo) - 1.0,
+            _dot(fr.ell_hi, fr.m_lo),
+            _dot(fr.m_hi, fr.m_lo) - 1.0,
         )
-        residuals["main_scalar_two_routes"] = (ms.I - ms.I_direct) / max(1.0, abs(ms.I))
-    return rec, residuals
+        checks["frame_orthonormality"] = np.max(np.abs(orth), axis=0)
+        checks["frame_resolves_metric"] = (
+            _maxabs(mp.g - recon, 2) / np.maximum(1.0, _maxabs(mp.g, 2))
+        )
+        checks["main_scalar_two_routes"] = (ms.I - ms.I_direct) / np.maximum(1.0, np.abs(ms.I))
+    return columns, checks
 
 
-def _metrize_point(phi_jets, p_jets, q_jets, p, tol: float) -> dict:
-    """C1/C2 and C3 of the user spray (P, Q) at one point."""
-    jet = phi_jets.at(p)
-    user_sp = spray_pack_from_jets(p_jets.at(p), q_jets.at(p), p)
+def _metrize(phi_jets, p_jets, q_jets, p: EvalPoint, errors: dict, tol: float) -> dict:
+    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name."""
+    jet = phi_jets.rows(errors)
+    user_sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), p)
     mr = metrizability_from_spray(jet, user_sp, p)
-    c3 = riemann_pack(user_sp, jet, p).C3
-    ok = max(abs(mr.C1), abs(mr.C2)) <= tol * max(1.0, abs(jet.partial(0, 0)))
-    return {"r": p.r, "s": p.s, "u": p.u, "C1": mr.C1, "C2": mr.C2, "C3": c3, "pass": ok}
-
-
-def _fold_checks(residual_sets, tol: float) -> list[dict]:
-    """Largest |residual| per check over the points, and whether all stay
-    within tol; checks keep the order of the residual dicts."""
-    checks: dict[str, dict] = {}
-    for residuals in residual_sets:
-        for name, value in residuals.items():
-            value = float(abs(value))
-            check = checks.setdefault(name, {"name": name, "max_residual": 0.0, "pass": True})
-            check["max_residual"] = max(check["max_residual"], value)
-            if value > tol:
-                check["pass"] = False
-    return list(checks.values())
+    bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
+    ok = np.maximum(np.abs(mr.C1), np.abs(mr.C2)) <= bound
+    return {"C1": mr.C1, "C2": mr.C2, "C3": riemann_pack(user_sp, jet, p).C3, "pass": ok}
 
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
@@ -201,50 +202,58 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     rotation = None
     if cfg.rotate:
         rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
-    cells = []  # ((r, s, u), the point or the error building it raised)
-    for r, frac, u in itertools.product(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid):
-        s = frac * r
+    cells = [
+        (r, frac * r, u)
+        for r, frac, u in itertools.product(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid)
+    ]
+    failed = {}  # cell -> the first error the cell met
+    points, rows = [], []  # the cells' points, and the cell of each
+    for i, (r, s, u) in enumerate(cells):
         try:
-            cells.append(((r, s, u), canonical_point(cfg.dim, r, s, u, rotation=rotation)))
+            points.append(canonical_point(cfg.dim, r, s, u, rotation=rotation))
+            rows.append(i)
         except (ArithmeticError, GeometryError) as exc:
-            cells.append(((r, s, u), exc))
-    # Jets depend on (r, s) only: one batch per expression over the unique
-    # (r, s); each point meets its recorded errors in the per-point loop.
-    grid = [p for _, p in cells if not isinstance(p, Exception)]
-    phi_jets = GridJets.evaluate(phi, grid)
-    if cfg.subcommand == "classify":
-        # the classifiers evaluate their own jets; this pass only screens the domain
-        evaluate = phi_jets.at
-    elif cfg.subcommand == "metrize":
-        p_jets, q_jets = GridJets.evaluate(p_ast, grid), GridJets.evaluate(q_ast, grid)
-        evaluate = functools.partial(_metrize_point, phi_jets, p_jets, q_jets, tol=tol)
-    else:
-        with_checks = cfg.subcommand == "check"
-        evaluate = functools.partial(
-            _evaluate, phi_jets, _grid_spray(phi_jets), with_checks=with_checks
-        )
-
-    evaluated, skipped = [], []
-    for (r, s, u), p in cells:
-        try:
-            if isinstance(p, Exception):
-                raise p
-            evaluated.append((p, evaluate(p)))
-        except (ArithmeticError, GeometryError) as exc:
-            skipped.append({"r": r, "s": s, "u": u, "reason": str(exc)})
+            failed[i] = exc
+    # The points are evaluated as one batch, each jet once per unique (r, s).
+    # A point that fails a guard keeps its first error, in stage order; for
+    # report and check, one test then fails the points whose values came
+    # out non-finite.
+    columns, checks, errors = {}, {}, {}
+    if points:
+        with np.errstate(all="ignore"):
+            batch = EvalPoint.stack(points)
+            phi_jets = GridJets.evaluate(phi, batch.r, batch.s)
+            if cfg.subcommand == "classify":
+                # the classifiers evaluate their own jets; this only screens the domain
+                phi_jets.rows(errors)
+            elif cfg.subcommand == "metrize":
+                p_jets = GridJets.evaluate(p_ast, batch.r, batch.s)
+                q_jets = GridJets.evaluate(q_ast, batch.r, batch.s)
+                columns = _metrize(phi_jets, p_jets, q_jets, batch, errors, tol)
+            else:
+                columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
+                for name, values in (columns | checks).items():
+                    if name != "regular":
+                        fail_nonfinite(errors, name, values)
+    failed.update((rows[k], exc) for k, exc in errors.items())
+    kept = [k for k in range(len(rows)) if k not in errors]
     doc: dict = {
         "config": cfg.as_dict(),
         "points": [],
         "checks": [],
         "verdicts": {},
-        "skipped": skipped,
+        "skipped": [
+            {"r": r, "s": s, "u": u, "reason": str(failed[i])}
+            for i, (r, s, u) in enumerate(cells)
+            if i in failed
+        ],
         "version": __version__,
     }
-    if not evaluated:
+    if not kept:
         return doc, 3
 
     if cfg.subcommand == "classify":
-        usable, verdicts = [p for p, _ in evaluated], doc["verdicts"]
+        usable, verdicts = [points[k] for k in kept], doc["verdicts"]
         try:
             report = scalar_classify(phi, usable)
             verdicts["is_scalar"] = report.is_scalar
@@ -265,12 +274,17 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                 verdicts["riemannian"] = None
                 verdicts["riemannian_error"] = str(exc)
         return doc, 0
+
+    names = ["r", "s", "u", *columns]
+    values = [v[kept].tolist() for v in (batch.r, batch.s, batch.u, *columns.values())]
+    doc["points"] = [dict(zip(names, rec)) for rec in zip(*values)]
     if cfg.subcommand == "metrize":
-        doc["points"] = [rec for _, rec in evaluated]
         doc["verdicts"]["metrizable"] = all(rec["pass"] for rec in doc["points"])
         return doc, 0 if doc["verdicts"]["metrizable"] else 1
-    doc["points"] = [rec for _, (rec, _) in evaluated]
-    doc["checks"] = _fold_checks((res for _, (_, res) in evaluated), tol)
+    for name, value in checks.items():
+        value = np.abs(value[kept])
+        passed = not (value > tol).any()
+        doc["checks"].append({"name": name, "max_residual": float(value.max()), "pass": passed})
     return doc, 0 if all(c["pass"] for c in doc["checks"]) else 1
 
 
@@ -311,8 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig(
             subcommand=args.subcommand,
@@ -336,8 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     _print_summary(doc)
     if cfg.output:
         with open(cfg.output, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return exit_code
 
 

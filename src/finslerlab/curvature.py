@@ -1,6 +1,6 @@
 """Riemann curvature scalars R1-R5, the Jacobi endomorphism matrix, the
 curvature compatibility residual C3, and scalar-flag-curvature
-classification."""
+classification, at one point or a batch (see ``geometry``)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, _ell_lo, _require_grid, phi_scalars
-from .jet import GridJets, Jet
-from .spray import SprayPack, _grid_spray
+from .geometry import (
+    EvalPoint,
+    _ell_lo,
+    _first,
+    _lift,
+    _outer,
+    _positive_scalars,
+    _raise_first,
+    _require_grid,
+    phi_scalars,
+)
+from .jet import GridJets, Jet, fail_nonfinite
+from .spray import SprayPack, _grid_pq, spray_pack_from_jets
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
@@ -33,8 +43,16 @@ class CurvaturePack:
     identity_mismatch: bool
 
 
+def _scale(*values):
+    """max(1, |v|) over the values, per point."""
+    out = np.maximum(1.0, np.abs(values[0]))
+    for v in values[1:]:
+        out = np.maximum(out, np.abs(v))
+    return out
+
+
 def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
-    """Curvature scalars and the matrix R^i_j at the point p.
+    """Curvature scalars and the matrix R^i_j at the points p.
 
     R^i_j = u^2 R1 d^i_j + R2 y^i y_j + u^2 R3 x^i x_j
             + u R4 x^i y_j + u R5 x_j y^i
@@ -100,19 +118,18 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
 
     R2_id = -R1 - s * R5
     R4_id = -s * R3
-    scale = max(1.0, abs(R1), abs(R2), abs(R3), abs(R4), abs(R5))
-    mismatch = (
-        abs(R2 - R2_id) > IDENTITY_MISMATCH_TOL * scale
-        or abs(R4 - R4_id) > IDENTITY_MISMATCH_TOL * scale
+    scale = _scale(R1, R2, R3, R4, R5)
+    mismatch = (np.abs(R2 - R2_id) > IDENTITY_MISMATCH_TOL * scale) | (
+        np.abs(R4 - R4_id) > IDENTITY_MISMATCH_TOL * scale
     )
 
     x, y = p.x, p.y
     Rmat = (
-        u * u * R1 * np.eye(p.n)
-        + R2_id * np.outer(y, y)
-        + u * u * R3 * np.outer(x, x)
-        + u * R4_id * np.outer(x, y)
-        + u * R5 * np.outer(y, x)
+        _lift(u * u * R1, 2) * np.eye(p.n)
+        + _lift(R2_id, 2) * _outer(y, y)
+        + _lift(u * u * R3, 2) * _outer(x, x)
+        + _lift(u * R4_id, 2) * _outer(x, y)
+        + _lift(u * R5, 2) * _outer(y, x)
     )
 
     ps = phi_scalars(jet)
@@ -138,7 +155,7 @@ def flag_curvature(cp: CurvaturePack, phi: float, p: EvalPoint) -> float:
     For n >= 3 scalar metrics R3 vanishes and this reduces to R1 / phi^2;
     for surfaces the R3 term is essential.
     """
-    return (cp.R1 + (p.r**2 - p.s**2) * cp.R3) / phi**2
+    return (cp.R1 + (p.r * p.r - p.s * p.s) * cp.R3) / (phi * phi)
 
 
 @dataclass(frozen=True)
@@ -157,44 +174,45 @@ def scalar_classify(
 
     Dimension two is unconditionally scalar.  For n >= 3 the verdict
     requires R3 ~ 0 at every point, and the reconstruction
-    R^i_j = K F^2 (d^i_j - (y^i / F) dF/dy_j) is verified entrywise.
+    R^i_j = K F^2 (d^i_j - (y^i / F) dF/dy_j) is verified entrywise.  The
+    points are taken in grid order: the first failed reconstruction ends
+    the sampling, and a point before it whose jets, phi > 0 guard or K fail
+    raises its error.
     """
     _require_grid(grid)
-    dims = {p.n for p in grid}
-    if len(dims) != 1:
-        raise GeometryError(f"mixed dimensions in grid: {sorted(dims)}")
-    n = dims.pop()
+    pts = EvalPoint.stack(grid)
+    n = pts.n
+    errors = {}
+    with np.errstate(all="ignore"):
+        jets = GridJets.evaluate(phi, pts.r, pts.s)
+        jet = jets.rows(errors)
+        ps = _positive_scalars(jet, pts, errors)
+        p_jets, q_jets = _grid_pq(jets)
+        sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), pts)
+        cp = riemann_pack(sp, jet, pts)
+        K = flag_curvature(cp, ps.phi, pts)
+        fail_nonfinite(errors, "K", K)
+        resid = np.abs(cp.R3) / _scale(cp.R1, cp.R2, cp.R3, cp.R4, cp.R5)
+        # reconstruction check of the scalar-curvature form
+        F = pts.u * ps.phi
+        recon = _lift(K * F * F, 2) * (np.eye(n) - _outer(pts.y, _ell_lo(ps, pts)) / _lift(F, 2))
+        rscale = np.maximum(1.0, np.max(np.abs(cp.Rmat), axis=(-2, -1)))
+        recon_failed = (n == 2) | (resid < tol)
+        recon_failed &= np.max(np.abs(cp.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
+    stop = _first(recon_failed)
+    _raise_first(errors, stop)
+    end = len(grid) if stop is None else stop + 1
+    # a NaN residual never raised the running maximum
+    seen = np.where(np.isnan(resid[:end]), 0.0, resid[:end])
+    max_resid = float(seen.max())
+    failing = grid[int(seen.argmax())] if max_resid > 0.0 else None
+    if stop is not None:
+        failing = grid[stop]
 
-    samples: list[tuple[EvalPoint, float]] = []
-    max_resid = 0.0
-    failing = None
-    recon_failed = False
-    jets = GridJets.evaluate(phi, grid)
-    spray_at = _grid_spray(jets)
-    for p in grid:
-        jet = jets.at(p)
-        ps = phi_scalars(jet)
-        cp = riemann_pack(spray_at(jet, p), jet, p)
-        K = flag_curvature(cp, ps.phi, p)
-        samples.append((p, K))
-        scale = max(1.0, abs(cp.R1), abs(cp.R2), abs(cp.R3), abs(cp.R4), abs(cp.R5))
-        resid = abs(cp.R3) / scale
-        if resid > max_resid:
-            max_resid = resid
-            failing = p
-        if n == 2 or resid < tol:
-            # reconstruction check of the scalar-curvature form
-            F = p.u * ps.phi
-            recon = K * F * F * (np.eye(n) - np.outer(p.y, _ell_lo(ps, p)) / F)
-            rscale = max(1.0, float(np.max(np.abs(cp.Rmat))))
-            if np.max(np.abs(cp.Rmat - recon)) > 1e-6 * rscale:
-                failing, recon_failed = p, True
-                break
-
-    is_scalar = not recon_failed and (n == 2 or max_resid < tol)
+    is_scalar = stop is None and (n == 2 or max_resid < tol)
     return ScalarCurvatureReport(
         is_scalar=is_scalar,
-        K_samples=samples,
+        K_samples=list(zip(grid[:end], K[:end].tolist())),
         max_R3_residual=max_resid,
         n=n,
         failing_point=None if is_scalar else failing,

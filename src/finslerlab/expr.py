@@ -194,6 +194,8 @@ def to_string(e: Node) -> str:
     """Print an AST back to parseable text; parse(to_string(e)) == e."""
     if isinstance(e, Num):
         v = e.value
+        if math.isinf(v):
+            return "1e309" if v > 0 else "(-1e309)"  # parse reads 1e309 as inf
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

@@ -1,8 +1,13 @@
 """Fundamental tensor, Cartan tensor and degeneracy screening.
 
-All objects are assembled at a single evaluation point from the degree-4
-Taylor jet of phi.  The carrier metric is the Euclidean one, so raised and
-lowered indices coincide numerically.
+All objects are assembled from the degree-4 Taylor jet of phi, at one
+evaluation point or at a batch of them: the pack functions take a jet batch
+and a batched ``EvalPoint`` and return one row per point, scalars of shape
+``batch`` and tensors of shape ``(*batch, n, ..., n)``.  A one-point call is
+a batch of shape ().  Rows never mix, and contractions are summed in index
+order (``_dot``), so each row equals the one-point result.  The carrier
+metric is the Euclidean one, so raised and lowered indices coincide
+numerically.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .jet import GridJets, Jet
+from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where
 
 # Points closer to the |s| = r cone than this relative margin are rejected;
 # the inverse-metric scalars blow up there.
@@ -29,14 +34,32 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """A concrete (x, y) realization of the scalars (r, s, u) in dim n."""
+    """A concrete (x, y) realization of the scalars (r, s, u) in dim n.
+
+    One point has float r, s, u and x, y of shape (n,); a batch has r, s, u
+    of shape (N,) and x, y of shape (N, n)."""
 
     n: int
-    r: float
-    s: float
-    u: float
+    r: float | np.ndarray
+    s: float | np.ndarray
+    u: float | np.ndarray
     x: np.ndarray
     y: np.ndarray
+
+    @classmethod
+    def stack(cls, points: list["EvalPoint"]) -> "EvalPoint":
+        """The batch of the one-point EvalPoints, in order."""
+        dims = {p.n for p in points}
+        if len(dims) != 1:
+            raise GeometryError(f"mixed dimensions in grid: {sorted(dims)}")
+        return cls(
+            n=dims.pop(),
+            r=np.array([p.r for p in points], dtype=float),
+            s=np.array([p.s for p in points], dtype=float),
+            u=np.array([p.u for p in points], dtype=float),
+            x=np.array([p.x for p in points], dtype=float),
+            y=np.array([p.y for p in points], dtype=float),
+        )
 
 
 def canonical_point(
@@ -95,27 +118,68 @@ def phi_scalars(jet: Jet) -> PhiScalars:
     )
 
 
-def _positive_scalars(jet: Jet, p: EvalPoint) -> PhiScalars:
-    """phi_scalars, rejecting a point where phi <= 0 (F is not a norm there)."""
+def _positive_scalars(jet: Jet, p: EvalPoint, errors: dict) -> PhiScalars:
+    """phi_scalars, failing the points where phi <= 0 (F is not a norm there)."""
     ps = phi_scalars(jet)
-    if ps.phi <= 0:
-        raise GeometryError(f"phi = {ps.phi} is not positive at (r, s) = ({p.r}, {p.s})")
+    fail_where(
+        ps.phi <= 0,
+        errors,
+        lambda phi, r, s: GeometryError(f"phi = {phi} is not positive at (r, s) = ({r}, {s})"),
+        ps.phi, p.r, p.s,
+    )
     return ps
 
 
-def _mu(ps: PhiScalars, s: float) -> float:
+def _lift(a, k: int = 1):
+    """a with k trailing unit axes: a per-point factor of a vector (k = 1),
+    a matrix (k = 2) or a 3-tensor (k = 3)."""
+    return np.reshape(a, np.shape(a) + (1,) * k)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_j per point."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, in index order."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k]
+    return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a_k b_k over the last axis, in k order."""
+    return _sum_last(a * b)
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_ij v_j per point."""
+    return _dot(m, v[..., None, :])
+
+
+def _ipow(a, k: int):
+    """a^k for an integer k >= 0, by repeated multiplication."""
+    out = np.ones_like(a)
+    for _ in range(k):
+        out = out * a
+    return out
+
+
+def _mu(ps: PhiScalars, s):
     """mu = phi phi_s - s phi_s^2 - s phi phi_ss."""
-    return ps.phi * ps.phi_s - s * ps.phi_s**2 - s * ps.phi * ps.phi_ss
+    return ps.phi * ps.phi_s - s * (ps.phi_s * ps.phi_s) - s * ps.phi * ps.phi_ss
 
 
 def _n_lo(p: EvalPoint) -> np.ndarray:
     """n_j = x_j - (s/u) y_j."""
-    return p.x - (p.s / p.u) * p.y
+    return p.x - _lift(p.s / p.u) * p.y
 
 
 def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     """dF/dy^i = (phi/u) y_i + phi_s n_i."""
-    return (ps.phi / p.u) * p.y + ps.phi_s * _n_lo(p)
+    return _lift(ps.phi / p.u) * p.y + _lift(ps.phi_s) * _n_lo(p)
 
 
 def _require_grid(grid: list[EvalPoint]) -> None:
@@ -141,7 +205,8 @@ class MetricPack:
     regular: tuple[bool, bool]
 
 
-def metric_pack(jet: Jet, p: EvalPoint) -> MetricPack:
+@batched
+def metric_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> MetricPack:
     """Fundamental tensor, its inverse, and both determinant routes.
 
     g_jk  = sigma0 d_jk + sigma1 x_j x_k + (sigma2/u)(x_j y_k + x_k y_j)
@@ -149,8 +214,10 @@ def metric_pack(jet: Jet, p: EvalPoint) -> MetricPack:
     g^jk  = rho0 d_jk + (rho1/u^2) y^j y^k + (rho2/u)(x^j y^k + x^k y^j)
             + rho3 x^j x^k
     det   = phi^(n+1) (phi - s phi_s)^(n-2) (phi - s phi_s + (r^2-s^2) phi_ss)
+
+    A point with phi <= 0 fails (see ``jet.batched`` for the error policy).
     """
-    ps = _positive_scalars(jet, p)
+    ps = _positive_scalars(jet, p, errors)
     phi, phi_s, phi_ss = ps.phi, ps.phi_s, ps.phi_ss
     r, s, u, n = p.r, p.s, p.u, p.n
     w = r * r - s * s
@@ -159,25 +226,25 @@ def metric_pack(jet: Jet, p: EvalPoint) -> MetricPack:
     mu = _mu(ps, s)
 
     sigma0 = phi * t
-    sigma1 = phi_s**2 + phi * phi_ss
+    sigma1 = phi_s * phi_s + phi * phi_ss
     sigma2 = t * phi_s - s * phi * phi_ss
     sigma3 = s * s * phi * phi_ss - s * t * phi_s
 
-    if t == 0.0 or d == 0.0:
-        # degenerate metric: no inverse, the rho scalars are undefined
-        rho0 = rho1 = rho2 = rho3 = math.nan
-    else:
-        rho0 = 1.0 / (phi * t)
-        rho1 = (s * phi + w * phi_s) * mu / (phi**3 * t * d)
-        rho2 = -mu / (phi**2 * t * d)
-        rho3 = -phi_ss / (phi * t * d)
+    # a degenerate metric has no inverse: its rho scalars are undefined
+    undefined = np.where((t == 0.0) | (d == 0.0), math.nan, 1.0)
+    rho0 = undefined / (phi * t)
+    rho1 = undefined * (s * phi + w * phi_s) * mu / (phi * phi * phi * t * d)
+    rho2 = undefined * -mu / (phi * phi * t * d)
+    rho3 = undefined * -phi_ss / (phi * t * d)
 
     eye = np.eye(n)
-    xx = np.outer(p.x, p.x)
-    yy = np.outer(p.y, p.y)
-    xy = np.outer(p.x, p.y) + np.outer(p.y, p.x)
-    g = sigma0 * eye + sigma1 * xx + (sigma2 / u) * xy + (sigma3 / u**2) * yy
-    ginv = rho0 * eye + (rho1 / u**2) * yy + (rho2 / u) * xy + rho3 * xx
+    xx = _outer(p.x, p.x)
+    yy = _outer(p.y, p.y)
+    xy = _outer(p.x, p.y) + _outer(p.y, p.x)
+    g = _lift(sigma0, 2) * eye + _lift(sigma1, 2) * xx + _lift(sigma2 / u, 2) * xy
+    g = g + _lift(sigma3 / (u * u), 2) * yy
+    ginv = _lift(rho0, 2) * eye + _lift(rho1 / (u * u), 2) * yy + _lift(rho2 / u, 2) * xy
+    ginv = ginv + _lift(rho3, 2) * xx
 
     return MetricPack(
         sigma0=sigma0,
@@ -190,8 +257,8 @@ def metric_pack(jet: Jet, p: EvalPoint) -> MetricPack:
         rho3=rho3,
         g=g,
         ginv=ginv,
-        det_direct=float(np.linalg.det(g)),
-        det_formula=phi ** (n + 1) * t ** (n - 2) * d,
+        det_direct=np.linalg.det(g),
+        det_formula=_ipow(phi, n + 1) * _ipow(t, n - 2) * d,
         F=u * phi,
         regular=(t > 0, d > 0),
     )
@@ -201,47 +268,55 @@ def metric_pack(jet: Jet, p: EvalPoint) -> MetricPack:
 class CartanPack:
     mu: float
     nu: float
-    C: np.ndarray  # (n, n, n), fully symmetric
+    C: np.ndarray  # (*batch, n, n, n), fully symmetric
 
 
 def _sym_vd(v: np.ndarray, n: int) -> np.ndarray:
     """v_i d_jk + v_j d_ik + v_k d_ij."""
     eye = np.eye(n)
     return (
-        np.einsum("i,jk->ijk", v, eye)
-        + np.einsum("j,ik->ijk", v, eye)
-        + np.einsum("k,ij->ijk", v, eye)
+        v[..., :, None, None] * eye
+        + v[..., None, :, None] * eye[:, None, :]
+        + v[..., None, None, :] * eye[:, :, None]
     )
+
+
+def _cube(a: np.ndarray) -> np.ndarray:
+    """a_i a_j a_k."""
+    return _outer(a, a)[..., None] * a[..., None, None, :]
 
 
 def _sym_aab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i a_j b_k + a_j a_k b_i + a_i a_k b_j."""
-    aa = np.outer(a, a)
+    aa = _outer(a, a)
     return (
-        np.einsum("ij,k->ijk", aa, b)
-        + np.einsum("jk,i->ijk", aa, b)
-        + np.einsum("ik,j->ijk", aa, b)
+        aa[..., :, :, None] * b[..., None, None, :]
+        + aa[..., None, :, :] * b[..., :, None, None]
+        + aa[..., :, None, :] * b[..., None, :, None]
     )
 
 
-def cartan_pack(jet: Jet, p: EvalPoint) -> CartanPack:
+@batched
+def cartan_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> CartanPack:
     """Cartan tensor components and the two scalars driving them.
 
     mu = phi phi_s - s phi_s^2 - s phi phi_ss,
     nu = 3 phi_s phi_ss + phi phi_sss.
+    A point with phi <= 0 fails.
     """
-    ps = _positive_scalars(jet, p)
+    ps = _positive_scalars(jet, p, errors)
     s, u, n = p.s, p.u, p.n
     mu = _mu(ps, s)
     nu = 3.0 * ps.phi_s * ps.phi_ss + ps.phi * ps.phi_sss
     x, y = p.x, p.y
+    u2 = u * u
     C = (
-        (mu / (2 * u)) * _sym_vd(x, n)
-        + (nu / (2 * u)) * np.einsum("i,j,k->ijk", x, x, x)
-        - (s * mu / (2 * u**2)) * _sym_vd(y, n)
-        + ((3 * s * mu - s**3 * nu) / (2 * u**4)) * np.einsum("i,j,k->ijk", y, y, y)
-        + ((s * s * nu - mu) / (2 * u**3)) * _sym_aab(y, x)
-        - (s * nu / (2 * u**2)) * _sym_aab(x, y)
+        _lift(mu / (2 * u), 3) * _sym_vd(x, n)
+        + _lift(nu / (2 * u), 3) * _cube(x)
+        - _lift(s * mu / (2 * u2), 3) * _sym_vd(y, n)
+        + _lift((3 * s * mu - s * s * s * nu) / (2 * (u2 * u2)), 3) * _cube(y)
+        + _lift((s * s * nu - mu) / (2 * (u2 * u)), 3) * _sym_aab(y, x)
+        - _lift(s * nu / (2 * u2), 3) * _sym_aab(x, y)
     )
     return CartanPack(mu=mu, nu=nu, C=C)
 
@@ -252,6 +327,19 @@ class Degeneracy(enum.Enum):
     DEGENERATE_TYPE_B = "degenerate_type_b"
 
 
+def _first(mask) -> int | None:
+    """The index of the first True entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _raise_first(errors: dict, stop: int | None = None) -> None:
+    """Raise the error of the first failed point, if it comes no later than
+    the point stop where a scan in grid order ends (None: no early end)."""
+    if errors and (stop is None or min(errors) <= stop):
+        raise errors[min(errors)]
+
+
 def degeneracy_classify(
     phi: Node, grid: list[EvalPoint], tol: float = DEGENERACY_TOL
 ) -> Degeneracy:
@@ -260,23 +348,30 @@ def degeneracy_classify(
     TYPE_A: phi - s phi_s vanishes on the whole grid (phi = f(r^2) s).
     TYPE_B: phi - s phi_s + (r^2 - s^2) phi_ss vanishes on the whole grid
             (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)).
-    Either family forces det(g) = 0.
+    Either family forces det(g) = 0.  The points are screened in grid
+    order: the first point that rules out both families decides, and a
+    point before it whose jet or values fail raises its error.
     """
     _require_grid(grid)
-    jets = GridJets.evaluate(phi, grid)
-    type_a = True
-    type_b = True
-    for p in grid:
-        ps = phi_scalars(jets.at(p))
-        w = p.r**2 - p.s**2
-        scale = max(1.0, ps.phi**2)
-        t = ps.phi - p.s * ps.phi_s
-        if abs(t) >= tol * scale:
-            type_a = False
-        if abs(t + w * ps.phi_ss) >= tol * scale:
-            type_b = False
-        if not (type_a or type_b):
-            return Degeneracy.NONDEGENERATE
-    if type_a:
+    r = np.array([p.r for p in grid], dtype=float)
+    s = np.array([p.s for p in grid], dtype=float)
+    errors = {}
+    with np.errstate(all="ignore"):
+        ps = phi_scalars(GridJets.evaluate(phi, r, s).rows(errors))
+        scale = np.maximum(1.0, ps.phi * ps.phi)
+        t = ps.phi - s * ps.phi_s
+        d = t + (r * r - s * s) * ps.phi_ss
+        fail_nonfinite(errors, "phi^2", scale)
+        fail_nonfinite(errors, "phi - s phi_s", t)
+        fail_nonfinite(errors, "phi - s phi_s + (r^2-s^2) phi_ss", d)
+        ok = np.ones(len(grid), dtype=bool)
+        ok[list(errors)] = False
+        not_a = np.logical_or.accumulate(ok & (np.abs(t) >= tol * scale))
+        not_b = np.logical_or.accumulate(ok & (np.abs(d) >= tol * scale))
+    decided = _first(not_a & not_b)
+    _raise_first(errors, decided)
+    if decided is not None:
+        return Degeneracy.NONDEGENERATE
+    if not not_a[-1]:
         return Degeneracy.DEGENERATE_TYPE_A
     return Degeneracy.DEGENERATE_TYPE_B

@@ -27,12 +27,14 @@ jet's value) and the domain guards are computed per point on Python floats
 one-point evaluation.  A failing point gets NaN seeds and its error is
 recorded in an ``errors`` dict under its flat batch index; a point keeps its
 first error, in the order a one-point evaluation meets them, and the rest of
-the batch runs on.  The batched entry points (``eval_jet``, and
-``spray.pq_jets``) run under numpy's ``errstate``, so overflow in a failing
-column is not warned about; called without ``errors``, they raise the first
-failing point's error (``batched``).  ``GridJets`` holds one expression's
-jets over a grid's unique (r, s) and raises each point's error where that
-point's jet is read.
+the batch runs on.  The batched entry points (``eval_jet``, ``spray.pq_jets``
+and the packs built on the jets) run under numpy's ``errstate``, so overflow
+in a failing column is not warned about; called without ``errors``, they
+raise the first failing point's error (``batched``).  Guards on whole
+columns (``fail_where``, ``fail_nonfinite``) test the batch in one numpy
+call and build an error only for the points that fail.  ``GridJets`` holds
+one expression's jets over a grid's unique (r, s) and hands each point its
+column's jet and error.
 
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
@@ -205,16 +207,16 @@ def _with_value(c: np.ndarray, v) -> Jet:
 def batched(fn):
     """Decorator for a batched entry point ``fn(..., errors=dict)``.
 
-    fn runs with numpy's overflow and invalid warnings silenced, because a
-    failing point's columns turn NaN or infinite and its error is recorded
-    instead.  Called without ``errors``, the entry point records into a
-    fresh dict and raises the first failing point's error."""
+    fn runs with numpy's floating-point warnings silenced, because a failing
+    point's columns turn NaN or infinite and its error is recorded instead.
+    Called without ``errors``, the entry point records into a fresh dict and
+    raises the first failing point's error."""
 
     @functools.wraps(fn)
-    def entry(*args, errors: dict | None = None):
+    def entry(*args, errors: dict | None = None, **kwargs):
         sink = {} if errors is None else errors
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = fn(*args, errors=sink)
+        with np.errstate(all="ignore"):
+            out = fn(*args, errors=sink, **kwargs)
         if errors is None and sink:
             raise sink[min(sink)]
         return out
@@ -242,6 +244,24 @@ def per_point(fn, errors: dict | None, *columns) -> list:
             errors[i] = exc
             out.append(None)
     return out
+
+
+def fail_where(mask, errors: dict, error, *columns) -> None:
+    """Record error(*values) at each point where mask holds, unless the point
+    has failed already.
+
+    The test is one numpy call over the batch; only the failing points build
+    their error, from their entries of the columns as Python floats."""
+    for i in np.flatnonzero(mask).tolist():
+        if i not in errors:
+            errors[i] = error(*(np.ravel(c)[i].item() for c in columns))
+
+
+def fail_nonfinite(errors: dict, name: str, values) -> None:
+    """A DomainError naming the value at each point where values is not finite."""
+    fail_where(
+        ~np.isfinite(values), errors, lambda v: DomainError(f"non-finite {name} = {v}"), values
+    )
 
 
 def _compose(derivs: np.ndarray, g: Jet) -> Jet:
@@ -363,7 +383,7 @@ def _take(g: Jet, idx: list[int]) -> Jet:
 
 def _pow_route(constant: bool, p: float, b: float) -> int | None:
     """The integer exponent of a point's power, or None for exp(e*ln(b))."""
-    if constant and p == round(p) and abs(p) <= 1024:
+    if constant and math.isfinite(p) and p == round(p) and abs(p) <= 1024:
         return int(round(p))
     if b <= 0.0:
         raise DomainError(f"non-integer power of non-positive base {b!r}")
@@ -407,15 +427,6 @@ _JET_FUNCS = {
 }
 
 
-def _in_node(message, node: Node) -> Exception:
-    """DomainError(f"{message} in {node}"), or the error printing node raises
-    (``to_string`` rejects an infinite number)."""
-    try:
-        return DomainError(f"{message} in {to_string(node)}")
-    except Exception as exc:
-        return exc
-
-
 def _named(node: Node, errors: dict, fn, *args) -> Jet:
     """fn(*args, errors), naming node in each DomainError it records.
 
@@ -426,7 +437,7 @@ def _named(node: Node, errors: dict, fn, *args) -> Jet:
     for i in list(errors)[known:]:
         if isinstance(errors[i], DomainError):
             cause = errors[i]
-            errors[i] = _in_node(cause, node)
+            errors[i] = DomainError(f"{cause} in {to_string(node)}")
             errors[i].__cause__ = cause
     return out
 
@@ -473,57 +484,51 @@ def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
     finite = np.isfinite(_cols(out.c)).all(axis=0)
     for i in np.flatnonzero(~finite).tolist():
         if i not in errors:
-            errors[i] = _in_node("non-finite jet coefficient", e)
+            errors[i] = DomainError(f"non-finite jet coefficient in {to_string(e)}")
     return out
 
 
 class GridJets:
-    """The jets of one expression at the points of a grid, from one batched
-    ``eval_jet`` over the grid's unique (r, s).
+    """The jets of one expression at a batch of points, from one batched
+    ``eval_jet`` over the points' unique (r, s).
 
-    The points are any objects with ``r`` and ``s``.  ``at(p)`` returns the
-    jet at p or raises the error its evaluation recorded, so each error
-    surfaces where a one-point evaluation raised it.
+    ``index`` maps each point to its column of ``jets``; ``rows`` hands the
+    jets out one per point, with the errors their columns recorded.
     """
 
-    def __init__(self, keys: list, jets: Jet, errors: dict):
-        self.keys = keys  # the _rs_key of each batch column
+    def __init__(self, r: np.ndarray, s: np.ndarray, index: np.ndarray, jets: Jet, errors: dict):
+        self.r, self.s = r, s  # the (r, s) of the columns
+        self.index = index
         self.jets = jets
-        self.errors = errors  # batch column -> its recorded error
-        self.column = {key: k for k, key in enumerate(keys)}
+        self.errors = errors  # column -> its recorded error
 
     @classmethod
-    def evaluate(cls, e: Node, points) -> "GridJets":
-        keys = list(dict.fromkeys(_rs_key(p.r, p.s) for p in points))
+    def evaluate(cls, e: Node, r: np.ndarray, s: np.ndarray) -> "GridJets":
+        """e at the points (r, s); points share a column when their (r, s)
+        match, sign of zero included."""
+        r, s = np.ravel(r), np.ravel(s)
+        keys = list(zip(r.tolist(), s.tolist(), np.signbit(s).tolist()))
+        column, first = {}, []
+        for row, key in enumerate(keys):
+            if key not in column:
+                column[key] = len(first)
+                first.append(row)
+        index = np.array([column[key] for key in keys], dtype=int)
         errors = {}
-        return cls(keys, eval_jet(e, *_key_rs(keys), errors=errors), errors)
+        jets = eval_jet(e, r[first], s[first], errors=errors)
+        return cls(r[first], s[first], index, jets, errors)
 
-    def rs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The r and the s values of the batch columns."""
-        return _key_rs(self.keys)
+    def with_jets(self, jets: Jet, errors: dict) -> "GridJets":
+        """Other jets on the same columns."""
+        return GridJets(self.r, self.s, self.index, jets, errors)
 
-    def positive(self) -> "GridJets":
-        """The columns whose jet evaluated and whose value is > 0."""
-        value = self.jets.c[0, 0]
-        keep = [k for k in range(len(self.keys)) if k not in self.errors and value[k] > 0]
-        return GridJets([self.keys[k] for k in keep], self.jets[keep], {})
-
-    def at(self, p) -> Jet:
-        k = self.column[_rs_key(p.r, p.s)]
-        if k in self.errors:
-            raise self.errors[k].with_traceback(None)
-        return self.jets[k]
-
-
-def _rs_key(r: float, s: float) -> tuple[float, float, float]:
-    """Grid points share a jet when their (r, s) match, sign of zero included."""
-    return (r, s, math.copysign(1.0, s))
-
-
-def _key_rs(keys: list) -> tuple[np.ndarray, np.ndarray]:
-    """The r and the s values of a list of _rs_key keys."""
-    rs = np.array([key[:2] for key in keys], dtype=float).reshape(-1, 2)
-    return rs[:, 0], rs[:, 1]
+    def rows(self, errors: dict) -> Jet:
+        """The jets at the points, one batch row each.  A point whose column
+        failed gets that column's error in errors, unless it has one."""
+        for row, k in enumerate(self.index.tolist()):
+            if k in self.errors and row not in errors:
+                errors[row] = self.errors[k]
+        return Jet(self.jets.c[:, :, self.index])
 
 
 # -- finite-difference oracle ----------------------------------------------

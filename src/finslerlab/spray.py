@@ -1,5 +1,5 @@
 """Geodesic spray data P, Q, the nonlinear connection, and the
-metrizability residuals.
+metrizability residuals, at one point or a batch (see ``geometry``).
 
 P and Q are built as jet-valued expressions out of the phi jet, so their
 partials come from the same truncated-Taylor engine rather than from a
@@ -13,7 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, _ell_lo, _positive_scalars, phi_scalars
+from .geometry import (
+    EvalPoint,
+    GeometryError,
+    _dot,
+    _ell_lo,
+    _lift,
+    _outer,
+    _positive_scalars,
+    phi_scalars,
+)
 from .jet import GridJets, Jet, batched, eval_jet, jet_reciprocal, per_point
 
 
@@ -29,8 +38,8 @@ class SprayPack:
     Q_s: float
     Q_ss: float
     Q_rs: float
-    G: np.ndarray  # spray coefficients G^h, shape (n,)
-    N: np.ndarray  # connection coefficients G^i_j, shape (n, n), i row
+    G: np.ndarray  # spray coefficients G^h, shape (*batch, n)
+    N: np.ndarray  # connection coefficients G^i_j, shape (*batch, n, n), i row
 
 
 @dataclass(frozen=True)
@@ -75,28 +84,21 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     return p, q
 
 
-def pq_from_phi(jet: Jet, p: EvalPoint) -> SprayPack:
-    """Spray data of the metric F = u phi at the point p."""
-    _positive_scalars(jet, p)
-    pj, qj = pq_jets(jet, p.r, p.s)
+@batched
+def pq_from_phi(jet: Jet, p: EvalPoint, *, errors: dict) -> SprayPack:
+    """Spray data of the metric F = u phi at the points p.  A point fails
+    where phi <= 0 and where its P/Q jets fail."""
+    _positive_scalars(jet, p, errors)
+    pj, qj = pq_jets(jet, p.r, p.s, errors=errors)
     return spray_pack_from_jets(pj, qj, p)
 
 
-def _grid_spray(phi: GridJets):
-    """``pq_from_phi`` at the points of phi's grid, as a function of (jet, p).
-
-    The P/Q jets come from one batched ``pq_jets`` over the (r, s) where
-    phi's jet is valid and phi > 0; the other points fail the phi > 0 guard
-    (or their jet) before they need them."""
-    valid, errors = phi.positive(), {}
-    pj, qj = pq_jets(valid.jets, *valid.rs(), errors=errors)
-    p_jets, q_jets = GridJets(valid.keys, pj, errors), GridJets(valid.keys, qj, errors)
-
-    def at(jet: Jet, p: EvalPoint) -> SprayPack:
-        _positive_scalars(jet, p)
-        return spray_pack_from_jets(p_jets.at(p), q_jets.at(p), p)
-
-    return at
+def _grid_pq(phi: GridJets) -> tuple[GridJets, GridJets]:
+    """The P and Q jets on the columns of phi's jets, from one batched
+    ``pq_jets``; a column whose phi jet failed keeps that error."""
+    errors = dict(phi.errors)
+    pj, qj = pq_jets(phi.jets, phi.r, phi.s, errors=errors)
+    return phi.with_jets(pj, errors), phi.with_jets(qj, errors)
 
 
 def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
@@ -110,13 +112,13 @@ def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
     Q, Q_s = qj.partial(0, 0), qj.partial(0, 1)
     u, s = p.u, p.s
     x, y = p.x, p.y
-    G = u * P * y + u * u * Q * x
+    G = _lift(u * P) * y + _lift(u * u * Q) * x
     N = (
-        u * P * np.eye(p.n)
-        + P_s * np.outer(y, x)
-        + ((P - s * P_s) / u) * np.outer(y, y)
-        + u * Q_s * np.outer(x, x)
-        + (2 * Q - s * Q_s) * np.outer(x, y)
+        _lift(u * P, 2) * np.eye(p.n)
+        + _lift(P_s, 2) * _outer(y, x)
+        + _lift((P - s * P_s) / u, 2) * _outer(y, y)
+        + _lift(u * Q_s, 2) * _outer(x, x)
+        + _lift(2 * Q - s * Q_s, 2) * _outer(x, y)
     )
     return SprayPack(
         P=P,
@@ -141,9 +143,9 @@ def horizontal_residual(jet: Jet, sp: SprayPack, p: EvalPoint) -> np.ndarray:
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
     ps = phi_scalars(jet)
-    u, r = p.u, p.r
-    dF_dx = u * (ps.phi_r * p.x / r + ps.phi_s * p.y / u)
-    return dF_dx - _ell_lo(ps, p) @ sp.N
+    u, r = _lift(p.u), _lift(p.r)
+    dF_dx = u * (_lift(ps.phi_r) * p.x / r + _lift(ps.phi_s) * p.y / u)
+    return dF_dx - _dot(_ell_lo(ps, p)[..., None, :], np.swapaxes(sp.N, -1, -2))
 
 
 def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> MetrizabilityResiduals:

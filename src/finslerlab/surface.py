@@ -1,10 +1,10 @@
 """Berwald frame, main scalar and the Riemannian criterion for
-spherically symmetric Finsler surfaces (n = 2, positive-definite branch).
+spherically symmetric Finsler surfaces (n = 2, positive-definite branch),
+at one point or a batch (see ``geometry``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,14 +14,19 @@ from .geometry import (
     EvalPoint,
     GeometryError,
     MetricPack,
+    _dot,
     _ell_lo,
+    _first,
+    _lift,
     _n_lo,
+    _raise_first,
     _require_grid,
+    _sum_last,
     cartan_pack,
     metric_pack,
     phi_scalars,
 )
-from .jet import GridJets, Jet
+from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -37,16 +42,23 @@ class BerwaldFrame:
     m_hi: np.ndarray  # m^i = a n^i
 
 
-def berwald_frame(jet: Jet, p: EvalPoint) -> BerwaldFrame:
-    """The orthonormal pair (l, m) at a surface point.
+@batched
+def berwald_frame(
+    jet: Jet, p: EvalPoint, mp: MetricPack | None = None, *, errors: dict
+) -> BerwaldFrame:
+    """The orthonormal pair (l, m) at surface points.
 
     a(r, s) = sqrt(phi (phi - s phi_s + (r^2-s^2) phi_ss) / (r^2 - s^2)),
     n^i = rho0 n^i_euclid + ((r^2-s^2)/u)(rho2 y^i + u rho3 x^i).
+    A point fails where the radicand of a is not positive, and where
+    ``metric_pack`` fails (mp, when given, is p's metric pack).
     """
-    return _frame(jet, p)[0]
+    return _frame(jet, p, mp, errors)[0]
 
 
-def _frame(jet: Jet, p: EvalPoint) -> tuple[BerwaldFrame, MetricPack]:
+def _frame(
+    jet: Jet, p: EvalPoint, mp: MetricPack | None, errors: dict
+) -> tuple[BerwaldFrame, MetricPack]:
     """The Berwald frame and the metric pack it was built from."""
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
@@ -55,24 +67,28 @@ def _frame(jet: Jet, p: EvalPoint) -> tuple[BerwaldFrame, MetricPack]:
     w = r * r - s * s
     d = ps.phi - s * ps.phi_s + w * ps.phi_ss
     radicand = ps.phi * d / w
-    if radicand <= 0:
-        raise GeometryError(
-            f"a(r, s) radicand {radicand} is not positive "
-            "(degenerate or wrong-signature metric)"
-        )
-    a = math.sqrt(radicand)
+    fail_where(
+        radicand <= 0,
+        errors,
+        lambda v: GeometryError(
+            f"a(r, s) radicand {v} is not positive (degenerate or wrong-signature metric)"
+        ),
+        radicand,
+    )
+    a = np.sqrt(radicand)
 
-    mp = metric_pack(jet, p)
+    if mp is None:
+        mp = metric_pack(jet, p, errors=errors)
     n_lo = _n_lo(p)
-    n_hi = mp.rho0 * n_lo + (w / u) * (mp.rho2 * p.y + u * mp.rho3 * p.x)
+    n_hi = _lift(mp.rho0) * n_lo + _lift(w / u) * (_lift(mp.rho2) * p.y + _lift(u * mp.rho3) * p.x)
     frame = BerwaldFrame(
         ell_lo=_ell_lo(ps, p),
-        ell_hi=p.y / mp.F,
+        ell_hi=p.y / _lift(mp.F),
         n_lo=n_lo,
         n_hi=n_hi,
         a=a,
-        m_lo=a * n_lo,
-        m_hi=a * n_hi,
+        m_lo=_lift(a) * n_lo,
+        m_hi=_lift(a) * n_hi,
     )
     return frame, mp
 
@@ -86,24 +102,33 @@ class MainScalarPack:
     frame: BerwaldFrame  # the frame both routes used
 
 
-def main_scalar(jet: Jet, p: EvalPoint) -> MainScalarPack:
+@batched
+def main_scalar(
+    jet: Jet, p: EvalPoint, mp: MetricPack | None = None, *, errors: dict
+) -> MainScalarPack:
     """Main scalar of the surface by two independent routes.
 
     Closed form:
         I = (phi/2) ( 3 mu / a * ((m^1)^2 + (m^2)^2)
                       - 3 a mu (r^2-s^2)^2 B^2 + nu / a^3 )
     Direct: contraction of the full Cartan tensor with m^i.
+    Points fail as in ``berwald_frame``.
     """
-    frame, mp = _frame(jet, p)
-    cp = cartan_pack(jet, p)
+    frame, mp = _frame(jet, p, mp, errors)
+    cp = cartan_pack(jet, p, errors=errors)
     ps = phi_scalars(jet)
-    w = p.r**2 - p.s**2
-    A = mp.rho0 + p.s * mp.rho2 + p.r**2 * mp.rho3
+    w = p.r * p.r - p.s * p.s
+    A = mp.rho0 + p.s * mp.rho2 + p.r * p.r * mp.rho3
     B = mp.rho2 + p.s * mp.rho3
-    msq = float(frame.m_hi @ frame.m_hi)
+    m = frame.m_hi
+    msq = _dot(m, m)
     a = frame.a
-    I = (ps.phi / 2.0) * (3 * cp.mu / a * msq - 3 * a * cp.mu * w * w * B * B + cp.nu / a**3)
-    I_direct = mp.F * float(np.einsum("ijk,i,j,k->", cp.C, frame.m_hi, frame.m_hi, frame.m_hi))
+    I = (ps.phi / 2.0) * (
+        3 * cp.mu / a * msq - 3 * a * cp.mu * w * w * B * B + cp.nu / (a * a * a)
+    )
+    # sum_ijk C_ijk m^i m^j m^k, term by term in index order
+    terms = cp.C * m[..., :, None, None] * m[..., None, :, None] * m[..., None, None, :]
+    I_direct = mp.F * _sum_last(terms.reshape(*terms.shape[:-3], -1))
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame)
 
 
@@ -113,25 +138,35 @@ def riemannian_test(
     """True iff mu vanishes across the grid (the Riemannian criterion).
 
     When mu vanishes, nu is checked too: d(mu)/ds = -s nu forces nu = 0,
-    so a nonzero nu flags an inconsistent evaluation.
+    so a nonzero nu flags an inconsistent evaluation.  A point whose jet,
+    phi > 0 guard, mu or nu fails raises its error, the first in grid
+    order; so does a non-finite phi^2 before the first point with a
+    nonzero mu, where the test stops.
     """
     _require_grid(grid)
     for p in grid:
         if p.n != 2:
             raise GeometryError(f"Riemannian test requires n = 2, got n = {p.n}")
-    jets = GridJets.evaluate(phi, grid)
-    packs = []
-    for p in grid:
-        jet = jets.at(p)
-        ps = phi_scalars(jet)
-        cp = cartan_pack(jet, p)
-        packs.append((ps, cp))
-    if any(abs(cp.mu) >= tol * max(1.0, ps.phi**2) for ps, cp in packs):
+    pts = EvalPoint.stack(grid)
+    errors = {}
+    with np.errstate(all="ignore"):
+        jet = GridJets.evaluate(phi, pts.r, pts.s).rows(errors)
+        cp = cartan_pack(jet, pts, errors=errors)
+        fail_nonfinite(errors, "mu", cp.mu)
+        fail_nonfinite(errors, "nu", cp.nu)
+        _raise_first(errors)
+        phi0 = phi_scalars(jet).phi
+        fail_nonfinite(errors, "phi^2", phi0 * phi0)
+        scale = tol * np.maximum(1.0, phi0 * phi0)
+        not_riemannian = _first(np.abs(cp.mu) >= scale)
+        inconsistent = _first(np.abs(cp.nu) >= scale)
+    # the mu test stops at the first point with a nonzero mu
+    _raise_first(errors, not_riemannian)
+    if not_riemannian is not None:
         return False
-    for ps, cp in packs:
-        if abs(cp.nu) >= tol * max(1.0, ps.phi**2):
-            raise GeometryError(
-                f"mu vanishes on the grid but nu = {cp.nu} does not; "
-                "inconsistent evaluation"
-            )
+    if inconsistent is not None:
+        raise GeometryError(
+            f"mu vanishes on the grid but nu = {cp.nu[inconsistent].item()} does not; "
+            "inconsistent evaluation"
+        )
     return True

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from finslerlab import canonical_point
+from finslerlab import EvalPoint, canonical_point, eval_jet, parse, random_rotation
 
 
 def make_grid(n, r_values, s_fracs, u_values=(1.0,)):
@@ -12,6 +14,40 @@ def make_grid(n, r_values, s_fracs, u_values=(1.0,)):
         for frac in s_fracs
         for u in u_values
     ]
+
+
+def rotated_batch(text, n, seed=5):
+    """A rotated grid of 24 points, one at a time and as one batch, with
+    phi's jets: (points, batch, batched jet, one-point jets)."""
+    rotation = random_rotation(n, np.random.default_rng(seed))
+    points = [
+        canonical_point(n, r, frac * r, u, rotation=rotation)
+        for r in (0.7, 1.1, 1.6)
+        for frac in (-0.6, 0.0, 0.35, 0.7)
+        for u in (0.8, 1.9)
+    ]
+    batch = EvalPoint.stack(points)
+    e = parse(text)
+    return points, batch, eval_jet(e, batch.r, batch.s), [eval_jet(e, p.r, p.s) for p in points]
+
+
+def assert_row_matches(batched, single, k):
+    """Row k of a batched result equals the one-point result: scalars bit
+    for bit, vectors, matrices and tensors to 1e-15 relative."""
+    if dataclasses.is_dataclass(single):
+        for field in dataclasses.fields(single):
+            assert_row_matches(getattr(batched, field.name), getattr(single, field.name), k)
+    elif isinstance(single, tuple):
+        for b, s in zip(batched, single, strict=True):
+            assert_row_matches(b, s, k)
+    else:
+        row, single = np.asarray(batched)[k], np.asarray(single)
+        assert row.shape == single.shape
+        if single.ndim == 0:
+            assert row.tobytes() == single.tobytes(), (k, row, single)
+        else:
+            scale = max(1.0, float(np.max(np.abs(single))))
+            assert np.max(np.abs(row - single)) <= 1e-15 * scale, k
 
 
 @pytest.fixture

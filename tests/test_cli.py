@@ -237,22 +237,33 @@ def test_check_reports_the_points_report_evaluates(phi, dim, capsys, tmp_path):
     assert check["skipped"] == report["skipped"] and check["skipped"]
 
 
+def wrap_everywhere(monkeypatch, module, name, record) -> None:
+    """Wrap module.name in every finslerlab namespace that binds it; each
+    call passes its arguments to record first."""
+    import sys
+
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "finslerlab" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 def record_eval_jet_points(monkeypatch) -> list:
     """Wrap eval_jet in every finslerlab namespace that binds it; each call
     records (expression text, the (r, s) pairs it evaluated)."""
-    import sys
-
     from finslerlab import jet, to_string
 
-    original, calls = jet.eval_jet, []
+    calls = []
 
-    def recording(e, r, s, **kwargs):
+    def record(e, r, s, **kwargs):
         calls.append((to_string(e), list(zip(np.ravel(r).tolist(), np.ravel(s).tolist()))))
-        return original(e, r, s, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "finslerlab" and getattr(module, "eval_jet", None) is original:
-            monkeypatch.setattr(module, "eval_jet", recording)
+    wrap_everywhere(monkeypatch, jet, "eval_jet", record)
     return calls
 
 
@@ -305,3 +316,93 @@ def test_jet_overflow_prints_no_runtime_warning(
         code, doc = run_json([sub, "--phi", phi], capsys, tmp_path)
     assert code == exit_code
     assert len(doc["points"]) == points and len(doc["skipped"]) == skipped
+
+
+@pytest.mark.parametrize(
+    "args, metric_packs",
+    [
+        (["report"], 1),
+        (["check"], 1),
+        (["report", "--dim", "3"], 1),
+        (["check", "--dim", "3"], 1),
+        # metrize reads no metric
+        (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], 0),
+    ],
+)
+def test_each_pack_runs_once_per_run(args, metric_packs, monkeypatch, capsys, tmp_path):
+    # the packs are evaluated as columns: one call over all 30 points of the run
+    from finslerlab import curvature, geometry
+
+    calls = {"metric_pack": [], "riemann_pack": []}
+
+    def recorder(name):
+        return lambda *args, **kwargs: calls[name].append(args[-1])  # the points
+
+    wrap_everywhere(monkeypatch, geometry, "metric_pack", recorder("metric_pack"))
+    wrap_everywhere(monkeypatch, curvature, "riemann_pack", recorder("riemann_pack"))
+    code, doc = run_json([*args, "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert len(calls["metric_pack"]) == metric_packs
+    assert len(calls["riemann_pack"]) == 1
+    for p in calls["metric_pack"] + calls["riemann_pack"]:
+        assert p.r.shape == (30,)
+
+
+def test_pack_overflow_prints_no_runtime_warning(capsys, tmp_path):
+    # at s < 0 phi underflows and its metric overflows: those points are skips
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json(["report", "--phi", "exp(1000*s)"], capsys, tmp_path)
+    assert code == 0
+    assert len(doc["points"]) == 6 and len(doc["skipped"]) == 24
+
+
+def test_nan_power_exponent_is_a_per_point_skip(capsys, tmp_path):
+    path = tmp_path / "out.json"
+    code, _, err = run_cli(["report", "--phi", "2^(1e309-1e309)", "--json", str(path)], capsys)
+    assert code == 3 and "Traceback" not in err and "error:" not in err
+    doc = json.loads(path.read_text())
+    assert doc["points"] == [] and len(doc["skipped"]) == 30
+    assert all("non-finite jet coefficient" in p["reason"] for p in doc["skipped"])
+
+
+def test_infinite_number_keeps_the_domain_error_reason(capsys, tmp_path):
+    code, doc = run_json(["report", "--phi", "sqrt(s - 1e309)+1"], capsys, tmp_path)
+    assert code == 3 and len(doc["skipped"]) == 30
+    for point in doc["skipped"]:
+        assert point["reason"].startswith("sqrt of")
+        assert point["reason"].endswith("in sqrt((s - 1e309))")
+
+
+def test_main_parses_different_subcommands_in_one_process(capsys, tmp_path):
+    # the parser is built once per process; each call parses its own argv
+    metrize = ["metrize", "--phi", "1+s", "--p", "1/(2*(1+s))", "--q", "0", "--s-frac=-0.5:0.5:4"]
+    code, doc = run_json(metrize, capsys, tmp_path)
+    assert code == 0 and doc["config"]["p_expr"] == "1/(2*(1+s))"
+    assert doc["verdicts"] == {"metrizable": True}
+    report = ["report", "--phi", "1+0.3*s", "--dim", "3", "--u", "1:1:1"]
+    code, doc = run_json(report, capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 15
+    assert doc["config"]["p_expr"] is None and doc["config"]["dim"] == 3
+    assert len(doc["config"]["s_fraction_grid"]) == 5  # the default, not metrize's 4
+
+
+@pytest.mark.parametrize("sub", ["report", "check"])
+def test_pack_float_failures_are_non_finite_skips(sub, capsys, tmp_path):
+    # at s = 0 the guards pass, but phi_s^2 overflows in the metric and P^2 in R1
+    code, doc = run_json([sub, "--phi", "1+2e154*s", "--s-frac=0:0:1"], capsys, tmp_path)
+    assert code == 3 and len(doc["skipped"]) == 6
+    for point in doc["skipped"]:
+        assert point["reason"].startswith("non-finite ")
+
+
+def test_each_point_keeps_the_first_guard_it_fails(capsys, tmp_path):
+    # phi = s fails every guard from phi > 0 on: where phi <= 0 that guard is
+    # the reason, elsewhere the TYPE_B denominator, not the frame radicand
+    code, doc = run_json(["report", "--phi", "s"], capsys, tmp_path)
+    assert code == 3 and len(doc["skipped"]) == 30
+    for point in doc["skipped"]:
+        if point["s"] <= 0:
+            assert point["reason"].startswith(f"phi = {point['s']} is not positive")
+        else:
+            assert "TYPE_B" in point["reason"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_grid
+from conftest import assert_row_matches, make_grid, rotated_batch
 from finslerlab import (
     DomainError,
     GeometryError,
@@ -163,3 +163,35 @@ def test_scalar_classify_raises_the_first_failing_points_error(text, error, matc
     grid = make_grid(2, (1.2, 1.5), (-0.4, 0.0, 0.3, 0.6))
     with pytest.raises(error, match=match):
         scalar_classify(parse(text), grid)
+
+
+@pytest.mark.parametrize("text", TEST_PHIS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_curvature_rows_match_single_points(text, n):
+    # every row of a batched riemann_pack / flag_curvature equals the one-point value
+    points, batch, jets, singles = rotated_batch(text, n)
+    cv = riemann_pack(pq_from_phi(jets, batch), jets, batch)
+    assert cv.Rmat.shape == (len(points), n, n)
+    K = flag_curvature(cv, jets.partial(0, 0), batch)
+    for k, (p, jet) in enumerate(zip(points, singles)):
+        one = riemann_pack(pq_from_phi(jet, p), jet, p)
+        assert_row_matches(cv, one, k)
+        assert_row_matches(K, flag_curvature(one, jet.partial(0, 0), p), k)
+
+
+def test_scalar_classify_stops_at_the_first_failed_reconstruction(monkeypatch):
+    # a wrong K at the third point fails its reconstruction: the sampling ends there
+    from finslerlab import curvature
+
+    original = curvature.flag_curvature
+
+    def wrong_at_third_point(cp, phi, p):
+        K = original(cp, phi, p)
+        return np.where(np.arange(np.size(K)) == 2, K + 1.0, K)
+
+    monkeypatch.setattr(curvature, "flag_curvature", wrong_at_third_point)
+    grid = make_grid(2, (0.6, 1.0, 1.4), (-0.6, 0.0, 0.5))
+    report = scalar_classify(parse("sqrt(1+s^2)"), grid)
+    assert not report.is_scalar
+    assert [p for p, _ in report.K_samples] == grid[:3]
+    assert report.failing_point is grid[2]

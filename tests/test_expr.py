@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from finslerlab import ParseError, eval_value, parse, to_string
+from finslerlab import DomainError, ParseError, eval_jet, eval_value, parse, to_string
 from finslerlab.expr import BinOp, Call, Neg, Num, Var
 
 
@@ -93,3 +93,16 @@ _ast = st.recursive(
 @given(_ast)
 def test_print_parse_round_trip(ast):
     assert parse(to_string(ast)) == ast
+
+
+def test_infinite_number_prints_and_parses_back():
+    inf = float("inf")
+    assert to_string(Num(inf)) == "1e309"
+    assert parse(to_string(Num(inf))) == Num(inf)
+    assert parse(to_string(Num(-inf))) == Neg(Num(inf))
+
+
+def test_domain_error_names_an_expression_with_an_infinite_number():
+    e = parse("sqrt(s - 1e309)+1")
+    with pytest.raises(DomainError, match=r"in sqrt\(\(s - 1e309\)\)"):
+        eval_jet(e, 1.0, 0.2)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_grid
+from conftest import assert_row_matches, make_grid, rotated_batch
 from finslerlab import (
     Degeneracy,
+    DomainError,
     GeometryError,
     canonical_point,
     cartan_pack,
@@ -201,3 +202,51 @@ def test_degenerate_families_have_singular_metric(text):
         mp = metric_pack(eval_jet(e, p.r, p.s), p)
         scale = max(1.0, float(np.max(np.abs(mp.g))))
         assert abs(mp.det_direct) < 1e-8 * scale**p.n
+
+
+# -- batched packs: every row equals the one-point pack ------------------------
+
+CURVATURE_PHIS = [
+    "1+s",
+    "sqrt(1+s^2)",
+    "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))",
+    "1 + 0.2*s + 0.1*s^2 + 0.05*r^2",
+]
+
+
+@pytest.mark.parametrize("text", CURVATURE_PHIS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_metric_and_cartan_rows_match_single_points(text, n):
+    points, batch, jets, singles = rotated_batch(text, n)
+    mp, cp = metric_pack(jets, batch), cartan_pack(jets, batch)
+    assert mp.g.shape == (len(points), n, n) and cp.C.shape == (len(points), n, n, n)
+    for k, (p, jet) in enumerate(zip(points, singles)):
+        assert_row_matches(mp, metric_pack(jet, p), k)
+        assert_row_matches(cp, cartan_pack(jet, p), k)
+
+
+def test_batched_metric_pack_keeps_each_point_error():
+    # phi = 1 + s^2 - 0.9 r is not positive at some points with r = 1.6
+    points, batch, jets, singles = rotated_batch("1+s^2-0.9*r", 3)
+    errors = {}
+    mp = metric_pack(jets, batch, errors=errors)
+    assert 0 < len(errors) < len(points)
+    for k, (p, jet) in enumerate(zip(points, singles)):
+        try:
+            single = metric_pack(jet, p)
+        except GeometryError as exc:
+            assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc)
+        else:
+            assert k not in errors
+            assert_row_matches(mp, single, k)
+    with pytest.raises(GeometryError, match="is not positive"):
+        metric_pack(jets, batch)
+
+
+def test_degeneracy_raises_only_errors_before_the_deciding_point():
+    # ln(1.4 - r) fails at r = 1.5; the points at r = 1.2 rule out both families
+    phi = parse("1 + s + ln(1.4 - r)")
+    grid = make_grid(2, (1.2, 1.5), (-0.5, 0.2, 0.7, 0.8))
+    assert degeneracy_classify(phi, grid) is Degeneracy.NONDEGENERATE
+    with pytest.raises(DomainError, match="ln of non-positive"):
+        degeneracy_classify(phi, grid[::-1])

@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_grid
+from conftest import assert_row_matches, make_grid, rotated_batch
 from finslerlab import (
     GeometryError,
     canonical_point,
     eval_jet,
     horizontal_residual,
+    metrizability_from_spray,
     metrizability_residuals,
     parse,
     pq_from_phi,
@@ -190,3 +191,21 @@ def test_batched_pq_jets_keep_each_point_error(text):
             assert p_batch.c[:, :, k].tobytes() == p_one.c.tobytes()
             assert q_batch.c[:, :, k].tobytes() == q_one.c.tobytes()
     assert 0 < failed < len(r)
+
+
+# -- batched spray packs: every row equals the one-point pack ------------------
+
+
+@pytest.mark.parametrize("text", ["1+s", "sqrt(1+s^2)", EX45, "1 + 0.2*s + 0.1*s^2 + 0.05*r^2"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_spray_rows_match_single_points(text, n):
+    points, batch, jets, singles = rotated_batch(text, n)
+    sp = pq_from_phi(jets, batch)
+    assert sp.G.shape == (len(points), n) and sp.N.shape == (len(points), n, n)
+    resid = horizontal_residual(jets, sp, batch)
+    mr = metrizability_from_spray(jets, sp, batch)
+    for k, (p, jet) in enumerate(zip(points, singles)):
+        one = pq_from_phi(jet, p)
+        assert_row_matches(sp, one, k)
+        assert_row_matches(resid, horizontal_residual(jet, one, p), k)
+        assert_row_matches(mr, metrizability_from_spray(jet, one, p), k)

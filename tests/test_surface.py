@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_grid
+from conftest import assert_row_matches, make_grid, rotated_batch
 from finslerlab import (
     GeometryError,
     berwald_frame,
@@ -153,3 +153,29 @@ def test_riemannian_grid_preconditions():
         riemannian_test(parse("1+s"), make_grid(2, (1.0,), (0.2, 0.4)))
     with pytest.raises(GeometryError):
         riemannian_test(parse("1+s"), make_grid(3, (0.8, 1.2), (-0.4, 0.0, 0.3, 0.6)))
+
+
+@pytest.mark.parametrize("text", REGULAR_PHIS + [EX45])
+def test_batched_frame_and_main_scalar_rows_match_single_points(text):
+    points, batch, jets, singles = rotated_batch(text, 2)
+    fr, ms = berwald_frame(jets, batch), main_scalar(jets, batch)
+    assert fr.m_hi.shape == (len(points), 2)
+    for k, (p, jet) in enumerate(zip(points, singles)):
+        assert_row_matches(fr, berwald_frame(jet, p), k)
+        assert_row_matches(ms, main_scalar(jet, p), k)
+
+
+def test_batched_frame_keeps_each_point_error():
+    # the radicand of a fails at some points only
+    points, batch, jets, singles = rotated_batch("2*s + 0.5*sqrt(r^2-s^2) + 0.3*s^2", 2)
+    errors = {}
+    ms = main_scalar(jets, batch, errors=errors)
+    assert 0 < len(errors) < len(points)
+    for k, (p, jet) in enumerate(zip(points, singles)):
+        try:
+            single = main_scalar(jet, p)
+        except GeometryError as exc:
+            assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc)
+        else:
+            assert k not in errors
+            assert_row_matches(ms, single, k)
