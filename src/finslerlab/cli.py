@@ -21,22 +21,21 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import _scale, flag_curvature, riemann_pack, scalar_classify
+from .curvature import flag_curvature, riemann_pack, scalar_classify
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
     GeometryError,
-    _dot,
     _ell_lo,
-    _lift,
-    _matvec,
-    _outer,
     canonical_point,
     cartan_pack,
     degeneracy_classify,
+    lift,
     metric_pack,
+    outer,
     phi_scalars,
     random_rotation,
+    residual_scale,
 )
 from .jet import DEGREE, GridJets, fail_nonfinite
 from .spray import (
@@ -69,7 +68,7 @@ class RunConfig:
     output: str | None = None
 
     def as_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         del doc["output"]
         doc["jet_degree"] = DEGREE
         return doc
@@ -133,36 +132,36 @@ def _evaluate(
     dval = phi0 - p.s * ps.phi_s + w * ps.phi_ss
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
     contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * dval)
-    scale = _scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
+    scale = residual_scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
     trace = np.trace(cv.Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
     F2 = np.maximum(1.0, mp.F * mp.F)
-    gy = _matvec(mp.g, p.y)
+    gy = np.einsum("...ij,...j->...i", mp.g, p.y)
     checks = {
         "metric_inverse": _maxabs(mp.g @ mp.ginv - eye, 2),
-        "energy_homogeneity": (_dot(p.y, gy) - mp.F * mp.F) / F2,
-        "euler_identity": _maxabs(gy - _lift(mp.F) * _ell_lo(ps, p)) / F2,
+        "energy_homogeneity": ((p.y * gy).sum(-1) - mp.F * mp.F) / F2,
+        "euler_identity": _maxabs(gy - lift(mp.F) * _ell_lo(ps, p)) / F2,
         "det_formula": (mp.det_direct - mp.det_formula) / np.maximum(1.0, np.abs(mp.det_formula)),
         "rho_contractions": np.maximum(np.abs(contr1), np.abs(contr2)),
-        "cartan_y_annihilation": _maxabs(_matvec(cp.C, p.y[..., None, :]), 2)
+        "cartan_y_annihilation": _maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2)
         / np.maximum(1.0, _maxabs(cp.C, 3) * u),
         "metrizability_C1_C2": np.maximum(np.abs(mr.C1), np.abs(mr.C2)) / np.maximum(1.0, phi0),
         "horizontal_dhF": _maxabs(horizontal_residual(jet, sp, p)) / (u * np.maximum(1.0, phi0)),
-        "spray_homogeneity": _maxabs(_matvec(sp.N, p.y) - 2 * sp.G)
+        "spray_homogeneity": _maxabs(np.einsum("...ij,...j->...i", sp.N, p.y) - 2 * sp.G)
         / np.maximum(1.0, _maxabs(sp.G)),
         "curvature_C3": cv.C3 / (scale * np.maximum(1.0, phi0)),
         "identity_R2": cv.id_R2 / scale,
         "identity_R4": cv.id_R4 / scale,
-        "jacobi_y_annihilation": _maxabs(_matvec(cv.Rmat, p.y))
+        "jacobi_y_annihilation": _maxabs(np.einsum("...ij,...j->...i", cv.Rmat, p.y))
         / (scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
         "curvature_trace": trace / (scale * u * u),
     }
     if p.n == 2:
         fr = ms.frame
-        recon = _outer(fr.ell_lo, fr.ell_lo) + _outer(fr.m_lo, fr.m_lo)
+        recon = outer(fr.ell_lo, fr.ell_lo) + outer(fr.m_lo, fr.m_lo)
         orth = (
-            _dot(fr.ell_hi, fr.ell_lo) - 1.0,
-            _dot(fr.ell_hi, fr.m_lo),
-            _dot(fr.m_hi, fr.m_lo) - 1.0,
+            (fr.ell_hi * fr.ell_lo).sum(-1) - 1.0,
+            (fr.ell_hi * fr.m_lo).sum(-1),
+            (fr.m_hi * fr.m_lo).sum(-1) - 1.0,
         )
         checks["frame_orthonormality"] = np.max(np.abs(orth), axis=0)
         checks["frame_resolves_metric"] = (
@@ -355,8 +354,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _print_summary(doc)
     if cfg.output:
+        # written in blocks of chunks: the text of a big report is never held whole
+        chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(doc)
         with open(cfg.output, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            while block := "".join(itertools.islice(chunks, 1024)):
+                fh.write(block)
+            fh.write("\n")
     return exit_code
 
 

@@ -12,15 +12,14 @@ from .expr import Node
 from .geometry import (
     EvalPoint,
     _ell_lo,
-    _first,
-    _lift,
-    _outer,
     _positive_scalars,
-    _raise_first,
     _require_grid,
+    lift,
+    outer,
     phi_scalars,
+    residual_scale,
 )
-from .jet import GridJets, Jet, fail_nonfinite
+from .jet import GridJets, Jet, fail_nonfinite, first_true, raise_first
 from .spray import SprayPack, _grid_pq, spray_pack_from_jets
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
@@ -41,14 +40,6 @@ class CurvaturePack:
     id_R4: float  # R4 + s R3
     id_R2: float  # R1 + R2 + s R5
     identity_mismatch: bool
-
-
-def _scale(*values):
-    """max(1, |v|) over the values, per point."""
-    out = np.maximum(1.0, np.abs(values[0]))
-    for v in values[1:]:
-        out = np.maximum(out, np.abs(v))
-    return out
 
 
 def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
@@ -118,18 +109,18 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
 
     R2_id = -R1 - s * R5
     R4_id = -s * R3
-    scale = _scale(R1, R2, R3, R4, R5)
+    scale = residual_scale(R1, R2, R3, R4, R5)
     mismatch = (np.abs(R2 - R2_id) > IDENTITY_MISMATCH_TOL * scale) | (
         np.abs(R4 - R4_id) > IDENTITY_MISMATCH_TOL * scale
     )
 
     x, y = p.x, p.y
     Rmat = (
-        _lift(u * u * R1, 2) * np.eye(p.n)
-        + _lift(R2_id, 2) * _outer(y, y)
-        + _lift(u * u * R3, 2) * _outer(x, x)
-        + _lift(u * R4_id, 2) * _outer(x, y)
-        + _lift(u * R5, 2) * _outer(y, x)
+        lift(u * u * R1, 2) * np.eye(p.n)
+        + lift(R2_id, 2) * outer(y, y)
+        + lift(u * u * R3, 2) * outer(x, x)
+        + lift(u * R4_id, 2) * outer(x, y)
+        + lift(u * R5, 2) * outer(y, x)
     )
 
     ps = phi_scalars(jet)
@@ -192,15 +183,15 @@ def scalar_classify(
         cp = riemann_pack(sp, jet, pts)
         K = flag_curvature(cp, ps.phi, pts)
         fail_nonfinite(errors, "K", K)
-        resid = np.abs(cp.R3) / _scale(cp.R1, cp.R2, cp.R3, cp.R4, cp.R5)
+        resid = np.abs(cp.R3) / residual_scale(cp.R1, cp.R2, cp.R3, cp.R4, cp.R5)
         # reconstruction check of the scalar-curvature form
         F = pts.u * ps.phi
-        recon = _lift(K * F * F, 2) * (np.eye(n) - _outer(pts.y, _ell_lo(ps, pts)) / _lift(F, 2))
+        recon = lift(K * F * F, 2) * (np.eye(n) - outer(pts.y, _ell_lo(ps, pts)) / lift(F, 2))
         rscale = np.maximum(1.0, np.max(np.abs(cp.Rmat), axis=(-2, -1)))
         recon_failed = (n == 2) | (resid < tol)
         recon_failed &= np.max(np.abs(cp.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
-    stop = _first(recon_failed)
-    _raise_first(errors, stop)
+    stop = first_true(recon_failed)
+    raise_first(errors, stop)
     end = len(grid) if stop is None else stop + 1
     # a NaN residual never raised the running maximum
     seen = np.where(np.isnan(resid[:end]), 0.0, resid[:end])

@@ -4,8 +4,9 @@ All objects are assembled from the degree-4 Taylor jet of phi, at one
 evaluation point or at a batch of them: the pack functions take a jet batch
 and a batched ``EvalPoint`` and return one row per point, scalars of shape
 ``batch`` and tensors of shape ``(*batch, n, ..., n)``.  A one-point call is
-a batch of shape ().  Rows never mix, and contractions are summed in index
-order (``_dot``), so each row equals the one-point result.  The carrier
+a batch of shape ().  Rows never mix, and numpy sums a contraction
+(``np.einsum``, ``@``) of one row in the same order whether or not the row
+is part of a batch, so each row equals the one-point result.  The carrier
 metric is the Euclidean one, so raised and lowered indices coincide
 numerically.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Node
-from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where
+from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
 
 # Points closer to the |s| = r cone than this relative margin are rejected;
 # the inverse-metric scalars blow up there.
@@ -107,15 +108,14 @@ class PhiScalars:
     phi_sss: float
 
 
+# The (a, b) of the PhiScalars fields as partials of the jet, and a! b!.
+_PHI_A, _PHI_B = [0, 1, 0, 0, 1, 0], [0, 0, 1, 2, 1, 3]
+_PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 6.0])
+
+
 def phi_scalars(jet: Jet) -> PhiScalars:
-    return PhiScalars(
-        phi=jet.partial(0, 0),
-        phi_r=jet.partial(1, 0),
-        phi_s=jet.partial(0, 1),
-        phi_ss=jet.partial(0, 2),
-        phi_rs=jet.partial(1, 1),
-        phi_sss=jet.partial(0, 3),
-    )
+    c = jet.c[_PHI_A, _PHI_B]  # the six coefficients, in one gather
+    return PhiScalars(*(c * lift(_PHI_W, c.ndim - 1)))
 
 
 def _positive_scalars(jet: Jet, p: EvalPoint, errors: dict) -> PhiScalars:
@@ -130,33 +130,28 @@ def _positive_scalars(jet: Jet, p: EvalPoint, errors: dict) -> PhiScalars:
     return ps
 
 
-def _lift(a, k: int = 1):
+# -- column helpers ----------------------------------------------------------
+# Shared by the pack layers: per-point factors, outer products and residual
+# scales over a batch of points (see the module docstring).
+
+
+def lift(a, k: int = 1):
     """a with k trailing unit axes: a per-point factor of a vector (k = 1),
     a matrix (k = 2) or a 3-tensor (k = 3)."""
-    return np.reshape(a, np.shape(a) + (1,) * k)
+    return np.asarray(a)[(..., *(None,) * k)]
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i b_j per point."""
     return a[..., :, None] * b[..., None, :]
 
 
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """The sum over the last axis, in index order."""
-    out = a[..., 0]
-    for k in range(1, a.shape[-1]):
-        out = out + a[..., k]
+def residual_scale(*values):
+    """max(1, |v|) over the values, per point."""
+    out = np.maximum(1.0, np.abs(values[0]))
+    for v in values[1:]:
+        out = np.maximum(out, np.abs(v))
     return out
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a_k b_k over the last axis, in k order."""
-    return _sum_last(a * b)
-
-
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m_ij v_j per point."""
-    return _dot(m, v[..., None, :])
 
 
 def _ipow(a, k: int):
@@ -174,12 +169,12 @@ def _mu(ps: PhiScalars, s):
 
 def _n_lo(p: EvalPoint) -> np.ndarray:
     """n_j = x_j - (s/u) y_j."""
-    return p.x - _lift(p.s / p.u) * p.y
+    return p.x - lift(p.s / p.u) * p.y
 
 
 def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     """dF/dy^i = (phi/u) y_i + phi_s n_i."""
-    return _lift(ps.phi / p.u) * p.y + _lift(ps.phi_s) * _n_lo(p)
+    return lift(ps.phi / p.u) * p.y + lift(ps.phi_s) * _n_lo(p)
 
 
 def _require_grid(grid: list[EvalPoint]) -> None:
@@ -238,13 +233,13 @@ def metric_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> MetricPack:
     rho3 = undefined * -phi_ss / (phi * t * d)
 
     eye = np.eye(n)
-    xx = _outer(p.x, p.x)
-    yy = _outer(p.y, p.y)
-    xy = _outer(p.x, p.y) + _outer(p.y, p.x)
-    g = _lift(sigma0, 2) * eye + _lift(sigma1, 2) * xx + _lift(sigma2 / u, 2) * xy
-    g = g + _lift(sigma3 / (u * u), 2) * yy
-    ginv = _lift(rho0, 2) * eye + _lift(rho1 / (u * u), 2) * yy + _lift(rho2 / u, 2) * xy
-    ginv = ginv + _lift(rho3, 2) * xx
+    xx = outer(p.x, p.x)
+    yy = outer(p.y, p.y)
+    xy = outer(p.x, p.y) + outer(p.y, p.x)
+    g = lift(sigma0, 2) * eye + lift(sigma1, 2) * xx + lift(sigma2 / u, 2) * xy
+    g = g + lift(sigma3 / (u * u), 2) * yy
+    ginv = lift(rho0, 2) * eye + lift(rho1 / (u * u), 2) * yy + lift(rho2 / u, 2) * xy
+    ginv = ginv + lift(rho3, 2) * xx
 
     return MetricPack(
         sigma0=sigma0,
@@ -283,12 +278,12 @@ def _sym_vd(v: np.ndarray, n: int) -> np.ndarray:
 
 def _cube(a: np.ndarray) -> np.ndarray:
     """a_i a_j a_k."""
-    return _outer(a, a)[..., None] * a[..., None, None, :]
+    return outer(a, a)[..., None] * a[..., None, None, :]
 
 
 def _sym_aab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i a_j b_k + a_j a_k b_i + a_i a_k b_j."""
-    aa = _outer(a, a)
+    aa = outer(a, a)
     return (
         aa[..., :, :, None] * b[..., None, None, :]
         + aa[..., None, :, :] * b[..., :, None, None]
@@ -311,12 +306,12 @@ def cartan_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> CartanPack:
     x, y = p.x, p.y
     u2 = u * u
     C = (
-        _lift(mu / (2 * u), 3) * _sym_vd(x, n)
-        + _lift(nu / (2 * u), 3) * _cube(x)
-        - _lift(s * mu / (2 * u2), 3) * _sym_vd(y, n)
-        + _lift((3 * s * mu - s * s * s * nu) / (2 * (u2 * u2)), 3) * _cube(y)
-        + _lift((s * s * nu - mu) / (2 * (u2 * u)), 3) * _sym_aab(y, x)
-        - _lift(s * nu / (2 * u2), 3) * _sym_aab(x, y)
+        lift(mu / (2 * u), 3) * _sym_vd(x, n)
+        + lift(nu / (2 * u), 3) * _cube(x)
+        - lift(s * mu / (2 * u2), 3) * _sym_vd(y, n)
+        + lift((3 * s * mu - s * s * s * nu) / (2 * (u2 * u2)), 3) * _cube(y)
+        + lift((s * s * nu - mu) / (2 * (u2 * u)), 3) * _sym_aab(y, x)
+        - lift(s * nu / (2 * u2), 3) * _sym_aab(x, y)
     )
     return CartanPack(mu=mu, nu=nu, C=C)
 
@@ -325,19 +320,6 @@ class Degeneracy(enum.Enum):
     NONDEGENERATE = "nondegenerate"
     DEGENERATE_TYPE_A = "degenerate_type_a"
     DEGENERATE_TYPE_B = "degenerate_type_b"
-
-
-def _first(mask) -> int | None:
-    """The index of the first True entry, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
-def _raise_first(errors: dict, stop: int | None = None) -> None:
-    """Raise the error of the first failed point, if it comes no later than
-    the point stop where a scan in grid order ends (None: no early end)."""
-    if errors and (stop is None or min(errors) <= stop):
-        raise errors[min(errors)]
 
 
 def degeneracy_classify(
@@ -368,8 +350,8 @@ def degeneracy_classify(
         ok[list(errors)] = False
         not_a = np.logical_or.accumulate(ok & (np.abs(t) >= tol * scale))
         not_b = np.logical_or.accumulate(ok & (np.abs(d) >= tol * scale))
-    decided = _first(not_a & not_b)
-    _raise_first(errors, decided)
+    decided = first_true(not_a & not_b)
+    raise_first(errors, decided)
     if decided is not None:
         return Degeneracy.NONDEGENERATE
     if not not_a[-1]:

@@ -32,9 +32,10 @@ and the packs built on the jets) run under numpy's ``errstate``, so overflow
 in a failing column is not warned about; called without ``errors``, they
 raise the first failing point's error (``batched``).  Guards on whole
 columns (``fail_where``, ``fail_nonfinite``) test the batch in one numpy
-call and build an error only for the points that fail.  ``GridJets`` holds
-one expression's jets over a grid's unique (r, s) and hands each point its
-column's jet and error.
+call and build an error only for the points that fail; a scan in grid
+order that stops early raises only the errors up to its stop
+(``raise_first``).  ``GridJets`` holds one expression's jets over a grid's
+unique (r, s) and hands each point its column's jet and error.
 
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
@@ -134,7 +135,7 @@ class Jet:
         """The mixed partial (d/dr)^a (d/ds)^b at the base point(s)."""
         if a < 0 or b < 0 or a + b > DEGREE:
             raise ValueError(f"partial order ({a},{b}) outside the jet degree")
-        v = self.c[a, b] * _FACT[a] * _FACT[b]
+        v = self.c[a, b] * (_FACT[a] * _FACT[b])
         return float(v) if v.ndim == 0 else v
 
     def __getitem__(self, index) -> "Jet":
@@ -217,8 +218,8 @@ def batched(fn):
         sink = {} if errors is None else errors
         with np.errstate(all="ignore"):
             out = fn(*args, errors=sink, **kwargs)
-        if errors is None and sink:
-            raise sink[min(sink)]
+        if errors is None:
+            raise_first(sink)
         return out
 
     return entry
@@ -252,7 +253,7 @@ def fail_where(mask, errors: dict, error, *columns) -> None:
 
     The test is one numpy call over the batch; only the failing points build
     their error, from their entries of the columns as Python floats."""
-    for i in np.flatnonzero(mask).tolist():
+    for i in np.asarray(mask).ravel().nonzero()[0].tolist():
         if i not in errors:
             errors[i] = error(*(np.ravel(c)[i].item() for c in columns))
 
@@ -262,6 +263,20 @@ def fail_nonfinite(errors: dict, name: str, values) -> None:
     fail_where(
         ~np.isfinite(values), errors, lambda v: DomainError(f"non-finite {name} = {v}"), values
     )
+
+
+def first_true(mask) -> int | None:
+    """The flat index of the first True entry of mask, or None."""
+    hits = np.asarray(mask).ravel().nonzero()[0]
+    return int(hits[0]) if hits.size else None
+
+
+def raise_first(errors: dict, stop: int | None = None) -> None:
+    """Raise the error of the first failed point, in flat batch order, if it
+    comes no later than the point stop where a scan in that order ends
+    (None: the scan runs to the end)."""
+    if errors and (stop is None or min(errors) <= stop):
+        raise errors[min(errors)]
 
 
 def _compose(derivs: np.ndarray, g: Jet) -> Jet:

@@ -16,11 +16,10 @@ from .expr import Node
 from .geometry import (
     EvalPoint,
     GeometryError,
-    _dot,
     _ell_lo,
-    _lift,
-    _outer,
     _positive_scalars,
+    lift,
+    outer,
     phi_scalars,
 )
 from .jet import GridJets, Jet, batched, eval_jet, jet_reciprocal, per_point
@@ -112,13 +111,13 @@ def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
     Q, Q_s = qj.partial(0, 0), qj.partial(0, 1)
     u, s = p.u, p.s
     x, y = p.x, p.y
-    G = _lift(u * P) * y + _lift(u * u * Q) * x
+    G = lift(u * P) * y + lift(u * u * Q) * x
     N = (
-        _lift(u * P, 2) * np.eye(p.n)
-        + _lift(P_s, 2) * _outer(y, x)
-        + _lift((P - s * P_s) / u, 2) * _outer(y, y)
-        + _lift(u * Q_s, 2) * _outer(x, x)
-        + _lift(2 * Q - s * Q_s, 2) * _outer(x, y)
+        lift(u * P, 2) * np.eye(p.n)
+        + lift(P_s, 2) * outer(y, x)
+        + lift((P - s * P_s) / u, 2) * outer(y, y)
+        + lift(u * Q_s, 2) * outer(x, x)
+        + lift(2 * Q - s * Q_s, 2) * outer(x, y)
     )
     return SprayPack(
         P=P,
@@ -143,9 +142,9 @@ def horizontal_residual(jet: Jet, sp: SprayPack, p: EvalPoint) -> np.ndarray:
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
     ps = phi_scalars(jet)
-    u, r = _lift(p.u), _lift(p.r)
-    dF_dx = u * (_lift(ps.phi_r) * p.x / r + _lift(ps.phi_s) * p.y / u)
-    return dF_dx - _dot(_ell_lo(ps, p)[..., None, :], np.swapaxes(sp.N, -1, -2))
+    u, r = lift(p.u), lift(p.r)
+    dF_dx = u * (lift(ps.phi_r) * p.x / r + lift(ps.phi_s) * p.y / u)
+    return dF_dx - np.einsum("...ij,...i->...j", sp.N, _ell_lo(ps, p))
 
 
 def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> MetrizabilityResiduals:

@@ -14,19 +14,15 @@ from .geometry import (
     EvalPoint,
     GeometryError,
     MetricPack,
-    _dot,
     _ell_lo,
-    _first,
-    _lift,
     _n_lo,
-    _raise_first,
     _require_grid,
-    _sum_last,
     cartan_pack,
+    lift,
     metric_pack,
     phi_scalars,
 )
-from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where
+from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -43,23 +39,22 @@ class BerwaldFrame:
 
 
 @batched
-def berwald_frame(
-    jet: Jet, p: EvalPoint, mp: MetricPack | None = None, *, errors: dict
-) -> BerwaldFrame:
+def berwald_frame(jet: Jet, p: EvalPoint, *, errors: dict) -> BerwaldFrame:
     """The orthonormal pair (l, m) at surface points.
 
     a(r, s) = sqrt(phi (phi - s phi_s + (r^2-s^2) phi_ss) / (r^2 - s^2)),
     n^i = rho0 n^i_euclid + ((r^2-s^2)/u)(rho2 y^i + u rho3 x^i).
     A point fails where the radicand of a is not positive, and where
-    ``metric_pack`` fails (mp, when given, is p's metric pack).
+    ``metric_pack`` fails.
     """
-    return _frame(jet, p, mp, errors)[0]
+    return _frame(jet, p, None, errors)[0]
 
 
 def _frame(
     jet: Jet, p: EvalPoint, mp: MetricPack | None, errors: dict
 ) -> tuple[BerwaldFrame, MetricPack]:
-    """The Berwald frame and the metric pack it was built from."""
+    """The Berwald frame and the metric pack it was built from (mp, when
+    given, is p's metric pack)."""
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
     ps = phi_scalars(jet)
@@ -80,15 +75,15 @@ def _frame(
     if mp is None:
         mp = metric_pack(jet, p, errors=errors)
     n_lo = _n_lo(p)
-    n_hi = _lift(mp.rho0) * n_lo + _lift(w / u) * (_lift(mp.rho2) * p.y + _lift(u * mp.rho3) * p.x)
+    n_hi = lift(mp.rho0) * n_lo + lift(w / u) * (lift(mp.rho2) * p.y + lift(u * mp.rho3) * p.x)
     frame = BerwaldFrame(
         ell_lo=_ell_lo(ps, p),
-        ell_hi=p.y / _lift(mp.F),
+        ell_hi=p.y / lift(mp.F),
         n_lo=n_lo,
         n_hi=n_hi,
         a=a,
-        m_lo=_lift(a) * n_lo,
-        m_hi=_lift(a) * n_hi,
+        m_lo=lift(a) * n_lo,
+        m_hi=lift(a) * n_hi,
     )
     return frame, mp
 
@@ -121,14 +116,12 @@ def main_scalar(
     A = mp.rho0 + p.s * mp.rho2 + p.r * p.r * mp.rho3
     B = mp.rho2 + p.s * mp.rho3
     m = frame.m_hi
-    msq = _dot(m, m)
+    msq = (m * m).sum(-1)
     a = frame.a
     I = (ps.phi / 2.0) * (
         3 * cp.mu / a * msq - 3 * a * cp.mu * w * w * B * B + cp.nu / (a * a * a)
     )
-    # sum_ijk C_ijk m^i m^j m^k, term by term in index order
-    terms = cp.C * m[..., :, None, None] * m[..., None, :, None] * m[..., None, None, :]
-    I_direct = mp.F * _sum_last(terms.reshape(*terms.shape[:-3], -1))
+    I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", cp.C, m, m, m)
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame)
 
 
@@ -154,14 +147,14 @@ def riemannian_test(
         cp = cartan_pack(jet, pts, errors=errors)
         fail_nonfinite(errors, "mu", cp.mu)
         fail_nonfinite(errors, "nu", cp.nu)
-        _raise_first(errors)
+        raise_first(errors)
         phi0 = phi_scalars(jet).phi
         fail_nonfinite(errors, "phi^2", phi0 * phi0)
         scale = tol * np.maximum(1.0, phi0 * phi0)
-        not_riemannian = _first(np.abs(cp.mu) >= scale)
-        inconsistent = _first(np.abs(cp.nu) >= scale)
+        not_riemannian = first_true(np.abs(cp.mu) >= scale)
+        inconsistent = first_true(np.abs(cp.nu) >= scale)
     # the mu test stops at the first point with a nonzero mu
-    _raise_first(errors, not_riemannian)
+    raise_first(errors, not_riemannian)
     if not_riemannian is not None:
         return False
     if inconsistent is not None:

@@ -406,3 +406,34 @@ def test_each_point_keeps_the_first_guard_it_fails(capsys, tmp_path):
             assert point["reason"].startswith(f"phi = {point['s']} is not positive")
         else:
             assert "TYPE_B" in point["reason"]
+
+
+def test_undefined_inverse_scalars_are_non_finite_skips(capsys, tmp_path):
+    # phi = 1 + s^2 at r = 2, s = 1: phi - s phi_s = 0, so the rho scalars of
+    # g^-1 are undefined (NaN) while every guard passes.  At n = 2 the main
+    # scalar reads them; at n = 3 only check's residuals do.
+    args = ["--phi", "1+s^2", "--r", "2:2:1", "--s-frac", "0.5:0.5:1"]
+    for sub in ("report", "check"):
+        code, doc = run_json([sub, *args], capsys, tmp_path)
+        assert code == 3 and doc["points"] == []
+        assert [p["reason"] for p in doc["skipped"]] == ["non-finite I = nan"] * 2
+    code, report = run_json(["report", *args, "--dim", "3"], capsys, tmp_path)
+    assert code == 0 and len(report["points"]) == 2 and report["skipped"] == []
+    assert [p["det_direct"] for p in report["points"]] == [0.0, 0.0]
+    code, check = run_json(["check", *args, "--dim", "3"], capsys, tmp_path)
+    assert code == 3 and check["points"] == []
+    assert [p["reason"] for p in check["skipped"]] == ["non-finite metric_inverse = nan"] * 2
+
+
+def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
+    # 120 points make several blocks of encoder chunks; the file is still
+    # exactly json.dumps(doc, sort_keys=True, indent=1) plus a newline
+    from finslerlab.cli import RunConfig, run
+
+    path = tmp_path / "out.json"
+    args = ["check", "--phi", "1+s", "--r", "0.5:1.2:8", "--s-frac=-0.7:0.7:15", "--u", "1:1:1"]
+    assert main([*args, "--json", str(path)]) == 0
+    capsys.readouterr()
+    grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
+    doc, _ = run(RunConfig("check", "1+s", 2, *grids))
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -166,7 +166,7 @@ def test_scalar_classify_raises_the_first_failing_points_error(text, error, matc
 
 
 @pytest.mark.parametrize("text", TEST_PHIS)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_curvature_rows_match_single_points(text, n):
     # every row of a batched riemann_pack / flag_curvature equals the one-point value
     points, batch, jets, singles = rotated_batch(text, n)

@@ -215,7 +215,7 @@ CURVATURE_PHIS = [
 
 
 @pytest.mark.parametrize("text", CURVATURE_PHIS)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_metric_and_cartan_rows_match_single_points(text, n):
     points, batch, jets, singles = rotated_batch(text, n)
     mp, cp = metric_pack(jets, batch), cartan_pack(jets, batch)

@@ -197,7 +197,7 @@ def test_batched_pq_jets_keep_each_point_error(text):
 
 
 @pytest.mark.parametrize("text", ["1+s", "sqrt(1+s^2)", EX45, "1 + 0.2*s + 0.1*s^2 + 0.05*r^2"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_spray_rows_match_single_points(text, n):
     points, batch, jets, singles = rotated_batch(text, n)
     sp = pq_from_phi(jets, batch)
