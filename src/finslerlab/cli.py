@@ -21,15 +21,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import flag_curvature, riemann_pack, scalar_classify
+from .curvature import flag_curvature, riemann_pack, scalar_from_jets
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
     GeometryError,
     _ell_lo,
+    _require_grid,
     canonical_point,
     cartan_pack,
-    degeneracy_classify,
+    degeneracy_from_jets,
     lift,
     metric_pack,
     outer,
@@ -44,7 +45,7 @@ from .spray import (
     metrizability_from_spray,
     spray_pack_from_jets,
 )
-from .surface import main_scalar, riemannian_test
+from .surface import main_scalar, riemannian_from_jets
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
@@ -171,14 +172,39 @@ def _evaluate(
     return columns, checks
 
 
-def _metrize(phi_jets, p_jets, q_jets, p: EvalPoint, errors: dict, tol: float) -> dict:
+def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
     """C1/C2 and C3 of the user spray (P, Q) at the points p, by name."""
     jet = phi_jets.rows(errors)
-    user_sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), p)
+    pj, qj = (GridJets.evaluate(e, p.r, p.s).rows(errors) for e in (p_ast, q_ast))
+    user_sp = spray_pack_from_jets(pj, qj, p)
     mr = metrizability_from_spray(jet, user_sp, p)
     bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
     ok = np.maximum(np.abs(mr.C1), np.abs(mr.C2)) <= bound
     return {"C1": mr.C1, "C2": mr.C2, "C3": riemann_pack(user_sp, jet, p).C3, "pass": ok}
+
+
+def _classify(phi_jets: GridJets, p: EvalPoint, kept: list[int], verdicts: dict) -> list[dict]:
+    """The verdicts on the points kept of p, into verdicts, and the K samples.
+    Each classifier scans the points in order; a failed one's verdict is None."""
+    _require_grid(kept)
+    p = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y)))
+    jets, pq = phi_jets.take(kept), [g.take(kept) for g in _grid_pq(phi_jets)]
+    K = np.empty(0)  # no samples if the scalar test fails
+    try:
+        verdicts["is_scalar"], K, verdicts["max_R3_residual"], _ = scalar_from_jets(jets, pq, p)
+    except (ArithmeticError, GeometryError) as exc:
+        verdicts.update(is_scalar=None, scalar_error=str(exc))
+    try:
+        verdicts["degeneracy"] = degeneracy_from_jets(jets, p.r, p.s).value
+    except ArithmeticError as exc:
+        verdicts.update(degeneracy=None, degeneracy_error=str(exc))
+    if p.n == 2:
+        try:
+            verdicts["riemannian"] = riemannian_from_jets(jets, p)
+        except (ArithmeticError, GeometryError) as exc:
+            verdicts.update(riemannian=None, riemannian_error=str(exc))
+    rsu = zip(p.r.tolist(), p.s.tolist(), p.u.tolist())
+    return [{"r": r, "s": s, "u": u, "K": k} for (r, s, u), k in zip(rsu, K.tolist())]
 
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
@@ -214,26 +240,22 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         except (ArithmeticError, GeometryError) as exc:
             failed[i] = exc
     # The points are evaluated as one batch, each jet once per unique (r, s).
-    # A point that fails a guard keeps its first error, in stage order; for
-    # report and check, one test then fails the points whose values came
-    # out non-finite.
+    # A point that fails a guard keeps its first error, in stage order; one test
+    # then fails the non-finite values.  classify skips only phi jet failures.
     columns, checks, errors = {}, {}, {}
     if points:
         with np.errstate(all="ignore"):
             batch = EvalPoint.stack(points)
             phi_jets = GridJets.evaluate(phi, batch.r, batch.s)
             if cfg.subcommand == "classify":
-                # the classifiers evaluate their own jets; this only screens the domain
                 phi_jets.rows(errors)
             elif cfg.subcommand == "metrize":
-                p_jets = GridJets.evaluate(p_ast, batch.r, batch.s)
-                q_jets = GridJets.evaluate(q_ast, batch.r, batch.s)
-                columns = _metrize(phi_jets, p_jets, q_jets, batch, errors, tol)
+                columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
             else:
                 columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
-                for name, values in (columns | checks).items():
-                    if name != "regular":
-                        fail_nonfinite(errors, name, values)
+            for name, values in (columns | checks).items():
+                if name != "regular":
+                    fail_nonfinite(errors, name, values)
     failed.update((rows[k], exc) for k, exc in errors.items())
     kept = [k for k in range(len(rows)) if k not in errors]
     doc: dict = {
@@ -252,26 +274,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         return doc, 3
 
     if cfg.subcommand == "classify":
-        usable, verdicts = [points[k] for k in kept], doc["verdicts"]
-        try:
-            report = scalar_classify(phi, usable)
-            verdicts["is_scalar"] = report.is_scalar
-            verdicts["max_R3_residual"] = report.max_R3_residual
-            doc["points"] = [{"r": p.r, "s": p.s, "u": p.u, "K": K} for p, K in report.K_samples]
-        except (ArithmeticError, GeometryError) as exc:
-            verdicts["is_scalar"] = None
-            verdicts["scalar_error"] = str(exc)
-        try:
-            verdicts["degeneracy"] = degeneracy_classify(phi, usable).value
-        except ArithmeticError as exc:
-            verdicts["degeneracy"] = None
-            verdicts["degeneracy_error"] = str(exc)
-        if cfg.dim == 2:
-            try:
-                verdicts["riemannian"] = riemannian_test(phi, usable)
-            except (ArithmeticError, GeometryError) as exc:
-                verdicts["riemannian"] = None
-                verdicts["riemannian_error"] = str(exc)
+        doc["points"] = _classify(phi_jets, batch, kept, doc["verdicts"])
         return doc, 0
 
     names = ["r", "s", "u", *columns]
@@ -287,20 +290,15 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     return doc, 0 if all(c["pass"] for c in doc["checks"]) else 1
 
 
-def _print_summary(doc: dict, file=None):
-    if file is None:
-        file = sys.stdout
+def _print_summary(doc: dict):
     cfg = doc["config"]
-    print(f"finsler-lab {doc['version']}  phi = {cfg['phi']}  dim = {cfg['dim']}", file=file)
-    print(
-        f"grid: {len(doc['points'])} points evaluated, {len(doc['skipped'])} skipped",
-        file=file,
-    )
+    print(f"finsler-lab {doc['version']}  phi = {cfg['phi']}  dim = {cfg['dim']}")
+    print(f"grid: {len(doc['points'])} points evaluated, {len(doc['skipped'])} skipped")
     for c in doc["checks"]:
         status = "pass" if c["pass"] else "FAIL"
-        print(f"  [{status}] {c['name']}: max residual {c['max_residual']:.3e}", file=file)
+        print(f"  [{status}] {c['name']}: max residual {c['max_residual']:.3e}")
     for key, value in doc["verdicts"].items():
-        print(f"  {key}: {value}", file=file)
+        print(f"  {key}: {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:

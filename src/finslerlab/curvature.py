@@ -172,39 +172,40 @@ def scalar_classify(
     """
     _require_grid(grid)
     pts = EvalPoint.stack(grid)
-    n = pts.n
+    jets = GridJets.evaluate(phi, pts.r, pts.s)
+    is_scalar, K, max_resid, failing = scalar_from_jets(jets, _grid_pq(jets), pts, tol)
+    failing = None if failing is None else grid[failing]
+    return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)
+
+
+def scalar_from_jets(
+    jets: GridJets, pq: tuple[GridJets, GridJets], p: EvalPoint, tol: float = SCALAR_TOL
+) -> tuple[bool, np.ndarray, float, int | None]:
+    """``scalar_classify`` at the points p, from the phi and P/Q jets there: the
+    verdict, K at the sampled points, the largest R3 residual, the failing index."""
     errors = {}
     with np.errstate(all="ignore"):
-        jets = GridJets.evaluate(phi, pts.r, pts.s)
         jet = jets.rows(errors)
-        ps = _positive_scalars(jet, pts, errors)
-        p_jets, q_jets = _grid_pq(jets)
-        sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), pts)
-        cp = riemann_pack(sp, jet, pts)
-        K = flag_curvature(cp, ps.phi, pts)
+        ps = _positive_scalars(jet, p, errors)
+        sp = spray_pack_from_jets(pq[0].rows(errors), pq[1].rows(errors), p)
+        cp = riemann_pack(sp, jet, p)
+        K = flag_curvature(cp, ps.phi, p)
         fail_nonfinite(errors, "K", K)
         resid = np.abs(cp.R3) / residual_scale(cp.R1, cp.R2, cp.R3, cp.R4, cp.R5)
         # reconstruction check of the scalar-curvature form
-        F = pts.u * ps.phi
-        recon = lift(K * F * F, 2) * (np.eye(n) - outer(pts.y, _ell_lo(ps, pts)) / lift(F, 2))
+        F = p.u * ps.phi
+        recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
         rscale = np.maximum(1.0, np.max(np.abs(cp.Rmat), axis=(-2, -1)))
-        recon_failed = (n == 2) | (resid < tol)
+        recon_failed = (p.n == 2) | (resid < tol)
         recon_failed &= np.max(np.abs(cp.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
     stop = first_true(recon_failed)
     raise_first(errors, stop)
-    end = len(grid) if stop is None else stop + 1
+    end = len(K) if stop is None else stop + 1
     # a NaN residual never raised the running maximum
     seen = np.where(np.isnan(resid[:end]), 0.0, resid[:end])
     max_resid = float(seen.max())
-    failing = grid[int(seen.argmax())] if max_resid > 0.0 else None
+    failing = int(seen.argmax()) if max_resid > 0.0 else None
     if stop is not None:
-        failing = grid[stop]
-
-    is_scalar = stop is None and (n == 2 or max_resid < tol)
-    return ScalarCurvatureReport(
-        is_scalar=is_scalar,
-        K_samples=list(zip(grid[:end], K[:end].tolist())),
-        max_R3_residual=max_resid,
-        n=n,
-        failing_point=None if is_scalar else failing,
-    )
+        failing = stop
+    is_scalar = stop is None and (p.n == 2 or max_resid < tol)
+    return is_scalar, K[:end], max_resid, None if is_scalar else failing

@@ -210,6 +210,11 @@ def to_string(e: Node) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+_MATH = {
+    "sqrt": math.sqrt, "exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "abs": abs
+}
+
+
 def eval_value(e: Node, r: float, s: float) -> float:
     """Evaluate an AST to a plain float at (r, s)."""
     if isinstance(e, Num):
@@ -242,20 +247,10 @@ def eval_value(e: Node, r: float, s: float) -> float:
         raise TypeError(f"unknown operator {e.op!r}")
     if isinstance(e, Call):
         v = eval_value(e.arg, r, s)
+        if e.func not in _MATH:
+            raise TypeError(f"unknown function {e.func!r}")
         try:
-            if e.func == "sqrt":
-                return math.sqrt(v)
-            if e.func == "exp":
-                return math.exp(v)
-            if e.func == "ln":
-                return math.log(v)
-            if e.func == "sin":
-                return math.sin(v)
-            if e.func == "cos":
-                return math.cos(v)
-            if e.func == "abs":
-                return abs(v)
+            return _MATH[e.func](v)
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"{exc} in {to_string(e)}") from exc
-        raise TypeError(f"unknown function {e.func!r}")
     raise TypeError(f"not an expression node: {e!r}")

@@ -177,7 +177,7 @@ def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     return lift(ps.phi / p.u) * p.y + lift(ps.phi_s) * _n_lo(p)
 
 
-def _require_grid(grid: list[EvalPoint]) -> None:
+def _require_grid(grid: list) -> None:
     if len(grid) < 8:
         raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
 
@@ -335,18 +335,22 @@ def degeneracy_classify(
     point before it whose jet or values fail raises its error.
     """
     _require_grid(grid)
-    r = np.array([p.r for p in grid], dtype=float)
-    s = np.array([p.s for p in grid], dtype=float)
+    r, s = np.array([(p.r, p.s) for p in grid], dtype=float).T
+    return degeneracy_from_jets(GridJets.evaluate(phi, r, s), r, s, tol)
+
+
+def degeneracy_from_jets(jets: GridJets, r, s, tol: float = DEGENERACY_TOL) -> Degeneracy:
+    """``degeneracy_classify`` at the points (r, s), from phi's jets there."""
     errors = {}
     with np.errstate(all="ignore"):
-        ps = phi_scalars(GridJets.evaluate(phi, r, s).rows(errors))
+        ps = phi_scalars(jets.rows(errors))
         scale = np.maximum(1.0, ps.phi * ps.phi)
         t = ps.phi - s * ps.phi_s
         d = t + (r * r - s * s) * ps.phi_ss
         fail_nonfinite(errors, "phi^2", scale)
         fail_nonfinite(errors, "phi - s phi_s", t)
         fail_nonfinite(errors, "phi - s phi_s + (r^2-s^2) phi_ss", d)
-        ok = np.ones(len(grid), dtype=bool)
+        ok = np.ones(len(r), dtype=bool)
         ok[list(errors)] = False
         not_a = np.logical_or.accumulate(ok & (np.abs(t) >= tol * scale))
         not_b = np.logical_or.accumulate(ok & (np.abs(d) >= tol * scale))

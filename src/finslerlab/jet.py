@@ -138,10 +138,6 @@ class Jet:
         v = self.c[a, b] * (_FACT[a] * _FACT[b])
         return float(v) if v.ndim == 0 else v
 
-    def __getitem__(self, index) -> "Jet":
-        """The jet at one point, or a sub-batch, of the first batch axis."""
-        return Jet(self.c[:, :, index])
-
     def d_r(self) -> "Jet":
         """Jet of df/dr (exact to one total degree less)."""
         return self._shift(*_DR)
@@ -536,6 +532,10 @@ class GridJets:
     def with_jets(self, jets: Jet, errors: dict) -> "GridJets":
         """Other jets on the same columns."""
         return GridJets(self.r, self.s, self.index, jets, errors)
+
+    def take(self, rows: list[int]) -> "GridJets":
+        """The same jets at the points rows only, in that order."""
+        return GridJets(self.r, self.s, self.index[rows], self.jets, self.errors)
 
     def rows(self, errors: dict) -> Jet:
         """The jets at the points, one batch row each.  A point whose column

@@ -125,9 +125,7 @@ def main_scalar(
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame)
 
 
-def riemannian_test(
-    phi: Node, grid: list[EvalPoint], tol: float = RIEMANNIAN_TOL
-) -> bool:
+def riemannian_test(phi: Node, grid: list[EvalPoint], tol: float = RIEMANNIAN_TOL) -> bool:
     """True iff mu vanishes across the grid (the Riemannian criterion).
 
     When mu vanishes, nu is checked too: d(mu)/ds = -s nu forces nu = 0,
@@ -137,14 +135,18 @@ def riemannian_test(
     nonzero mu, where the test stops.
     """
     _require_grid(grid)
-    for p in grid:
-        if p.n != 2:
-            raise GeometryError(f"Riemannian test requires n = 2, got n = {p.n}")
     pts = EvalPoint.stack(grid)
+    if pts.n != 2:
+        raise GeometryError(f"Riemannian test requires n = 2, got n = {pts.n}")
+    return riemannian_from_jets(GridJets.evaluate(phi, pts.r, pts.s), pts, tol)
+
+
+def riemannian_from_jets(jets: GridJets, p: EvalPoint, tol: float = RIEMANNIAN_TOL) -> bool:
+    """``riemannian_test`` at the surface points p, from phi's jets there."""
     errors = {}
     with np.errstate(all="ignore"):
-        jet = GridJets.evaluate(phi, pts.r, pts.s).rows(errors)
-        cp = cartan_pack(jet, pts, errors=errors)
+        jet = jets.rows(errors)
+        cp = cartan_pack(jet, p, errors=errors)
         fail_nonfinite(errors, "mu", cp.mu)
         fail_nonfinite(errors, "nu", cp.nu)
         raise_first(errors)

@@ -273,6 +273,7 @@ def record_eval_jet_points(monkeypatch) -> list:
         (["report"], 1),
         (["check"], 1),
         (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], 3),
+        (["classify"], 1),
     ],
 )
 def test_one_evaluation_pass_per_point(args, expressions, monkeypatch, capsys, tmp_path):
@@ -289,13 +290,17 @@ def test_one_evaluation_pass_per_point(args, expressions, monkeypatch, capsys, t
 
 
 def test_classify_evaluates_each_classifier_in_one_batch(monkeypatch, capsys, tmp_path):
+    from finslerlab import spray
+
     calls = record_eval_jet_points(monkeypatch)
+    pq_calls = []
+    wrap_everywhere(monkeypatch, spray, "pq_jets", lambda *args, **kwargs: pq_calls.append(args))
     code, doc = run_json(["classify", "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
     assert code == 0 and doc["verdicts"]["riemannian"] is False
-    # the domain screen, then at most one batch per classifier (three at n = 2)
-    assert len(calls) <= 4
-    for _, pairs in calls:
-        assert len(pairs) == len(set(pairs)) == 15
+    # the three classifiers share one batch of phi jets and one of P/Q jets
+    assert len(calls) == 1 and len(pq_calls) == 1
+    pairs = calls[0][1]
+    assert len(pairs) == len(set(pairs)) == 15
 
 
 @pytest.mark.parametrize(
@@ -437,3 +442,95 @@ def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
     grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
     doc, _ = run(RunConfig("check", "1+s", 2, *grids))
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "phi, q, exit_code, points",
+    [("1e200*(2+s)", "1e300*s", 3, 0), ("1+s", "1e305*s^2", 1, 6)],
+)
+def test_metrize_skips_points_whose_residuals_are_not_finite(
+    phi, q, exit_code, points, capsys, tmp_path
+):
+    # C1/C2/C3 overflow: those points are skips, as in report, not failed records;
+    # for 1+s only C3 overflows, and only where s != 0
+    args = ["metrize", "--phi", phi, "--p", "1/(s-0.1)", "--q", q]
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == exit_code
+    assert len(doc["points"]) == points and len(doc["skipped"]) == 30 - points
+    assert all(p["reason"].startswith("non-finite ") for p in doc["skipped"])
+    for rec in doc["points"]:
+        assert all(np.isfinite(rec[name]) for name in ("C1", "C2", "C3"))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "phi",
+    [
+        FLAT,
+        "1+s",
+        "sqrt(1+s^2)",
+        "1+s^2-0.9*r",
+        "3*s",
+        "2*s + 0.5*sqrt(r^2 - s^2)",
+        "1e200*(2+s)",
+        "exp(s)^800",
+    ],
+)
+def test_classify_matches_the_public_classifiers(phi, dim, capsys, tmp_path):
+    # classify shares one evaluation pass among its classifiers; its verdicts,
+    # errors and K samples are those of the public classifiers on the points
+    # whose phi jets evaluate
+    from finslerlab import (
+        GeometryError,
+        canonical_point,
+        degeneracy_classify,
+        parse,
+        riemannian_test,
+        scalar_classify,
+    )
+
+    code, doc = run_json(["classify", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
+    assert code == 0
+    skipped = {(p["r"], p["s"], p["u"]) for p in doc["skipped"]}
+    grid = [
+        canonical_point(dim, r, frac * r, u)
+        for r in parse_range("0.5:1.5:3")
+        for frac in parse_range("-0.7:0.7:5")
+        for u in parse_range("1:2:2")
+        if (r, frac * r, u) not in skipped
+    ]
+    e, verdicts = parse(phi), doc["verdicts"]
+
+    def outcome(classify):
+        try:
+            return classify(e, grid), None
+        except (ArithmeticError, GeometryError) as exc:
+            return None, str(exc)
+
+    report, error = outcome(scalar_classify)
+    assert verdicts.get("scalar_error") == error
+    if report is None:
+        assert verdicts["is_scalar"] is None and doc["points"] == []
+    else:
+        assert verdicts["is_scalar"] == report.is_scalar
+        assert verdicts["max_R3_residual"] == report.max_R3_residual
+        samples = [{"r": p.r, "s": p.s, "u": p.u, "K": K} for p, K in report.K_samples]
+        assert doc["points"] == samples
+    verdict, error = outcome(degeneracy_classify)
+    assert verdicts["degeneracy"] == (verdict and verdict.value)
+    assert verdicts.get("degeneracy_error") == error
+    if dim == 2:
+        verdict, error = outcome(riemannian_test)
+        assert verdicts["riemannian"] == verdict and verdicts.get("riemannian_error") == error
+    else:
+        assert "riemannian" not in verdicts
+
+
+def test_classify_keeps_the_stage_order_of_errors(capsys, tmp_path):
+    # phi = 3s at s < 0 fails both phi > 0 and the TYPE_B denominator of P/Q;
+    # the scalar classifier reports the phi > 0 failure, as report would
+    code, doc = run_json(["classify", "--phi", "3*s"], capsys, tmp_path)
+    assert code == 0
+    for error in ("scalar_error", "riemannian_error"):
+        assert doc["verdicts"][error].startswith("phi = ")
+        assert doc["verdicts"][error].endswith("is not positive at (r, s) = (0.5, -0.35)")
