@@ -81,6 +81,8 @@ def parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be A:B:K, got {text!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not np.isfinite([start, stop]).all():
+        raise ValueError(f"range end points must be finite, got {text!r}")
     if count < 1:
         raise ValueError(f"range count must be >= 1, got {count}")
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -227,46 +229,35 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     rotation = None
     if cfg.rotate:
         rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
-    cells = [
-        (r, frac * r, u)
-        for r, frac, u in itertools.product(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid)
-    ]
-    failed = {}  # cell -> the first error the cell met
-    points, rows = [], []  # the cells' points, and the cell of each
-    for i, (r, s, u) in enumerate(cells):
-        try:
-            points.append(canonical_point(cfg.dim, r, s, u, rotation=rotation))
-            rows.append(i)
-        except (ArithmeticError, GeometryError) as exc:
-            failed[i] = exc
-    # The points are evaluated as one batch, each jet once per unique (r, s).
-    # A point that fails a guard keeps its first error, in stage order; one test
-    # then fails the non-finite values.  classify skips only phi jet failures.
+    grid = np.meshgrid(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid, indexing="ij")
+    r, frac, u = (g.ravel() for g in grid)
+    # The grid's cells are evaluated as one batch, each jet once per unique
+    # (r, s).  A cell that fails a guard keeps its first error, in stage order;
+    # one test then fails the non-finite values.  classify skips only the
+    # cells and phi jets that fail.
     columns, checks, errors = {}, {}, {}
-    if points:
-        with np.errstate(all="ignore"):
-            batch = EvalPoint.stack(points)
-            phi_jets = GridJets.evaluate(phi, batch.r, batch.s)
-            if cfg.subcommand == "classify":
-                phi_jets.rows(errors)
-            elif cfg.subcommand == "metrize":
-                columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
-            else:
-                columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
-            for name, values in (columns | checks).items():
-                if name != "regular":
-                    fail_nonfinite(errors, name, values)
-    failed.update((rows[k], exc) for k, exc in errors.items())
-    kept = [k for k in range(len(rows)) if k not in errors]
+    with np.errstate(all="ignore"):
+        batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
+        phi_jets = GridJets.evaluate(phi, batch.r, batch.s)
+        if cfg.subcommand == "classify":
+            phi_jets.rows(errors)
+        elif cfg.subcommand == "metrize":
+            columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
+        else:
+            columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
+        for name, values in (columns | checks).items():
+            if name != "regular":
+                fail_nonfinite(errors, name, values)
+    kept = [k for k in range(r.size) if k not in errors]
     doc: dict = {
         "config": cfg.as_dict(),
         "points": [],
         "checks": [],
         "verdicts": {},
         "skipped": [
-            {"r": r, "s": s, "u": u, "reason": str(failed[i])}
-            for i, (r, s, u) in enumerate(cells)
-            if i in failed
+            {"r": r, "s": s, "u": u, "reason": str(errors[i])}
+            for i, (r, s, u) in enumerate(zip(batch.r.tolist(), batch.s.tolist(), batch.u.tolist()))
+            if i in errors
         ],
         "version": __version__,
     }

@@ -63,31 +63,44 @@ class EvalPoint:
         )
 
 
+@batched
 def canonical_point(
-    n: int, r: float, s: float, u: float, rotation: np.ndarray | None = None
+    n: int, r, s, u, rotation: np.ndarray | None = None, *, errors: dict
 ) -> EvalPoint:
-    """Embed (r, s, u) in the x-y coordinate 2-plane.
+    """Embed (r, s, u) in the x-y coordinate 2-plane, at one point (floats)
+    or at a batch (arrays of one shape).
 
     x = (r, 0, ..., 0), y = (s u / r, (u / r) sqrt(r^2 - s^2), 0, ..., 0),
     so that |x| = r, |y| = u and <x, y> = s u exactly.  An optional
     orthogonal ``rotation`` is applied to both vectors; the scalars are
-    rotation invariants.
+    rotation invariants.  A point fails where r or u is not positive or
+    |s| is too close to r.
     """
     if n < 2:
         raise GeometryError(f"dimension must be >= 2, got {n}")
-    if r <= 0 or u <= 0:
-        raise GeometryError(f"r and u must be positive, got r={r}, u={u}")
-    if r - abs(s) < BOUNDARY_MARGIN * r:
-        raise GeometryError(f"|s| = {abs(s)} too close to r = {r} (|s| < r required)")
-    x = np.zeros(n)
-    y = np.zeros(n)
-    x[0] = r
-    y[0] = s * u / r
-    y[1] = (u / r) * math.sqrt(r * r - s * s)
+    r, s, u = (np.asarray(v, dtype=float) for v in (r, s, u))
+    fail_where(
+        (r <= 0) | (u <= 0),
+        errors,
+        lambda r, u: GeometryError(f"r and u must be positive, got r={r}, u={u}"),
+        r, u,
+    )
+    fail_where(
+        r - np.abs(s) < BOUNDARY_MARGIN * r,
+        errors,
+        lambda a, r: GeometryError(f"|s| = {a} too close to r = {r} (|s| < r required)"),
+        np.abs(s), r,
+    )
+    x, y = np.zeros((2, *r.shape, n))
+    x[..., 0] = r
+    y[..., 0] = s * u / r
+    y[..., 1] = (u / r) * np.sqrt(r * r - s * s)
     if rotation is not None:
-        x = rotation @ x
-        y = rotation @ y
-    return EvalPoint(n=n, r=r, s=s, u=u, x=x, y=y)
+        # one matrix-vector product per point, a point's alone or a batch's
+        # stacked, so each row equals the one-point call bit for bit
+        x = (rotation @ x[..., None])[..., 0]
+        y = (rotation @ y[..., None])[..., 0]
+    return EvalPoint(n=n, r=r[()], s=s[()], u=u[()], x=x, y=y)
 
 
 def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:

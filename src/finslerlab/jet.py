@@ -22,20 +22,19 @@ batch column sums each output bin in the order of the textbook quadruple
 loop, so products match that loop bit for bit.
 
 The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
-jet's value) and the domain guards are computed per point on Python floats
-(``per_point``), so values, exception types and messages are those of a
-one-point evaluation.  A failing point gets NaN seeds and its error is
-recorded in an ``errors`` dict under its flat batch index; a point keeps its
-first error, in the order a one-point evaluation meets them, and the rest of
-the batch runs on.  The batched entry points (``eval_jet``, ``spray.pq_jets``
-and the packs built on the jets) run under numpy's ``errstate``, so overflow
-in a failing column is not warned about; called without ``errors``, they
-raise the first failing point's error (``batched``).  Guards on whole
-columns (``fail_where``, ``fail_nonfinite``) test the batch in one numpy
-call and build an error only for the points that fail; a scan in grid
-order that stops early raises only the errors up to its stop
-(``raise_first``).  ``GridJets`` holds one expression's jets over a grid's
-unique (r, s) and hands each point its column's jet and error.
+jet's value) are numpy columns over the batch, and every domain guard is a
+mask over a column.  ``fail_where`` tests the batch in one numpy call and
+builds an error only for the points that fail, with the type and message a
+one-point evaluation gives; a point keeps its first error, in the order a
+one-point evaluation meets them, under its flat batch index in an
+``errors`` dict, and the rest of the batch runs on.  The batched entry
+points (the jet functions, ``eval_jet``, ``spray.pq_jets`` and the packs
+built on the jets) run under numpy's ``errstate``, so overflow in a failing
+column is not warned about; called without ``errors``, they raise the first
+failing point's error (``batched``).  A scan in grid order that stops early
+raises only the errors up to its stop (``raise_first``).  ``GridJets``
+holds one expression's jets over a grid's unique (r, s) and hands each point
+its column's jet and error.
 
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
@@ -45,8 +44,11 @@ values and low-order partials of downstream expressions stay exact.
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
+import operator
+import os
 
 import numpy as np
 
@@ -71,8 +73,6 @@ _MUL_I, _MUL_J, _MUL_K = np.array(
 # d_r, d_s: out[DST] = c[SRC] * W on the targets of total degree <= 3.
 _DR = tuple(np.array([((a + 1) * _N + b, a * _N + b, a + 1) for a, b in _LOW3]).T.copy())
 _DS = tuple(np.array([(a * _N + b + 1, a * _N + b, b + 1) for a, b in _LOW3]).T.copy())
-
-_NAN_SEEDS = (math.nan,) * _N
 
 
 def _cols(c: np.ndarray) -> np.ndarray:
@@ -221,28 +221,6 @@ def batched(fn):
     return entry
 
 
-def per_point(fn, errors: dict | None, *columns) -> list:
-    """fn(*values) at each point, in flat batch order; None where it failed.
-
-    Each column holds one value per point (a jet's ``c[0, 0]``, say), and fn
-    gets them as Python floats.  With ``errors``, a point that has already
-    failed is passed over and what fn raises becomes the point's error;
-    without it, the error is raised."""
-    out = []
-    for i, args in enumerate(zip(*(c.ravel().tolist() for c in columns))):
-        if errors is not None and i in errors:
-            out.append(None)
-            continue
-        try:
-            out.append(fn(*args))
-        except Exception as exc:
-            if errors is None:
-                raise
-            errors[i] = exc
-            out.append(None)
-    return out
-
-
 def fail_where(mask, errors: dict, error, *columns) -> None:
     """Record error(*values) at each point where mask holds, unless the point
     has failed already.
@@ -275,11 +253,11 @@ def raise_first(errors: dict, stop: int | None = None) -> None:
         raise errors[min(errors)]
 
 
-def _compose(derivs: np.ndarray, g: Jet) -> Jet:
+def _compose(derivs, g: Jet) -> Jet:
     """Truncated composition f(g) from f's derivatives at g's value.
 
-    ``derivs[k]`` is the k-th derivative of f at g's value, k = 0..4, one
-    per point of the batch.
+    ``derivs[k]`` is the k-th derivative of f at g's value, k = 0..4, a
+    column over the batch.
     """
     h = g - g.c[0, 0]
     acc = h * (derivs[DEGREE] / _FACT[DEGREE]) + derivs[DEGREE - 1] / _FACT[DEGREE - 1]
@@ -288,85 +266,81 @@ def _compose(derivs: np.ndarray, g: Jet) -> Jet:
     return acc
 
 
-def _taylor(g: Jet, derivs_at, errors: dict | None) -> Jet:
-    """f(g), with f's derivatives at each point's value from derivs_at."""
-    rows = per_point(derivs_at, errors, g.c[0, 0])
-    table = np.array([_NAN_SEEDS if row is None else row for row in rows]).T
-    return _compose(table.reshape(_N, *g.batch), g)
+def _fail(mask, errors: dict, v, message: str) -> None:
+    """A DomainError with message, formatted with the point's value v, at
+    each point where mask holds."""
+    fail_where(mask, errors, lambda v: DomainError(message.format(v=v)), v)
 
 
-def _reciprocal_derivs(v: float) -> tuple[float, ...]:
-    if v == 0.0:
-        raise DomainError("division by a jet with zero value")
-    try:
-        return tuple((-1.0) ** k * _FACT[k] / v ** (k + 1) for k in range(DEGREE + 1))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"reciprocal of jet value {v!r} is out of float range") from exc
+def _positive_powers(g: Jet, errors: dict, name: str) -> list:
+    """v, v^2, v^3, v^4 at g's value v, for sqrt or ln (name): a point fails
+    where v is not positive, then where a power overflows, with the
+    OverflowError of Python's float power.  np.power with a float exponent
+    takes one path for a 0-d value and a batch, so rows match bit for bit."""
+    v = g.c[0, 0]
+    _fail(v <= SINGULAR_TOL, errors, v, name + " of non-positive jet value {v!r}")
+    pw = [v, *(np.power(v, float(k)) for k in (2, 3, 4))]
+    overflow = OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    fail_where(np.isfinite(v) & np.isinf(pw[3]), errors, lambda: overflow)
+    return pw
 
 
-def jet_reciprocal(g: Jet, errors: dict | None = None) -> Jet:
-    return _taylor(g, _reciprocal_derivs, errors)
+@batched
+def jet_reciprocal(g: Jet, *, errors: dict) -> Jet:
+    v = g.c[0, 0]
+    pw = [np.power(v, float(k + 1)) for k in range(_N)]
+    _fail(v == 0.0, errors, v, "division by a jet with zero value")
+    out_of_range = np.isfinite(v) & (np.isinf(pw[DEGREE]) | (pw[DEGREE] == 0.0))
+    _fail(out_of_range, errors, v, "reciprocal of jet value {v!r} is out of float range")
+    return _compose([(-1.0) ** k * _FACT[k] / pw[k] for k in range(_N)], g)
 
 
-def _sqrt_derivs(v: float) -> tuple[float, ...]:
-    if v <= SINGULAR_TOL:
-        raise DomainError(f"sqrt of non-positive jet value {v!r}")
-    f0 = math.sqrt(v)
-    return (f0, 0.5 * f0 / v, -0.25 * f0 / v**2, 0.375 * f0 / v**3, -0.9375 * f0 / v**4)
+@batched
+def jet_sqrt(g: Jet, *, errors: dict) -> Jet:
+    v, v2, v3, v4 = _positive_powers(g, errors, "sqrt")
+    f0 = np.sqrt(v)
+    return _compose((f0, 0.5 * f0 / v, -0.25 * f0 / v2, 0.375 * f0 / v3, -0.9375 * f0 / v4), g)
 
 
-def jet_sqrt(g: Jet, errors: dict | None = None) -> Jet:
-    return _taylor(g, _sqrt_derivs, errors)
+@batched
+def jet_exp(g: Jet, *, errors: dict) -> Jet:
+    v = g.c[0, 0]
+    f0 = np.exp(v)
+    _fail(np.isfinite(v) & np.isinf(f0), errors, v, "exp of jet value {v!r} overflows")
+    return _compose((f0,) * _N, g)
 
 
-def _exp_derivs(v: float) -> tuple[float, ...]:
-    try:
-        f0 = math.exp(v)
-    except OverflowError as exc:
-        raise DomainError(f"exp of jet value {v!r} overflows") from exc
-    return (f0,) * (DEGREE + 1)
+@batched
+def jet_ln(g: Jet, *, errors: dict) -> Jet:
+    v, v2, v3, v4 = _positive_powers(g, errors, "ln")
+    return _compose((np.log(v), 1.0 / v, -1.0 / v2, 2.0 / v3, -6.0 / v4), g)
 
 
-def jet_exp(g: Jet, errors: dict | None = None) -> Jet:
-    return _taylor(g, _exp_derivs, errors)
+def _trig(g: Jet, errors: dict, name: str, shift: int) -> Jet:
+    """sin (shift 0) or cos (shift 1): the seeds cycle sin, cos, -sin, -cos."""
+    v = g.c[0, 0]
+    _fail(np.isinf(v), errors, v, name + " of infinite jet value {v!r}")
+    sv, cv = np.sin(v), np.cos(v)
+    cycle = (sv, cv, -sv, -cv)
+    return _compose([cycle[(shift + k) % 4] for k in range(_N)], g)
 
 
-def _ln_derivs(v: float) -> tuple[float, ...]:
-    if v <= SINGULAR_TOL:
-        raise DomainError(f"ln of non-positive jet value {v!r}")
-    return (math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+@batched
+def jet_sin(g: Jet, *, errors: dict) -> Jet:
+    return _trig(g, errors, "sin", 0)
 
 
-def jet_ln(g: Jet, errors: dict | None = None) -> Jet:
-    return _taylor(g, _ln_derivs, errors)
+@batched
+def jet_cos(g: Jet, *, errors: dict) -> Jet:
+    return _trig(g, errors, "cos", 1)
 
 
-def _sin_derivs(v: float) -> tuple[float, ...]:
-    sv, cv = math.sin(v), math.cos(v)
-    return (sv, cv, -sv, -cv, sv)
-
-
-def jet_sin(g: Jet, errors: dict | None = None) -> Jet:
-    return _taylor(g, _sin_derivs, errors)
-
-
-def _cos_derivs(v: float) -> tuple[float, ...]:
-    sv, cv = math.sin(v), math.cos(v)
-    return (cv, -sv, -cv, sv, cv)
-
-
-def jet_cos(g: Jet, errors: dict | None = None) -> Jet:
-    return _taylor(g, _cos_derivs, errors)
-
-
-def _abs_guard(v: float) -> None:
-    if abs(v) <= SINGULAR_TOL:
-        raise DomainError("abs of a jet with value at the kink (|value| <= 1e-12)")
-
-
-def jet_abs(g: Jet, errors: dict | None = None) -> Jet:
-    per_point(_abs_guard, errors, g.c[0, 0])
-    return Jet(np.where(g.c[0, 0] > 0, g.c, -g.c))
+@batched
+def jet_abs(g: Jet, *, errors: dict) -> Jet:
+    v = g.c[0, 0]
+    kink = "abs of a jet with value at the kink (|value| <= 1e-12)"
+    _fail(np.abs(v) <= SINGULAR_TOL, errors, v, kink)
+    return Jet(np.where(v > 0, g.c, -g.c))
 
 
 def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
@@ -374,7 +348,7 @@ def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
     if n == 0:
         return Jet.constant(1.0, g.batch)
     if n < 0:
-        return jet_reciprocal(jet_ipow(g, -n), errors)
+        return jet_reciprocal(jet_ipow(g, -n), errors=errors)
     out: Jet | None = None
     base = g
     while n:
@@ -392,42 +366,39 @@ def _take(g: Jet, idx: list[int]) -> Jet:
     return Jet(_cols(g.c)[:, idx].reshape(_N, _N, len(idx)))
 
 
-def _pow_route(constant: bool, p: float, b: float) -> int | None:
-    """The integer exponent of a point's power, or None for exp(e*ln(b))."""
-    if constant and math.isfinite(p) and p == round(p) and abs(p) <= 1024:
-        return int(round(p))
-    if b <= 0.0:
-        raise DomainError(f"non-integer power of non-positive base {b!r}")
-    return None
-
-
-def jet_pow(base: Jet, expo: Jet, errors: dict | None = None) -> Jet:
+@batched
+def jet_pow(base: Jet, expo: Jet, *, errors: dict) -> Jet:
     """base^expo: integer constant exponents by squaring, else exp(e*ln(b)).
 
-    The route is chosen per point, and the points of each route are
-    evaluated as one sub-batch."""
+    The route is chosen per point by masks, and the points of each route
+    are evaluated as one sub-batch."""
+    e, b = np.ravel(expo.c[0, 0]), np.ravel(base.c[0, 0])
     constant = np.abs(_cols(expo.c)[1:]).max(axis=0) < 1e-14
-    groups: dict[int | None, list[int]] = {}
-    for i, route in enumerate(per_point(_pow_route, errors, constant, expo.c[0, 0], base.c[0, 0])):
-        if errors is None or i not in errors:
-            groups.setdefault(route, []).append(i)
+    integer = constant & np.isfinite(e) & (e == np.trunc(e)) & (np.abs(e) <= 1024)
+    _fail(~integer & (b <= 0.0), errors, b, "non-integer power of non-positive base {v!r}")
+    live = np.ones(b.size, dtype=bool)
+    live[list(errors)] = False
     out = np.full(_cols(base.c).shape, math.nan)
-    for route, idx in groups.items():
-        sub_base, part = _take(base, idx), None if errors is None else {}
+    for route in [None, *set(e[integer & live].tolist())]:
+        on_route = ~integer if route is None else integer & (e == route)
+        idx, part = np.flatnonzero(live & on_route).tolist(), {}
+        if not idx:
+            continue
         if route is None:
-            sub = jet_exp(_take(expo, idx) * jet_ln(sub_base, part), part)
+            sub = jet_exp(_take(expo, idx) * jet_ln(_take(base, idx), errors=part), errors=part)
         else:
-            sub = jet_ipow(sub_base, route, part)
+            sub = jet_ipow(_take(base, idx), int(route), errors=part)
         out[:, idx] = _cols(sub.c)
-        if part:
-            errors.update((idx[k], exc) for k, exc in part.items())
+        errors.update((idx[k], exc) for k, exc in part.items())
     return Jet(out.reshape(base.c.shape))
 
 
 def _divide(a: Jet, b: Jet, errors: dict) -> Jet:
-    return a * jet_reciprocal(b, errors)
+    return a * jet_reciprocal(b, errors=errors)
 
 
+_RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FAILING = {"/": _divide, "^": jet_pow}  # the operators that can fail at a point
 _JET_FUNCS = {
     "sqrt": jet_sqrt,
     "exp": jet_exp,
@@ -444,7 +415,7 @@ def _named(node: Node, errors: dict, fn, *args) -> Jet:
     A point records only its first error, so the errors fn records are the
     keys it appends."""
     known = len(errors)
-    out = fn(*args, errors)
+    out = fn(*args, errors=errors)
     for i in list(errors)[known:]:
         if isinstance(errors[i], DomainError):
             cause = errors[i]
@@ -474,28 +445,22 @@ def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
         if isinstance(node, Neg):
             return -rec(node.arg)
         if isinstance(node, BinOp):
-            a = rec(node.left)
-            b = rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return _named(node, errors, _divide, a, b)
-            if node.op == "^":
-                return _named(node, errors, jet_pow, a, b)
+            a, b = rec(node.left), rec(node.right)
+            if node.op in _RING:
+                return _RING[node.op](a, b)
+            if node.op in _FAILING:
+                return _named(node, errors, _FAILING[node.op], a, b)
             raise TypeError(f"unknown operator {node.op!r}")
         if isinstance(node, Call):
             return _named(node, errors, _JET_FUNCS[node.func], rec(node.arg))
         raise TypeError(f"not an expression node: {node!r}")
 
     out = rec(e)
-    finite = np.isfinite(_cols(out.c)).all(axis=0)
-    for i in np.flatnonzero(~finite).tolist():
-        if i not in errors:
-            errors[i] = DomainError(f"non-finite jet coefficient in {to_string(e)}")
+    fail_where(
+        ~np.isfinite(_cols(out.c)).all(axis=0),
+        errors,
+        lambda: DomainError(f"non-finite jet coefficient in {to_string(e)}"),
+    )
     return out
 
 

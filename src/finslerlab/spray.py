@@ -22,7 +22,7 @@ from .geometry import (
     outer,
     phi_scalars,
 )
-from .jet import GridJets, Jet, batched, eval_jet, jet_reciprocal, per_point
+from .jet import GridJets, Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ class MetrizabilityResiduals:
     C2: float
 
 
-def _type_b_guard(denom: float, phi: float) -> None:
-    if abs(denom) < 1e-12 * max(1.0, phi**2):
-        raise GeometryError(
-            "degenerate denominator phi - s phi_s + (r^2 - s^2) phi_ss ~ 0 "
-            "(TYPE_B degeneracy suspected)"
-        )
-
-
 @batched
 def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     """Jets of P and Q at the points (r, s) from the phi jet.
@@ -76,10 +68,19 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     sj = Jet.variable_s(s)
     w = rj * rj - sj * sj
     denom = phi - sj * phi_s + w * phi_ss
-    per_point(_type_b_guard, errors, denom.c[0, 0], phi.c[0, 0])
-    q = (-phi_r + sj * phi_rs + rj * phi_ss) * jet_reciprocal(2.0 * rj * denom, errors)
-    p = -(q * jet_reciprocal(phi, errors)) * (sj * phi + w * phi_s)
-    p = p + (sj * phi_r + rj * phi_s) * jet_reciprocal(2.0 * rj * phi, errors)
+    phi2 = phi.c[0, 0] * phi.c[0, 0]
+    fail_nonfinite(errors, "phi^2", phi2)
+    fail_where(
+        np.abs(denom.c[0, 0]) < 1e-12 * np.maximum(1.0, phi2),
+        errors,
+        lambda: GeometryError(
+            "degenerate denominator phi - s phi_s + (r^2 - s^2) phi_ss ~ 0 "
+            "(TYPE_B degeneracy suspected)"
+        ),
+    )
+    q = (-phi_r + sj * phi_rs + rj * phi_ss) * jet_reciprocal(2.0 * rj * denom, errors=errors)
+    p = -(q * jet_reciprocal(phi, errors=errors)) * (sj * phi + w * phi_s)
+    p = p + (sj * phi_r + rj * phi_s) * jet_reciprocal(2.0 * rj * phi, errors=errors)
     return p, q
 
 

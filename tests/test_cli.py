@@ -1,6 +1,8 @@
 """End-to-end tests for the finsler-lab command line interface."""
 
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -534,3 +536,51 @@ def test_classify_keeps_the_stage_order_of_errors(capsys, tmp_path):
     for error in ("scalar_error", "riemannian_error"):
         assert doc["verdicts"][error].startswith("phi = ")
         assert doc["verdicts"][error].endswith("is not positive at (r, s) = (0.5, -0.35)")
+
+
+@pytest.mark.parametrize("grid", ["--u=1:inf:2", "--r=nan:1:3", "--s-frac=-inf:0.5:3"])
+def test_non_finite_range_end_points_exit_2(grid, capsys):
+    code, out, err = run_cli(["report", "--phi", "1+s", grid], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: range end points must be finite, got '{grid.split('=')[1]}'\n"
+    with pytest.raises(ValueError, match="range end points must be finite"):
+        parse_range(grid.split("=")[1])
+
+
+def test_overflowing_phi_squared_is_named_in_every_guard(capsys, tmp_path):
+    # phi = 1e200 (2 + s): phi^2 overflows, so the TYPE_B guard cannot scale its
+    # test; the points are skipped with the reason the classifiers give
+    code, doc = run_json(["check", "--phi", "1e200*(2+s)"], capsys, tmp_path)
+    assert code == 3 and len(doc["skipped"]) == 30
+    assert {point["reason"] for point in doc["skipped"]} == {"non-finite phi^2 = inf"}
+    code, doc = run_json(["classify", "--phi", "1e200*(2+s)"], capsys, tmp_path)
+    assert code == 0
+    assert doc["verdicts"]["scalar_error"] == "non-finite phi^2 = inf"
+    assert doc["verdicts"]["degeneracy_error"] == "non-finite phi^2 = inf"
+
+
+@pytest.mark.parametrize("sub", ["report", "classify"])
+def test_cells_the_embedding_rejects_are_skips_in_grid_order(sub, capsys, tmp_path):
+    # r = 0, u <= 0 and |s| = 0.9999999 r are rejected before any jet is taken;
+    # the 12 cells left are evaluated, and every cell keeps its grid position
+    ranges = {"--r": "0:1.5:4", "--s-frac": "-0.9999999:0.9999999:3", "--u": "-0.5:2:6"}
+    skipped, kept = [], []
+    for r, frac, u in itertools.product(*(parse_range(text) for text in ranges.values())):
+        s = frac * r
+        if r <= 0 or u <= 0:
+            reason = f"r and u must be positive, got r={r}, u={u}"
+        elif frac != 0.0:
+            reason = f"|s| = {abs(s)} too close to r = {r} (|s| < r required)"
+        else:
+            kept.append((r, s, u))
+            continue
+        skipped.append({"r": r, "s": s, "u": u, "reason": reason})
+    args = [sub, "--phi", "1+0.3*s", "--dim", "3", *(f"{k}={v}" for k, v in ranges.items())]
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == 0
+    assert len(skipped) == 60 and len(kept) == 12
+    assert doc["skipped"] == skipped
+    assert [(p["r"], p["s"], p["u"]) for p in doc["points"]] == kept
+    if sub == "classify":
+        assert doc["verdicts"]["degeneracy"] == "nondegenerate"
+        assert all(math.isfinite(p["K"]) for p in doc["points"])

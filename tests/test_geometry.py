@@ -59,6 +59,47 @@ def test_canonical_point_boundary_rejected():
         canonical_point(1, 1.0, 0.0, 1.0)
 
 
+GRID_CELLS = [
+    (r, frac * r, u)
+    for r in (0.4, 1.1, 1.9)
+    for frac in (-0.8, -0.3, 0.0, 0.45, 0.8)
+    for u in (0.6, 2.0)
+]
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_canonical_point_rows_match_single_point_bits(n, rotate):
+    rotation = random_rotation(n, np.random.default_rng(11)) if rotate else None
+    r, s, u = (np.array(v) for v in zip(*GRID_CELLS))
+    batch = canonical_point(n, r, s, u, rotation=rotation)
+    assert batch.x.shape == batch.y.shape == (len(GRID_CELLS), n)
+    for k, cell in enumerate(GRID_CELLS):
+        single = canonical_point(n, *cell, rotation=rotation)
+        for name in ("r", "s", "u", "x", "y"):
+            row, one = np.asarray(getattr(batch, name))[k], np.asarray(getattr(single, name))
+            assert row.tobytes() == one.tobytes(), (k, name)
+
+
+def test_canonical_point_failing_rows_keep_their_single_point_error():
+    cells = [(1.0, 0.3, 1.0), (-1.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, -0.9999999, 2.0),
+             (0.0, 0.0, -1.0), (2.0, 1.0, 1.5), (1.0, 1.0, 1.0)]
+    r, s, u = (np.array(v) for v in zip(*cells))
+    errors = {}
+    batch = canonical_point(3, r, s, u, errors=errors)
+    for k, cell in enumerate(cells):
+        try:
+            single = canonical_point(3, *cell)
+        except GeometryError as exc:
+            assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc), k
+        else:
+            assert k not in errors
+            assert batch.y[k].tobytes() == single.y.tobytes()
+    assert sorted(errors) == [1, 2, 3, 4, 6]
+    with pytest.raises(GeometryError, match=r"^r and u must be positive, got r=-1.0, u=1.0$"):
+        canonical_point(3, r, s, u)
+
+
 def test_rotation_preserves_scalars():
     rot = random_rotation(3, np.random.default_rng(7))
     assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-13)

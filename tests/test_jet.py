@@ -262,6 +262,8 @@ def test_high_order_coefficients_stay_zero():
         ("1/(1e-70 + 0*s)", (1.0, 0.5), "reciprocal of jet value"),
         ("1/(1e70 + s)", (1.0, 0.5), "reciprocal of jet value"),
         ("exp(s)^800", (1.0, 0.9), "non-finite jet coefficient in"),
+        ("sin(1e308*10)", (1.0, 0.5), r"^sin of infinite jet value inf in sin\(\(1e\+308 \* 10"),
+        ("cos(s-1e308*10)", (1.0, 0.5), r"^cos of infinite jet value -inf in cos\("),
     ],
 )
 def test_float_range_failures_raise_domain_error(text, point, match):
@@ -364,6 +366,16 @@ def test_power_routes_record_their_own_errors():
     assert str(errors[1]).startswith("non-integer power of non-positive base -0.3 in ")
 
 
+def test_equal_exponent_values_keep_their_own_power_route():
+    # at r = 1.0001 the exponent's value rounds to exactly 2, but its jet is
+    # not constant: that point takes exp(e ln b), the r = 1 point squares
+    e = parse("s^((r-1)^5+2)")
+    r, s = np.array([1.0, 1.0001]), np.array([0.5, 0.5])
+    batch = eval_jet(e, r, s)
+    for k in range(2):
+        assert batch.c[:, :, k].tobytes() == eval_jet(e, r[k], s[k]).c.tobytes(), k
+
+
 def test_batched_product_matches_reference_loop_exactly():
     rng = np.random.default_rng(99)
     for size in (1, 7, 48):
@@ -373,3 +385,19 @@ def test_batched_product_matches_reference_loop_exactly():
         for k in range(size):
             want = cauchy_reference(x[:, :, k], y[:, :, k])
             assert product[:, :, k].tobytes() == want.tobytes(), (size, k)
+
+
+
+@pytest.mark.parametrize("text", ["sqrt(s + 1)", "ln(s + 1)"])
+def test_overflowing_seed_powers_raise_the_float_power_error(text):
+    # the seeds divide by v^2..v^4: where v^4 overflows (s = 1e100), the point
+    # fails with the OverflowError of Python's float power; s = 0.5 runs on
+    with pytest.raises(OverflowError) as python:
+        1e100**4
+    e, errors = parse(text), {}
+    batch = eval_jet(e, np.ones(2), np.array([1e100, 0.5]), errors=errors)
+    assert list(errors) == [0]
+    assert type(errors[0]) is OverflowError and str(errors[0]) == str(python.value)
+    assert batch.c[:, :, 1].tobytes() == eval_jet(e, 1.0, 0.5).c.tobytes()
+    with pytest.raises(OverflowError, match="^" + re.escape(str(python.value)) + "$"):
+        eval_jet(e, 1.0, 1e100)
