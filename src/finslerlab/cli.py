@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -292,6 +292,45 @@ def _print_summary(doc: dict):
         print(f"  {key}: {value}")
 
 
+# the texts of values of these exact types; json.dumps writes any other type
+_LITERALS = {None: "null", False: "false", True: "true"}
+_FORMATS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+            bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column(values: list, pad: str) -> list[str]:
+    """json.dumps(v, sort_keys=True, indent=1) of each v in values, with pad
+    before each line after the first.  A column of one type is formatted in
+    one pass; lists of one length and dicts with the same keys fill one
+    template.  json.dumps writes the rest: all its line breaks are layout."""
+    kind = type(values[0]) if len(set(map(type, values))) == 1 else None
+    if kind in _FORMATS:
+        text = list(map(_FORMATS[kind], values))
+        return text if _NONFINITE.keys().isdisjoint(text) else [_NONFINITE.get(t, t) for t in text]
+    same_keys = kind is dict and all(d.keys() == values[0].keys() for d in values)
+    if kind is list and len(set(map(len, values))) == 1:
+        n = len(values[0])
+        flat = _column([x for v in values for x in v], pad + " ")
+        columns, labels, brackets = [flat[j::n] for j in range(n)], [""] * n, "[]"
+    elif same_keys and all(type(k) is str for k in values[0]):
+        keys = sorted(values[0])
+        columns = [_column([d[k] for d in values], pad + " ") for k in keys]
+        labels, brackets = [encode_basestring_ascii(k) + ": " for k in keys], "{}"
+    else:
+        return [json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n" + pad) for v in values]
+    lines = ",\n".join(pad + " " + label.replace("%", "%%") + "%s" for label in labels)
+    fill = f"{brackets[0]}\n{lines}\n{pad}{brackets[1]}" if labels else brackets
+    return [fill % row for row in (zip(*columns) if labels else [()] * len(values))]
+
+
+def write_report(doc: dict, path: str) -> None:
+    """Write doc to path as json.dumps(doc, sort_keys=True, indent=1) plus a
+    newline, byte for byte, formatted column by column."""
+    with open(path, "w") as fh:
+        fh.write(_column([doc], "")[0] + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="finsler-lab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -343,12 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _print_summary(doc)
     if cfg.output:
-        # written in blocks of chunks: the text of a big report is never held whole
-        chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(doc)
-        with open(cfg.output, "w") as fh:
-            while block := "".join(itertools.islice(chunks, 1024)):
-                fh.write(block)
-            fh.write("\n")
+        write_report(doc, cfg.output)
     return exit_code
 
 

@@ -445,7 +445,13 @@ def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
         if isinstance(node, Neg):
             return -rec(node.arg)
         if isinstance(node, BinOp):
-            a, b = rec(node.left), rec(node.right)
+            a, b = rec(node.left), node.right
+            # an integer literal exponent (n or -n): jet_pow's squaring route at every point
+            lit, sign = (b.arg, -1) if isinstance(b, Neg) else (b, 1)
+            if node.op == "^" and isinstance(lit, Num) and abs(lit.value) <= 1024:
+                if lit.value % 1 == 0:
+                    return _named(node, errors, jet_ipow, a, sign * int(lit.value))
+            b = rec(b)
             if node.op in _RING:
                 return _RING[node.op](a, b)
             if node.op in _FAILING:

@@ -433,8 +433,8 @@ def test_undefined_inverse_scalars_are_non_finite_skips(capsys, tmp_path):
 
 
 def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
-    # 120 points make several blocks of encoder chunks; the file is still
-    # exactly json.dumps(doc, sort_keys=True, indent=1) plus a newline
+    # 120 points make long columns for the column-wise writer; the file is
+    # still exactly json.dumps(doc, sort_keys=True, indent=1) plus a newline
     from finslerlab.cli import RunConfig, run
 
     path = tmp_path / "out.json"
@@ -444,6 +444,82 @@ def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
     grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
     doc, _ = run(RunConfig("check", "1+s", 2, *grids))
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        # jet-domain skips on a rotated grid, and a grid whose cells the embedding rejects
+        ["report", "--phi", "ln(s+0.5)+2", "--rotate"],
+        ["report", "--phi", "1+s", "--u=-1:0:2"],
+        ["check", "--phi", "ln(s+0.5)+2", "--rotate"],
+        ["check", "--phi", "1+s", "--u=-1:0:2"],
+        ["classify", "--phi", "ln(s+0.5)+2", "--rotate"],
+        ["classify", "--phi", "1+s", "--u=-1:0:2"],
+        # null verdicts with their *_error strings, and no K samples
+        ["classify", "--phi", "1e200*(2+s)"],
+        ["metrize", "--phi", "ln(s+0.5)+2", "--p", "0", "--q", "0", "--rotate"],
+        ["metrize", "--phi", "1+s", "--p", "0", "--q", "0", "--u=-1:0:2"],
+    ],
+)
+def test_report_file_is_byte_for_byte_the_indented_json(args, dim, monkeypatch, capsys, tmp_path):
+    from finslerlab import cli
+
+    docs, run = [], cli.run
+
+    def recording_run(cfg):
+        doc, code = run(cfg)
+        docs.append(doc)
+        return doc, code
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    path = tmp_path / "out.json"
+    code = main([*args, "--dim", dim, "--json", str(path)])
+    capsys.readouterr()
+    (doc,) = docs
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert (code == 3) == (doc["points"] == [] and doc["verdicts"] == {})
+    if "1e200*(2+s)" in args:
+        assert doc["verdicts"]["is_scalar"] is None and doc["verdicts"]["scalar_error"]
+    else:
+        assert doc["skipped"]
+
+
+def test_write_report_matches_json_dumps_on_any_document(tmp_path):
+    from finslerlab.cli import write_report
+
+    nan, inf = float("nan"), float("inf")
+    doc = {
+        "floats": [1.5, -0.0, 0.0, 1e-300, 1e300, nan, inf, -inf],
+        "records": [
+            {"a": 1.0, "b": [True, False], "c": None, "%s": "100%"},
+            {"a": nan, "b": [False, True], "c": 3, "%s": "\u00e9\n\t\"\\"},
+        ],
+        "differing_keys": [{"a": 1}, {"b": [1, 2]}, {}, {"a": 1, "b": {}}],
+        "lists": [[], [[]], [1, [2, [3]]], (4, 5), [1.0, "x", None, False]],
+        "empty": {"dict": {}, "list": [], "str": ""},
+        "text": ["\u2603 snow", "tab\tquote\"", "\x00\x1f", "\ud83d\ude00", "\ud800"],
+        "ints": [0, -1, 2**70, True],
+        "float64": np.float64(2.5),
+        "non_str_keys": [{1: "one", 2.5: "two and a half", False: "no"}, {None: "null"}],
+        "int_keys": {10: "ten", 9: "nine"},
+        "scalar": -inf,
+    }
+    path = tmp_path / "out.json"
+    write_report(doc, path)
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    for value in (1.0, None, "x", [], {}, nan):
+        write_report(value, path)
+        assert path.read_text() == json.dumps(value, sort_keys=True, indent=1) + "\n"
+    # a type json.dumps rejects raises json's own TypeError, nested or not
+    for bad in (np.int64(3), np.bool_(True), np.float32(1.5), {1, 2}, b"x"):
+        for wrapped in (bad, {"points": [{"a": 1.0}, {"a": bad}]}, [[1, bad]]):
+            with pytest.raises(TypeError) as ours:
+                write_report(wrapped, path)
+            with pytest.raises(TypeError) as theirs:
+                json.dumps(wrapped, sort_keys=True, indent=1)
+            assert str(ours.value) == str(theirs.value)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import sympy_partial
 from finslerlab import DomainError, eval_jet, fd_partials, parse
+from finslerlab.expr import to_string
 from finslerlab.jet import Jet, jet_cos, jet_exp, jet_ipow, jet_ln, jet_pow, jet_sin, jet_sqrt
 
 ORDERS = [(a, b) for a in range(5) for b in range(5 - a)]
@@ -374,6 +375,32 @@ def test_equal_exponent_values_keep_their_own_power_route():
     batch = eval_jet(e, r, s)
     for k in range(2):
         assert batch.c[:, :, k].tobytes() == eval_jet(e, r[k], s[k]).c.tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "text", ["r^5", "s^2", "(s-0.5)^-1", "ln(s)^-2", "(s+r)^0", "(s-0.5)^-1024", "s^1e300"]
+)
+def test_integer_literal_powers_match_the_masked_route(text):
+    # eval_jet squares an integer literal exponent at every point; jet_pow's
+    # route masks give the same rows and, named after the node, the same
+    # errors in the same order, and a point that failed earlier keeps its error
+    e = parse(text)
+    r = np.array([1.0, 1.0, 0.6, 1.2, 1.7, 0.9, 1.0])
+    s = np.array([0.5, -0.3, 0.0, 0.48, 0.9, 0.7, 0.5000000000000001])
+    errors = {}
+    fast = eval_jet(e, r, s, errors=errors)
+    base_errors = {}
+    base = eval_jet(e.left, r, s, errors=base_errors)
+    routed = dict(base_errors)
+    masked = jet_pow(base, eval_jet(e.right, r, s), errors=routed)
+    want = [
+        (k, type(exc), str(exc) if k in base_errors else f"{exc} in {to_string(e)}")
+        for k, exc in routed.items()
+    ]
+    assert [(k, type(exc), str(exc)) for k, exc in errors.items()] == want
+    for k in range(len(r)):
+        if k not in errors:
+            assert fast.c[:, :, k].tobytes() == masked.c[:, :, k].tobytes(), k
 
 
 def test_batched_product_matches_reference_loop_exactly():
