@@ -25,6 +25,14 @@ RUNS = {
     "ex45_classify_n3": ["classify", "--phi", EX45, "--dim", "3", *ROTATED],
     "metrize_randers": ["metrize", "--phi", "1+0.5*s", "--p", "0.5/(2*(1+0.5*s))", "--q", "0"],
     "report_pack_skips_n3": ["report", "--phi", "1+s^2-0.9*r", "--dim", "3"],
+    "ex45_check_n3": ["check", "--phi", EX45, "--dim", "3"],
+    "randers_classify_n2": ["classify", "--phi", "1+0.3*s", "--dim", "2", *ROTATED],
+    "overflow_classify_n2": ["classify", "--phi", "1e200*(2+s)"],
+    # the r grid repeats r = 1, so cells of different index share an (r, s)
+    "repeated_r_report_n3": [
+        "report", "--phi", "sqrt(1+s^2)", "--dim", "3",
+        "--r=1:1:2", "--s-frac=-0.5:0.5:3", "--u=0.5:2:3",
+    ],
 }
 REL = 1e-12
 
