@@ -5,18 +5,18 @@ grid of points and emit a deterministic JSON report.
         --dim N --r A:B:K --s-frac A:B:K --u A:B:K
         [--seed N] [--rotate] [--tol-abs X] [--tol-rel X] [--json PATH]
 
-Exit codes: 0 success, 1 failed check, 2 parse/config error, 3 every grid
-point was skipped.
+Exit codes: 0 success, 1 failed check, 2 parse/config error or an
+unwritable --json path, 3 every grid point was skipped.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ DEFAULT_TOL_REL = 1e-7
 SUBCOMMANDS = ("report", "check", "classify", "metrize")
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     phi: str
     dim: int
@@ -66,13 +65,6 @@ class RunConfig:
     tol_rel: float = DEFAULT_TOL_REL
     p_expr: str | None = None
     q_expr: str | None = None
-    output: str | None = None
-
-    def as_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        del doc["output"]
-        doc["jet_degree"] = DEGREE
-        return doc
 
 
 def parse_range(text: str) -> list[float]:
@@ -175,9 +167,11 @@ def _evaluate(
 
 
 def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
-    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name."""
+    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, with
+    the P and Q jets on the columns of phi's."""
     jet = phi_jets.rows(errors)
-    pj, qj = (GridJets.evaluate(e, p.r, p.s).rows(errors) for e in (p_ast, q_ast))
+    cols = phi_jets.r, phi_jets.s, phi_jets.index
+    pj, qj = (GridJets.evaluate(e, *cols).rows(errors) for e in (p_ast, q_ast))
     user_sp = spray_pack_from_jets(pj, qj, p)
     mr = metrizability_from_spray(jet, user_sp, p)
     bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
@@ -231,14 +225,16 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
     grid = np.meshgrid(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid, indexing="ij")
     r, frac, u = (g.ravel() for g in grid)
-    # The grid's cells are evaluated as one batch, each jet once per unique
-    # (r, s).  A cell that fails a guard keeps its first error, in stage order;
-    # one test then fails the non-finite values.  classify skips only the
-    # cells and phi jets that fail.
+    # The grid's cells are evaluated as one batch, each jet once per cell of
+    # the r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are
+    # that plane.  A cell that fails a guard keeps its first error, in stage
+    # order; one test then fails the non-finite values.  classify skips only
+    # the cells and phi jets that fail.
     columns, checks, errors = {}, {}, {}
+    nu = len(cfg.u_grid)
     with np.errstate(all="ignore"):
         batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
-        phi_jets = GridJets.evaluate(phi, batch.r, batch.s)
+        phi_jets = GridJets.evaluate(phi, batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu)
         if cfg.subcommand == "classify":
             phi_jets.rows(errors)
         elif cfg.subcommand == "metrize":
@@ -250,7 +246,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                 fail_nonfinite(errors, name, values)
     kept = [k for k in range(r.size) if k not in errors]
     doc: dict = {
-        "config": cfg.as_dict(),
+        "config": {**cfg._asdict(), "jet_degree": DEGREE},
         "points": [],
         "checks": [],
         "verdicts": {},
@@ -374,15 +370,18 @@ def main(argv: list[str] | None = None) -> int:
             tol_rel=args.tol_rel,
             p_expr=getattr(args, "p", None),
             q_expr=getattr(args, "q", None),
-            output=args.json_path,
         )
         doc, exit_code = run(cfg)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_summary(doc)
-    if cfg.output:
-        write_report(doc, cfg.output)
+    if args.json_path:
+        try:
+            write_report(doc, args.json_path)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return exit_code
 
 

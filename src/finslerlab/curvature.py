@@ -4,7 +4,7 @@ classification, at one point or a batch (see ``geometry``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ IDENTITY_MISMATCH_TOL = 1e-6
 SCALAR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CurvaturePack:
+class CurvaturePack(NamedTuple):
     R1: float
     R2: float  # printed-formula value
     R3: float
@@ -149,8 +148,7 @@ def flag_curvature(cp: CurvaturePack, phi: float, p: EvalPoint) -> float:
     return (cp.R1 + (p.r * p.r - p.s * p.s) * cp.R3) / (phi * phi)
 
 
-@dataclass(frozen=True)
-class ScalarCurvatureReport:
+class ScalarCurvatureReport(NamedTuple):
     is_scalar: bool
     K_samples: list[tuple[EvalPoint, float]]
     max_R3_residual: float
@@ -158,9 +156,7 @@ class ScalarCurvatureReport:
     failing_point: EvalPoint | None = None
 
 
-def scalar_classify(
-    phi: Node, grid: list[EvalPoint], tol: float = SCALAR_TOL
-) -> ScalarCurvatureReport:
+def scalar_classify(phi: Node, grid: list[EvalPoint]) -> ScalarCurvatureReport:
     """Decide scalar flag curvature over a grid and extract K = R1 / phi^2.
 
     Dimension two is unconditionally scalar.  For n >= 3 the verdict
@@ -172,14 +168,14 @@ def scalar_classify(
     """
     _require_grid(grid)
     pts = EvalPoint.stack(grid)
-    jets = GridJets.evaluate(phi, pts.r, pts.s)
-    is_scalar, K, max_resid, failing = scalar_from_jets(jets, _grid_pq(jets), pts, tol)
+    jets = GridJets.evaluate(phi, pts.r, pts.s, np.arange(len(grid)))
+    is_scalar, K, max_resid, failing = scalar_from_jets(jets, _grid_pq(jets), pts)
     failing = None if failing is None else grid[failing]
     return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)
 
 
 def scalar_from_jets(
-    jets: GridJets, pq: tuple[GridJets, GridJets], p: EvalPoint, tol: float = SCALAR_TOL
+    jets: GridJets, pq: tuple[GridJets, GridJets], p: EvalPoint
 ) -> tuple[bool, np.ndarray, float, int | None]:
     """``scalar_classify`` at the points p, from the phi and P/Q jets there: the
     verdict, K at the sampled points, the largest R3 residual, the failing index."""
@@ -196,7 +192,7 @@ def scalar_from_jets(
         F = p.u * ps.phi
         recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
         rscale = np.maximum(1.0, np.max(np.abs(cp.Rmat), axis=(-2, -1)))
-        recon_failed = (p.n == 2) | (resid < tol)
+        recon_failed = (p.n == 2) | (resid < SCALAR_TOL)
         recon_failed &= np.max(np.abs(cp.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
     stop = first_true(recon_failed)
     raise_first(errors, stop)
@@ -207,5 +203,5 @@ def scalar_from_jets(
     failing = int(seen.argmax()) if max_resid > 0.0 else None
     if stop is not None:
         failing = stop
-    is_scalar = stop is None and (p.n == 2 or max_resid < tol)
+    is_scalar = stop is None and (p.n == 2 or max_resid < SCALAR_TOL)
     return is_scalar, K[:end], max_resid, None if is_scalar else failing

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class GeometryError(ValueError):
     """Precondition violation of a geometric operation."""
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(NamedTuple):
     """A concrete (x, y) realization of the scalars (r, s, u) in dim n.
 
     One point has float r, s, u and x, y of shape (n,); a batch has r, s, u
@@ -109,8 +108,7 @@ def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(rr))
 
 
-@dataclass(frozen=True)
-class PhiScalars:
+class PhiScalars(NamedTuple):
     """phi and its partials at the base point, read off a jet."""
 
     phi: float
@@ -195,8 +193,7 @@ def _require_grid(grid: list) -> None:
         raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
 
 
-@dataclass(frozen=True)
-class MetricPack:
+class MetricPack(NamedTuple):
     sigma0: float
     sigma1: float
     sigma2: float
@@ -272,8 +269,7 @@ def metric_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> MetricPack:
     )
 
 
-@dataclass(frozen=True)
-class CartanPack:
+class CartanPack(NamedTuple):
     mu: float
     nu: float
     C: np.ndarray  # (*batch, n, n, n), fully symmetric
@@ -335,9 +331,7 @@ class Degeneracy(enum.Enum):
     DEGENERATE_TYPE_B = "degenerate_type_b"
 
 
-def degeneracy_classify(
-    phi: Node, grid: list[EvalPoint], tol: float = DEGENERACY_TOL
-) -> Degeneracy:
+def degeneracy_classify(phi: Node, grid: list[EvalPoint]) -> Degeneracy:
     """Screen phi for the two degenerate families.
 
     TYPE_A: phi - s phi_s vanishes on the whole grid (phi = f(r^2) s).
@@ -349,10 +343,10 @@ def degeneracy_classify(
     """
     _require_grid(grid)
     r, s = np.array([(p.r, p.s) for p in grid], dtype=float).T
-    return degeneracy_from_jets(GridJets.evaluate(phi, r, s), r, s, tol)
+    return degeneracy_from_jets(GridJets.evaluate(phi, r, s, np.arange(len(grid))), r, s)
 
 
-def degeneracy_from_jets(jets: GridJets, r, s, tol: float = DEGENERACY_TOL) -> Degeneracy:
+def degeneracy_from_jets(jets: GridJets, r, s) -> Degeneracy:
     """``degeneracy_classify`` at the points (r, s), from phi's jets there."""
     errors = {}
     with np.errstate(all="ignore"):
@@ -365,8 +359,8 @@ def degeneracy_from_jets(jets: GridJets, r, s, tol: float = DEGENERACY_TOL) -> D
         fail_nonfinite(errors, "phi - s phi_s + (r^2-s^2) phi_ss", d)
         ok = np.ones(len(r), dtype=bool)
         ok[list(errors)] = False
-        not_a = np.logical_or.accumulate(ok & (np.abs(t) >= tol * scale))
-        not_b = np.logical_or.accumulate(ok & (np.abs(d) >= tol * scale))
+        not_a = np.logical_or.accumulate(ok & (np.abs(t) >= DEGENERACY_TOL * scale))
+        not_b = np.logical_or.accumulate(ok & (np.abs(d) >= DEGENERACY_TOL * scale))
     decided = first_true(not_a & not_b)
     raise_first(errors, decided)
     if decided is not None:

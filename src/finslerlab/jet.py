@@ -33,8 +33,8 @@ built on the jets) run under numpy's ``errstate``, so overflow in a failing
 column is not warned about; called without ``errors``, they raise the first
 failing point's error (``batched``).  A scan in grid order that stops early
 raises only the errors up to its stop (``raise_first``).  ``GridJets``
-holds one expression's jets over a grid's unique (r, s) and hands each point
-its column's jet and error.
+holds one expression's jets over the columns (r, s) of a grid and hands each
+point its column's jet and error.
 
 Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
 are exact only up to total degree 3 (resp. 2 after two derivatives);
@@ -472,7 +472,7 @@ def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
 
 class GridJets:
     """The jets of one expression at a batch of points, from one batched
-    ``eval_jet`` over the points' unique (r, s).
+    ``eval_jet`` over the columns (r, s) the points share.
 
     ``index`` maps each point to its column of ``jets``; ``rows`` hands the
     jets out one per point, with the errors their columns recorded.
@@ -485,20 +485,11 @@ class GridJets:
         self.errors = errors  # column -> its recorded error
 
     @classmethod
-    def evaluate(cls, e: Node, r: np.ndarray, s: np.ndarray) -> "GridJets":
-        """e at the points (r, s); points share a column when their (r, s)
-        match, sign of zero included."""
-        r, s = np.ravel(r), np.ravel(s)
-        keys = list(zip(r.tolist(), s.tolist(), np.signbit(s).tolist()))
-        column, first = {}, []
-        for row, key in enumerate(keys):
-            if key not in column:
-                column[key] = len(first)
-                first.append(row)
-        index = np.array([column[key] for key in keys], dtype=int)
+    def evaluate(cls, e: Node, r: np.ndarray, s: np.ndarray, index: np.ndarray) -> "GridJets":
+        """e at the columns (r, s), 1-D arrays, for the points that index
+        maps to them."""
         errors = {}
-        jets = eval_jet(e, r[first], s[first], errors=errors)
-        return cls(r[first], s[first], index, jets, errors)
+        return cls(r, s, index, eval_jet(e, r, s, errors=errors), errors)
 
     def with_jets(self, jets: Jet, errors: dict) -> "GridJets":
         """Other jets on the same columns."""

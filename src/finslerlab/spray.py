@@ -8,7 +8,7 @@ separate symbolic differentiation of the closed formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .geometry import (
 from .jet import GridJets, Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
-@dataclass(frozen=True)
-class SprayPack:
+class SprayPack(NamedTuple):
     P: float
     P_r: float
     P_s: float
@@ -41,8 +40,7 @@ class SprayPack:
     N: np.ndarray  # connection coefficients G^i_j, shape (*batch, n, n), i row
 
 
-@dataclass(frozen=True)
-class MetrizabilityResiduals:
+class MetrizabilityResiduals(NamedTuple):
     C1: float
     C2: float
 

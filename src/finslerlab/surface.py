@@ -5,7 +5,7 @@ at one point or a batch (see ``geometry``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where, first_true,
 RIEMANNIAN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class BerwaldFrame:
+class BerwaldFrame(NamedTuple):
     ell_lo: np.ndarray  # l_i = dF/dy^i
     ell_hi: np.ndarray  # l^i = y^i / F
     n_lo: np.ndarray  # n_j = x_j - (s/u) y_j
@@ -88,8 +87,7 @@ def _frame(
     return frame, mp
 
 
-@dataclass(frozen=True)
-class MainScalarPack:
+class MainScalarPack(NamedTuple):
     A: float  # rho0 + s rho2 + r^2 rho3
     B: float  # rho2 + s rho3
     I: float  # closed-form route
@@ -125,7 +123,7 @@ def main_scalar(
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame)
 
 
-def riemannian_test(phi: Node, grid: list[EvalPoint], tol: float = RIEMANNIAN_TOL) -> bool:
+def riemannian_test(phi: Node, grid: list[EvalPoint]) -> bool:
     """True iff mu vanishes across the grid (the Riemannian criterion).
 
     When mu vanishes, nu is checked too: d(mu)/ds = -s nu forces nu = 0,
@@ -138,10 +136,10 @@ def riemannian_test(phi: Node, grid: list[EvalPoint], tol: float = RIEMANNIAN_TO
     pts = EvalPoint.stack(grid)
     if pts.n != 2:
         raise GeometryError(f"Riemannian test requires n = 2, got n = {pts.n}")
-    return riemannian_from_jets(GridJets.evaluate(phi, pts.r, pts.s), pts, tol)
+    return riemannian_from_jets(GridJets.evaluate(phi, pts.r, pts.s, np.arange(len(grid))), pts)
 
 
-def riemannian_from_jets(jets: GridJets, p: EvalPoint, tol: float = RIEMANNIAN_TOL) -> bool:
+def riemannian_from_jets(jets: GridJets, p: EvalPoint) -> bool:
     """``riemannian_test`` at the surface points p, from phi's jets there."""
     errors = {}
     with np.errstate(all="ignore"):
@@ -152,7 +150,7 @@ def riemannian_from_jets(jets: GridJets, p: EvalPoint, tol: float = RIEMANNIAN_T
         raise_first(errors)
         phi0 = phi_scalars(jet).phi
         fail_nonfinite(errors, "phi^2", phi0 * phi0)
-        scale = tol * np.maximum(1.0, phi0 * phi0)
+        scale = RIEMANNIAN_TOL * np.maximum(1.0, phi0 * phi0)
         not_riemannian = first_true(np.abs(cp.mu) >= scale)
         inconsistent = first_true(np.abs(cp.nu) >= scale)
     # the mu test stops at the first point with a nonzero mu

@@ -623,6 +623,19 @@ def test_non_finite_range_end_points_exit_2(grid, capsys):
         parse_range(grid.split("=")[1])
 
 
+@pytest.mark.parametrize("where", ["missing/out.json", "."])
+def test_unwritable_json_path_exits_2(where, capsys, tmp_path):
+    # a directory that does not exist, and a path that is a directory: the
+    # summary is printed, then the write fails with an error line, not a traceback
+    path = tmp_path / where
+    code, out, err = run_cli(["report", "--phi", "1+s", "--json", str(path)], capsys)
+    assert code == 2
+    assert out.startswith("finsler-lab ") and "28 points evaluated, 2 skipped" in out
+    assert err.startswith("error: [Errno ") and err.endswith(f"'{path}'\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_overflowing_phi_squared_is_named_in_every_guard(capsys, tmp_path):
     # phi = 1e200 (2 + s): phi^2 overflows, so the TYPE_B guard cannot scale its
     # test; the points are skipped with the reason the classifiers give

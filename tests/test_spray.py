@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +75,7 @@ def test_horizontal_residual_detects_wrong_spray():
         + 2 * 0.1 * np.outer(p.x, p.y)  # (2Q - sQ_s) shift from Q -> Q + 0.1
         + p.u * 0.0 * np.outer(p.x, p.x)
     )
-    bad = replace(sp, Q=bad_Q, G=p.u * sp.P * p.y + p.u**2 * bad_Q * p.x, N=bad_N)
+    bad = sp._replace(Q=bad_Q, G=p.u * sp.P * p.y + p.u**2 * bad_Q * p.x, N=bad_N)
     assert np.max(np.abs(horizontal_residual(jet, bad, p))) > 1e-3
 
 
