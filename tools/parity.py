@@ -106,9 +106,8 @@ def start(src: Path, workdir: Path, calls: list) -> subprocess.Popen:
     """The worker over calls, importing finslerlab from src, in workdir."""
     workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", WORKER, "results.pickle"], cwd=workdir, env=env, stdin=subprocess.PIPE
-    )
+    argv = [sys.executable, "-c", WORKER, "results.pickle"]
+    proc = subprocess.Popen(argv, cwd=workdir, env=env, stdin=subprocess.PIPE)
     proc.stdin.write(pickle.dumps(calls))
     proc.stdin.close()
     return proc
@@ -130,9 +129,10 @@ def main(argv: list[str] | None = None) -> int:
         archive = subprocess.run(
             ["git", "archive", "--format=tar", args.rev], cwd=ROOT, capture_output=True, check=True
         ).stdout
+        # the "data" extraction filter where this Python has it (3.12 warns without one)
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            # the "data" filter where this Python has it (3.12 warns without one)
-            tar.extractall(tmp / "base", **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+            tar.extractall(tmp / "base", **safe)
         base = start(tmp / "base" / "src", tmp / "run_base", calls)
         work = start(ROOT / "src", tmp / "run_work", calls)
         want, got = results(base, tmp / "run_base"), results(work, tmp / "run_work")
@@ -144,7 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         print("exit codes, stdout, stderr and report bytes identical in every call")
         return 0
     first = differ[0]
-    parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "report"), want[first], got[first]) if a != b]
+    fields = ("exit code", "stdout", "stderr", "report")
+    parts = [name for name, a, b in zip(fields, want[first], got[first]) if a != b]
     print(f"{len(differ)} calls differ; the first: finsler-lab {' '.join(calls[first])}")
     print(f"  differs in: {', '.join(parts)}")
     return 1
