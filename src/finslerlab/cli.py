@@ -121,7 +121,7 @@ def _evaluate(
     if not with_checks:
         return columns, {}
 
-    cp = cartan_pack(jet, p, errors=errors)
+    cp = ms.cartan if p.n == 2 else cartan_pack(jet, p, errors=errors)
     phi0, u, eye = ps.phi, p.u, np.eye(p.n)
     w = p.r * p.r - p.s * p.s
     dval = phi0 - p.s * ps.phi_s + w * ps.phi_ss

@@ -1,45 +1,48 @@
-"""Degree-4 bivariate truncated Taylor jets in (r, s), over batches of points.
+"""Bivariate truncated Taylor jets in (r, s), over batches of points.
 
-A :class:`Jet` holds the Taylor-normalized coefficients
+A :class:`Jet` of degree d holds the Taylor-normalized coefficients
 
-    c[a, b] = (d/dr)^a (d/ds)^b f / (a! b!),   a + b <= 4,
+    c[a, b] = (d/dr)^a (d/ds)^b f / (a! b!),   a + b <= d,
 
 of a function at one base point, or at a batch of them: ``c`` has shape
-(5, 5, *batch), with the batch axes trailing, so a one-point jet is a 5x5
-array and ``c[a, b]`` is a float or an array over the batch.  Arithmetic is
-exact truncated polynomial arithmetic: products are Cauchy products cut at
-total degree 4, and smooth functions are applied by composing their
-univariate Taylor expansion with the jet.  Coefficients of total degree > 4
-are identically zero and never consulted.
+(d+1, d+1, *batch), so the degree is the shape of the array, and
+``c[a, b]`` is a float or an array over the batch.  ``eval_jet`` works at
+degree 4, ``spray.pq_jets`` at degree 2.  Products are Cauchy products cut
+at total degree d, and smooth functions are applied by composing their
+univariate Taylor expansion with the jet.  Coefficients of total degree > d
+are identically zero and never consulted.  A coefficient of degree <= 2 of
+a product or a composition reads only inputs of degree <= 2, so cutting
+the inputs to degree 2 keeps it bit for bit where the Taylor seeds are
+finite.
 
 Every jet operation is one numpy call over the whole batch, and the batch
 columns never mix, so each row of a batched result equals the one-point
-result bit for bit.  The product is one index-map kernel: the 70 index
-triples of the truncated Cauchy product over the flattened 5x5 array are
-tabulated at import and list only entries of total degree <= 4, so the kernel
+result bit for bit.  The product is one index-map kernel: the index triples
+of the truncated Cauchy product over the flattened array (70 at degree 4,
+15 at degree 2) list only entries of total degree <= d, so the kernel
 relies on the zero invariant above.  One bincount over keys offset by the
 batch column sums each output bin in the order of the textbook quadruple
 loop, so products match that loop bit for bit.
 
 The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
 jet's value) are numpy columns over the batch, and every domain guard is a
-mask over a column.  ``fail_where`` tests the batch in one numpy call and
-builds an error only for the points that fail, with the type and message a
-one-point evaluation gives; a point keeps its first error, in the order a
-one-point evaluation meets them, under its flat batch index in an
-``errors`` dict, and the rest of the batch runs on.  The batched entry
-points (the jet functions, ``eval_jet``, ``spray.pq_jets`` and the packs
-built on the jets) run under numpy's ``errstate``, so overflow in a failing
-column is not warned about; called without ``errors``, they raise the first
-failing point's error (``batched``).  A scan in grid order that stops early
-raises only the errors up to its stop (``raise_first``).  ``GridJets``
-holds one expression's jets over the columns (r, s) of a grid and hands each
-point its column's jet and error.
+mask over a column, the same at every degree (v^5 for 1/x, v^4 for sqrt
+and ln).  ``fail_where`` tests the batch in one numpy call and builds an
+error only for the points that fail, with the type and message a one-point
+evaluation gives; a point keeps its first error, in the order a one-point
+evaluation meets them, under its flat batch index in an ``errors`` dict,
+and the rest of the batch runs on.  The batched entry points (the jet
+functions, ``eval_jet``, ``spray.pq_jets`` and the packs built on the jets)
+run under numpy's ``errstate``, so overflow in a failing column is not
+warned about; called without ``errors``, they raise the first failing
+point's error (``batched``).  A scan in grid order that stops early raises
+only the errors up to its stop (``raise_first``).  ``GridJets`` holds one
+expression's jets over the columns (r, s) of a grid and hands each point
+its column's jet and error.
 
-Taking ``d_r``/``d_s`` of a degree-4 jet yields a jet whose coefficients
-are exact only up to total degree 3 (resp. 2 after two derivatives);
-truncated arithmetic never propagates high-order error downward, so
-values and low-order partials of downstream expressions stay exact.
+``d_r``/``d_s`` of a degree-d jet are exact only up to total degree d - 1;
+truncated arithmetic never propagates high-order error downward, so values
+and low-order partials of downstream expressions stay exact.
 """
 
 from __future__ import annotations
@@ -61,38 +64,39 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 # abs() is rejected this close to the kink, sqrt/ln this close to zero.
 SINGULAR_TOL = 1e-12
 
-_N = DEGREE + 1
-_LOW = [(a, b) for a in range(_N) for b in range(_N - a)]  # total degree <= 4
-_LOW3 = [(a, b) for a, b in _LOW if a + b < DEGREE]
 
-# Cauchy product: out[K] += x[I] * y[J] over the flattened 5x5 layout.
-_MUL_I, _MUL_J, _MUL_K = np.array(
-    [(i * _N + j, (a - i) * _N + b - j, a * _N + b)
-     for a, b in _LOW for i in range(a + 1) for j in range(b + 1)]
-).T.copy()
-# d_r, d_s: out[DST] = c[SRC] * W on the targets of total degree <= 3.
-_DR = tuple(np.array([((a + 1) * _N + b, a * _N + b, a + 1) for a, b in _LOW3]).T.copy())
-_DS = tuple(np.array([(a * _N + b + 1, a * _N + b, b + 1) for a, b in _LOW3]).T.copy())
+@functools.lru_cache
+def _tables(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The index tables of degree d over the flattened (d+1)x(d+1) layout:
+    the Cauchy product out[K] += x[I] * y[J], and d_r, d_s as
+    out[DST] = c[SRC] * W on the targets of total degree < d."""
+    n, low = d + 1, [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
+    mul = [(i * n + j, (a - i) * n + b - j, a * n + b)
+           for a, b in low for i in range(a + 1) for j in range(b + 1)]
+    dr = [((a + 1) * n + b, a * n + b, a + 1) for a, b in low if a + b < d]
+    ds = [(a * n + b + 1, a * n + b, b + 1) for a, b in low if a + b < d]
+    return tuple(tuple(np.array(t).T.copy()) for t in (mul, dr, ds))
 
 
 def _cols(c: np.ndarray) -> np.ndarray:
-    """The coefficients as a (25, points) array, points in flat batch order."""
-    return c.reshape(_N * _N, -1)
+    """The coefficients as a ((d+1)^2, points) array, points in flat batch order."""
+    return c.reshape(c.shape[0] * c.shape[1], -1)
 
 
 @functools.lru_cache(maxsize=64)
-def _mul_index(n: int) -> tuple[np.ndarray, ...]:
-    """Flat indices of the product terms of n points, term-major: term t of
-    point k multiplies x[I[t], k] by y[J[t], k] into bin K[t] of point k."""
+def _mul_index(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of the degree-d product terms of n points, term-major:
+    term t of point k multiplies x[I[t], k] by y[J[t], k] into bin K[t] of
+    point k."""
     k = np.arange(n)
-    out = tuple((idx[:, None] * n + k).ravel() for idx in (_MUL_I, _MUL_J, _MUL_K))
+    out = tuple((idx[:, None] * n + k).ravel() for idx in _tables(d)[0])
     for idx in out:
         idx.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
 class Jet:
-    """Bivariate Taylor jet of total degree 4, at one point or a batch."""
+    """Bivariate Taylor jet of total degree d, at one point or a batch."""
 
     __slots__ = ("c",)
 
@@ -100,26 +104,27 @@ class Jet:
         self.c = c
 
     @classmethod
-    def constant(cls, v, batch: tuple = ()) -> "Jet":
-        c = np.zeros((_N, _N, *batch))
+    def constant(cls, v, batch: tuple = (), degree: int = DEGREE) -> "Jet":
+        c = np.zeros((degree + 1, degree + 1, *batch))
         c[0, 0] = v
         return cls(c)
 
     @classmethod
-    def variable_r(cls, r0) -> "Jet":
-        r0 = np.asarray(r0, dtype=float)
-        c = np.zeros((_N, _N, *r0.shape))
-        c[0, 0] = r0
-        c[1, 0] = 1.0
-        return cls(c)
+    def variable(cls, name: str, v0, degree: int = DEGREE) -> "Jet":
+        """The jet of the variable name, "r" or "s", at the points v0."""
+        out = cls.constant(np.asarray(v0, dtype=float), np.shape(v0), degree)
+        out.c[(1, 0) if name == "r" else (0, 1)] = 1.0
+        return out
 
-    @classmethod
-    def variable_s(cls, s0) -> "Jet":
-        s0 = np.asarray(s0, dtype=float)
-        c = np.zeros((_N, _N, *s0.shape))
-        c[0, 0] = s0
-        c[0, 1] = 1.0
-        return cls(c)
+    @property
+    def degree(self) -> int:
+        return self.c.shape[0] - 1
+
+    def cut(self, d: int) -> "Jet":
+        """The degree-d jet of this jet's coefficients of total degree <= d."""
+        c = self.c[: d + 1, : d + 1].copy()
+        c[np.add.outer(np.arange(d + 1), np.arange(d + 1)) > d] = 0.0
+        return Jet(c)
 
     @property
     def batch(self) -> tuple:
@@ -133,18 +138,18 @@ class Jet:
 
     def partial(self, a: int, b: int):
         """The mixed partial (d/dr)^a (d/ds)^b at the base point(s)."""
-        if a < 0 or b < 0 or a + b > DEGREE:
+        if a < 0 or b < 0 or a + b > self.degree:
             raise ValueError(f"partial order ({a},{b}) outside the jet degree")
         v = self.c[a, b] * (_FACT[a] * _FACT[b])
         return float(v) if v.ndim == 0 else v
 
     def d_r(self) -> "Jet":
         """Jet of df/dr (exact to one total degree less)."""
-        return self._shift(*_DR)
+        return self._shift(*_tables(self.degree)[1])
 
     def d_s(self) -> "Jet":
         """Jet of df/ds (exact to one total degree less)."""
-        return self._shift(*_DS)
+        return self._shift(*_tables(self.degree)[2])
 
     def _shift(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> "Jet":
         x = _cols(self.c)
@@ -179,14 +184,14 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
         x, y = self.c, other.c
-        i, j, k = _mul_index(x.size // (_N * _N))
+        i, j, k = _mul_index(self.degree, x[0, 0].size)
         return Jet(np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            other = Jet.constant(other, self.batch)
+            other = Jet.constant(other, self.batch, self.degree)
         return self * jet_reciprocal(other)
 
     def __rtruediv__(self, other) -> "Jet":
@@ -256,12 +261,12 @@ def raise_first(errors: dict, stop: int | None = None) -> None:
 def _compose(derivs, g: Jet) -> Jet:
     """Truncated composition f(g) from f's derivatives at g's value.
 
-    ``derivs[k]`` is the k-th derivative of f at g's value, k = 0..4, a
-    column over the batch.
+    ``derivs[k]`` is the k-th derivative of f at g's value, a column over
+    the batch; k = 0..d for g of degree d, and later entries are not read.
     """
-    h = g - g.c[0, 0]
-    acc = h * (derivs[DEGREE] / _FACT[DEGREE]) + derivs[DEGREE - 1] / _FACT[DEGREE - 1]
-    for k in range(DEGREE - 2, -1, -1):
+    h, d = g - g.c[0, 0], g.degree
+    acc = h * (derivs[d] / _FACT[d]) + derivs[d - 1] / _FACT[d - 1]
+    for k in range(d - 2, -1, -1):
         acc = acc * h + derivs[k] / _FACT[k]
     return acc
 
@@ -288,11 +293,11 @@ def _positive_powers(g: Jet, errors: dict, name: str) -> list:
 @batched
 def jet_reciprocal(g: Jet, *, errors: dict) -> Jet:
     v = g.c[0, 0]
-    pw = [np.power(v, float(k + 1)) for k in range(_N)]
+    pw = [np.power(v, float(k + 1)) for k in range(DEGREE + 1)]
     _fail(v == 0.0, errors, v, "division by a jet with zero value")
     out_of_range = np.isfinite(v) & (np.isinf(pw[DEGREE]) | (pw[DEGREE] == 0.0))
     _fail(out_of_range, errors, v, "reciprocal of jet value {v!r} is out of float range")
-    return _compose([(-1.0) ** k * _FACT[k] / pw[k] for k in range(_N)], g)
+    return _compose([(-1.0) ** k * _FACT[k] / pw[k] for k in range(g.degree + 1)], g)
 
 
 @batched
@@ -307,7 +312,7 @@ def jet_exp(g: Jet, *, errors: dict) -> Jet:
     v = g.c[0, 0]
     f0 = np.exp(v)
     _fail(np.isfinite(v) & np.isinf(f0), errors, v, "exp of jet value {v!r} overflows")
-    return _compose((f0,) * _N, g)
+    return _compose((f0,) * (g.degree + 1), g)
 
 
 @batched
@@ -322,7 +327,7 @@ def _trig(g: Jet, errors: dict, name: str, shift: int) -> Jet:
     _fail(np.isinf(v), errors, v, name + " of infinite jet value {v!r}")
     sv, cv = np.sin(v), np.cos(v)
     cycle = (sv, cv, -sv, -cv)
-    return _compose([cycle[(shift + k) % 4] for k in range(_N)], g)
+    return _compose([cycle[(shift + k) % 4] for k in range(g.degree + 1)], g)
 
 
 @batched
@@ -346,7 +351,7 @@ def jet_abs(g: Jet, *, errors: dict) -> Jet:
 def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
     """Integer power by repeated squaring."""
     if n == 0:
-        return Jet.constant(1.0, g.batch)
+        return Jet.constant(1.0, g.batch, g.degree)
     if n < 0:
         return jet_reciprocal(jet_ipow(g, -n), errors=errors)
     out: Jet | None = None
@@ -363,7 +368,7 @@ def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
 
 def _take(g: Jet, idx: list[int]) -> Jet:
     """The jet at the points idx (flat batch order), as a 1-D batch."""
-    return Jet(_cols(g.c)[:, idx].reshape(_N, _N, len(idx)))
+    return Jet(_cols(g.c)[:, idx].reshape(*g.c.shape[:2], len(idx)))
 
 
 @batched
@@ -441,7 +446,7 @@ def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
         if isinstance(node, Num):
             return Jet.constant(node.value, batch)
         if isinstance(node, Var):
-            return Jet.variable_r(r) if node.name == "r" else Jet.variable_s(s)
+            return Jet.variable(node.name, r if node.name == "r" else s)
         if isinstance(node, Neg):
             return -rec(node.arg)
         if isinstance(node, BinOp):

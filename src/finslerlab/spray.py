@@ -52,18 +52,17 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     Q = (1/2r) (-phi_r + s phi_rs + r phi_ss) / (phi - s phi_s + (r^2-s^2) phi_ss)
     P = -(Q/phi) (s phi + (r^2-s^2) phi_s) + (1/2 r phi)(s phi_r + r phi_s)
 
-    The results are exact through total degree 2, which covers every
-    P/Q partial the curvature formulas consume.  r and s are floats or
-    arrays matching the jet's batch; per-point errors behave as in
-    ``eval_jet``.
+    P and Q are degree-2 jets, which hold every P/Q partial the curvature
+    formulas consume, built from phi's partials cut to degree 2.  They
+    carry the bits of degree-4 P/Q cut to degree 2, except where a dropped
+    Taylor term of degree 3 or 4 (such as 24/phi^5) overflows and would
+    have made them NaN.  r and s are floats or arrays matching the jet's
+    batch; per-point errors behave as in ``eval_jet``.
     """
-    phi = jet
-    phi_r = jet.d_r()
-    phi_s = jet.d_s()
-    phi_ss = phi_s.d_s()
-    phi_rs = phi_r.d_s()
-    rj = Jet.variable_r(r)
-    sj = Jet.variable_s(s)
+    phi_r, phi_s = jet.d_r(), jet.d_s()
+    phi_ss, phi_rs = phi_s.d_s().cut(2), phi_r.d_s().cut(2)
+    phi, phi_r, phi_s = jet.cut(2), phi_r.cut(2), phi_s.cut(2)
+    rj, sj = Jet.variable("r", r, 2), Jet.variable("s", s, 2)
     w = rj * rj - sj * sj
     denom = phi - sj * phi_s + w * phi_ss
     phi2 = phi.c[0, 0] * phi.c[0, 0]

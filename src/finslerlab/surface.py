@@ -11,6 +11,7 @@ import numpy as np
 
 from .expr import Node
 from .geometry import (
+    CartanPack,
     EvalPoint,
     GeometryError,
     MetricPack,
@@ -93,6 +94,7 @@ class MainScalarPack(NamedTuple):
     I: float  # closed-form route
     I_direct: float  # F C_ijk m^i m^j m^k
     frame: BerwaldFrame  # the frame both routes used
+    cartan: CartanPack  # the Cartan pack both routes used
 
 
 @batched
@@ -120,7 +122,7 @@ def main_scalar(
         3 * cp.mu / a * msq - 3 * a * cp.mu * w * w * B * B + cp.nu / (a * a * a)
     )
     I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", cp.C, m, m, m)
-    return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame)
+    return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=cp)
 
 
 def riemannian_test(phi: Node, grid: list[EvalPoint]) -> bool:

@@ -355,6 +355,21 @@ def test_each_pack_runs_once_per_run(args, metric_packs, monkeypatch, capsys, tm
         assert p.r.shape == (30,)
 
 
+@pytest.mark.parametrize(
+    "args, cartan_packs",
+    [(["report"], 1), (["check"], 1), (["report", "--dim", "3"], 0), (["check", "--dim", "3"], 1)],
+)
+def test_cartan_pack_runs_at_most_once_per_run(args, cartan_packs, monkeypatch, capsys, tmp_path):
+    # at n = 2, check reuses the Cartan pack the main scalar was built from
+    from finslerlab import geometry
+
+    calls = []
+    wrap_everywhere(monkeypatch, geometry, "cartan_pack", lambda *args, **kwargs: calls.append(1))
+    code, doc = run_json([*args, "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert len(calls) == cartan_packs
+
+
 def test_pack_overflow_prints_no_runtime_warning(capsys, tmp_path):
     # at s < 0 phi underflows and its metric overflows: those points are skips
     with warnings.catch_warnings():

@@ -2,14 +2,19 @@
 
 Each file in tests/golden holds the argv, the exit code and the JSON report
 of one run below.  A rerun must give the same exit code, the same keys and
-values, and every float within 1e-12 relative.  Regenerate (only for an
-intended output change) with
+values, and every float within 1e-12 relative.
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+writes the file of each run of RUNS that has none yet; with names, it
+rewrites exactly the files of those runs (only for an intended output
+change), and an unknown name exits 1 without writing anything.  Other
+files stay as they are, so their last float digits do not drift.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,13 +74,30 @@ def test_golden_output(name, tmp_path, capsys):
     _assert_close(doc, golden["report"])
 
 
-if __name__ == "__main__":
+def regenerate(names: list[str]) -> int:
+    """Write the golden files of names, or of the runs without one."""
     import tempfile
 
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        print(f"unknown golden run(s): {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    names = names or [name for name in RUNS if not (GOLDEN / f"{name}.json").exists()]
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in RUNS.items():
-            code, doc = _run(argv, Path(tmp) / "out.json")
-            record = {"argv": argv, "exit_code": code, "report": doc}
+        for name in names:
+            code, doc = _run(RUNS[name], Path(tmp) / "out.json")
+            record = {"argv": RUNS[name], "exit_code": code, "report": doc}
             text = json.dumps(record, indent=1, sort_keys=True)
             (GOLDEN / f"{name}.json").write_text(text + "\n")
+            print(f"wrote {GOLDEN / name}.json")
+    return 0
+
+
+def test_regenerate_rejects_an_unknown_name(capsys):
+    assert regenerate(["ex45_check_n2", "no_such_run"]) == 1
+    assert capsys.readouterr().err == "unknown golden run(s): no_such_run\n"
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

@@ -8,7 +8,19 @@ import pytest
 from conftest import sympy_partial
 from finslerlab import DomainError, eval_jet, fd_partials, parse
 from finslerlab.expr import to_string
-from finslerlab.jet import Jet, jet_cos, jet_exp, jet_ipow, jet_ln, jet_pow, jet_sin, jet_sqrt
+from finslerlab.jet import (
+    Jet,
+    jet_abs,
+    jet_cos,
+    jet_exp,
+    jet_ipow,
+    jet_ln,
+    jet_pow,
+    jet_reciprocal,
+    jet_sin,
+    jet_sqrt,
+)
+from finslerlab.spray import pq_jets
 
 ORDERS = [(a, b) for a in range(5) for b in range(5 - a)]
 
@@ -198,7 +210,8 @@ def same_bits(j, k):
 
 
 def high_order_is_zero(j):
-    return all(j.c[a, b] == 0.0 for a in range(5) for b in range(5) if a + b > 4)
+    d = j.degree
+    return all((j.c[a, b] == 0.0).all() for a in range(d + 1) for b in range(d + 1) if a + b > d)
 
 
 def test_product_matches_reference_loop_exactly():
@@ -428,3 +441,120 @@ def test_overflowing_seed_powers_raise_the_float_power_error(text):
     assert batch.c[:, :, 1].tobytes() == eval_jet(e, 1.0, 0.5).c.tobytes()
     with pytest.raises(OverflowError, match="^" + re.escape(str(python.value)) + "$"):
         eval_jet(e, 1.0, 1e100)
+
+
+# -- degree: a jet's degree is the shape of its array ---------------------------
+
+
+LOW2 = [(a, b) for a in range(3) for b in range(3 - a)]
+
+
+def truncated(j):
+    """The degree-2 jet of j's coefficients of total degree <= 2."""
+    c = np.zeros((3, 3, *j.batch))
+    for a, b in LOW2:
+        c[a, b] = j.c[a, b]
+    return Jet(c)
+
+
+def low_block(j, points):
+    """The coefficients of total degree <= 2 at points, as bytes."""
+    return b"".join(j.c[a, b, points].tobytes() for a, b in LOW2)
+
+
+# jet values at which the seeds fail their guards: zero and -0.0 (1/x, sqrt, ln),
+# negative (sqrt, ln), the abs kink, v^5 underflow (1/x), v^4 overflow (sqrt, ln),
+# exp overflow, and infinity (sin, cos); the other points pass every guard
+VALUES = [1.5, -0.7, 0.0, -0.0, 1e-13, 1e-70, 1e100, 800.0, math.inf, 2.0, 0.3, -2.5]
+
+
+def value_batch(rng):
+    """Random degree-4 jets, some coefficients +-0.0, one per entry of VALUES."""
+    c = np.stack([random_jet(rng).c for _ in VALUES], axis=-1)
+    c[0, 0] = VALUES
+    return Jet(c)
+
+
+# An exponent jet that is constant through degree 2 but not through degree 4
+# takes another jet_pow route once truncated, so the exponents here are
+# constant at every degree (the squaring route) or have a linear term.
+TRUNCATION_OPS = {
+    "mul": lambda x, y, errors: x * y,
+    "add": lambda x, y, errors: x + y,
+    "sub": lambda x, y, errors: x - y,
+    "neg": lambda x, y, errors: -x,
+    "float operands": lambda x, y, errors: (2.5 * x - 0.5) * (1.0 - x / 4.0 + 3) + 0.0 * x,
+    "reciprocal": lambda x, y, errors: jet_reciprocal(x, errors=errors),
+    "float over jet": lambda x, y, errors: 2.0 * jet_reciprocal(x, errors=errors),
+    "sqrt": lambda x, y, errors: jet_sqrt(x, errors=errors),
+    "exp": lambda x, y, errors: jet_exp(x, errors=errors),
+    "ln": lambda x, y, errors: jet_ln(x, errors=errors),
+    "sin": lambda x, y, errors: jet_sin(x, errors=errors),
+    "cos": lambda x, y, errors: jet_cos(x, errors=errors),
+    "abs": lambda x, y, errors: jet_abs(x, errors=errors),
+    "ipow 3": lambda x, y, errors: jet_ipow(x, 3, errors),
+    "ipow -3": lambda x, y, errors: jet_ipow(x, -3, errors),
+    "ipow 0": lambda x, y, errors: jet_ipow(x, 0, errors),
+    "pow, both routes": lambda x, y, errors: jet_pow(x, y, errors=errors),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_OPS))
+def test_degree_2_block_depends_only_on_degree_2_inputs(name):
+    # the same errors, and at every point that did not fail the degree-2
+    # block of the result bit for bit (a failed point's columns are never read)
+    op = TRUNCATION_OPS[name]
+    rng = np.random.default_rng(sorted(TRUNCATION_OPS).index(name))
+    for _ in range(5):
+        x = value_batch(rng)
+        y = Jet.constant(rng.choice([2.0, -3.0, 0.5], size=len(VALUES)), (len(VALUES),))
+        y.c[1, 0, ::2] = rng.normal(size=(len(VALUES) + 1) // 2)  # the exp(e ln b) route
+        full_errors, cut_errors = {}, {}
+        with np.errstate(all="ignore"):  # the ring operators on the failing points
+            full = op(x, y, full_errors)
+            cut = op(truncated(x), truncated(y), cut_errors)
+        assert [(k, type(e), str(e)) for k, e in cut_errors.items()] == [
+            (k, type(e), str(e)) for k, e in full_errors.items()
+        ]
+        live = [k for k in range(len(VALUES)) if k not in full_errors]
+        assert cut.c.shape == (3, 3, len(VALUES)) and high_order_is_zero(Jet(cut.c[..., live]))
+        assert low_block(cut, live) == low_block(full, live)
+
+
+def test_degree_2_jets_keep_their_degree():
+    full = eval_jet(parse("1 + r*s + s^2 + r^2*s"), np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+    x = full.cut(2)
+    assert x.c.tobytes() == truncated(full).c.tobytes() and high_order_is_zero(x)
+    x = Jet(x.c[:, :, 0])
+    for j in (x / 2.0, 2.0 / x, jet_ipow(x, 0), x.d_r(), x.d_s(), Jet.variable("s", 0.5, 2) * x):
+        assert j.degree == 2 and j.c.shape == (3, 3)
+    assert x.partial(0, 2) == 2.0 and x.partial(1, 1) == 3.0  # 1 + 2r at r = 1
+
+
+def test_partial_checks_the_jets_own_degree():
+    x = truncated(eval_jet(parse("exp(r + s)"), 1.0, 0.5))
+    for a, b in [(3, 0), (0, 3), (2, 1), (-1, 0)]:
+        message = rf"^partial order \({a},{b}\) outside the jet degree$"
+        with pytest.raises(ValueError, match=message):
+            x.partial(a, b)
+
+
+def degree_4_pq(phi, r, s):
+    """P and Q by pq_jets' formulas on degree-4 jets, without the cut."""
+    phi_r, phi_s = phi.d_r(), phi.d_s()
+    phi_ss, phi_rs = phi_s.d_s(), phi_r.d_s()
+    rj, sj = Jet.variable("r", r), Jet.variable("s", s)
+    w = rj * rj - sj * sj
+    denom = phi - sj * phi_s + w * phi_ss
+    q = (-phi_r + sj * phi_rs + rj * phi_ss) * jet_reciprocal(2.0 * rj * denom)
+    p = -(q * jet_reciprocal(phi)) * (sj * phi + w * phi_s)
+    return p + (sj * phi_r + rj * phi_s) * jet_reciprocal(2.0 * rj * phi), q
+
+
+@pytest.mark.parametrize("text", [FLAT, "1+s", BASIS_COMBINATION, "sqrt(1+s^2)"])
+def test_pq_jets_are_the_degree_4_jets_cut_to_degree_2(text):
+    phi = eval_jet(parse(text), GRID_R, GRID_S)
+    everywhere = slice(None)
+    for cut, full in zip(pq_jets(phi, GRID_R, GRID_S), degree_4_pq(phi, GRID_R, GRID_S)):
+        assert cut.c.shape == (3, 3, len(GRID_R)) and high_order_is_zero(cut)
+        assert low_block(cut, everywhere) == low_block(full, everywhere)

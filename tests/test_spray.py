@@ -208,3 +208,14 @@ def test_batched_spray_rows_match_single_points(text, n):
         assert_row_matches(sp, one, k)
         assert_row_matches(resid, horizontal_residual(jet, one, p), k)
         assert_row_matches(mr, metrizability_from_spray(jet, one, p), k)
+
+
+def test_pq_jets_do_not_read_the_unused_reciprocal_seeds():
+    # at s = 0, phi = 1e-63 + s^2 gives P = 0 and Q = 1/(2 r^2), up to 1e-63.
+    # 1/phi's fourth Taylor seed 24/phi^5 overflows there; P and Q, as
+    # degree-2 jets, never read it
+    r = np.array([1.0, 0.5])
+    p, q = pq_jets(eval_jet(parse("1e-63 + s^2"), r, 0.0 * r), r, 0.0 * r)
+    assert p.c.shape == q.c.shape == (3, 3, 2)
+    assert np.all(p.value == 0.0)
+    assert q.value == pytest.approx(0.5 / (r * r), rel=1e-15)
