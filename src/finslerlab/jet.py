@@ -80,16 +80,17 @@ def _tables(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 def _cols(c: np.ndarray) -> np.ndarray:
     """The coefficients as a ((d+1)^2, points) array, points in flat batch order."""
-    return c.reshape(c.shape[0] * c.shape[1], -1)
+    return c.reshape(len(c) * len(c), -1)
 
 
 @functools.lru_cache(maxsize=64)
-def _mul_index(d: int, n: int) -> tuple[np.ndarray, ...]:
-    """Flat indices of the degree-d product terms of n points, term-major:
-    term t of point k multiplies x[I[t], k] by y[J[t], k] into bin K[t] of
-    point k."""
+def _mul_index(side: int, size: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of the product terms of jets of size coefficients,
+    side = d + 1, term-major: term t of point k multiplies x[I[t], k] by
+    y[J[t], k] into bin K[t] of point k."""
+    n = size // (side * side)
     k = np.arange(n)
-    out = tuple((idx[:, None] * n + k).ravel() for idx in _tables(d)[0])
+    out = tuple((idx[:, None] * n + k).ravel() for idx in _tables(side - 1)[0])
     for idx in out:
         idx.flags.writeable = False  # shared by every caller through the cache
     return out
@@ -184,7 +185,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
         x, y = self.c, other.c
-        i, j, k = _mul_index(self.degree, x[0, 0].size)
+        i, j, k = _mul_index(len(x), x.size)
         return Jet(np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape))
 
     __rmul__ = __mul__
@@ -264,7 +265,7 @@ def _compose(derivs, g: Jet) -> Jet:
     ``derivs[k]`` is the k-th derivative of f at g's value, a column over
     the batch; k = 0..d for g of degree d, and later entries are not read.
     """
-    h, d = g - g.c[0, 0], g.degree
+    h, d = g - g.c[0, 0], len(g.c) - 1
     acc = h * (derivs[d] / _FACT[d]) + derivs[d - 1] / _FACT[d - 1]
     for k in range(d - 2, -1, -1):
         acc = acc * h + derivs[k] / _FACT[k]
@@ -297,7 +298,7 @@ def jet_reciprocal(g: Jet, *, errors: dict) -> Jet:
     _fail(v == 0.0, errors, v, "division by a jet with zero value")
     out_of_range = np.isfinite(v) & (np.isinf(pw[DEGREE]) | (pw[DEGREE] == 0.0))
     _fail(out_of_range, errors, v, "reciprocal of jet value {v!r} is out of float range")
-    return _compose([(-1.0) ** k * _FACT[k] / pw[k] for k in range(g.degree + 1)], g)
+    return _compose([(-1.0) ** k * _FACT[k] / pw[k] for k in range(len(g.c))], g)
 
 
 @batched
@@ -312,7 +313,7 @@ def jet_exp(g: Jet, *, errors: dict) -> Jet:
     v = g.c[0, 0]
     f0 = np.exp(v)
     _fail(np.isfinite(v) & np.isinf(f0), errors, v, "exp of jet value {v!r} overflows")
-    return _compose((f0,) * (g.degree + 1), g)
+    return _compose((f0,) * len(g.c), g)
 
 
 @batched
@@ -327,7 +328,7 @@ def _trig(g: Jet, errors: dict, name: str, shift: int) -> Jet:
     _fail(np.isinf(v), errors, v, name + " of infinite jet value {v!r}")
     sv, cv = np.sin(v), np.cos(v)
     cycle = (sv, cv, -sv, -cv)
-    return _compose([cycle[(shift + k) % 4] for k in range(g.degree + 1)], g)
+    return _compose([cycle[(shift + k) % 4] for k in range(len(g.c))], g)
 
 
 @batched
