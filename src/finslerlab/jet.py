@@ -124,7 +124,8 @@ class Jet:
     def cut(self, d: int) -> "Jet":
         """The degree-d jet of this jet's coefficients of total degree <= d."""
         c = self.c[: d + 1, : d + 1].copy()
-        c[np.add.outer(np.arange(d + 1), np.arange(d + 1)) > d] = 0.0
+        for a in range(1, d + 1):
+            c[a, d + 1 - a :] = 0.0  # total degree > d
         return Jet(c)
 
     @property
