@@ -168,10 +168,10 @@ def _evaluate(
 
 def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
     """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, with
-    the P and Q jets on the columns of phi's."""
+    the P and Q jets on the columns of phi's, at degree 2 (all C1..C3 read)."""
     jet = phi_jets.rows(errors)
     cols = phi_jets.r, phi_jets.s, phi_jets.index
-    pj, qj = (GridJets.evaluate(e, *cols).rows(errors) for e in (p_ast, q_ast))
+    pj, qj = (GridJets.evaluate(e, *cols, degree=2).rows(errors) for e in (p_ast, q_ast))
     user_sp = spray_pack_from_jets(pj, qj, p)
     mr = metrizability_from_spray(jet, user_sp, p)
     bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))

@@ -5,15 +5,15 @@ A :class:`Jet` of degree d holds the Taylor-normalized coefficients
     c[a, b] = (d/dr)^a (d/ds)^b f / (a! b!),   a + b <= d,
 
 of a function at one base point, or at a batch of them: ``c`` has shape
-(d+1, d+1, *batch), so the degree is the shape of the array, and
-``c[a, b]`` is a float or an array over the batch.  ``eval_jet`` works at
-degree 4, ``spray.pq_jets`` at degree 2.  Products are Cauchy products cut
-at total degree d, and smooth functions are applied by composing their
-univariate Taylor expansion with the jet.  Coefficients of total degree > d
-are identically zero and never consulted.  A coefficient of degree <= 2 of
-a product or a composition reads only inputs of degree <= 2, so cutting
-the inputs to degree 2 keeps it bit for bit where the Taylor seeds are
-finite.
+(d+1, d+1, *batch), so the degree is the shape of the array.  ``eval_jet``
+works at degree 4 by default, the P/Q jets (``spray.pq_jets`` and the
+candidates of ``metrize``) at degree 2.  Products are Cauchy products cut
+at total degree d, and smooth functions compose their univariate Taylor
+expansion with the jet.  Coefficients of total degree > d are identically
+zero and never consulted.  A coefficient of degree <= 2 of a product or a
+composition reads only inputs of degree <= 2, so evaluating at degree 2
+keeps it bit for bit where the Taylor seeds are finite.  ``eval_jet`` runs
+an AST as a tape (``_Tape``) that evaluates equal subtrees once.
 
 Every jet operation is one numpy call over the whole batch, and the batch
 columns never mix, so each row of a batched result equals the one-point
@@ -21,8 +21,8 @@ result bit for bit.  The product is one index-map kernel: the index triples
 of the truncated Cauchy product over the flattened array (70 at degree 4,
 15 at degree 2) list only entries of total degree <= d, so the kernel
 relies on the zero invariant above.  One bincount over keys offset by the
-batch column sums each output bin in the order of the textbook quadruple
-loop, so products match that loop bit for bit.
+batch column (cached for batches up to 6400 coefficients) sums each output
+bin in the order of the textbook quadruple loop, bit for bit.
 
 The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
 jet's value) are numpy columns over the batch, and every domain guard is a
@@ -83,7 +83,7 @@ def _cols(c: np.ndarray) -> np.ndarray:
     return c.reshape(len(c) * len(c), -1)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _mul_index(side: int, size: int) -> tuple[np.ndarray, ...]:
     """Flat indices of the product terms of jets of size coefficients,
     side = d + 1, term-major: term t of point k multiplies x[I[t], k] by
@@ -186,8 +186,14 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
         x, y = self.c, other.c
-        i, j, k = _mul_index(len(x), x.size)
-        return Jet(np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape))
+        if x.size <= 6400:  # cached indices: 24 bytes a term, 430 KiB at degree 4
+            i, j, k = _mul_index(len(x), x.size)
+            w = x.ravel()[i] * y.ravel()[j]
+        else:  # rows gathered by the size-free tables, and the bins built here
+            i, j, k = _tables(len(x) - 1)[0]
+            w = _cols(x)[i] * _cols(y)[j]
+            k = (k[:, None] * w.shape[1] + np.arange(w.shape[1])).ravel()
+        return Jet(np.bincount(k, w.ravel(), minlength=x.size).reshape(x.shape))
 
     __rmul__ = __mul__
 
@@ -356,15 +362,13 @@ def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
         return Jet.constant(1.0, g.batch, g.degree)
     if n < 0:
         return jet_reciprocal(jet_ipow(g, -n), errors=errors)
-    out: Jet | None = None
-    base = g
+    out, base = None, g
     while n:
         if n & 1:
             out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    assert out is not None
     return out
 
 
@@ -400,20 +404,10 @@ def jet_pow(base: Jet, expo: Jet, *, errors: dict) -> Jet:
     return Jet(out.reshape(base.c.shape))
 
 
-def _divide(a: Jet, b: Jet, errors: dict) -> Jet:
-    return a * jet_reciprocal(b, errors=errors)
-
-
 _RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_FAILING = {"/": _divide, "^": jet_pow}  # the operators that can fail at a point
-_JET_FUNCS = {
-    "sqrt": jet_sqrt,
-    "exp": jet_exp,
-    "ln": jet_ln,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "abs": jet_abs,
-}
+# the operators that can fail at a point
+_FAILING = {"/": lambda a, b, errors: a * jet_reciprocal(b, errors=errors), "^": jet_pow}
+_JET_FUNCS = dict(sqrt=jet_sqrt, exp=jet_exp, ln=jet_ln, sin=jet_sin, cos=jet_cos, abs=jet_abs)
 
 
 def _named(node: Node, errors: dict, fn, *args) -> Jet:
@@ -431,44 +425,81 @@ def _named(node: Node, errors: dict, fn, *args) -> Jet:
     return out
 
 
+class _Tape:
+    """An expression compiled for one evaluation at degree d: operations
+    (slot, fn, node naming its errors or None, argument slots) in post-order.
+    A node's key is its kind and its children's slots, so structurally equal
+    subtrees share a slot, and no AST node is hashed.  A literal operand of
+    + - * or numerator of / beside a non-literal is a Python float, whose
+    route gives the constant jet's bits; x / c is x * (1/c) where the
+    reciprocal jet of the constant c records no error."""
+
+    def __init__(self, e: Node, r: np.ndarray, s: np.ndarray, degree: int):
+        self.variables = {"r": Jet.variable("r", r, degree), "s": Jet.variable("s", s, degree)}
+        self.batch, self.degree, self.slots, self.values, self.ops = r.shape, degree, {}, [], []
+        self.compile(e)  # the root takes the last slot
+
+    def slot(self, key: tuple, value=None, fn=None, node: Node | None = None) -> int:
+        """The slot of key: a new one holds value, or fn's result on the
+        values in the slots key[1:] once ``eval_jet`` reaches it."""
+        slot = self.slots.setdefault(key, len(self.values))
+        if slot == len(self.values):
+            self.values.append(value)
+            if fn is not None:
+                self.ops.append((slot, fn, node, key[1:]))
+        return slot
+
+    def compile(self, node: Node, literal: bool = False) -> int:
+        """The slot of node's value; literal: a Num is a Python float."""
+        kind = type(node)
+        if kind is Num:
+            v = float(node.value) if literal else Jet.constant(node.value, self.batch, self.degree)
+            return self.slot((literal, repr(node.value)), v)
+        if kind is Var:
+            return self.slot((node.name,), self.variables[node.name])
+        if kind is Neg:
+            return self.slot(("-", self.compile(node.arg)), fn=operator.neg)
+        if kind is Call:
+            a = self.compile(node.arg)
+            return self.slot((node.func, a), fn=_JET_FUNCS[node.func], node=node)
+        if kind is not BinOp:
+            raise TypeError(f"not an expression node: {node!r}")
+        op, left, right = node.op, node.left, node.right
+        # an integer literal exponent (n or -n): jet_pow's squaring route at every point
+        lit, sign = (right.arg, -1) if type(right) is Neg else (right, 1)
+        if op == "^" and type(lit) is Num and abs(lit.value) <= 1024 and lit.value % 1 == 0:
+            a, n = self.compile(left), sign * int(lit.value)
+            return self.slot(("^", a, self.slot(("int", n), n)), fn=jet_ipow, node=node)
+        if op == "/" and type(right) is Num:
+            c = jet_reciprocal(Jet.constant(right.value, (), self.degree), errors=(failed := {})).c
+            if not failed:  # where a seed overflows, 1/c is NaN: x * NaN fails as x / c does
+                return self.compile(BinOp("*", left, Num(float(c[0, 0]))))
+        a = self.compile(left, op in "+-*/" and type(right) is not Num)
+        b = self.compile(right, op in _RING and type(left) is not Num)
+        if op in _RING:
+            return self.slot((op, a, b), fn=_RING[op])
+        if op in _FAILING:
+            return self.slot((op, a, b), fn=_FAILING[op], node=node)
+        raise TypeError(f"unknown operator {op!r}")
+
+
 @batched
-def eval_jet(e: Node, r, s, *, errors: dict) -> Jet:
-    """Evaluate an expression AST as degree-4 Taylor jets at the points (r, s).
+def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
+    """Evaluate an expression AST as degree-d Taylor jets at the points (r, s).
 
     r and s are floats, or arrays whose broadcast shape becomes the jet's
-    batch shape.  Each point gets the error a one-point evaluation raises,
-    in the same post-order: with an ``errors`` dict it is recorded there
-    under the point's flat batch index; without one, the first failing
-    point's error is raised.
+    batch shape.  The AST is compiled once into a ``_Tape``.  Each point gets
+    the error a one-point evaluation raises, in the same post-order: with an
+    ``errors`` dict it is recorded there under the point's flat batch index;
+    without one, the first failing point's error is raised.
     """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-    batch = r.shape
-
-    def rec(node: Node) -> Jet:
-        if isinstance(node, Num):
-            return Jet.constant(node.value, batch)
-        if isinstance(node, Var):
-            return Jet.variable(node.name, r if node.name == "r" else s)
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, BinOp):
-            a, b = rec(node.left), node.right
-            # an integer literal exponent (n or -n): jet_pow's squaring route at every point
-            lit, sign = (b.arg, -1) if isinstance(b, Neg) else (b, 1)
-            if node.op == "^" and isinstance(lit, Num) and abs(lit.value) <= 1024:
-                if lit.value % 1 == 0:
-                    return _named(node, errors, jet_ipow, a, sign * int(lit.value))
-            b = rec(b)
-            if node.op in _RING:
-                return _RING[node.op](a, b)
-            if node.op in _FAILING:
-                return _named(node, errors, _FAILING[node.op], a, b)
-            raise TypeError(f"unknown operator {node.op!r}")
-        if isinstance(node, Call):
-            return _named(node, errors, _JET_FUNCS[node.func], rec(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    out = rec(e)
+    tape = _Tape(e, r, s, degree)
+    values = tape.values
+    for slot, fn, node, args in tape.ops:
+        x = [values[i] for i in args]
+        values[slot] = fn(*x) if node is None else _named(node, errors, fn, *x)
+    out = values[-1]  # the root's
     fail_where(
         ~np.isfinite(_cols(out.c)).all(axis=0),
         errors,
@@ -492,11 +523,10 @@ class GridJets:
         self.errors = errors  # column -> its recorded error
 
     @classmethod
-    def evaluate(cls, e: Node, r: np.ndarray, s: np.ndarray, index: np.ndarray) -> "GridJets":
-        """e at the columns (r, s), 1-D arrays, for the points that index
-        maps to them."""
+    def evaluate(cls, e: Node, r, s, index: np.ndarray, *, degree: int = DEGREE) -> "GridJets":
+        """e as degree-d jets at the 1-D columns (r, s) of the points index maps to them."""
         errors = {}
-        return cls(r, s, index, eval_jet(e, r, s, errors=errors), errors)
+        return cls(r, s, index, eval_jet(e, r, s, degree=degree, errors=errors), errors)
 
     def with_jets(self, jets: Jet, errors: dict) -> "GridJets":
         """Other jets on the same columns."""

@@ -164,6 +164,6 @@ def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> Metrizabi
 def metrizability_residuals(
     jet: Jet, p_expr: Node, q_expr: Node, p: EvalPoint
 ) -> MetrizabilityResiduals:
-    """C1/C2 residuals of a candidate spray (P, Q) against phi."""
-    sp = spray_pack_from_jets(eval_jet(p_expr, p.r, p.s), eval_jet(q_expr, p.r, p.s), p)
+    """C1/C2 residuals of a candidate spray (P, Q), as degree-2 jets, against phi."""
+    sp = spray_pack_from_jets(*(eval_jet(e, p.r, p.s, degree=2) for e in (p_expr, q_expr)), p)
     return metrizability_from_spray(jet, sp, p)

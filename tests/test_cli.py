@@ -688,3 +688,33 @@ def test_cells_the_embedding_rejects_are_skips_in_grid_order(sub, capsys, tmp_pa
     if sub == "classify":
         assert doc["verdicts"]["degeneracy"] == "nondegenerate"
         assert all(math.isfinite(p["K"]) for p in doc["points"])
+
+
+def test_metrize_reads_the_candidate_spray_at_degree_2(capsys, tmp_path):
+    # 1/(1e-63 + s^2) overflows at s = 0 only in its degree-4 seed 24/v^5,
+    # which C1..C3 never read: every point is evaluated, and the spray fails
+    args = ["metrize", "--phi", "1+s", "--p", "1/(1e-63+s^2)", "--q", "0"]
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == 1 and doc["verdicts"] == {"metrizable": False}
+    assert len(doc["points"]) == 30 and doc["skipped"] == []
+
+
+@pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
+def test_a_clean_run_leaves_no_cyclic_garbage(sub):
+    import gc
+
+    from finslerlab.cli import RunConfig, run
+
+    # the flat phi and its spray
+    p = "-s/r^2 - 3*sqrt(r^2-s^2)/(4*r^2)"
+    q = "7/(8*r^2) - 3*s^2/(8*r^4) - 3*s*sqrt(r^2-s^2)/(4*r^4)"
+    cfg = RunConfig(sub, FLAT, 3, [0.6, 1.0, 1.4], [-0.5, 0.0, 0.5], [1.0, 2.0], p_expr=p, q_expr=q)
+    doc, code = run(cfg)  # warm-up
+    assert code == 0 and len(doc["points"]) == 18 and doc["skipped"] == []
+    gc.collect()
+    gc.disable()
+    try:
+        run(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -558,3 +558,208 @@ def test_pq_jets_are_the_degree_4_jets_cut_to_degree_2(text):
     for cut, full in zip(pq_jets(phi, GRID_R, GRID_S), degree_4_pq(phi, GRID_R, GRID_S)):
         assert cut.c.shape == (3, 3, len(GRID_R)) and high_order_is_zero(cut)
         assert low_block(cut, everywhere) == low_block(full, everywhere)
+
+
+# -- the compiled tape against a plain tree walk ---------------------------------
+
+FLAT_P = "-s/r^2 - 3*sqrt(r^2-s^2)/(4*r^2)"
+FLAT_Q = "7/(8*r^2) - 3*s^2/(8*r^4) - 3*s*sqrt(r^2-s^2)/(4*r^4)"
+
+
+def tree_walk(e, r, s, degree=4):
+    """eval_jet as a tree walk: every literal a constant jet, and every
+    subtree evaluated where it occurs.  Returns the jet and its errors."""
+    from finslerlab.expr import BinOp, Call, Neg, Num, Var
+    from finslerlab.jet import _named, fail_where
+
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    errors = {}
+    funcs = {"sqrt": jet_sqrt, "exp": jet_exp, "ln": jet_ln, "sin": jet_sin, "cos": jet_cos}
+    funcs["abs"] = jet_abs
+
+    def divide(a, b, errors):
+        return a * jet_reciprocal(b, errors=errors)
+
+    def walk(node):
+        if isinstance(node, Num):
+            return Jet.constant(node.value, r.shape, degree)
+        if isinstance(node, Var):
+            return Jet.variable(node.name, r if node.name == "r" else s, degree)
+        if isinstance(node, Neg):
+            return -walk(node.arg)
+        if isinstance(node, Call):
+            return _named(node, errors, funcs[node.func], walk(node.arg))
+        a, b = walk(node.left), node.right
+        lit, sign = (b.arg, -1) if isinstance(b, Neg) else (b, 1)
+        if node.op == "^" and isinstance(lit, Num) and abs(lit.value) <= 1024:
+            if lit.value % 1 == 0:
+                return _named(node, errors, jet_ipow, a, sign * int(lit.value))
+        b = walk(b)
+        ring = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b}
+        if node.op in ring:
+            return ring[node.op]()
+        return _named(node, errors, divide if node.op == "/" else jet_pow, a, b)
+
+    with np.errstate(all="ignore"):
+        out = walk(e)
+        fail_where(
+            ~np.isfinite(out.c.reshape(len(out.c) ** 2, -1)).all(axis=0),
+            errors,
+            lambda: DomainError(f"non-finite jet coefficient in {to_string(e)}"),
+        )
+    return out, errors
+
+
+def error_list(errors):
+    """The errors in insertion order, by key, type, message and cause."""
+    return [
+        (k, type(exc), str(exc), type(exc.__cause__), str(exc.__cause__))
+        for k, exc in errors.items()
+    ]
+
+
+def count_products(monkeypatch):
+    """Count Jet x Jet products from here on; returns the one-entry counter."""
+    counter, product = [0], Jet.__mul__
+
+    def counting(x, y):
+        counter[0] += isinstance(y, Jet)
+        return product(x, y)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    return counter
+
+
+def test_flat_phi_tape_shares_its_repeated_subtree(monkeypatch):
+    # the tree walk makes 27 products; sqrt(r^2-s^2) runs once, 2*s and
+    # the numerator of 1/r^5 take the float-operand route
+    e, r, s = parse(EX45), GRID_R, GRID_S
+    products = count_products(monkeypatch)
+    tape = eval_jet(e, r, s)
+    assert products[0] <= 20
+    products[0] = 0
+    walked, _ = tree_walk(e, r, s)
+    assert products[0] == 27
+    assert same_bits(tape, walked)
+
+
+# Repeated subtrees that fail at some points, literal divisors whose
+# reciprocal jet fails (0, 1e-70) or overflows in its degree-4 seed (1e-63),
+# literal operands beside literals, and negated literals and variables
+# (zero signs); on a grid with s = 0, s < 0 and s > 0.
+TAPE_CASES = [
+    EX45,
+    FLAT_P,
+    FLAT_Q,
+    BASIS_COMBINATION,
+    "sqrt(s) + sqrt(s)",
+    "ln(s) * ln(s) + sqrt(s) * (2 - ln(s))",
+    "s/0 + r",
+    "s/1e-70 + r",
+    "(r + s)/1e-63",
+    "s/1e309 + r",
+    "1/(1e-63 + s^2)",
+    "s/4 + s*0.25 + (s/4)/(r - 1.2)",
+    "1/2*s + 2*3*s + (0 - 1)*0 + 2^(1e309 - 1e309)*0 + 1/1e-63",
+    "-2*s + s*(-0) - (-0) + (-0)*s + 0*(-s) + (-s)*0",
+    "-s - (-r) + s - 0 + (0 - s) - (-s)*(-0)",
+    "-s - (-0)",
+    "(-0) - s",
+    "s^2 + s^-2 + (s + 2)^0.5 + 2^s + (r + s)^(2 + 0*r) + s^0",
+    "abs(s) + exp(-s)/sin(r + s) + cos(s)^3",
+    "(1 + s)^r + sqrt(r^2 - s^2)/sqrt(r^2 - s^2)",
+    "sin(1e308*10) + s",
+]
+
+
+def signed_zero_tree():
+    """-(0*s) + (-0.0): a literal -0.0, which parse never makes, after a
+    literal 0.0; the root's value is -0.0 + -0.0 = -0.0 at every point."""
+    from finslerlab.expr import BinOp, Neg, Num, Var
+
+    return BinOp("+", Neg(BinOp("*", Num(0.0), Var("s"))), Num(-0.0))
+
+
+@pytest.mark.parametrize("degree", [4, 2])
+@pytest.mark.parametrize("text", [*TAPE_CASES, None])
+def test_tape_matches_the_tree_walk_bit_for_bit(text, degree):
+    # the same errors, in the same order with the same causes, and at every
+    # point that did not fail the same bits
+    e, r, s = parse(text) if text else signed_zero_tree(), GRID_R, GRID_S
+    errors = {}
+    tape = eval_jet(e, r, s, degree=degree, errors=errors)
+    walked, walked_errors = tree_walk(e, r, s, degree)
+    assert error_list(errors) == error_list(walked_errors)
+    live = [k for k in range(len(r)) if k not in errors]
+    assert tape.c.shape == walked.c.shape == (degree + 1, degree + 1, len(r))
+    assert tape.c[..., live].tobytes() == walked.c[..., live].tobytes()
+
+
+def test_literal_divisors_keep_their_errors():
+    # x / 0 and x / 1e-70 fail in the reciprocal of the literal at every
+    # point; x / 1e-63 overflows only in the degree-4 seed 24/c^5
+    for text, degree, reason in [
+        ("s/0", 4, "division by a jet with zero value in (s / 0)"),
+        ("s/1e-70", 2, "reciprocal of jet value 1e-70 is out of float range in (s / 1e-70)"),
+        ("s/1e-63", 4, "non-finite jet coefficient in (s / 1e-63)"),
+    ]:
+        errors = {}
+        eval_jet(parse(text), GRID_R, GRID_S, degree=degree, errors=errors)
+        assert sorted(errors) == list(range(len(GRID_R)))
+        assert {str(exc) for exc in errors.values()} == {reason}
+    errors = {}
+    out = eval_jet(parse("s/1e-63"), GRID_R, GRID_S, degree=2, errors=errors)
+    assert not errors and (out.partial(0, 1) == 1 / 1e-63).all()
+
+
+# expressions in s, at r = 1 and the s of VALUES, for the operations of
+# test_degree_2_block_depends_only_on_degree_2_inputs
+TRUNCATION_EXPRESSIONS = {
+    "mul": "s*(r + s)",
+    "add": "s + (r*s + 1)",
+    "sub": "s - (r*s + 1)",
+    "neg": "-s",
+    "float operands": "(2.5*s - 0.5)*(1.0 - s/4.0 + 3) + 0.0*s",
+    "reciprocal": "1/s",
+    "float over jet": "2/s",
+    "sqrt": "sqrt(s)",
+    "exp": "exp(s)",
+    "ln": "ln(s)",
+    "sin": "sin(s)",
+    "cos": "cos(s)",
+    "abs": "abs(s)",
+    "ipow 3": "s^3",
+    "ipow -3": "s^-3",
+    "ipow 0": "s^0",
+    "pow, both routes": "s^(2 + 0*r) + s^(r*0.5)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_EXPRESSIONS))
+def test_degree_2_tape_is_the_degree_4_tape_cut(name):
+    e, r, s = parse(TRUNCATION_EXPRESSIONS[name]), np.ones(len(VALUES)), np.array(VALUES)
+    full_errors, cut_errors = {}, {}
+    full = eval_jet(e, r, s, errors=full_errors)
+    cut = eval_jet(e, r, s, degree=2, errors=cut_errors)
+    assert error_list(cut_errors) == error_list(full_errors)
+    live = [k for k in range(len(VALUES)) if k not in full_errors]
+    assert cut.c.shape == (3, 3, len(VALUES)) and high_order_is_zero(Jet(cut.c[..., live]))
+    assert low_block(cut, live) == low_block(full, live)
+
+
+def test_large_batches_multiply_without_the_index_cache():
+    # a batch of more than 6400 coefficients builds its bins per product,
+    # with the bits of the cached kernel, and leaves the cache as it was
+    from finslerlab.jet import _mul_index
+
+    rng = np.random.default_rng(3)
+    x = np.stack([random_jet(rng).c for _ in range(300)], axis=-1)
+    y = np.stack([random_jet(rng).c for _ in range(300)], axis=-1)
+    before = _mul_index.cache_info().currsize
+    product = (Jet(x) * Jet(y)).c
+    assert _mul_index.cache_info().currsize == before
+    for k in (0, 150, 299):
+        assert product[:, :, k].tobytes() == cauchy_reference(x[:, :, k], y[:, :, k]).tobytes()
+    for k in (0, 150, 299):
+        assert product[:, :, k].tobytes() == (Jet(x[:, :, k]) * Jet(y[:, :, k])).c.tobytes()

@@ -7,8 +7,8 @@ on the tree of the git revision REV (unpacked from ``git archive`` into a
 temporary directory) and on the working tree, one subprocess each.  Every
 call writes its report with ``--json``.  For each call the exit code,
 stdout, stderr and the report's bytes must be identical.  Prints the number
-of calls per exit code and the first differing call, and exits 1 on any
-difference.  Everything it writes goes to a temporary directory.
+of calls per exit code and every differing call (the first 20), and exits 1
+on any difference.  Everything it writes goes to a temporary directory.
 """
 
 from __future__ import annotations
@@ -60,8 +60,16 @@ GRIDS = [
     ["--r=1:1:3", "--s-frac=0:0:3", "--u=1:2:3"],
     ["--u=2:1:3"],
 ]
-# the metrize candidates (P, Q), taken in turn over the phis
-SPRAYS = [("0.5/(2*(1+0.5*s))", "0"), ("s/(2*r)", "1/r^2")]
+# the metrize candidates (P, Q), taken in turn over the phis: the spray of
+# the flat phi (a shared sqrt and literal operands), one that fails at some
+# points, and one whose P overflows only in its degree-4 seed at s = 0
+SPRAYS = [
+    ("0.5/(2*(1+0.5*s))", "0"),
+    ("s/(2*r)", "1/r^2"),
+    ("-s/r^2 - 3*sqrt(r^2-s^2)/(4*r^2)", "7/(8*r^2) - 3*s^2/(8*r^4) - 3*s*sqrt(r^2-s^2)/(4*r^4)"),
+    ("1/(1e-63+s^2)", "sqrt(s)"),
+    ("1/(1e-63+s^2)", "0"),
+]
 
 
 def corpus() -> list[list[str]]:
@@ -143,11 +151,12 @@ def main(argv: list[str] | None = None) -> int:
     if not differ:
         print("exit codes, stdout, stderr and report bytes identical in every call")
         return 0
-    first = differ[0]
     fields = ("exit code", "stdout", "stderr", "report")
-    parts = [name for name, a, b in zip(fields, want[first], got[first]) if a != b]
-    print(f"{len(differ)} calls differ; the first: finsler-lab {' '.join(calls[first])}")
-    print(f"  differs in: {', '.join(parts)}")
+    print(f"{len(differ)} calls differ" + ("; the first 20:" if len(differ) > 20 else ":"))
+    for k in differ[:20]:
+        parts = [name for name, a, b in zip(fields, want[k], got[k]) if a != b]
+        print(f"  finsler-lab {' '.join(calls[k])}")
+        print(f"    differs in: {', '.join(parts)}")
     return 1
 
 
