@@ -428,11 +428,10 @@ def _named(node: Node, errors: dict, fn, *args) -> Jet:
 class _Tape:
     """An expression compiled for one evaluation at degree d: operations
     (slot, fn, node naming its errors or None, argument slots) in post-order.
-    A node's key is its kind and its children's slots, so structurally equal
-    subtrees share a slot, and no AST node is hashed.  A literal operand of
-    + - * or numerator of / beside a non-literal is a Python float, whose
-    route gives the constant jet's bits; x / c is x * (1/c) where the
-    reciprocal jet of the constant c records no error."""
+    A node's key is its kind and its children's slots, so equal subtrees share
+    a slot and no AST node is hashed.  A literal beside a non-literal operand
+    of + - * or as numerator of / is a float (its route gives the constant
+    jet's bits); x / c is x * (1/c) where the jet of 1/c records no error."""
 
     def __init__(self, e: Node, r: np.ndarray, s: np.ndarray, degree: int):
         self.variables = {"r": Jet.variable("r", r, degree), "s": Jet.variable("s", s, degree)}
@@ -440,8 +439,7 @@ class _Tape:
         self.compile(e)  # the root takes the last slot
 
     def slot(self, key: tuple, value=None, fn=None, node: Node | None = None) -> int:
-        """The slot of key: a new one holds value, or fn's result on the
-        values in the slots key[1:] once ``eval_jet`` reaches it."""
+        """The slot of key; a new one holds value, or fn's result on the slots key[1:]."""
         slot = self.slots.setdefault(key, len(self.values))
         if slot == len(self.values):
             self.values.append(value)
@@ -451,18 +449,17 @@ class _Tape:
 
     def compile(self, node: Node, literal: bool = False) -> int:
         """The slot of node's value; literal: a Num is a Python float."""
-        kind = type(node)
-        if kind is Num:
+        if type(node) is Num:
             v = float(node.value) if literal else Jet.constant(node.value, self.batch, self.degree)
             return self.slot((literal, repr(node.value)), v)
-        if kind is Var:
+        if type(node) is Var:
             return self.slot((node.name,), self.variables[node.name])
-        if kind is Neg:
+        if type(node) is Neg:
             return self.slot(("-", self.compile(node.arg)), fn=operator.neg)
-        if kind is Call:
+        if type(node) is Call:
             a = self.compile(node.arg)
             return self.slot((node.func, a), fn=_JET_FUNCS[node.func], node=node)
-        if kind is not BinOp:
+        if type(node) is not BinOp:
             raise TypeError(f"not an expression node: {node!r}")
         op, left, right = node.op, node.left, node.right
         # an integer literal exponent (n or -n): jet_pow's squaring route at every point
@@ -495,10 +492,13 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
     """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     tape = _Tape(e, r, s, degree)
-    values = tape.values
-    for slot, fn, node, args in tape.ops:
+    values, last = tape.values, {i: k for k, op in enumerate(tape.ops) for i in op[3]}
+    for k, (slot, fn, node, args) in enumerate(tape.ops):
         x = [values[i] for i in args]
         values[slot] = fn(*x) if node is None else _named(node, errors, fn, *x)
+        for i in args:
+            if last[i] == k:  # no later operation reads slot i
+                values[i] = None
     out = values[-1]  # the root's
     fail_where(
         ~np.isfinite(_cols(out.c)).all(axis=0),
