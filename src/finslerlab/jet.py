@@ -21,8 +21,8 @@ result bit for bit.  The product is one index-map kernel: the index triples
 of the truncated Cauchy product over the flattened array (70 at degree 4,
 15 at degree 2) list only entries of total degree <= d, so the kernel
 relies on the zero invariant above.  One bincount over keys offset by the
-batch column (cached for batches up to 6400 coefficients) sums each output
-bin in the order of the textbook quadruple loop, bit for bit.
+batch column sums each output bin in the order of the textbook quadruple
+loop, so products match that loop bit for bit.
 
 The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
 jet's value) are numpy columns over the batch, and every domain guard is a
@@ -83,16 +83,25 @@ def _cols(c: np.ndarray) -> np.ndarray:
     return c.reshape(len(c) * len(c), -1)
 
 
-@functools.lru_cache(maxsize=16)
+_MUL_INDEX: dict = {}  # (side, size) -> the indices of _mul_index, oldest first
+
+
 def _mul_index(side: int, size: int) -> tuple[np.ndarray, ...]:
     """Flat indices of the product terms of jets of size coefficients,
     side = d + 1, term-major: term t of point k multiplies x[I[t], k] by
-    y[J[t], k] into bin K[t] of point k."""
-    n = size // (side * side)
-    k = np.arange(n)
-    out = tuple((idx[:, None] * n + k).ravel() for idx in _tables(side - 1)[0])
-    for idx in out:
-        idx.flags.writeable = False  # shared by every caller through the cache
+    y[J[t], k] into bin K[t] of point k.
+
+    The indices are cached.  The oldest entries leave while the cache holds
+    more than 8 MiB: 24 bytes a product term, so one batch of up to 4993
+    columns at degree 4."""
+    out = _MUL_INDEX.get((side, size))
+    if out is None:
+        n = size // (side * side)
+        index = (np.array(_tables(side - 1)[0])[:, :, None] * n + np.arange(n)).reshape(3, -1)
+        index.flags.writeable = False  # shared by every caller through the cache
+        out = _MUL_INDEX[side, size] = tuple(index)  # I, J, K: rows of one array, fewer heap holes
+        while len(_MUL_INDEX) > 1 and sum(3 * v[0].nbytes for v in _MUL_INDEX.values()) > 8 << 20:
+            del _MUL_INDEX[next(iter(_MUL_INDEX))]
     return out
 
 
@@ -186,14 +195,8 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
         x, y = self.c, other.c
-        if x.size <= 6400:  # cached indices: 24 bytes a term, 430 KiB at degree 4
-            i, j, k = _mul_index(len(x), x.size)
-            w = x.ravel()[i] * y.ravel()[j]
-        else:  # rows gathered by the size-free tables, and the bins built here
-            i, j, k = _tables(len(x) - 1)[0]
-            w = _cols(x)[i] * _cols(y)[j]
-            k = (k[:, None] * w.shape[1] + np.arange(w.shape[1])).ravel()
-        return Jet(np.bincount(k, w.ravel(), minlength=x.size).reshape(x.shape))
+        i, j, k = _mul_index(len(x), x.size)
+        return Jet(np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape))
 
     __rmul__ = __mul__
 
@@ -362,13 +365,15 @@ def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
         return Jet.constant(1.0, g.batch, g.degree)
     if n < 0:
         return jet_reciprocal(jet_ipow(g, -n), errors=errors)
-    out, base = None, g
+    out: Jet | None = None
+    base = g
     while n:
         if n & 1:
             out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
+    assert out is not None
     return out
 
 
@@ -404,10 +409,20 @@ def jet_pow(base: Jet, expo: Jet, *, errors: dict) -> Jet:
     return Jet(out.reshape(base.c.shape))
 
 
+def _divide(a: Jet, b: Jet, errors: dict) -> Jet:
+    return a * jet_reciprocal(b, errors=errors)
+
+
 _RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-# the operators that can fail at a point
-_FAILING = {"/": lambda a, b, errors: a * jet_reciprocal(b, errors=errors), "^": jet_pow}
-_JET_FUNCS = dict(sqrt=jet_sqrt, exp=jet_exp, ln=jet_ln, sin=jet_sin, cos=jet_cos, abs=jet_abs)
+_FAILING = {"/": _divide, "^": jet_pow}  # the operators that can fail at a point
+_JET_FUNCS = {
+    "sqrt": jet_sqrt,
+    "exp": jet_exp,
+    "ln": jet_ln,
+    "sin": jet_sin,
+    "cos": jet_cos,
+    "abs": jet_abs,
+}
 
 
 def _named(node: Node, errors: dict, fn, *args) -> Jet:
@@ -435,7 +450,11 @@ class _Tape:
 
     def __init__(self, e: Node, r: np.ndarray, s: np.ndarray, degree: int):
         self.variables = {"r": Jet.variable("r", r, degree), "s": Jet.variable("s", s, degree)}
-        self.batch, self.degree, self.slots, self.values, self.ops = r.shape, degree, {}, [], []
+        self.batch = r.shape
+        self.degree = degree
+        self.slots = {}  # key -> slot
+        self.values = []  # slot -> its jet, float or int
+        self.ops = []
         self.compile(e)  # the root takes the last slot
 
     def slot(self, key: tuple, value=None, fn=None, node: Node | None = None) -> int:
@@ -452,8 +471,8 @@ class _Tape:
         if type(node) is Num:
             v = float(node.value) if literal else Jet.constant(node.value, self.batch, self.degree)
             return self.slot((literal, repr(node.value)), v)
-        if type(node) is Var:
-            return self.slot((node.name,), self.variables[node.name])
+        if type(node) is Var:  # popped: the slot alone holds it, until its last reader
+            return self.slot((node.name,), self.variables.pop(node.name, None))
         if type(node) is Neg:
             return self.slot(("-", self.compile(node.arg)), fn=operator.neg)
         if type(node) is Call:
@@ -492,7 +511,8 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
     """
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     tape = _Tape(e, r, s, degree)
-    values, last = tape.values, {i: k for k, op in enumerate(tape.ops) for i in op[3]}
+    values = tape.values
+    last = {i: k for k, op in enumerate(tape.ops) for i in op[3]}  # slot -> its last reader
     for k, (slot, fn, node, args) in enumerate(tape.ops):
         x = [values[i] for i in args]
         values[slot] = fn(*x) if node is None else _named(node, errors, fn, *x)
@@ -524,7 +544,8 @@ class GridJets:
 
     @classmethod
     def evaluate(cls, e: Node, r, s, index: np.ndarray, *, degree: int = DEGREE) -> "GridJets":
-        """e as degree-d jets at the 1-D columns (r, s) of the points index maps to them."""
+        """e as degree-d jets at the columns (r, s), 1-D arrays, for the
+        points that index maps to them."""
         errors = {}
         return cls(r, s, index, eval_jet(e, r, s, degree=degree, errors=errors), errors)
 

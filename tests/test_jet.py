@@ -748,18 +748,22 @@ def test_degree_2_tape_is_the_degree_4_tape_cut(name):
     assert low_block(cut, live) == low_block(full, live)
 
 
-def test_large_batches_multiply_without_the_index_cache():
-    # a batch of more than 6400 coefficients builds its bins per product,
-    # with the bits of the cached kernel, and leaves the cache as it was
-    from finslerlab.jet import _mul_index
+def test_product_index_cache_keeps_at_most_8_mib():
+    # the oldest cached product indices leave once the cache holds more than
+    # 8 MiB, the newest entry always stays, and products keep the bits of the
+    # reference loop whatever the cache held
+    from finslerlab.jet import _MUL_INDEX
 
     rng = np.random.default_rng(3)
-    x = np.stack([random_jet(rng).c for _ in range(300)], axis=-1)
-    y = np.stack([random_jet(rng).c for _ in range(300)], axis=-1)
-    before = _mul_index.cache_info().currsize
-    product = (Jet(x) * Jet(y)).c
-    assert _mul_index.cache_info().currsize == before
-    for k in (0, 150, 299):
-        assert product[:, :, k].tobytes() == cauchy_reference(x[:, :, k], y[:, :, k]).tobytes()
-    for k in (0, 150, 299):
-        assert product[:, :, k].tobytes() == (Jet(x[:, :, k]) * Jet(y[:, :, k])).c.tobytes()
+    high = np.add.outer(range(5), range(5)) > 4
+    for columns in (300, 3000, 5000, 300):  # 0.5, 5.0, 8.4 and 0.5 MB of indices
+        x, y = rng.normal(size=(2, 5, 5, columns)) * 10.0 ** rng.integers(-3, 4, (2, 5, 5, columns))
+        x[rng.random(x.shape) < 0.2], y[rng.random(y.shape) < 0.2] = -0.0, 0.0
+        x[high], y[high] = 0.0, 0.0
+        product = (Jet(x) * Jet(y)).c
+        assert (5, x.size) in _MUL_INDEX
+        held = sum(3 * index[0].nbytes for index in _MUL_INDEX.values())
+        assert held <= 8 << 20 or len(_MUL_INDEX) == 1
+        for k in (0, columns // 2, columns - 1):
+            assert product[:, :, k].tobytes() == cauchy_reference(x[:, :, k], y[:, :, k]).tobytes()
+            assert product[:, :, k].tobytes() == (Jet(x[:, :, k]) * Jet(y[:, :, k])).c.tobytes()
