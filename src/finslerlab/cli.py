@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .curvature import flag_curvature, riemann_pack, scalar_from_jets
+from .curvature import compatibility, flag_curvature, riemann_pack, scalar_from_jets
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
@@ -167,8 +167,8 @@ def _evaluate(
 
 
 def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
-    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, with
-    the P and Q jets on the columns of phi's, at degree 2 (all C1..C3 read)."""
+    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, from phi
+    jets of degree 1 and P and Q jets on their columns of degree 2, all C1..C3 read."""
     jet = phi_jets.rows(errors)
     cols = phi_jets.r, phi_jets.s, phi_jets.index
     pj, qj = (GridJets.evaluate(e, *cols, degree=2).rows(errors) for e in (p_ast, q_ast))
@@ -176,7 +176,7 @@ def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> 
     mr = metrizability_from_spray(jet, user_sp, p)
     bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
     ok = np.maximum(np.abs(mr.C1), np.abs(mr.C2)) <= bound
-    return {"C1": mr.C1, "C2": mr.C2, "C3": riemann_pack(user_sp, jet, p).C3, "pass": ok}
+    return {"C1": mr.C1, "C2": mr.C2, "C3": compatibility(user_sp, jet, p)[3], "pass": ok}
 
 
 def _classify(phi_jets: GridJets, p: EvalPoint, kept: list[int], verdicts: dict) -> list[dict]:
@@ -229,12 +229,14 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     # the r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are
     # that plane.  A cell that fails a guard keeps its first error, in stage
     # order; one test then fails the non-finite values.  classify skips only
-    # the cells and phi jets that fail.
+    # the cells and phi jets that fail.  metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
     with np.errstate(all="ignore"):
         batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
-        phi_jets = GridJets.evaluate(phi, batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu)
+        cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu
+        degree = 1 if cfg.subcommand == "metrize" else DEGREE
+        phi_jets = GridJets.evaluate(phi, *cells, degree=degree)
         if cfg.subcommand == "classify":
             phi_jets.rows(errors)
         elif cfg.subcommand == "metrize":

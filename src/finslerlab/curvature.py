@@ -16,7 +16,6 @@ from .geometry import (
     _require_grid,
     lift,
     outer,
-    phi_scalars,
     residual_scale,
 )
 from .jet import GridJets, Jet, fail_nonfinite, first_true, raise_first
@@ -41,6 +40,40 @@ class CurvaturePack(NamedTuple):
     identity_mismatch: bool
 
 
+def compatibility(sp: SprayPack, jet: Jet, p: EvalPoint) -> tuple:
+    """R1, R3, R5 and the compatibility residual C3 = phi_s R1 + (s phi
+    + (r^2-s^2) phi_s) R3 + phi R5 at the points p: phi is read through
+    ``Jet.partial`` to first order, so a degree-1 phi jet suffices."""
+    r, s = p.r, p.s
+    w = r * r - s * s
+    P, P_r, P_s, P_ss, P_rs = sp.P, sp.P_r, sp.P_s, sp.P_ss, sp.P_rs
+    Q, Q_r, Q_s, Q_ss, Q_rs = sp.Q, sp.Q_r, sp.Q_s, sp.Q_ss, sp.Q_rs
+    R1 = 2 * Q - (s / r) * P_r - P_s + 2 * w * P_s * Q + P * P + 2 * s * P * Q
+    R3 = (
+        (2 / r) * Q_r
+        - Q_ss
+        - (s / r) * Q_rs
+        + 2 * w * Q * Q_ss
+        + 4 * Q * Q
+        - w * Q_s * Q_s
+        - 2 * s * Q * Q_s
+    )
+    R5 = (
+        (2 / r) * P_r
+        - (s / r) * P_rs
+        - P_ss
+        - Q_s
+        + 2 * P * Q
+        - 2 * s * P_s * Q
+        + 2 * w * P_ss * Q
+        - P * P_s
+        - s * P * Q_s
+        - w * P_s * Q_s
+    )
+    phi, phi_s = jet.partial(0, 0), jet.partial(0, 1)
+    return R1, R3, R5, phi_s * R1 + (s * phi + w * phi_s) * R3 + phi * R5
+
+
 def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
     """Curvature scalars and the matrix R^i_j at the points p.
 
@@ -56,8 +89,7 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
     w = r * r - s * s
     P, P_r, P_s, P_ss, P_rs = sp.P, sp.P_r, sp.P_s, sp.P_ss, sp.P_rs
     Q, Q_r, Q_s, Q_ss, Q_rs = sp.Q, sp.Q_r, sp.Q_s, sp.Q_ss, sp.Q_rs
-
-    R1 = 2 * Q - (s / r) * P_r - P_s + 2 * w * P_s * Q + P * P + 2 * s * P * Q
+    R1, R3, R5, C3 = compatibility(sp, jet, p)
     R2 = (
         P_s
         - (s / r) * P_r
@@ -75,15 +107,6 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         + w * s * P_s * Q_s
         - 2 * r * r * P_s * Q
     )
-    R3 = (
-        (2 / r) * Q_r
-        - Q_ss
-        - (s / r) * Q_rs
-        + 2 * w * Q * Q_ss
-        + 4 * Q * Q
-        - w * Q_s * Q_s
-        - 2 * s * Q * Q_s
-    )
     R4 = (
         -(2 * s / r) * Q_r
         + (s * s / r) * Q_rs
@@ -93,19 +116,6 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         - 4 * s * Q * Q
         + 2 * s * s * Q * Q_s
     )
-    R5 = (
-        (2 / r) * P_r
-        - (s / r) * P_rs
-        - P_ss
-        - Q_s
-        + 2 * P * Q
-        - 2 * s * P_s * Q
-        + 2 * w * P_ss * Q
-        - P * P_s
-        - s * P * Q_s
-        - w * P_s * Q_s
-    )
-
     R2_id = -R1 - s * R5
     R4_id = -s * R3
     scale = residual_scale(R1, R2, R3, R4, R5)
@@ -121,9 +131,6 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         + lift(u * R4_id, 2) * outer(x, y)
         + lift(u * R5, 2) * outer(y, x)
     )
-
-    ps = phi_scalars(jet)
-    C3 = ps.phi_s * R1 + (s * ps.phi + w * ps.phi_s) * R3 + ps.phi * R5
 
     return CurvaturePack(
         R1=R1,

@@ -1,6 +1,6 @@
 """Fundamental tensor, Cartan tensor and degeneracy screening.
 
-All objects are assembled from the degree-4 Taylor jet of phi, at one
+All objects are assembled from a Taylor jet of phi of degree >= 3, at one
 evaluation point or at a batch of them: the pack functions take a jet batch
 and a batched ``EvalPoint`` and return one row per point, scalars of shape
 ``batch`` and tensors of shape ``(*batch, n, ..., n)``.  A one-point call is
@@ -125,6 +125,8 @@ _PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 6.0])
 
 
 def phi_scalars(jet: Jet) -> PhiScalars:
+    if jet.degree < 3:
+        raise ValueError(f"phi_scalars reads partials up to degree 3, jet has degree {jet.degree}")
     c = jet.c[_PHI_A, _PHI_B]  # the six coefficients, in one gather
     return PhiScalars(*(c * lift(_PHI_W, c.ndim - 1)))
 
@@ -176,6 +178,11 @@ def _ipow(a, k: int):
 def _mu(ps: PhiScalars, s):
     """mu = phi phi_s - s phi_s^2 - s phi phi_ss."""
     return ps.phi * ps.phi_s - s * (ps.phi_s * ps.phi_s) - s * ps.phi * ps.phi_ss
+
+
+def _nu(ps: PhiScalars):
+    """nu = 3 phi_s phi_ss + phi phi_sss."""
+    return 3.0 * ps.phi_s * ps.phi_ss + ps.phi * ps.phi_sss
 
 
 def _n_lo(p: EvalPoint) -> np.ndarray:
@@ -310,8 +317,7 @@ def cartan_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> CartanPack:
     """
     ps = _positive_scalars(jet, p, errors)
     s, u, n = p.s, p.u, p.n
-    mu = _mu(ps, s)
-    nu = 3.0 * ps.phi_s * ps.phi_ss + ps.phi * ps.phi_sss
+    mu, nu = _mu(ps, s), _nu(ps)
     x, y = p.x, p.y
     u2 = u * u
     C = (

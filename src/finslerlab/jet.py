@@ -7,13 +7,15 @@ A :class:`Jet` of degree d holds the Taylor-normalized coefficients
 of a function at one base point, or at a batch of them: ``c`` has shape
 (d+1, d+1, *batch), so the degree is the shape of the array.  ``eval_jet``
 works at degree 4 by default, the P/Q jets (``spray.pq_jets`` and the
-candidates of ``metrize``) at degree 2.  Products are Cauchy products cut
-at total degree d, and smooth functions compose their univariate Taylor
-expansion with the jet.  Coefficients of total degree > d are identically
-zero and never consulted.  A coefficient of degree <= 2 of a product or a
-composition reads only inputs of degree <= 2, so evaluating at degree 2
-keeps it bit for bit where the Taylor seeds are finite.  ``eval_jet`` runs
-an AST as a tape (``_Tape``) that evaluates equal subtrees once.
+candidates of ``metrize``) at degree 2, ``metrize``'s phi at degree 1.
+Products are Cauchy products cut at total degree d, and smooth functions
+compose their univariate Taylor expansion with the jet.  Coefficients of
+total degree > d are identically zero and never consulted.  A coefficient of
+degree <= k of a product or a composition reads only inputs of degree <= k,
+so evaluating at degree k keeps it bit for bit where the Taylor seeds are
+finite and ``jet_pow`` takes the same route (it reads the exponent's
+coefficients up to the degree).  ``eval_jet`` runs an AST as a tape
+(``_Tape``) that evaluates equal subtrees once.
 
 Every jet operation is one numpy call over the whole batch, and the batch
 columns never mix, so each row of a batched result equals the one-point

@@ -146,18 +146,18 @@ def horizontal_residual(jet: Jet, sp: SprayPack, p: EvalPoint) -> np.ndarray:
 
 
 def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> MetrizabilityResiduals:
-    """C1/C2 residuals of the spray pack sp against phi.
+    """C1/C2 residuals of the spray pack sp against phi, a jet of degree >= 1.
 
     C1 = (1 + sP - (r^2-s^2)(2Q - s Q_s)) phi_s
          + (s P_s - 2P - s(2Q - s Q_s)) phi
     C2 = phi_r / r - (P + Q_s (r^2-s^2)) phi_s - (P_s + s Q_s) phi
     """
-    ps = phi_scalars(jet)
+    phi, phi_r, phi_s = jet.partial(0, 0), jet.partial(1, 0), jet.partial(0, 1)
     r, s = p.r, p.s
     w = r * r - s * s
     two_q = 2 * sp.Q - s * sp.Q_s
-    c1 = (1 + s * sp.P - w * two_q) * ps.phi_s + (s * sp.P_s - 2 * sp.P - s * two_q) * ps.phi
-    c2 = ps.phi_r / r - (sp.P + sp.Q_s * w) * ps.phi_s - (sp.P_s + s * sp.Q_s) * ps.phi
+    c1 = (1 + s * sp.P - w * two_q) * phi_s + (s * sp.P_s - 2 * sp.P - s * two_q) * phi
+    c2 = phi_r / r - (sp.P + sp.Q_s * w) * phi_s - (sp.P_s + s * sp.Q_s) * phi
     return MetrizabilityResiduals(C1=c1, C2=c2)
 
 

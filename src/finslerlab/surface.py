@@ -16,7 +16,10 @@ from .geometry import (
     GeometryError,
     MetricPack,
     _ell_lo,
+    _mu,
     _n_lo,
+    _nu,
+    _positive_scalars,
     _require_grid,
     cartan_pack,
     lift,
@@ -145,23 +148,22 @@ def riemannian_from_jets(jets: GridJets, p: EvalPoint) -> bool:
     """``riemannian_test`` at the surface points p, from phi's jets there."""
     errors = {}
     with np.errstate(all="ignore"):
-        jet = jets.rows(errors)
-        cp = cartan_pack(jet, p, errors=errors)
-        fail_nonfinite(errors, "mu", cp.mu)
-        fail_nonfinite(errors, "nu", cp.nu)
+        ps = _positive_scalars(jets.rows(errors), p, errors)
+        mu, nu = _mu(ps, p.s), _nu(ps)
+        fail_nonfinite(errors, "mu", mu)
+        fail_nonfinite(errors, "nu", nu)
         raise_first(errors)
-        phi0 = phi_scalars(jet).phi
-        fail_nonfinite(errors, "phi^2", phi0 * phi0)
-        scale = RIEMANNIAN_TOL * np.maximum(1.0, phi0 * phi0)
-        not_riemannian = first_true(np.abs(cp.mu) >= scale)
-        inconsistent = first_true(np.abs(cp.nu) >= scale)
+        fail_nonfinite(errors, "phi^2", ps.phi * ps.phi)
+        scale = RIEMANNIAN_TOL * np.maximum(1.0, ps.phi * ps.phi)
+        not_riemannian = first_true(np.abs(mu) >= scale)
+        inconsistent = first_true(np.abs(nu) >= scale)
     # the mu test stops at the first point with a nonzero mu
     raise_first(errors, not_riemannian)
     if not_riemannian is not None:
         return False
     if inconsistent is not None:
         raise GeometryError(
-            f"mu vanishes on the grid but nu = {cp.nu[inconsistent].item()} does not; "
+            f"mu vanishes on the grid but nu = {nu[inconsistent].item()} does not; "
             "inconsistent evaluation"
         )
     return True

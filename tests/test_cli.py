@@ -332,7 +332,7 @@ def test_jet_overflow_prints_no_runtime_warning(
         (["check"], 1),
         (["report", "--dim", "3"], 1),
         (["check", "--dim", "3"], 1),
-        # metrize reads no metric
+        # metrize reads no metric, and of the curvature only the compatibility step
         (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], 0),
     ],
 )
@@ -340,27 +340,37 @@ def test_each_pack_runs_once_per_run(args, metric_packs, monkeypatch, capsys, tm
     # the packs are evaluated as columns: one call over all 30 points of the run
     from finslerlab import curvature, geometry
 
-    calls = {"metric_pack": [], "riemann_pack": []}
+    calls = {"metric_pack": [], "riemann_pack": [], "compatibility": []}
 
     def recorder(name):
         return lambda *args, **kwargs: calls[name].append(args[-1])  # the points
 
     wrap_everywhere(monkeypatch, geometry, "metric_pack", recorder("metric_pack"))
-    wrap_everywhere(monkeypatch, curvature, "riemann_pack", recorder("riemann_pack"))
+    for name in ("riemann_pack", "compatibility"):
+        wrap_everywhere(monkeypatch, curvature, name, recorder(name))
     code, doc = run_json([*args, "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
     assert code == 0 and len(doc["points"]) == 30
     assert len(calls["metric_pack"]) == metric_packs
-    assert len(calls["riemann_pack"]) == 1
-    for p in calls["metric_pack"] + calls["riemann_pack"]:
+    # metrize runs the compatibility step alone; the others through riemann_pack
+    assert len(calls["riemann_pack"]) == (0 if args[0] == "metrize" else 1)
+    assert len(calls["compatibility"]) == 1
+    for p in calls["metric_pack"] + calls["riemann_pack"] + calls["compatibility"]:
         assert p.r.shape == (30,)
 
 
 @pytest.mark.parametrize(
     "args, cartan_packs",
-    [(["report"], 1), (["check"], 1), (["report", "--dim", "3"], 0), (["check", "--dim", "3"], 1)],
+    [
+        (["report"], 1),
+        (["check"], 1),
+        (["report", "--dim", "3"], 0),
+        (["check", "--dim", "3"], 1),
+        (["classify"], 0),
+    ],
 )
 def test_cartan_pack_runs_at_most_once_per_run(args, cartan_packs, monkeypatch, capsys, tmp_path):
-    # at n = 2, check reuses the Cartan pack the main scalar was built from
+    # at n = 2, check reuses the Cartan pack the main scalar was built from, and
+    # the Riemannian test reads mu and nu without one
     from finslerlab import geometry
 
     calls = []
@@ -697,6 +707,61 @@ def test_metrize_reads_the_candidate_spray_at_degree_2(capsys, tmp_path):
     code, doc = run_json(args, capsys, tmp_path)
     assert code == 1 and doc["verdicts"] == {"metrizable": False}
     assert len(doc["points"]) == 30 and doc["skipped"] == []
+
+
+def test_metrize_reads_phi_at_degree_1(capsys, tmp_path):
+    # the same phi: its degree-4 seed overflows at s = 0, but C1..C3 read phi
+    # only to first order, so those 6 points are evaluated too
+    args = ["metrize", "--phi", "1/(1e-63+s^2)", "--p", "0", "--q", "0"]
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == 1 and doc["verdicts"] == {"metrizable": False}
+    assert len(doc["points"]) == 30 and doc["skipped"] == []
+
+
+@pytest.mark.parametrize(
+    "phi", [FLAT, "1+s", "sqrt(1+s^2)", "(1+s)^r", "s^((r-1)^5+2)+2", "ln(1e100+s)"]
+)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_metrize_matches_a_degree_4_reference_bit_for_bit(phi, dim):
+    from finslerlab import (
+        EvalPoint,
+        canonical_point,
+        eval_jet,
+        metrizability_from_spray,
+        parse,
+        random_rotation,
+        riemann_pack,
+    )
+    from finslerlab.cli import RunConfig, run
+    from finslerlab.spray import spray_pack_from_jets
+
+    p = "-s/r^2 - 3*sqrt(r^2-s^2)/(4*r^2)"
+    q = "7/(8*r^2) - 3*s^2/(8*r^4) - 3*s*sqrt(r^2-s^2)/(4*r^4)"
+    grid = [0.5, 1.0, 1.5], [-0.8, -0.3, 0.0, 0.3, 0.8], [0.6, 2.0]
+    cfg = RunConfig("metrize", phi, dim, *grid, seed=7, rotate=True, p_expr=p, q_expr=q)
+    doc, _ = run(cfg)  # ln(1e100+s) skips every point at any degree: its v^4 overflows
+
+    # the reference: phi at degree 4, P/Q at degree 2, C3 from the whole riemann_pack
+    rotation = random_rotation(dim, np.random.default_rng(7))
+    points = [
+        canonical_point(dim, r, frac * r, u, rotation=rotation)
+        for r, frac, u in itertools.product(*grid)
+    ]
+    batch, errors = EvalPoint.stack(points), {}
+    with np.errstate(all="ignore"):
+        jet = eval_jet(parse(phi), batch.r, batch.s, errors=errors)
+        pj, qj = (eval_jet(parse(e), batch.r, batch.s, degree=2, errors=errors) for e in (p, q))
+        sp = spray_pack_from_jets(pj, qj, batch)
+        mr = metrizability_from_spray(jet, sp, batch)
+        ref = {"C1": mr.C1, "C2": mr.C2, "C3": riemann_pack(sp, jet, batch).C3}
+    finite = np.isfinite(np.stack(list(ref.values()))).all(axis=0)
+    kept = [k for k in range(len(points)) if k not in errors and finite[k]]
+    assert [(rec["r"], rec["s"], rec["u"]) for rec in doc["points"]] == [
+        (points[k].r, points[k].s, points[k].u) for k in kept
+    ]
+    for name, values in ref.items():
+        got = np.array([rec[name] for rec in doc["points"]])
+        assert got.tobytes() == values[kept].tobytes(), name
 
 
 @pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])

@@ -143,6 +143,13 @@ def test_linear_phi_is_degenerate_by_formula():
     assert abs(mp.det_direct) < 1e-12
 
 
+def test_jet_below_degree_3_is_a_clear_error():
+    # phi_scalars reads phi_sss: a degree-2 jet names both degrees, not an IndexError
+    p = canonical_point(2, 1.0, 0.3, 1.0)
+    with pytest.raises(ValueError, match="up to degree 3, jet has degree 2"):
+        metric_pack(eval_jet(parse("1+s"), 1.0, 0.3, degree=2), p)
+
+
 def test_non_positive_phi_rejected():
     p = canonical_point(2, 1.0, -0.5, 1.0)
     with pytest.raises(GeometryError):

@@ -133,6 +133,20 @@ def test_metrizability_flat_surface_closed_forms():
         assert abs(res.C2) < 1e-8
 
 
+@pytest.mark.parametrize("text", [EX45, "1+s", "(1+s)^r"])
+def test_metrizability_residuals_read_phi_to_first_order(text):
+    # C1/C2 read phi, phi_r, phi_s only: a degree-1 phi jet gives the degree-4 bits
+    p_expr = parse("-s/r^2 - 3/(4*r^2)*sqrt(r^2-s^2)")
+    q_expr = parse("7/(8*r^2) - 3*s^2/(8*r^4) - 3*s/(4*r^4)*sqrt(r^2-s^2)")
+    _, batch, jets, _ = rotated_batch(text, 3)
+    low = eval_jet(parse(text), batch.r, batch.s, degree=1)
+    for a, b in zip(
+        metrizability_residuals(low, p_expr, q_expr, batch),
+        metrizability_residuals(jets, p_expr, q_expr, batch),
+    ):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_metrizability_rejects_zero_spray():
     p = canonical_point(2, 1.0, 0.3, 1.0)
     jet = eval_jet(parse("1+s"), 1.0, 0.3)

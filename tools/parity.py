@@ -50,6 +50,7 @@ PHIS = [
     "(2+s)^-3",
     "r^-5*(1+s^2)",
     "(2+s)^1025",
+    "1/(1e-63+s^2)",
 ]
 DIMS = ["2", "3"]
 GRIDS = [
