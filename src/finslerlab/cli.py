@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
+from struct import pack
 from typing import NamedTuple
 
 import numpy as np
@@ -243,9 +246,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
             columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
         else:
             columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
-        for name, values in (columns | checks).items():
-            if name != "regular":
-                fail_nonfinite(errors, name, values)
+        if columns:
+            fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
     kept = [k for k in range(r.size) if k not in errors]
     doc: dict = {
         "config": {**cfg._asdict(), "jet_degree": DEGREE},
@@ -292,24 +294,36 @@ def _print_summary(doc: dict):
 
 # the texts of values of these exact types; json.dumps writes any other type
 _LITERALS = {None: "null", False: "false", True: "true"}
-_FORMATS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+_FORMATS = {str: encode_basestring_ascii, int: repr,
             bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _column(values: list, pad: str) -> list[str]:
     """json.dumps(v, sort_keys=True, indent=1) of each v in values, with pad
-    before each line after the first.  A column of one type is formatted in
-    one pass; lists of one length and dicts with the same keys fill one
-    template.  json.dumps writes the rest: all its line breaks are layout."""
+    before each line after the first.  A column of one type takes one pass,
+    each distinct float formatted once where at most half are distinct; lists
+    of one length and dicts of one key set are joined from their items' columns."""
     kind = type(values[0]) if len(set(map(type, values))) == 1 else None
+    if kind is float:
+        distinct = dict.fromkeys(values)
+        memo = 2 * len(distinct) <= len(values)
+        text = list(map(repr, distinct if memo else values))
+        if not math.isfinite(sum(distinct)):  # a finite sum has finite terms
+            text = [_NONFINITE.get(t, t) for t in text]
+        if memo:
+            text = list(map(dict(zip(distinct, text)).__getitem__, values))
+            # -0.0 shares 0.0's memo entry: a column that may hold it formats its zeros anew
+            if 0.0 in distinct and pack("<d", -0.0) in pack(f"<{len(values)}d", *values):
+                text = [t if v else repr(v) for t, v in zip(text, values)]
+        return text
     if kind in _FORMATS:
-        text = list(map(_FORMATS[kind], values))
-        return text if _NONFINITE.keys().isdisjoint(text) else [_NONFINITE.get(t, t) for t in text]
-    same_keys = kind is dict and all(d.keys() == values[0].keys() for d in values)
+        return list(map(_FORMATS[kind], values))
+    # dicts of one key set: the union of their keys has as many as each of them
+    same_keys = kind is dict and len(values) * len(set().union(*values)) == sum(map(len, values))
     if kind is list and len(set(map(len, values))) == 1:
         n = len(values[0])
-        flat = _column([x for v in values for x in v], pad + " ")
+        flat = _column(list(itertools.chain.from_iterable(values)), pad + " ")
         columns, labels, brackets = [flat[j::n] for j in range(n)], [""] * n, "[]"
     elif same_keys and all(type(k) is str for k in values[0]):
         keys = sorted(values[0])
@@ -317,16 +331,20 @@ def _column(values: list, pad: str) -> list[str]:
         labels, brackets = [encode_basestring_ascii(k) + ": " for k in keys], "{}"
     else:
         return [json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n" + pad) for v in values]
-    lines = ",\n".join(pad + " " + label.replace("%", "%%") + "%s" for label in labels)
-    fill = f"{brackets[0]}\n{lines}\n{pad}{brackets[1]}" if labels else brackets
-    return [fill % row for row in (zip(*columns) if labels else [()] * len(values))]
+    if not labels:
+        return [brackets] * len(values)
+    # each value's text: its opening bracket, each item after a separator and label, the closing one
+    first, sep, close = brackets[0] + "\n" + pad + " ", ",\n" + pad + " ", "\n" + pad + brackets[1]
+    heads = [first + labels[0], *map(sep.__add__, labels[1:])]
+    parts = itertools.chain.from_iterable(zip(map(itertools.repeat, heads), columns))
+    return list(map("".join, zip(*parts, itertools.repeat(close))))
 
 
 def write_report(doc: dict, path: str) -> None:
     """Write doc to path as json.dumps(doc, sort_keys=True, indent=1) plus a
     newline, byte for byte, formatted column by column."""
     with open(path, "w") as fh:
-        fh.write(_column([doc], "")[0] + "\n")
+        print(_column([doc], "")[0], file=fh)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,7 +193,7 @@ def scalar_from_jets(
         sp = spray_pack_from_jets(pq[0].rows(errors), pq[1].rows(errors), p)
         cp = riemann_pack(sp, jet, p)
         K = flag_curvature(cp, ps.phi, p)
-        fail_nonfinite(errors, "K", K)
+        fail_nonfinite(errors, {"K": K})
         resid = np.abs(cp.R3) / residual_scale(cp.R1, cp.R2, cp.R3, cp.R4, cp.R5)
         # reconstruction check of the scalar-curvature form
         F = p.u * ps.phi

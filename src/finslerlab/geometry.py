@@ -360,9 +360,8 @@ def degeneracy_from_jets(jets: GridJets, r, s) -> Degeneracy:
         scale = np.maximum(1.0, ps.phi * ps.phi)
         t = ps.phi - s * ps.phi_s
         d = t + (r * r - s * s) * ps.phi_ss
-        fail_nonfinite(errors, "phi^2", scale)
-        fail_nonfinite(errors, "phi - s phi_s", t)
-        fail_nonfinite(errors, "phi - s phi_s + (r^2-s^2) phi_ss", d)
+        fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
+                                "phi - s phi_s + (r^2-s^2) phi_ss": d})
         ok = np.ones(len(r), dtype=bool)
         ok[list(errors)] = False
         not_a = np.logical_or.accumulate(ok & (np.abs(t) >= DEGENERACY_TOL * scale))

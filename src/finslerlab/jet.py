@@ -244,17 +244,19 @@ def fail_where(mask, errors: dict, error, *columns) -> None:
     has failed already.
 
     The test is one numpy call over the batch; only the failing points build
-    their error, from their entries of the columns as Python floats."""
+    their error, from their entries of the columns as Python scalars."""
     for i in np.asarray(mask).ravel().nonzero()[0].tolist():
         if i not in errors:
             errors[i] = error(*(np.ravel(c)[i].item() for c in columns))
 
 
-def fail_nonfinite(errors: dict, name: str, values) -> None:
-    """A DomainError naming the value at each point where values is not finite."""
-    fail_where(
-        ~np.isfinite(values), errors, lambda v: DomainError(f"non-finite {name} = {v}"), values
-    )
+def fail_nonfinite(errors: dict, columns: dict) -> None:
+    """A DomainError where a column of {name: values, ...} is not finite, naming the first."""
+    names, values = list(columns), np.array(list(columns.values())).reshape(len(columns), -1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        error = lambda j, i: DomainError(f"non-finite {names[j]} = {values[j, i]}")
+        fail_where(~finite.all(0), errors, error, finite.argmin(0), np.arange(values.shape[1]))
 
 
 def first_true(mask) -> int | None:

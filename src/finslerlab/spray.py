@@ -66,7 +66,7 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     w = rj * rj - sj * sj
     denom = phi - sj * phi_s + w * phi_ss
     phi2 = phi.c[0, 0] * phi.c[0, 0]
-    fail_nonfinite(errors, "phi^2", phi2)
+    fail_nonfinite(errors, {"phi^2": phi2})
     fail_where(
         np.abs(denom.c[0, 0]) < 1e-12 * np.maximum(1.0, phi2),
         errors,

@@ -150,10 +150,9 @@ def riemannian_from_jets(jets: GridJets, p: EvalPoint) -> bool:
     with np.errstate(all="ignore"):
         ps = _positive_scalars(jets.rows(errors), p, errors)
         mu, nu = _mu(ps, p.s), _nu(ps)
-        fail_nonfinite(errors, "mu", mu)
-        fail_nonfinite(errors, "nu", nu)
+        fail_nonfinite(errors, {"mu": mu, "nu": nu})
         raise_first(errors)
-        fail_nonfinite(errors, "phi^2", ps.phi * ps.phi)
+        fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})
         scale = RIEMANNIAN_TOL * np.maximum(1.0, ps.phi * ps.phi)
         not_riemannian = first_true(np.abs(mu) >= scale)
         inconsistent = first_true(np.abs(nu) >= scale)

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finslerlab.cli import main, parse_range
 
@@ -545,6 +546,60 @@ def test_write_report_matches_json_dumps_on_any_document(tmp_path):
             with pytest.raises(TypeError) as theirs:
                 json.dumps(wrapped, sort_keys=True, indent=1)
             assert str(ours.value) == str(theirs.value)
+
+
+_NAN = float("nan")
+_REPEATED_COLUMNS = [
+    [-0.0, 0.0, -0.0],
+    [0.0, -0.0],
+    [-0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.5, -0.0, 1.5, 0.0, -0.0],
+    [-0.0, -0.0, 2.5, 2.5],
+    [0.0, -0.0, -_NAN, -_NAN],  # a NaN with its sign bit set beside both zeros
+    [_NAN, _NAN],
+    [float("nan"), float("nan")],
+    [_NAN, float("nan"), _NAN, float("nan")],
+    [float("inf"), float("-inf"), float("inf"), float("-inf"), float("inf")],
+    [1e308, 1.5e308, 1e308, 1.5e308],  # finite values whose sum overflows
+    [2.5],
+    [1, 1.0, True],
+    [1.0, 1, True, 1.0],
+    [True, 1.0, 1, 1.0],
+]
+
+
+@pytest.mark.parametrize("column", _REPEATED_COLUMNS)
+def test_write_report_formats_repeated_values_like_json_dumps(column, tmp_path):
+    # repeated floats are formatted once per distinct value; the texts must
+    # still tell 0.0 from -0.0 and keep hash-equal values of other types apart
+    from finslerlab.cli import write_report
+
+    path = tmp_path / "out.json"
+    records = [{"v": v, "w": [v, 0.5], "x": 0.5} for v in column]
+    for doc in ({"points": records}, {"column": column}, [column, column]):
+        write_report(doc, path)
+        assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+_POOL = [0.0, -0.0, 1.5, -2.25, 0.1 + 0.2, 1e300, 5e-324, _NAN, float("inf"), float("-inf"),
+         1, 0, 2**70, True, False, None, "s"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    records=st.lists(
+        st.fixed_dictionaries({k: st.sampled_from(_POOL) for k in "abc"}),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_write_report_matches_json_dumps_on_records_from_a_small_pool(records, tmp_path_factory):
+    from finslerlab.cli import write_report
+
+    path = tmp_path_factory.getbasetemp() / "pool.json"
+    doc = {"points": records, "column": [r["a"] for r in records]}
+    write_report(doc, path)
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.mark.parametrize(
