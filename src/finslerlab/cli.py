@@ -95,8 +95,8 @@ def _evaluate(
     identity-check residuals, by name, all from the points' phi jets.  A
     point that fails a guard gets its error in errors."""
     jet = phi_jets.rows(errors)
-    ps = phi_scalars(jet)
-    mp = metric_pack(jet, p, errors=errors)
+    ps = phi_scalars(jet, p.r, p.s)  # the one read of phi's scalars; the packs take them
+    mp = metric_pack(ps, p, errors=errors)
     p_jets, q_jets = _grid_pq(phi_jets)
     sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), p)
     cv = riemann_pack(sp, jet, p)
@@ -119,17 +119,15 @@ def _evaluate(
         "regular": np.stack(mp.regular, axis=-1),
     }
     if p.n == 2:
-        ms = main_scalar(jet, p, mp, errors=errors)
+        ms = main_scalar(ps, p, mp, errors=errors)
         columns.update(I=ms.I, I_direct=ms.I_direct)
     if not with_checks:
         return columns, {}
 
-    cp = ms.cartan if p.n == 2 else cartan_pack(jet, p, errors=errors)
-    phi0, u, eye = ps.phi, p.u, np.eye(p.n)
-    w = p.r * p.r - p.s * p.s
-    dval = phi0 - p.s * ps.phi_s + w * ps.phi_ss
+    cp = ms.cartan if p.n == 2 else cartan_pack(ps, p, errors=errors)
+    phi0, u, w, eye = ps.phi, p.u, ps.w, np.eye(p.n)
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
-    contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * dval)
+    contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * ps.d)
     scale = residual_scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
     trace = np.trace(cv.Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
     F2 = np.maximum(1.0, mp.F * mp.F)
@@ -143,7 +141,7 @@ def _evaluate(
         "cartan_y_annihilation": _maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2)
         / np.maximum(1.0, _maxabs(cp.C, 3) * u),
         "metrizability_C1_C2": np.maximum(np.abs(mr.C1), np.abs(mr.C2)) / np.maximum(1.0, phi0),
-        "horizontal_dhF": _maxabs(horizontal_residual(jet, sp, p)) / (u * np.maximum(1.0, phi0)),
+        "horizontal_dhF": _maxabs(horizontal_residual(ps, sp, p)) / (u * np.maximum(1.0, phi0)),
         "spray_homogeneity": _maxabs(np.einsum("...ij,...j->...i", sp.N, p.y) - 2 * sp.G)
         / np.maximum(1.0, _maxabs(sp.G)),
         "curvature_C3": cv.C3 / (scale * np.maximum(1.0, phi0)),

@@ -8,8 +8,8 @@ Grammar (infix, ``^`` right-associative, unary minus binds the atom):
     unary  := '-'? atom
     atom   := number | 'r' | 's' | ident '(' expr ')' | '(' expr ')'
 
-The only admissible variables are ``r`` and ``s``; the supported function
-names are listed in :data:`FUNCTIONS`.
+The variables are ``r`` and ``s``, the functions those of :data:`FUNCTIONS`; input
+nested deeper than :data:`MAX_DEPTH` parentheses, calls, signs and operators fails.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Union
 FUNCTIONS = ("sqrt", "exp", "ln", "sin", "cos", "abs")
 
 VARIABLES = ("r", "s")
+MAX_DEPTH = 100  # parse's nesting bound: its readers recurse a few frames per level
 
 
 class ParseError(ValueError):
@@ -119,65 +120,74 @@ class _Parser:
         kind, _, offset = self.peek()
         if kind == "end":
             raise ParseError("empty input", offset)
-        node = self.expr()
+        node, _ = self.expr(0)  # each rule parses at a depth, returning its node and deepest level
         kind, value, offset = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", offset)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def level(self, n: int, offset: int) -> int:
+        if n > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return n
+
+    def expr(self, depth: int) -> tuple[Node, int]:
+        node, reach = self.term(depth)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = BinOp(value, node, self.term())
+                right, rreach = self.term(depth)
+                node, reach = BinOp(value, node, right), self.level(1 + max(reach, rreach), offset)
             else:
-                return node
+                return node, reach
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self, depth: int) -> tuple[Node, int]:
+        node, reach = self.factor(depth)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = BinOp(value, node, self.factor())
+                right, rreach = self.factor(depth)
+                node, reach = BinOp(value, node, right), self.level(1 + max(reach, rreach), offset)
             else:
-                return node
+                return node, reach
 
-    def factor(self) -> Node:
-        node = self.unary()
-        kind, value, _ = self.peek()
+    def factor(self, depth: int) -> tuple[Node, int]:
+        node, reach = self.unary(depth)
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            node = BinOp("^", node, self.factor())
-        return node
+            right, rreach = self.factor(self.level(depth + 1, offset))
+            node, reach = BinOp("^", node, right), self.level(max(reach + 1, rreach), offset)
+        return node, reach
 
-    def unary(self) -> Node:
-        kind, value, _ = self.peek()
+    def unary(self, depth: int) -> tuple[Node, int]:
+        kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.atom())
-        return self.atom()
+            node, reach = self.atom(self.level(depth + 1, offset))
+            return Neg(node), reach
+        return self.atom(depth)
 
-    def atom(self) -> Node:
+    def atom(self, depth: int) -> tuple[Node, int]:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value))
+            return Num(float(value)), depth
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.expr()
+                arg, reach = self.expr(self.level(depth + 1, offset))
                 self.expect_op(")")
-                return Call(value, arg)
+                return Call(value, arg), reach
             if value in VARIABLES:
-                return Var(value)
+                return Var(value), depth
             raise ParseError(f"unknown identifier {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.expr(self.level(depth + 1, offset))
             self.expect_op(")")
             return node
         if kind == "end":
@@ -191,7 +201,7 @@ def parse(text: str) -> Node:
 
 
 def to_string(e: Node) -> str:
-    """Print an AST back to parseable text; parse(to_string(e)) == e."""
+    """Print an AST back to text; parse(to_string(e)) == e if e is <= MAX_DEPTH // 2 deep."""
     if isinstance(e, Num):
         v = e.value
         if math.isinf(v):

@@ -1,9 +1,10 @@
 """Fundamental tensor, Cartan tensor and degeneracy screening.
 
 All objects are assembled from a Taylor jet of phi of degree >= 3, at one
-evaluation point or at a batch of them: the pack functions take a jet batch
-and a batched ``EvalPoint`` and return one row per point, scalars of shape
-``batch`` and tensors of shape ``(*batch, n, ..., n)``.  A one-point call is
+evaluation point or at a batch of them: the pack functions take phi's jet
+batch, or the ``PhiScalars`` read off it once, and a batched ``EvalPoint``
+and return one row per point, scalars of shape ``batch`` and tensors of
+shape ``(*batch, n, ..., n)``.  A one-point call is
 a batch of shape ().  Rows never mix, and numpy sums a contraction
 (``np.einsum``, ``@``) of one row in the same order whether or not the row
 is part of a batch, so each row equals the one-point result.  The carrier
@@ -109,7 +110,8 @@ def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class PhiScalars(NamedTuple):
-    """phi and its partials at the base point, read off a jet."""
+    """phi and its partials at the base points (r, s), read off a jet, and
+    the paper's factors of them, each formed once by ``phi_scalars``."""
 
     phi: float
     phi_r: float
@@ -117,23 +119,38 @@ class PhiScalars(NamedTuple):
     phi_ss: float
     phi_rs: float
     phi_sss: float
+    w: float  # r^2 - s^2
+    t: float  # phi - s phi_s, the first regularity factor
+    d: float  # t + w phi_ss, the second (D); det g = phi^(n+1) t^(n-2) d
+    mu: float  # phi phi_s - s phi_s^2 - s phi phi_ss, with nu the Cartan scalars
+    nu: float  # 3 phi_s phi_ss + phi phi_sss
 
 
-# The (a, b) of the PhiScalars fields as partials of the jet, and a! b!.
+# The (a, b) of phi and its partials as partials of the jet, and a! b!.
 _PHI_A, _PHI_B = [0, 1, 0, 0, 1, 0], [0, 0, 1, 2, 1, 3]
 _PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 6.0])
 
 
-def phi_scalars(jet: Jet) -> PhiScalars:
+def phi_scalars(jet: Jet | PhiScalars, r, s) -> PhiScalars:
+    """The PhiScalars of phi's jet at the points (r, s); scalars already
+    read are returned unchanged, so a pack takes phi's jet or its scalars."""
+    if isinstance(jet, PhiScalars):
+        return jet
     if jet.degree < 3:
         raise ValueError(f"phi_scalars reads partials up to degree 3, jet has degree {jet.degree}")
     c = jet.c[_PHI_A, _PHI_B]  # the six coefficients, in one gather
-    return PhiScalars(*(c * lift(_PHI_W, c.ndim - 1)))
+    phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss = c * lift(_PHI_W, c.ndim - 1)
+    w = r * r - s * s
+    t = phi - s * phi_s
+    d = t + w * phi_ss
+    mu = phi * phi_s - s * (phi_s * phi_s) - s * phi * phi_ss
+    nu = 3.0 * phi_s * phi_ss + phi * phi_sss
+    return PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, w, t, d, mu, nu)
 
 
-def _positive_scalars(jet: Jet, p: EvalPoint, errors: dict) -> PhiScalars:
+def _positive_scalars(jet: Jet | PhiScalars, p: EvalPoint, errors: dict) -> PhiScalars:
     """phi_scalars, failing the points where phi <= 0 (F is not a norm there)."""
-    ps = phi_scalars(jet)
+    ps = phi_scalars(jet, p.r, p.s)
     fail_where(
         ps.phi <= 0,
         errors,
@@ -175,16 +192,6 @@ def _ipow(a, k: int):
     return out
 
 
-def _mu(ps: PhiScalars, s):
-    """mu = phi phi_s - s phi_s^2 - s phi phi_ss."""
-    return ps.phi * ps.phi_s - s * (ps.phi_s * ps.phi_s) - s * ps.phi * ps.phi_ss
-
-
-def _nu(ps: PhiScalars):
-    """nu = 3 phi_s phi_ss + phi phi_sss."""
-    return 3.0 * ps.phi_s * ps.phi_ss + ps.phi * ps.phi_sss
-
-
 def _n_lo(p: EvalPoint) -> np.ndarray:
     """n_j = x_j - (s/u) y_j."""
     return p.x - lift(p.s / p.u) * p.y
@@ -218,7 +225,7 @@ class MetricPack(NamedTuple):
 
 
 @batched
-def metric_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> MetricPack:
+def metric_pack(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> MetricPack:
     """Fundamental tensor, its inverse, and both determinant routes.
 
     g_jk  = sigma0 d_jk + sigma1 x_j x_k + (sigma2/u)(x_j y_k + x_k y_j)
@@ -230,12 +237,8 @@ def metric_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> MetricPack:
     A point with phi <= 0 fails (see ``jet.batched`` for the error policy).
     """
     ps = _positive_scalars(jet, p, errors)
-    phi, phi_s, phi_ss = ps.phi, ps.phi_s, ps.phi_ss
-    r, s, u, n = p.r, p.s, p.u, p.n
-    w = r * r - s * s
-    t = phi - s * phi_s  # first regularity factor
-    d = t + w * phi_ss  # second regularity factor
-    mu = _mu(ps, s)
+    phi, phi_s, phi_ss, w, t, d, mu = ps.phi, ps.phi_s, ps.phi_ss, ps.w, ps.t, ps.d, ps.mu
+    s, u, n = p.s, p.u, p.n
 
     sigma0 = phi * t
     sigma1 = phi_s * phi_s + phi * phi_ss
@@ -308,16 +311,12 @@ def _sym_aab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @batched
-def cartan_pack(jet: Jet, p: EvalPoint, *, errors: dict) -> CartanPack:
-    """Cartan tensor components and the two scalars driving them.
-
-    mu = phi phi_s - s phi_s^2 - s phi phi_ss,
-    nu = 3 phi_s phi_ss + phi phi_sss.
-    A point with phi <= 0 fails.
+def cartan_pack(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> CartanPack:
+    """Cartan tensor components and the two scalars driving them, mu and nu
+    (see ``PhiScalars``).  A point with phi <= 0 fails.
     """
     ps = _positive_scalars(jet, p, errors)
-    s, u, n = p.s, p.u, p.n
-    mu, nu = _mu(ps, s), _nu(ps)
+    s, u, n, mu, nu = p.s, p.u, p.n, ps.mu, ps.nu
     x, y = p.x, p.y
     u2 = u * u
     C = (
@@ -356,10 +355,8 @@ def degeneracy_from_jets(jets: GridJets, r, s) -> Degeneracy:
     """``degeneracy_classify`` at the points (r, s), from phi's jets there."""
     errors = {}
     with np.errstate(all="ignore"):
-        ps = phi_scalars(jets.rows(errors))
-        scale = np.maximum(1.0, ps.phi * ps.phi)
-        t = ps.phi - s * ps.phi_s
-        d = t + (r * r - s * s) * ps.phi_ss
+        ps = phi_scalars(jets.rows(errors), r, s)
+        scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
         fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
                                 "phi - s phi_s + (r^2-s^2) phi_ss": d})
         ok = np.ones(len(r), dtype=bool)

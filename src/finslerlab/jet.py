@@ -505,7 +505,7 @@ class _Tape:
 
 @batched
 def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
-    """Evaluate an expression AST as degree-d Taylor jets at the points (r, s).
+    """Evaluate an expression AST as degree-d Taylor jets, 1 <= d <= DEGREE, at (r, s).
 
     r and s are floats, or arrays whose broadcast shape becomes the jet's
     batch shape.  The AST is compiled once into a ``_Tape``.  Each point gets
@@ -513,6 +513,8 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
     ``errors`` dict it is recorded there under the point's flat batch index;
     without one, the first failing point's error is raised.
     """
+    if type(degree) is not int or not 1 <= degree <= DEGREE:
+        raise ValueError(f"degree must be an integer in 1..{DEGREE}, got {degree!r}")
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     tape = _Tape(e, r, s, degree)
     values = tape.values

@@ -16,6 +16,7 @@ from .expr import Node
 from .geometry import (
     EvalPoint,
     GeometryError,
+    PhiScalars,
     _ell_lo,
     _positive_scalars,
     lift,
@@ -133,13 +134,13 @@ def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
     )
 
 
-def horizontal_residual(jet: Jet, sp: SprayPack, p: EvalPoint) -> np.ndarray:
+def horizontal_residual(jet: Jet | PhiScalars, sp: SprayPack, p: EvalPoint) -> np.ndarray:
     """The n residuals dF/dx^j - G^i_j dF/dy^i (the d_h F = 0 test).
 
     dF/dx^j = u (phi_r x_j / r + phi_s y_j / u)
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
-    ps = phi_scalars(jet)
+    ps = phi_scalars(jet, p.r, p.s)
     u, r = lift(p.u), lift(p.r)
     dF_dx = u * (lift(ps.phi_r) * p.x / r + lift(ps.phi_s) * p.y / u)
     return dF_dx - np.einsum("...ij,...i->...j", sp.N, _ell_lo(ps, p))

@@ -1,6 +1,8 @@
 """Berwald frame, main scalar and the Riemannian criterion for
 spherically symmetric Finsler surfaces (n = 2, positive-definite branch),
-at one point or a batch (see ``geometry``).
+at one point or a batch (see ``geometry``).  The frame and the main scalar
+take phi's jet or its ``PhiScalars``, and read the scalars once for all
+they build.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from .geometry import (
     EvalPoint,
     GeometryError,
     MetricPack,
+    PhiScalars,
     _ell_lo,
-    _mu,
     _n_lo,
-    _nu,
     _positive_scalars,
     _require_grid,
     cartan_pack,
@@ -42,7 +43,7 @@ class BerwaldFrame(NamedTuple):
 
 
 @batched
-def berwald_frame(jet: Jet, p: EvalPoint, *, errors: dict) -> BerwaldFrame:
+def berwald_frame(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> BerwaldFrame:
     """The orthonormal pair (l, m) at surface points.
 
     a(r, s) = sqrt(phi (phi - s phi_s + (r^2-s^2) phi_ss) / (r^2 - s^2)),
@@ -54,17 +55,14 @@ def berwald_frame(jet: Jet, p: EvalPoint, *, errors: dict) -> BerwaldFrame:
 
 
 def _frame(
-    jet: Jet, p: EvalPoint, mp: MetricPack | None, errors: dict
+    jet: Jet | PhiScalars, p: EvalPoint, mp: MetricPack | None, errors: dict
 ) -> tuple[BerwaldFrame, MetricPack]:
     """The Berwald frame and the metric pack it was built from (mp, when
     given, is p's metric pack)."""
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
-    ps = phi_scalars(jet)
-    r, s, u = p.r, p.s, p.u
-    w = r * r - s * s
-    d = ps.phi - s * ps.phi_s + w * ps.phi_ss
-    radicand = ps.phi * d / w
+    ps = phi_scalars(jet, p.r, p.s)
+    radicand = ps.phi * ps.d / ps.w
     fail_where(
         radicand <= 0,
         errors,
@@ -76,9 +74,9 @@ def _frame(
     a = np.sqrt(radicand)
 
     if mp is None:
-        mp = metric_pack(jet, p, errors=errors)
-    n_lo = _n_lo(p)
-    n_hi = lift(mp.rho0) * n_lo + lift(w / u) * (lift(mp.rho2) * p.y + lift(u * mp.rho3) * p.x)
+        mp = metric_pack(ps, p, errors=errors)
+    n_lo, u = _n_lo(p), p.u
+    n_hi = lift(mp.rho0) * n_lo + lift(ps.w / u) * (lift(mp.rho2) * p.y + lift(u * mp.rho3) * p.x)
     frame = BerwaldFrame(
         ell_lo=_ell_lo(ps, p),
         ell_hi=p.y / lift(mp.F),
@@ -102,7 +100,7 @@ class MainScalarPack(NamedTuple):
 
 @batched
 def main_scalar(
-    jet: Jet, p: EvalPoint, mp: MetricPack | None = None, *, errors: dict
+    jet: Jet | PhiScalars, p: EvalPoint, mp: MetricPack | None = None, *, errors: dict
 ) -> MainScalarPack:
     """Main scalar of the surface by two independent routes.
 
@@ -112,17 +110,16 @@ def main_scalar(
     Direct: contraction of the full Cartan tensor with m^i.
     Points fail as in ``berwald_frame``.
     """
-    frame, mp = _frame(jet, p, mp, errors)
-    cp = cartan_pack(jet, p, errors=errors)
-    ps = phi_scalars(jet)
-    w = p.r * p.r - p.s * p.s
+    ps = phi_scalars(jet, p.r, p.s)
+    frame, mp = _frame(ps, p, mp, errors)
+    cp = cartan_pack(ps, p, errors=errors)
     A = mp.rho0 + p.s * mp.rho2 + p.r * p.r * mp.rho3
     B = mp.rho2 + p.s * mp.rho3
     m = frame.m_hi
     msq = (m * m).sum(-1)
     a = frame.a
     I = (ps.phi / 2.0) * (
-        3 * cp.mu / a * msq - 3 * a * cp.mu * w * w * B * B + cp.nu / (a * a * a)
+        3 * cp.mu / a * msq - 3 * a * cp.mu * ps.w * ps.w * B * B + cp.nu / (a * a * a)
     )
     I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", cp.C, m, m, m)
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=cp)
@@ -149,7 +146,7 @@ def riemannian_from_jets(jets: GridJets, p: EvalPoint) -> bool:
     errors = {}
     with np.errstate(all="ignore"):
         ps = _positive_scalars(jets.rows(errors), p, errors)
-        mu, nu = _mu(ps, p.s), _nu(ps)
+        mu, nu = ps.mu, ps.nu
         fail_nonfinite(errors, {"mu": mu, "nu": nu})
         raise_first(errors)
         fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})

@@ -381,6 +381,32 @@ def test_cartan_pack_runs_at_most_once_per_run(args, cartan_packs, monkeypatch, 
     assert len(calls) == cartan_packs
 
 
+@pytest.mark.parametrize(
+    "args, reads",
+    [
+        (["report"], 1),
+        (["check"], 1),
+        (["report", "--dim", "3"], 1),
+        (["check", "--dim", "3"], 1),
+        (["classify"], 3),
+        (["classify", "--dim", "3"], 2),
+        (["metrize", "--p", "0", "--q", "0"], 0),
+    ],
+)
+def test_phi_scalars_are_read_off_a_jet_once_per_run(args, reads, monkeypatch, capsys, tmp_path):
+    # report and check read phi's scalars once and pass them to the packs;
+    # classify's three column forms (two at n = 3) each read their own, and
+    # metrize reads phi's degree-1 jet through its partials
+    from finslerlab import geometry
+    from finslerlab.jet import Jet
+
+    calls = []
+    wrap_everywhere(monkeypatch, geometry, "phi_scalars", lambda jet, *a: calls.append(type(jet)))
+    code, doc = run_json([*args, "--phi", "1+0.3*s"], capsys, tmp_path)
+    assert len(doc["points"]) == 30 and code in (0, 1)
+    assert calls.count(Jet) == reads
+
+
 def test_pack_overflow_prints_no_runtime_warning(capsys, tmp_path):
     # at s < 0 phi underflows and its metric overflows: those points are skips
     with warnings.catch_warnings():
@@ -692,6 +718,23 @@ def test_classify_keeps_the_stage_order_of_errors(capsys, tmp_path):
     for error in ("scalar_error", "riemannian_error"):
         assert doc["verdicts"][error].startswith("phi = ")
         assert doc["verdicts"][error].endswith("is not positive at (r, s) = (0.5, -0.35)")
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        "(" * 200 + "2+s" + ")" * 200,
+        "s+" * 1199 + "3",
+        "-(" * 200 + "s" + ")" * 200,
+        "^".join(["s"] * 1000),
+    ],
+    ids=["parentheses", "sum", "minus", "power"],
+)
+def test_deeply_nested_phi_exits_2(phi, capsys):
+    code, out, err = run_cli(["report", f"--phi={phi}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nested deeper than 100 levels (at offset ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", ["--u=1:inf:2", "--r=nan:1:3", "--s-frac=-inf:0.5:3"])

@@ -106,3 +106,48 @@ def test_domain_error_names_an_expression_with_an_infinite_number():
     e = parse("sqrt(s - 1e309)+1")
     with pytest.raises(DomainError, match=r"in sqrt\(\(s - 1e309\)\)"):
         eval_jet(e, 1.0, 0.2)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 101 + "s" + ")" * 101, 100),  # the 101st parenthesis
+        ("(" * 100 + "2+s" + ")" * 100, 101),  # its sum, inside 100
+        ("s+" * 101 + "3", 201),  # the 101st plus
+        ("s*" * 101 + "3", 201),
+        ("-(" * 51 + "s" + ")" * 51, 100),  # a minus and a parenthesis per level
+        ("^".join(["s"] * 102), 201),  # the 101st exponent
+        ("exp(" * 101 + "s" + ")" * 101, 400),
+    ],
+)
+def test_nesting_deeper_than_max_depth_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 99 + "2+s" + ")" * 99,
+        "s+" * 100 + "3",
+        "s" + "/2" * 100,
+        "-(" * 50 + "s" + ")" * 50,
+        "^".join(["s"] * 101),
+        "sin(" * 100 + "s" + ")" * 100,
+    ],
+)
+def test_nesting_at_max_depth_is_read_everywhere(text):
+    # parse, print, evaluate and compile stay inside the recursion limit at the bound
+    e = parse(text)
+    to_string(e)
+    eval_value(e, 1.0, 0.3)
+    eval_jet(e, 1.0, 0.3, errors={})
+
+
+def test_printed_text_parses_back_up_to_half_the_bound():
+    # to_string parenthesizes every level, so its text nests up to twice as deep
+    e = parse("s+" * 50 + "3")
+    assert parse(to_string(e)) == e
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse(to_string(parse("s+" * 51 + "3")))

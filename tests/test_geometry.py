@@ -4,19 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_row_matches, make_grid, rotated_batch
+from conftest import assert_row_matches, make_grid, rotated_batch, sympy_partial
 from finslerlab import (
     Degeneracy,
     DomainError,
     GeometryError,
+    berwald_frame,
     canonical_point,
     cartan_pack,
     degeneracy_classify,
     eval_jet,
+    horizontal_residual,
+    main_scalar,
     metric_pack,
     parse,
+    pq_from_phi,
     random_rotation,
 )
+from finslerlab.geometry import phi_scalars
 
 RANDOM_PHIS = [
     "1 + 0.2*s + 0.1*s^2",
@@ -298,3 +303,57 @@ def test_degeneracy_raises_only_errors_before_the_deciding_point():
     assert degeneracy_classify(phi, grid) is Degeneracy.NONDEGENERATE
     with pytest.raises(DomainError, match="ln of non-positive"):
         degeneracy_classify(phi, grid[::-1])
+
+
+# -- phi's scalars and the paper's factors, read once ------------------------
+
+FACTOR_PHIS = ["1+0.3*s", "sqrt(1+s^2)", "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))", "exp(s)*r"]
+
+
+@pytest.mark.parametrize("text", FACTOR_PHIS)
+@pytest.mark.parametrize("r, s", [(1.0, 0.3), (0.7, -0.4), (1.6, 1.1)])
+def test_phi_scalars_factors_match_their_formulas(text, r, s):
+    # each factor to 1e-12 of its terms' size: mu and nu cancel to 0 on Riemannian phis
+    phi, phi_s, phi_ss, phi_sss = (sympy_partial(text, r, s, 0, b) for b in range(4))
+    w = r * r - s * s
+    terms = {
+        "w": [r * r, -s * s],
+        "t": [phi, -s * phi_s],
+        "d": [phi, -s * phi_s, w * phi_ss],
+        "mu": [phi * phi_s, -s * phi_s * phi_s, -s * phi * phi_ss],
+        "nu": [3 * phi_s * phi_ss, phi * phi_sss],
+    }
+    ps = phi_scalars(eval_jet(parse(text), r, s), r, s)
+    for name, parts in terms.items():
+        size = sum(map(abs, parts))
+        assert getattr(ps, name) == pytest.approx(sum(parts), rel=1e-12, abs=1e-12 * size), name
+
+
+def _arrays(value) -> list:
+    """The arrays of a pack, with its nested packs and tuples flattened in field order."""
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    return [np.asarray(value)]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = _arrays(a), _arrays(b)
+    return len(a) == len(b) and all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()) for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("text", FACTOR_PHIS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_packs_give_the_same_bits_from_phis_jet_and_from_its_scalars(text, n):
+    _, p, jet, _ = rotated_batch(text, n)
+    ps = phi_scalars(jet, p.r, p.s)
+    assert phi_scalars(ps, p.r, p.s) is ps
+    packs = [metric_pack, cartan_pack] + ([berwald_frame, main_scalar] if n == 2 else [])
+    for pack in packs:
+        from_jet, from_scalars = {}, {}
+        a, b = pack(jet, p, errors=from_jet), pack(ps, p, errors=from_scalars)
+        assert _same_bits(a, b), pack.__name__
+        assert repr(from_jet) == repr(from_scalars)
+    sp = pq_from_phi(jet, p, errors={})
+    assert _same_bits(horizontal_residual(jet, sp, p), horizontal_residual(ps, sp, p))

@@ -9,6 +9,7 @@ from conftest import sympy_partial
 from finslerlab import DomainError, eval_jet, fd_partials, parse
 from finslerlab.expr import to_string
 from finslerlab.jet import (
+    GridJets,
     Jet,
     jet_abs,
     jet_cos,
@@ -767,3 +768,14 @@ def test_product_index_cache_keeps_at_most_8_mib():
         for k in (0, columns // 2, columns - 1):
             assert product[:, :, k].tobytes() == cauchy_reference(x[:, :, k], y[:, :, k]).tobytes()
             assert product[:, :, k].tobytes() == (Jet(x[:, :, k]) * Jet(y[:, :, k])).c.tobytes()
+
+
+@pytest.mark.parametrize("degree", [0, -1, 5, 2.0])
+def test_unsupported_degree_is_a_value_error(degree):
+    # not an IndexError or TypeError from deep inside the jet code, nor a value
+    message = re.escape(f"degree must be an integer in 1..4, got {degree!r}")
+    for e in (parse("sqrt(s)"), parse("1/s"), parse("s*s")):
+        with pytest.raises(ValueError, match=message):
+            eval_jet(e, 1.0, 0.5, degree=degree)
+        with pytest.raises(ValueError, match=message):
+            GridJets.evaluate(e, np.array([1.0]), np.array([0.5]), np.arange(1), degree=degree)
