@@ -24,31 +24,31 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .curvature import compatibility, flag_curvature, riemann_pack, scalar_from_jets
+from .curvature import compatibility, flag_curvature, riemann_pack, scalar_from_curvature
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
     GeometryError,
     _ell_lo,
+    _positive_scalars,
     _require_grid,
     canonical_point,
     cartan_pack,
-    degeneracy_from_jets,
+    degeneracy_from_scalars,
     lift,
     metric_pack,
     outer,
-    phi_scalars,
     random_rotation,
     residual_scale,
 )
 from .jet import DEGREE, GridJets, fail_nonfinite
 from .spray import (
-    _grid_pq,
     horizontal_residual,
     metrizability_from_spray,
+    pq_jets,
     spray_pack_from_jets,
 )
-from .surface import main_scalar, riemannian_from_jets
+from .surface import main_scalar, riemannian_from_scalars
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
@@ -88,18 +88,25 @@ def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(-axes, 0)))
 
 
+def _curvature(phi_jets: GridJets, p: EvalPoint, errors: dict) -> tuple:
+    """(jet, ps, sp, cv): phi's jets and scalars, the spray and the curvature pack at the
+    points p, P/Q taken on phi's columns.  A point keeps its first failure: jet, phi > 0, P/Q."""
+    jet = phi_jets.rows(errors)
+    ps = _positive_scalars(jet, p, errors)  # the one read of phi's scalars; the packs take them
+    cols = phi_jets.r, phi_jets.s, phi_jets.index
+    pq = pq_jets(phi_jets.jets, *cols[:2], errors=(pq_errors := {}))
+    sp = spray_pack_from_jets(*(GridJets(*cols, j, pq_errors).rows(errors) for j in pq), p)
+    return jet, ps, sp, riemann_pack(sp, jet, p)
+
+
 def _evaluate(
     phi_jets: GridJets, p: EvalPoint, errors: dict, with_checks: bool
 ) -> tuple[dict, dict]:
     """The report columns of the points p and, if asked, their
     identity-check residuals, by name, all from the points' phi jets.  A
     point that fails a guard gets its error in errors."""
-    jet = phi_jets.rows(errors)
-    ps = phi_scalars(jet, p.r, p.s)  # the one read of phi's scalars; the packs take them
+    jet, ps, sp, cv = _curvature(phi_jets, p, errors)
     mp = metric_pack(ps, p, errors=errors)
-    p_jets, q_jets = _grid_pq(phi_jets)
-    sp = spray_pack_from_jets(p_jets.rows(errors), q_jets.rows(errors), p)
-    cv = riemann_pack(sp, jet, p)
     mr = metrizability_from_spray(jet, sp, p)
     columns = {
         "F": mp.F,
@@ -182,28 +189,31 @@ def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> 
 
 def _classify(phi_jets: GridJets, p: EvalPoint, kept: list[int], verdicts: dict) -> list[dict]:
     """The verdicts on the points kept of p, into verdicts, and the K samples.
-    Each classifier scans the points in order; a failed one's verdict is None."""
-    _require_grid(kept)
+    Each classifier scans the points in order; a failed one's verdict is None, as is
+    each on fewer than 8 points.  Of the front half's failures, the scalar test sees
+    all, the Riemannian test phi <= 0 only and the degeneracy screen none."""
     p = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y)))
-    jets, pq = phi_jets.take(kept), [g.take(kept) for g in _grid_pq(phi_jets)]
+    _, ps, _, cv = _curvature(phi_jets.take(kept), p, (errors := {}))
     K = np.empty(0)  # no samples if the scalar test fails
     try:
-        verdicts["is_scalar"], K, verdicts["max_R3_residual"], _ = scalar_from_jets(jets, pq, p)
+        is_scalar, K, max_resid, _ = scalar_from_curvature(ps, cv, p, errors)
+        verdicts.update(is_scalar=is_scalar, max_R3_residual=max_resid)
     except (ArithmeticError, GeometryError) as exc:
         verdicts.update(is_scalar=None, scalar_error=str(exc))
     try:
-        verdicts["degeneracy"] = degeneracy_from_jets(jets, p.r, p.s).value
-    except ArithmeticError as exc:
+        verdicts["degeneracy"] = degeneracy_from_scalars(ps, {}).value
+    except (ArithmeticError, GeometryError) as exc:
         verdicts.update(degeneracy=None, degeneracy_error=str(exc))
     if p.n == 2:
         try:
-            verdicts["riemannian"] = riemannian_from_jets(jets, p)
+            verdicts["riemannian"] = riemannian_from_scalars(ps, p, {})
         except (ArithmeticError, GeometryError) as exc:
             verdicts.update(riemannian=None, riemannian_error=str(exc))
     rsu = zip(p.r.tolist(), p.s.tolist(), p.u.tolist())
     return [{"r": r, "s": s, "u": u, "K": k} for (r, s, u), k in zip(rsu, K.tolist())]
 
 
+@np.errstate(all="ignore")  # a failing point's values turn NaN or infinite; its error is kept
 def run(cfg: RunConfig) -> tuple[dict, int]:
     """Execute a subcommand; returns (report document, exit code)."""
     for frac in cfg.s_fraction_grid:
@@ -226,6 +236,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
     grid = np.meshgrid(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid, indexing="ij")
     r, frac, u = (g.ravel() for g in grid)
+    if cfg.subcommand == "classify":
+        _require_grid(r)
     # The grid's cells are evaluated as one batch, each jet once per cell of
     # the r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are
     # that plane.  A cell that fails a guard keeps its first error, in stage
@@ -233,19 +245,18 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     # the cells and phi jets that fail.  metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
-    with np.errstate(all="ignore"):
-        batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
-        cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu
-        degree = 1 if cfg.subcommand == "metrize" else DEGREE
-        phi_jets = GridJets.evaluate(phi, *cells, degree=degree)
-        if cfg.subcommand == "classify":
-            phi_jets.rows(errors)
-        elif cfg.subcommand == "metrize":
-            columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
-        else:
-            columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
-        if columns:
-            fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
+    batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
+    cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu
+    degree = 1 if cfg.subcommand == "metrize" else DEGREE
+    phi_jets = GridJets.evaluate(phi, *cells, degree=degree)
+    if cfg.subcommand == "classify":
+        phi_jets.rows(errors)
+    elif cfg.subcommand == "metrize":
+        columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
+    else:
+        columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
+    if columns:
+        fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
     kept = [k for k in range(r.size) if k not in errors]
     doc: dict = {
         "config": {**cfg._asdict(), "jet_degree": DEGREE},

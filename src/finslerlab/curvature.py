@@ -1,6 +1,6 @@
 """Riemann curvature scalars R1-R5, the Jacobi endomorphism matrix, the
-curvature compatibility residual C3, and scalar-flag-curvature
-classification, at one point or a batch (see ``geometry``)."""
+compatibility residual C3, and the scalar-flag-curvature verdict on phi's
+scalars and the curvature pack, at one point or a batch (see ``geometry``)."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 from .expr import Node
 from .geometry import (
     EvalPoint,
+    PhiScalars,
     _ell_lo,
     _positive_scalars,
     _require_grid,
@@ -18,8 +19,8 @@ from .geometry import (
     outer,
     residual_scale,
 )
-from .jet import GridJets, Jet, fail_nonfinite, first_true, raise_first
-from .spray import SprayPack, _grid_pq, spray_pack_from_jets
+from .jet import Jet, eval_jet, fail_nonfinite, first_true, raise_first
+from .spray import SprayPack, pq_jets, spray_pack_from_jets
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
@@ -175,40 +176,38 @@ def scalar_classify(phi: Node, grid: list[EvalPoint]) -> ScalarCurvatureReport:
     """
     _require_grid(grid)
     pts = EvalPoint.stack(grid)
-    jets = GridJets.evaluate(phi, pts.r, pts.s, np.arange(len(grid)))
-    is_scalar, K, max_resid, failing = scalar_from_jets(jets, _grid_pq(jets), pts)
+    with np.errstate(all="ignore"):
+        jet = eval_jet(phi, pts.r, pts.s, errors=(errors := {}))
+        ps = _positive_scalars(jet, pts, errors)
+        sp = spray_pack_from_jets(*pq_jets(jet, pts.r, pts.s, errors=errors), pts)
+        cv = riemann_pack(sp, jet, pts)
+        is_scalar, K, max_resid, failing = scalar_from_curvature(ps, cv, pts, errors)
     failing = None if failing is None else grid[failing]
     return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)
 
 
-def scalar_from_jets(
-    jets: GridJets, pq: tuple[GridJets, GridJets], p: EvalPoint
+def scalar_from_curvature(
+    ps: PhiScalars, cv: CurvaturePack, p: EvalPoint, errors: dict
 ) -> tuple[bool, np.ndarray, float, int | None]:
-    """``scalar_classify`` at the points p, from the phi and P/Q jets there: the
-    verdict, K at the sampled points, the largest R3 residual, the failing index."""
-    errors = {}
-    with np.errstate(all="ignore"):
-        jet = jets.rows(errors)
-        ps = _positive_scalars(jet, p, errors)
-        sp = spray_pack_from_jets(pq[0].rows(errors), pq[1].rows(errors), p)
-        cp = riemann_pack(sp, jet, p)
-        K = flag_curvature(cp, ps.phi, p)
-        fail_nonfinite(errors, {"K": K})
-        resid = np.abs(cp.R3) / residual_scale(cp.R1, cp.R2, cp.R3, cp.R4, cp.R5)
-        # reconstruction check of the scalar-curvature form
-        F = p.u * ps.phi
-        recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
-        rscale = np.maximum(1.0, np.max(np.abs(cp.Rmat), axis=(-2, -1)))
-        recon_failed = (p.n == 2) | (resid < SCALAR_TOL)
-        recon_failed &= np.max(np.abs(cp.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
+    """``scalar_classify`` at the points p, from phi's scalars and the
+    curvature pack there, whose earlier failures are in errors: the verdict,
+    K at the sampled points, the largest R3 residual, the failing index."""
+    _require_grid(ps.phi)
+    K = flag_curvature(cv, ps.phi, p)
+    fail_nonfinite(errors, {"K": K})
+    resid = np.abs(cv.R3) / residual_scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
+    # reconstruction check of the scalar-curvature form
+    F = p.u * ps.phi
+    recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
+    rscale = np.maximum(1.0, np.max(np.abs(cv.Rmat), axis=(-2, -1)))
+    recon_failed = (p.n == 2) | (resid < SCALAR_TOL)
+    recon_failed &= np.max(np.abs(cv.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
     stop = first_true(recon_failed)
     raise_first(errors, stop)
     end = len(K) if stop is None else stop + 1
     # a NaN residual never raised the running maximum
     seen = np.where(np.isnan(resid[:end]), 0.0, resid[:end])
     max_resid = float(seen.max())
-    failing = int(seen.argmax()) if max_resid > 0.0 else None
-    if stop is not None:
-        failing = stop
     is_scalar = stop is None and (p.n == 2 or max_resid < SCALAR_TOL)
+    failing = int(seen.argmax()) if stop is None else stop
     return is_scalar, K[:end], max_resid, None if is_scalar else failing

@@ -4,12 +4,12 @@ All objects are assembled from a Taylor jet of phi of degree >= 3, at one
 evaluation point or at a batch of them: the pack functions take phi's jet
 batch, or the ``PhiScalars`` read off it once, and a batched ``EvalPoint``
 and return one row per point, scalars of shape ``batch`` and tensors of
-shape ``(*batch, n, ..., n)``.  A one-point call is
-a batch of shape ().  Rows never mix, and numpy sums a contraction
-(``np.einsum``, ``@``) of one row in the same order whether or not the row
-is part of a batch, so each row equals the one-point result.  The carrier
-metric is the Euclidean one, so raised and lowered indices coincide
-numerically.
+shape ``(*batch, n, ..., n)``; a one-point call is a batch of shape ().
+Rows never mix, and numpy sums a contraction (``np.einsum``, ``@``) of one
+row in the same order whether or not the row is part of a batch, so each
+row equals the one-point result.  ``degeneracy_from_scalars`` screens the
+scalars under its caller's ``np.errstate``.  The carrier metric is the
+Euclidean one, so raised and lowered indices coincide numerically.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import Node
-from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
+from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, first_true, raise_first
 
 # Points closer to the |s| = r cone than this relative margin are rejected;
 # the inverse-metric scalars blow up there.
@@ -202,7 +202,7 @@ def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     return lift(ps.phi / p.u) * p.y + lift(ps.phi_s) * _n_lo(p)
 
 
-def _require_grid(grid: list) -> None:
+def _require_grid(grid: list | np.ndarray) -> None:
     if len(grid) < 8:
         raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
 
@@ -348,21 +348,22 @@ def degeneracy_classify(phi: Node, grid: list[EvalPoint]) -> Degeneracy:
     """
     _require_grid(grid)
     r, s = np.array([(p.r, p.s) for p in grid], dtype=float).T
-    return degeneracy_from_jets(GridJets.evaluate(phi, r, s, np.arange(len(grid))), r, s)
-
-
-def degeneracy_from_jets(jets: GridJets, r, s) -> Degeneracy:
-    """``degeneracy_classify`` at the points (r, s), from phi's jets there."""
-    errors = {}
     with np.errstate(all="ignore"):
-        ps = phi_scalars(jets.rows(errors), r, s)
-        scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
-        fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
-                                "phi - s phi_s + (r^2-s^2) phi_ss": d})
-        ok = np.ones(len(r), dtype=bool)
-        ok[list(errors)] = False
-        not_a = np.logical_or.accumulate(ok & (np.abs(t) >= DEGENERACY_TOL * scale))
-        not_b = np.logical_or.accumulate(ok & (np.abs(d) >= DEGENERACY_TOL * scale))
+        ps = phi_scalars(eval_jet(phi, r, s, errors=(errors := {})), r, s)
+        return degeneracy_from_scalars(ps, errors)
+
+
+def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> Degeneracy:
+    """``degeneracy_classify`` at the points of phi's scalars ps, whose
+    earlier failures are in errors."""
+    _require_grid(ps.phi)
+    scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
+    fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
+                            "phi - s phi_s + (r^2-s^2) phi_ss": d})
+    ok = np.ones(len(t), dtype=bool)
+    ok[list(errors)] = False
+    not_a = np.logical_or.accumulate(ok & (np.abs(t) >= DEGENERACY_TOL * scale))
+    not_b = np.logical_or.accumulate(ok & (np.abs(d) >= DEGENERACY_TOL * scale))
     decided = first_true(not_a & not_b)
     raise_first(errors, decided)
     if decided is not None:

@@ -555,10 +555,6 @@ class GridJets:
         errors = {}
         return cls(r, s, index, eval_jet(e, r, s, degree=degree, errors=errors), errors)
 
-    def with_jets(self, jets: Jet, errors: dict) -> "GridJets":
-        """Other jets on the same columns."""
-        return GridJets(self.r, self.s, self.index, jets, errors)
-
     def take(self, rows: list[int]) -> "GridJets":
         """The same jets at the points rows only, in that order."""
         return GridJets(self.r, self.s, self.index[rows], self.jets, self.errors)

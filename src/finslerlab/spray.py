@@ -23,7 +23,7 @@ from .geometry import (
     outer,
     phi_scalars,
 )
-from .jet import GridJets, Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
+from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
 class SprayPack(NamedTuple):
@@ -89,14 +89,6 @@ def pq_from_phi(jet: Jet, p: EvalPoint, *, errors: dict) -> SprayPack:
     _positive_scalars(jet, p, errors)
     pj, qj = pq_jets(jet, p.r, p.s, errors=errors)
     return spray_pack_from_jets(pj, qj, p)
-
-
-def _grid_pq(phi: GridJets) -> tuple[GridJets, GridJets]:
-    """The P and Q jets on the columns of phi's jets, from one batched
-    ``pq_jets``; a column whose phi jet failed keeps that error."""
-    errors = dict(phi.errors)
-    pj, qj = pq_jets(phi.jets, phi.r, phi.s, errors=errors)
-    return phi.with_jets(pj, errors), phi.with_jets(qj, errors)
 
 
 def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:

@@ -2,7 +2,7 @@
 spherically symmetric Finsler surfaces (n = 2, positive-definite branch),
 at one point or a batch (see ``geometry``).  The frame and the main scalar
 take phi's jet or its ``PhiScalars``, and read the scalars once for all
-they build.
+they build; the Riemannian test's column form takes the scalars.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .geometry import (
     metric_pack,
     phi_scalars,
 )
-from .jet import GridJets, Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
+from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, first_true, raise_first
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -138,28 +138,29 @@ def riemannian_test(phi: Node, grid: list[EvalPoint]) -> bool:
     pts = EvalPoint.stack(grid)
     if pts.n != 2:
         raise GeometryError(f"Riemannian test requires n = 2, got n = {pts.n}")
-    return riemannian_from_jets(GridJets.evaluate(phi, pts.r, pts.s, np.arange(len(grid))), pts)
-
-
-def riemannian_from_jets(jets: GridJets, p: EvalPoint) -> bool:
-    """``riemannian_test`` at the surface points p, from phi's jets there."""
-    errors = {}
     with np.errstate(all="ignore"):
-        ps = _positive_scalars(jets.rows(errors), p, errors)
-        mu, nu = ps.mu, ps.nu
-        fail_nonfinite(errors, {"mu": mu, "nu": nu})
-        raise_first(errors)
-        fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})
-        scale = RIEMANNIAN_TOL * np.maximum(1.0, ps.phi * ps.phi)
-        not_riemannian = first_true(np.abs(mu) >= scale)
-        inconsistent = first_true(np.abs(nu) >= scale)
+        ps = phi_scalars(eval_jet(phi, pts.r, pts.s, errors=(errors := {})), pts.r, pts.s)
+        return riemannian_from_scalars(ps, pts, errors)
+
+
+def riemannian_from_scalars(ps: PhiScalars, p: EvalPoint, errors: dict) -> bool:
+    """``riemannian_test`` at the surface points p, from phi's scalars ps
+    there, whose earlier failures are in errors."""
+    _require_grid(ps.phi)
+    _positive_scalars(ps, p, errors)
+    fail_nonfinite(errors, {"mu": ps.mu, "nu": ps.nu})
+    raise_first(errors)
+    fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})
+    scale = RIEMANNIAN_TOL * np.maximum(1.0, ps.phi * ps.phi)
+    not_riemannian = first_true(np.abs(ps.mu) >= scale)
+    inconsistent = first_true(np.abs(ps.nu) >= scale)
     # the mu test stops at the first point with a nonzero mu
     raise_first(errors, not_riemannian)
     if not_riemannian is not None:
         return False
     if inconsistent is not None:
         raise GeometryError(
-            f"mu vanishes on the grid but nu = {nu[inconsistent].item()} does not; "
+            f"mu vanishes on the grid but nu = {ps.nu[inconsistent].item()} does not; "
             "inconsistent evaluation"
         )
     return True

@@ -229,6 +229,36 @@ def test_classify_grid_too_small_exits_2(capsys):
     assert "grid of >= 8 points" in err
 
 
+def test_classify_on_too_few_surviving_points_gives_null_verdicts(capsys, tmp_path):
+    # 6 of the default grid's 30 points have s > 0.45: the configured grid is
+    # large enough, so the run exits 0 and each verdict carries the grid error
+    code, doc = run_json(["classify", "--phi", "sqrt(s-0.45)+1"], capsys, tmp_path)
+    assert code == 0
+    assert len(doc["skipped"]) == 24 and doc["points"] == []
+    error = "grid of >= 8 points required, got 6"
+    assert doc["verdicts"] == {
+        "is_scalar": None,
+        "scalar_error": error,
+        "degeneracy": None,
+        "degeneracy_error": error,
+        "riemannian": None,
+        "riemannian_error": error,
+    }
+
+
+@pytest.mark.parametrize("phi", [FLAT, "sqrt(1+s^2)"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_classify_K_samples_are_the_report_K_column(phi, dim, capsys, tmp_path):
+    args = ["--phi", phi, "--dim", dim, "--rotate", "--seed", "3", "--u", "0.7:1.9:2"]
+    _, report = run_json(["report", *args], capsys, tmp_path)
+    _, classify = run_json(["classify", *args], capsys, tmp_path)
+    report_K = {(p["r"], p["s"], p["u"]): p["K"].hex() for p in report["points"]}
+    classify_K = {(p["r"], p["s"], p["u"]): p["K"].hex() for p in classify["points"]}
+    shared = report_K.keys() & classify_K.keys()
+    assert len(shared) == len(classify_K) > 0
+    assert all(report_K[key] == classify_K[key] for key in shared)
+
+
 @pytest.mark.parametrize("phi, dim", [("1+s^2-0.9*r", "3"), ("ln(s+0.5)+2", "2")])
 def test_check_reports_the_points_report_evaluates(phi, dim, capsys, tmp_path):
     # phi <= 0 (pack) skips; for ln also jet-domain and frame-radicand skips
@@ -388,15 +418,14 @@ def test_cartan_pack_runs_at_most_once_per_run(args, cartan_packs, monkeypatch, 
         (["check"], 1),
         (["report", "--dim", "3"], 1),
         (["check", "--dim", "3"], 1),
-        (["classify"], 3),
-        (["classify", "--dim", "3"], 2),
+        (["classify"], 1),
+        (["classify", "--dim", "3"], 1),
         (["metrize", "--p", "0", "--q", "0"], 0),
     ],
 )
 def test_phi_scalars_are_read_off_a_jet_once_per_run(args, reads, monkeypatch, capsys, tmp_path):
-    # report and check read phi's scalars once and pass them to the packs;
-    # classify's three column forms (two at n = 3) each read their own, and
-    # metrize reads phi's degree-1 jet through its partials
+    # report, check and classify read phi's scalars once and pass them to the
+    # packs and the verdicts; metrize reads phi's degree-1 jet through its partials
     from finslerlab import geometry
     from finslerlab.jet import Jet
 
@@ -405,6 +434,18 @@ def test_phi_scalars_are_read_off_a_jet_once_per_run(args, reads, monkeypatch, c
     code, doc = run_json([*args, "--phi", "1+0.3*s"], capsys, tmp_path)
     assert len(doc["points"]) == 30 and code in (0, 1)
     assert calls.count(Jet) == reads
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_classify_hands_out_the_jets_of_each_point_four_times(dim, monkeypatch, capsys, tmp_path):
+    # the skip scan reads phi's jets; the curvature pass reads phi's, P's and Q's
+    from finslerlab.jet import GridJets
+
+    calls, original = [], GridJets.rows
+    monkeypatch.setattr(GridJets, "rows", lambda *args: calls.append(1) or original(*args))
+    code, doc = run_json(["classify", "--phi", "1+0.3*s", "--dim", dim], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert len(calls) == 4
 
 
 def test_pack_overflow_prints_no_runtime_warning(capsys, tmp_path):
