@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
-import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii
-from struct import pack
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +34,9 @@ from .geometry import (
     metric_pack,
     outer,
     random_rotation,
-    residual_scale,
 )
 from .jet import DEGREE, GridJets, fail_nonfinite
+from .jsontext import Records, json_pieces
 from .spray import (
     horizontal_residual,
     metrizability_from_spray,
@@ -135,7 +130,6 @@ def _evaluate(
     phi0, u, w, eye = ps.phi, p.u, ps.w, np.eye(p.n)
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
     contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * ps.d)
-    scale = residual_scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
     trace = np.trace(cv.Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
     F2 = np.maximum(1.0, mp.F * mp.F)
     gy = np.einsum("...ij,...j->...i", mp.g, p.y)
@@ -151,12 +145,12 @@ def _evaluate(
         "horizontal_dhF": _maxabs(horizontal_residual(ps, sp, p)) / (u * np.maximum(1.0, phi0)),
         "spray_homogeneity": _maxabs(np.einsum("...ij,...j->...i", sp.N, p.y) - 2 * sp.G)
         / np.maximum(1.0, _maxabs(sp.G)),
-        "curvature_C3": cv.C3 / (scale * np.maximum(1.0, phi0)),
-        "identity_R2": cv.id_R2 / scale,
-        "identity_R4": cv.id_R4 / scale,
+        "curvature_C3": cv.C3 / (cv.scale * np.maximum(1.0, phi0)),
+        "identity_R2": cv.id_R2 / cv.scale,
+        "identity_R4": cv.id_R4 / cv.scale,
         "jacobi_y_annihilation": _maxabs(np.einsum("...ij,...j->...i", cv.Rmat, p.y))
-        / (scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
-        "curvature_trace": trace / (scale * u * u),
+        / (cv.scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
+        "curvature_trace": trace / (cv.scale * u * u),
     }
     if p.n == 2:
         fr = ms.frame
@@ -187,11 +181,12 @@ def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> 
     return {"C1": mr.C1, "C2": mr.C2, "C3": compatibility(user_sp, jet, p)[3], "pass": ok}
 
 
-def _classify(phi_jets: GridJets, p: EvalPoint, kept: list[int], verdicts: dict) -> list[dict]:
-    """The verdicts on the points kept of p, into verdicts, and the K samples.
-    Each classifier scans the points in order; a failed one's verdict is None, as is
-    each on fewer than 8 points.  Of the front half's failures, the scalar test sees
-    all, the Riemannian test phi <= 0 only and the degeneracy screen none."""
+def _classify(phi_jets: GridJets, p: EvalPoint, kept: np.ndarray, verdicts: dict) -> dict:
+    """The verdicts on the points kept of p, into verdicts, and the columns r, s,
+    u and K of the K samples.  Each classifier scans the points in order; a failed
+    one's verdict is None, as is each on fewer than 8 points.  Of the front half's
+    failures, the scalar test sees all, the Riemannian test phi <= 0 only and the
+    degeneracy screen none."""
     p = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y)))
     _, ps, _, cv = _curvature(phi_jets.take(kept), p, (errors := {}))
     K = np.empty(0)  # no samples if the scalar test fails
@@ -209,13 +204,18 @@ def _classify(phi_jets: GridJets, p: EvalPoint, kept: list[int], verdicts: dict)
             verdicts["riemannian"] = riemannian_from_scalars(ps, p, {})
         except (ArithmeticError, GeometryError) as exc:
             verdicts.update(riemannian=None, riemannian_error=str(exc))
-    rsu = zip(p.r.tolist(), p.s.tolist(), p.u.tolist())
-    return [{"r": r, "s": s, "u": u, "K": k} for (r, s, u), k in zip(rsu, K.tolist())]
+    return {"r": p.r[: len(K)], "s": p.s[: len(K)], "u": p.u[: len(K)], "K": K}
+
+
+def run(cfg: RunConfig) -> tuple[dict, int]:
+    """Execute a subcommand; returns (report document, exit code)."""
+    doc, exit_code = run_columns(cfg)
+    return {**doc, "points": doc["points"].tolist()}, exit_code
 
 
 @np.errstate(all="ignore")  # a failing point's values turn NaN or infinite; its error is kept
-def run(cfg: RunConfig) -> tuple[dict, int]:
-    """Execute a subcommand; returns (report document, exit code)."""
+def run_columns(cfg: RunConfig) -> tuple[dict, int]:
+    """``run``, with the document's points held as columns, a ``Records``."""
     for frac in cfg.s_fraction_grid:
         if not -1.0 < frac < 1.0:
             raise ValueError(f"s fractions must lie in (-1, 1), got {frac}")
@@ -257,31 +257,30 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
     if columns:
         fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
-    kept = [k for k in range(r.size) if k not in errors]
+    failed = sorted(errors)
+    kept = np.delete(np.arange(r.size), failed)
+    rsu = (v[failed].tolist() for v in (batch.r, batch.s, batch.u))
     doc: dict = {
         "config": {**cfg._asdict(), "jet_degree": DEGREE},
-        "points": [],
+        "points": Records({}),
         "checks": [],
         "verdicts": {},
         "skipped": [
-            {"r": r, "s": s, "u": u, "reason": str(errors[i])}
-            for i, (r, s, u) in enumerate(zip(batch.r.tolist(), batch.s.tolist(), batch.u.tolist()))
-            if i in errors
+            {"r": r, "s": s, "u": u, "reason": str(errors[i])} for i, r, s, u in zip(failed, *rsu)
         ],
         "version": __version__,
     }
-    if not kept:
+    if not kept.size:
         return doc, 3
 
     if cfg.subcommand == "classify":
-        doc["points"] = _classify(phi_jets, batch, kept, doc["verdicts"])
+        doc["points"] = Records(_classify(phi_jets, batch, kept, doc["verdicts"]))
         return doc, 0
 
-    names = ["r", "s", "u", *columns]
-    values = [v[kept].tolist() for v in (batch.r, batch.s, batch.u, *columns.values())]
-    doc["points"] = [dict(zip(names, rec)) for rec in zip(*values)]
+    points = {"r": batch.r, "s": batch.s, "u": batch.u, **columns}
+    doc["points"] = Records({k: v[kept] for k, v in points.items()})
     if cfg.subcommand == "metrize":
-        doc["verdicts"]["metrizable"] = all(rec["pass"] for rec in doc["points"])
+        doc["verdicts"]["metrizable"] = bool(columns["pass"][kept].all())
         return doc, 0 if doc["verdicts"]["metrizable"] else 1
     for name, value in checks.items():
         value = np.abs(value[kept])
@@ -301,59 +300,13 @@ def _print_summary(doc: dict):
         print(f"  {key}: {value}")
 
 
-# the texts of values of these exact types; json.dumps writes any other type
-_LITERALS = {None: "null", False: "false", True: "true"}
-_FORMATS = {str: encode_basestring_ascii, int: repr,
-            bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _column(values: list, pad: str) -> list[str]:
-    """json.dumps(v, sort_keys=True, indent=1) of each v in values, with pad
-    before each line after the first.  A column of one type takes one pass,
-    each distinct float formatted once where at most half are distinct; lists
-    of one length and dicts of one key set are joined from their items' columns."""
-    kind = type(values[0]) if len(set(map(type, values))) == 1 else None
-    if kind is float:
-        distinct = dict.fromkeys(values)
-        memo = 2 * len(distinct) <= len(values)
-        text = list(map(repr, distinct if memo else values))
-        if not math.isfinite(sum(distinct)):  # a finite sum has finite terms
-            text = [_NONFINITE.get(t, t) for t in text]
-        if memo:
-            text = list(map(dict(zip(distinct, text)).__getitem__, values))
-            # -0.0 shares 0.0's memo entry: a column that may hold it formats its zeros anew
-            if 0.0 in distinct and pack("<d", -0.0) in pack(f"<{len(values)}d", *values):
-                text = [t if v else repr(v) for t, v in zip(text, values)]
-        return text
-    if kind in _FORMATS:
-        return list(map(_FORMATS[kind], values))
-    # dicts of one key set: the union of their keys has as many as each of them
-    same_keys = kind is dict and len(values) * len(set().union(*values)) == sum(map(len, values))
-    if kind is list and len(set(map(len, values))) == 1:
-        n = len(values[0])
-        flat = _column(list(itertools.chain.from_iterable(values)), pad + " ")
-        columns, labels, brackets = [flat[j::n] for j in range(n)], [""] * n, "[]"
-    elif same_keys and all(type(k) is str for k in values[0]):
-        keys = sorted(values[0])
-        columns = [_column([d[k] for d in values], pad + " ") for k in keys]
-        labels, brackets = [encode_basestring_ascii(k) + ": " for k in keys], "{}"
-    else:
-        return [json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n" + pad) for v in values]
-    if not labels:
-        return [brackets] * len(values)
-    # each value's text: its opening bracket, each item after a separator and label, the closing one
-    first, sep, close = brackets[0] + "\n" + pad + " ", ",\n" + pad + " ", "\n" + pad + brackets[1]
-    heads = [first + labels[0], *map(sep.__add__, labels[1:])]
-    parts = itertools.chain.from_iterable(zip(map(itertools.repeat, heads), columns))
-    return list(map("".join, zip(*parts, itertools.repeat(close))))
-
-
 def write_report(doc: dict, path: str) -> None:
     """Write doc to path as json.dumps(doc, sort_keys=True, indent=1) plus a
-    newline, byte for byte, formatted column by column."""
+    newline, byte for byte, formatted column by column (``json_pieces``); a
+    ``Records`` value is written as its list of dicts, in blocks."""
     with open(path, "w") as fh:
-        print(_column([doc], "")[0], file=fh)
+        fh.writelines(json_pieces(doc))
+        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             p_expr=getattr(args, "p", None),
             q_expr=getattr(args, "q", None),
         )
-        doc, exit_code = run(cfg)
+        doc, exit_code = run_columns(cfg)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ class CurvaturePack(NamedTuple):
     id_R4: float  # R4 + s R3
     id_R2: float  # R1 + R2 + s R5
     identity_mismatch: bool
+    scale: float  # residual_scale(R1, ..., R5), the scale of the curvature residuals
 
 
 def compatibility(sp: SprayPack, jet: Jet, p: EvalPoint) -> tuple:
@@ -144,6 +145,7 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         id_R4=R4 + s * R3,
         id_R2=R1 + R2 + s * R5,
         identity_mismatch=mismatch,
+        scale=scale,
     )
 
 
@@ -195,7 +197,7 @@ def scalar_from_curvature(
     _require_grid(ps.phi)
     K = flag_curvature(cv, ps.phi, p)
     fail_nonfinite(errors, {"K": K})
-    resid = np.abs(cv.R3) / residual_scale(cv.R1, cv.R2, cv.R3, cv.R4, cv.R5)
+    resid = np.abs(cv.R3) / cv.scale
     # reconstruction check of the scalar-curvature form
     F = p.u * ps.phi
     recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))

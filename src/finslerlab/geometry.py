@@ -148,16 +148,32 @@ def phi_scalars(jet: Jet | PhiScalars, r, s) -> PhiScalars:
     return PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, w, t, d, mu, nu)
 
 
+class _Guarded(PhiScalars):
+    """PhiScalars whose points with phi <= 0 have failed, in the errors of the
+    ``_positive_scalars`` call that returned them."""
+
+    __slots__ = ()
+
+
 def _positive_scalars(jet: Jet | PhiScalars, p: EvalPoint, errors: dict) -> PhiScalars:
-    """phi_scalars, failing the points where phi <= 0 (F is not a norm there)."""
+    """phi_scalars, failing the points where phi <= 0 (F is not a norm there).
+    Scalars this guard returned pass through unchanged: a pack given them
+    shares the errors of the call that guarded them."""
+    if isinstance(jet, _Guarded):
+        return jet
     ps = phi_scalars(jet, p.r, p.s)
+    _fail_nonpositive(ps, p, errors)
+    return _Guarded(*ps)
+
+
+def _fail_nonpositive(ps: PhiScalars, p: EvalPoint, errors: dict) -> None:
+    """The phi > 0 guard: a GeometryError at each point of p where phi <= 0."""
     fail_where(
         ps.phi <= 0,
         errors,
         lambda phi, r, s: GeometryError(f"phi = {phi} is not positive at (r, s) = ({r}, {s})"),
         ps.phi, p.r, p.s,
     )
-    return ps
 
 
 # -- column helpers ----------------------------------------------------------

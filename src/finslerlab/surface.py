@@ -19,8 +19,8 @@ from .geometry import (
     MetricPack,
     PhiScalars,
     _ell_lo,
+    _fail_nonpositive,
     _n_lo,
-    _positive_scalars,
     _require_grid,
     cartan_pack,
     lift,
@@ -147,7 +147,7 @@ def riemannian_from_scalars(ps: PhiScalars, p: EvalPoint, errors: dict) -> bool:
     """``riemannian_test`` at the surface points p, from phi's scalars ps
     there, whose earlier failures are in errors."""
     _require_grid(ps.phi)
-    _positive_scalars(ps, p, errors)
+    _fail_nonpositive(ps, p, errors)
     fail_nonfinite(errors, {"mu": ps.mu, "nu": ps.nu})
     raise_first(errors)
     fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})

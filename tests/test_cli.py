@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finslerlab.cli import main, parse_range
 
@@ -436,6 +436,44 @@ def test_phi_scalars_are_read_off_a_jet_once_per_run(args, reads, monkeypatch, c
     assert calls.count(Jet) == reads
 
 
+@pytest.mark.parametrize(
+    "args, guards",
+    [
+        (["report"], 1),
+        (["check"], 1),
+        (["report", "--dim", "3"], 1),
+        (["check", "--dim", "3"], 1),
+        (["classify", "--dim", "3"], 1),
+        # the Riemannian test runs the guard again, on its own errors
+        (["classify"], 2),
+        (["metrize", "--p", "0", "--q", "0"], 0),
+    ],
+)
+def test_the_phi_guard_runs_once_per_front_half(args, guards, monkeypatch, capsys, tmp_path):
+    # the front half guards phi's scalars; the packs take them guarded and do not guard again
+    from finslerlab import geometry
+
+    calls = []
+    wrap_everywhere(monkeypatch, geometry, "_fail_nonpositive", lambda *a: calls.append(1))
+    code, doc = run_json([*args, "--phi", "1+0.3*s"], capsys, tmp_path)
+    assert len(doc["points"]) == 30 and code in (0, 1)
+    assert len(calls) == guards
+
+
+@pytest.mark.parametrize(
+    "args", [["report"], ["check"], ["classify"], ["check", "--dim", "3"], ["classify", "--dim", "3"]]
+)
+def test_the_curvature_residual_scale_is_formed_once_per_run(args, monkeypatch, capsys, tmp_path):
+    # riemann_pack forms max(1, |R1|, ..., |R5|) once; check and classify read it off the pack
+    from finslerlab import geometry
+
+    calls = []
+    wrap_everywhere(monkeypatch, geometry, "residual_scale", lambda *a: calls.append(len(a)))
+    code, doc = run_json([*args, "--phi", "1+0.3*s"], capsys, tmp_path)
+    assert len(doc["points"]) == 30 and code in (0, 1)
+    assert calls == [5]
+
+
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_classify_hands_out_the_jets_of_each_point_four_times(dim, monkeypatch, capsys, tmp_path):
     # the skip scan reads phi's jets; the curvature pass reads phi's, P's and Q's
@@ -557,20 +595,22 @@ def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
     ],
 )
 def test_report_file_is_byte_for_byte_the_indented_json(args, dim, monkeypatch, capsys, tmp_path):
+    # main writes the columns run_columns returns; the file is the indented
+    # JSON of the document built from them, one dict per point
     from finslerlab import cli
 
-    docs, run = [], cli.run
+    docs, run_columns = [], cli.run_columns
 
-    def recording_run(cfg):
-        doc, code = run(cfg)
+    def recording_run_columns(cfg):
+        doc, code = run_columns(cfg)
         docs.append(doc)
         return doc, code
 
-    monkeypatch.setattr(cli, "run", recording_run)
+    monkeypatch.setattr(cli, "run_columns", recording_run_columns)
     path = tmp_path / "out.json"
     code = main([*args, "--dim", dim, "--json", str(path)])
     capsys.readouterr()
-    (doc,) = docs
+    (doc,) = [{**doc, "points": doc["points"].tolist()} for doc in docs]
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
     assert (code == 3) == (doc["points"] == [] and doc["verdicts"] == {})
     if "1e200*(2+s)" in args:
@@ -636,16 +676,23 @@ _REPEATED_COLUMNS = [
 
 
 @pytest.mark.parametrize("column", _REPEATED_COLUMNS)
-def test_write_report_formats_repeated_values_like_json_dumps(column, tmp_path):
+def test_write_report_formats_repeated_values_like_json_dumps(column, monkeypatch, tmp_path):
     # repeated floats are formatted once per distinct value; the texts must
     # still tell 0.0 from -0.0 and keep hash-equal values of other types apart
-    from finslerlab.cli import write_report
+    from finslerlab import cli, jsontext
 
     path = tmp_path / "out.json"
     records = [{"v": v, "w": [v, 0.5], "x": 0.5} for v in column]
     for doc in ({"points": records}, {"column": column}, [column, column]):
-        write_report(doc, path)
+        cli.write_report(doc, path)
         assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    # as columns, in blocks of two records: a float column's memo spans its blocks
+    monkeypatch.setattr(jsontext, "_BLOCK", 2)
+    v = np.array(column, dtype=float)
+    table = jsontext.Records({"v": v, "w": np.stack([v, np.full_like(v, 0.5)], -1), "x": v == v})
+    cli.write_report({"points": table}, path)
+    doc = {"points": table.tolist()}
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 _POOL = [0.0, -0.0, 1.5, -2.25, 0.1 + 0.2, 1e300, 5e-324, _NAN, float("inf"), float("-inf"),
@@ -667,6 +714,116 @@ def test_write_report_matches_json_dumps_on_records_from_a_small_pool(records, t
     doc = {"points": records, "column": [r["a"] for r in records]}
     write_report(doc, path)
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# phis whose runs give the writer clean columns, skipped points, no points at
+# all (exit 3), and, at s = r/2 for 3*s-s^2-1, a det_formula column of -0.0
+# beside positive values; metrize's candidate spray is 1+s's, so its pass
+# column holds both values on the other phis
+_WRITER_PHIS = ["1+s", "1+0.3*s", "ln(s+0.5)+2", "ln(s-10)", "3*s-s^2-1"]
+_GRID = st.tuples(
+    st.floats(0.2, 2.0), st.floats(0.0, 1.5), st.integers(1, 4),
+    st.floats(-0.95, 0.95), st.floats(-0.95, 0.95), st.integers(1, 5),
+    st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.integers(1, 2),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    sub=st.sampled_from(["report", "check", "classify", "metrize"]),
+    phi=st.sampled_from(_WRITER_PHIS),
+    dim=st.sampled_from([2, 3]),
+    grid=_GRID,
+    rotate=st.booleans(),
+    block=st.sampled_from([1, 7, 32]),
+)
+@example(sub="report", phi="3*s-s^2-1", dim=3, grid=(1.5, 0.5, 2, 0.25, 0.5, 2, 1.0, 1.0, 2),
+         rotate=False, block=3)
+@example(sub="check", phi="ln(s+0.5)+2", dim=2, grid=(0.5, 1.0, 3, -0.7, 0.7, 5, 1.0, 1.0, 2),
+         rotate=True, block=7)
+@example(sub="classify", phi="1+0.3*s", dim=2, grid=(0.5, 1.0, 3, -0.7, 0.7, 5, 1.0, 1.0, 2),
+         rotate=True, block=7)
+@example(sub="metrize", phi="ln(s+0.5)+2", dim=3, grid=(0.5, 1.0, 3, -0.7, 0.7, 5, 1.0, 1.0, 2),
+         rotate=False, block=32)
+@example(sub="report", phi="ln(s-10)", dim=2, grid=(0.5, 1.0, 3, -0.7, 0.7, 5, 1.0, 1.0, 2),
+         rotate=False, block=32)
+def test_main_writes_the_indented_json_of_run(sub, phi, dim, grid, rotate, block, tmp_path_factory):
+    # main writes the report from its columns, block by block; the file is the
+    # indented JSON of the document run builds, one dict per point
+    import contextlib
+    import io
+
+    from finslerlab import cli, jsontext
+
+    r0, dr, nr, f0, f1, nf, u0, du, nu = grid
+    ranges = [f"{r0!r}:{r0 + dr!r}:{nr}", f"{f0!r}:{f1!r}:{nf}", f"{u0!r}:{u0 + du!r}:{nu}"]
+    spray = ("1/(2*(1+s))", "0") if sub == "metrize" else (None, None)
+    path = tmp_path_factory.getbasetemp() / "columns.json"
+    path.unlink(missing_ok=True)
+    argv = [sub, "--phi", phi, "--dim", str(dim), "--seed", "3", "--json", str(path)]
+    argv += [f"--{flag}={text}" for flag, text in zip(("r", "s-frac", "u"), ranges)]
+    argv += ["--rotate"] * rotate + (["--p", spray[0], "--q", spray[1]] if sub == "metrize" else [])
+    saved, jsontext._BLOCK = jsontext._BLOCK, block
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        jsontext._BLOCK = saved
+    if code == 2:  # classify's grid has fewer than 8 points
+        assert sub == "classify" and nr * nf * nu < 8 and not path.exists()
+        return
+    cfg = cli.RunConfig(sub, phi, dim, *map(parse_range, ranges), 3, rotate, p_expr=spray[0],
+                        q_expr=spray[1])
+    doc, run_code = cli.run(cfg)
+    assert code == run_code
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_main_writes_the_report_from_its_columns(monkeypatch, capsys, tmp_path):
+    # main never builds the per-point document: the points stay numpy columns
+    # from run_columns to the file
+    from finslerlab import cli
+
+    args = ["check", "--phi", "1+s", "--r", "0.5:1.2:8", "--s-frac=-0.7:0.7:15", "--u", "1:1:1"]
+    grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
+    expected, _ = cli.run(cli.RunConfig("check", "1+s", 2, *grids))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built one dict per point")
+
+    docs, run_columns = [], cli.run_columns
+    monkeypatch.setattr(cli, "run_columns", lambda cfg: docs.append(run_columns(cfg)) or docs[-1])
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(cli.Records, "tolist", refuse)
+    path = tmp_path / "out.json"
+    assert main([*args, "--json", str(path)]) == 0
+    capsys.readouterr()
+    ((doc, _),) = docs
+    assert type(doc["points"]) is cli.Records and len(doc["points"]) == 120
+    assert all(type(v) is np.ndarray for v in doc["points"].columns.values())
+    assert path.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+
+
+def test_the_writer_holds_one_block_of_the_report_at_a_time(tmp_path):
+    # the 120-point Randers report is about 60 kB of text; formatting it
+    # whole, with its dicts or its columns of texts, peaks at 200 kB or more
+    import tracemalloc
+
+    from finslerlab.cli import RunConfig, run_columns, write_report
+
+    grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
+    doc, code = run_columns(RunConfig("report", "1+s", 2, *grids))
+    assert code == 0 and len(doc["points"]) == 120
+    path = tmp_path / "out.json"
+    write_report(doc, path)
+    tracemalloc.start()
+    try:
+        write_report(doc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 60_000
+    assert peak <= 128 * 1024
 
 
 @pytest.mark.parametrize(

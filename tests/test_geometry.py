@@ -296,6 +296,22 @@ def test_batched_metric_pack_keeps_each_point_error():
         metric_pack(jets, batch)
 
 
+def test_packs_guard_a_jet_and_unguarded_scalars_but_not_guarded_ones():
+    # phi = 1 + s^2 - 0.9 r is not positive at some points with r = 1.6
+    from finslerlab.geometry import _positive_scalars
+
+    _, batch, jets, _ = rotated_batch("1+s^2-0.9*r", 3)
+    for pack in (metric_pack, cartan_pack):
+        for phi in (jets, phi_scalars(jets, batch.r, batch.s)):
+            with pytest.raises(GeometryError, match="is not positive"):
+                pack(phi, batch)
+    guarded = _positive_scalars(jets, batch, errors := {})
+    assert errors and _positive_scalars(guarded, batch, {}) is guarded
+    for pack in (metric_pack, cartan_pack):
+        pack(guarded, batch, errors=(again := {}))
+        assert again == {}
+
+
 def test_degeneracy_raises_only_errors_before_the_deciding_point():
     # ln(1.4 - r) fails at r = 1.5; the points at r = 1.2 rule out both families
     phi = parse("1 + s + ln(1.4 - r)")
