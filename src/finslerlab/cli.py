@@ -19,13 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .curvature import compatibility, flag_curvature, riemann_pack, scalar_from_curvature
+from .curvature import compatibility, flag_curvature, front_half, scalar_from_curvature
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
     GeometryError,
     _ell_lo,
-    _positive_scalars,
     _require_grid,
     canonical_point,
     cartan_pack,
@@ -35,14 +34,9 @@ from .geometry import (
     outer,
     random_rotation,
 )
-from .jet import DEGREE, GridJets, fail_nonfinite
+from .jet import DEGREE, Jet, cell_rows, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
-from .spray import (
-    horizontal_residual,
-    metrizability_from_spray,
-    pq_jets,
-    spray_pack_from_jets,
-)
+from .spray import candidate_spray, horizontal_residual, metrizability_from_spray
 from .surface import main_scalar, riemannian_from_scalars
 
 DEFAULT_TOL_ABS = 1e-9
@@ -83,24 +77,13 @@ def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(-axes, 0)))
 
 
-def _curvature(phi_jets: GridJets, p: EvalPoint, errors: dict) -> tuple:
-    """(jet, ps, sp, cv): phi's jets and scalars, the spray and the curvature pack at the
-    points p, P/Q taken on phi's columns.  A point keeps its first failure: jet, phi > 0, P/Q."""
-    jet = phi_jets.rows(errors)
-    ps = _positive_scalars(jet, p, errors)  # the one read of phi's scalars; the packs take them
-    cols = phi_jets.r, phi_jets.s, phi_jets.index
-    pq = pq_jets(phi_jets.jets, *cols[:2], errors=(pq_errors := {}))
-    sp = spray_pack_from_jets(*(GridJets(*cols, j, pq_errors).rows(errors) for j in pq), p)
-    return jet, ps, sp, riemann_pack(sp, jet, p)
-
-
 def _evaluate(
-    phi_jets: GridJets, p: EvalPoint, errors: dict, with_checks: bool
+    phi_jets: Jet, cells: tuple, p: EvalPoint, errors: dict, with_checks: bool
 ) -> tuple[dict, dict]:
-    """The report columns of the points p and, if asked, their
-    identity-check residuals, by name, all from the points' phi jets.  A
-    point that fails a guard gets its error in errors."""
-    jet, ps, sp, cv = _curvature(phi_jets, p, errors)
+    """The report columns of the points p and, if asked, their identity-check
+    residuals, by name, all from phi's jets at the points' cells (``front_half``).
+    A point that fails a guard gets its error in errors."""
+    jet, ps, sp, cv = front_half(phi_jets, cells, p, errors)
     mp = metric_pack(ps, p, errors=errors)
     mr = metrizability_from_spray(jet, sp, p)
     columns = {
@@ -168,27 +151,24 @@ def _evaluate(
     return columns, checks
 
 
-def _metrize(phi_jets, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
+def _metrize(jet: Jet, cells: tuple, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
     """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, from phi
-    jets of degree 1 and P and Q jets on their columns of degree 2, all C1..C3 read."""
-    jet = phi_jets.rows(errors)
-    cols = phi_jets.r, phi_jets.s, phi_jets.index
-    pj, qj = (GridJets.evaluate(e, *cols, degree=2).rows(errors) for e in (p_ast, q_ast))
-    user_sp = spray_pack_from_jets(pj, qj, p)
+    jets of degree 1 and P and Q jets at the cells of degree 2, all C1..C3 read."""
+    user_sp = candidate_spray(p_ast, q_ast, cells, p, errors=errors)
     mr = metrizability_from_spray(jet, user_sp, p)
     bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
     ok = np.maximum(np.abs(mr.C1), np.abs(mr.C2)) <= bound
     return {"C1": mr.C1, "C2": mr.C2, "C3": compatibility(user_sp, jet, p)[3], "pass": ok}
 
 
-def _classify(phi_jets: GridJets, p: EvalPoint, kept: np.ndarray, verdicts: dict) -> dict:
+def _classify(phi_jets: Jet, cells: tuple, p: EvalPoint, kept, verdicts: dict) -> dict:
     """The verdicts on the points kept of p, into verdicts, and the columns r, s,
     u and K of the K samples.  Each classifier scans the points in order; a failed
     one's verdict is None, as is each on fewer than 8 points.  Of the front half's
     failures, the scalar test sees all, the Riemannian test phi <= 0 only and the
     degeneracy screen none."""
     p = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y)))
-    _, ps, _, cv = _curvature(phi_jets.take(kept), p, (errors := {}))
+    _, ps, _, cv = front_half(phi_jets, (*cells[:2], cells[2][kept]), p, (errors := {}))
     K = np.empty(0)  # no samples if the scalar test fails
     try:
         is_scalar, K, max_resid, _ = scalar_from_curvature(ps, cv, p, errors)
@@ -240,21 +220,20 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
         _require_grid(r)
     # The grid's cells are evaluated as one batch, each jet once per cell of
     # the r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are
-    # that plane.  A cell that fails a guard keeps its first error, in stage
-    # order; one test then fails the non-finite values.  classify skips only
-    # the cells and phi jets that fail.  metrize reads phi to first order.
+    # that plane; cells[2] is each point's cell.  A point keeps its first error,
+    # in stage order; one test then fails the non-finite values.  classify skips
+    # only the embedding's and phi's jet failures.  metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
     batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
     cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu
     degree = 1 if cfg.subcommand == "metrize" else DEGREE
-    phi_jets = GridJets.evaluate(phi, *cells, degree=degree)
-    if cfg.subcommand == "classify":
-        phi_jets.rows(errors)
-    elif cfg.subcommand == "metrize":
-        columns = _metrize(phi_jets, p_ast, q_ast, batch, errors, tol)
-    else:
-        columns, checks = _evaluate(phi_jets, batch, errors, cfg.subcommand == "check")
+    phi_jets = eval_jet(phi, *cells[:2], degree=degree, errors=(jet_errors := {}))
+    jet = cell_rows(phi_jets, jet_errors, cells[2], errors)
+    if cfg.subcommand == "metrize":
+        columns = _metrize(jet, cells, p_ast, q_ast, batch, errors, tol)
+    elif cfg.subcommand != "classify":
+        columns, checks = _evaluate(phi_jets, cells, batch, errors, cfg.subcommand == "check")
     if columns:
         fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
     failed = sorted(errors)
@@ -274,7 +253,7 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
         return doc, 3
 
     if cfg.subcommand == "classify":
-        doc["points"] = Records(_classify(phi_jets, batch, kept, doc["verdicts"]))
+        doc["points"] = Records(_classify(phi_jets, cells, batch, kept, doc["verdicts"]))
         return doc, 0
 
     points = {"r": batch.r, "s": batch.s, "u": batch.u, **columns}
@@ -309,7 +288,9 @@ def write_report(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="finsler-lab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
@@ -330,14 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state between calls."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    tokens = []  # "--phi -s+3" -> "--phi=-s+3": argparse reads a lone "-s+3" as a flag
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--phi", "--p", "--q", "--r", "--s-frac", "--u"):
+            token = f"{tokens.pop()}={token}"
+        tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         cfg = RunConfig(
             subcommand=args.subcommand,

@@ -13,14 +13,13 @@ from .geometry import (
     EvalPoint,
     PhiScalars,
     _ell_lo,
-    _positive_scalars,
     _require_grid,
     lift,
     outer,
     residual_scale,
 )
 from .jet import Jet, eval_jet, fail_nonfinite, first_true, raise_first
-from .spray import SprayPack, pq_jets, spray_pack_from_jets
+from .spray import SprayPack, _own_cells, spray_half
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
@@ -149,6 +148,12 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
     )
 
 
+def front_half(jets: Jet, cells: tuple, p: EvalPoint, errors: dict) -> tuple:
+    """(jet, ps, sp, cv): ``spray_half`` and the curvature pack at the points p."""
+    jet, ps, sp = spray_half(jets, cells, p, errors)
+    return jet, ps, sp, riemann_pack(sp, jet, p)
+
+
 def flag_curvature(cp: CurvaturePack, phi: float, p: EvalPoint) -> float:
     """K from R1 + (r^2 - s^2) R3 = phi^2 K.
 
@@ -179,10 +184,8 @@ def scalar_classify(phi: Node, grid: list[EvalPoint]) -> ScalarCurvatureReport:
     _require_grid(grid)
     pts = EvalPoint.stack(grid)
     with np.errstate(all="ignore"):
-        jet = eval_jet(phi, pts.r, pts.s, errors=(errors := {}))
-        ps = _positive_scalars(jet, pts, errors)
-        sp = spray_pack_from_jets(*pq_jets(jet, pts.r, pts.s, errors=errors), pts)
-        cv = riemann_pack(sp, jet, pts)
+        jets = eval_jet(phi, pts.r, pts.s, errors=(errors := {}))
+        _, ps, _, cv = front_half(jets, _own_cells(pts), pts, errors)
         is_scalar, K, max_resid, failing = scalar_from_curvature(ps, cv, pts, errors)
     failing = None if failing is None else grid[failing]
     return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)

@@ -85,12 +85,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             offset = pos + len(text[pos:]) - len(text[pos:].lstrip())
             raise ParseError(f"unexpected character {text[offset]!r}", offset)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # "num", "ident" or "op"
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

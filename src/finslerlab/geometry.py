@@ -53,14 +53,8 @@ class EvalPoint(NamedTuple):
         dims = {p.n for p in points}
         if len(dims) != 1:
             raise GeometryError(f"mixed dimensions in grid: {sorted(dims)}")
-        return cls(
-            n=dims.pop(),
-            r=np.array([p.r for p in points], dtype=float),
-            s=np.array([p.s for p in points], dtype=float),
-            u=np.array([p.u for p in points], dtype=float),
-            x=np.array([p.x for p in points], dtype=float),
-            y=np.array([p.y for p in points], dtype=float),
-        )
+        columns = (np.array([getattr(p, k) for p in points], dtype=float) for k in "rsuxy")
+        return cls(dims.pop(), *columns)
 
 
 @batched

@@ -38,9 +38,8 @@ functions, ``eval_jet``, ``spray.pq_jets`` and the packs built on the jets)
 run under numpy's ``errstate``, so overflow in a failing column is not
 warned about; called without ``errors``, they raise the first failing
 point's error (``batched``).  A scan in grid order that stops early raises
-only the errors up to its stop (``raise_first``).  ``GridJets`` holds one
-expression's jets over the columns (r, s) of a grid and hands each point
-its column's jet and error.
+only the errors up to its stop (``raise_first``).  ``cell_rows`` hands the
+points of a grid the jets and errors of the cells (r, s) they share.
 
 ``d_r``/``d_s`` of a degree-d jet are exact only up to total degree d - 1;
 truncated arithmetic never propagates high-order error downward, so values
@@ -381,9 +380,9 @@ def jet_ipow(g: Jet, n: int, errors: dict | None = None) -> Jet:
     return out
 
 
-def _take(g: Jet, idx: list[int]) -> Jet:
-    """The jet at the points idx (flat batch order), as a 1-D batch."""
-    return Jet(_cols(g.c)[:, idx].reshape(*g.c.shape[:2], len(idx)))
+def _take(g: Jet, idx) -> Jet:
+    """The jet at the points idx (flat batch order), as a batch of idx's shape."""
+    return Jet(_cols(g.c)[:, idx].reshape(*g.c.shape[:2], *np.shape(idx)))
 
 
 @batched
@@ -534,38 +533,13 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
     return out
 
 
-class GridJets:
-    """The jets of one expression at a batch of points, from one batched
-    ``eval_jet`` over the columns (r, s) the points share.
-
-    ``index`` maps each point to its column of ``jets``; ``rows`` hands the
-    jets out one per point, with the errors their columns recorded.
-    """
-
-    def __init__(self, r: np.ndarray, s: np.ndarray, index: np.ndarray, jets: Jet, errors: dict):
-        self.r, self.s = r, s  # the (r, s) of the columns
-        self.index = index
-        self.jets = jets
-        self.errors = errors  # column -> its recorded error
-
-    @classmethod
-    def evaluate(cls, e: Node, r, s, index: np.ndarray, *, degree: int = DEGREE) -> "GridJets":
-        """e as degree-d jets at the columns (r, s), 1-D arrays, for the
-        points that index maps to them."""
-        errors = {}
-        return cls(r, s, index, eval_jet(e, r, s, degree=degree, errors=errors), errors)
-
-    def take(self, rows: list[int]) -> "GridJets":
-        """The same jets at the points rows only, in that order."""
-        return GridJets(self.r, self.s, self.index[rows], self.jets, self.errors)
-
-    def rows(self, errors: dict) -> Jet:
-        """The jets at the points, one batch row each.  A point whose column
-        failed gets that column's error in errors, unless it has one."""
-        for row, k in enumerate(self.index.tolist()):
-            if k in self.errors and row not in errors:
-                errors[row] = self.errors[k]
-        return Jet(self.jets.c[:, :, self.index])
+def cell_rows(jets: Jet, cell_errors: dict, index: np.ndarray, errors: dict) -> Jet:
+    """The jets at points from jets over cells, index the cell of each point.  A
+    point whose cell failed gets that cell's error in cell_errors, unless it has one."""
+    for row, k in enumerate(index.ravel().tolist()):
+        if k in cell_errors and row not in errors:
+            errors[row] = cell_errors[k]
+    return _take(jets, index)
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -23,7 +23,7 @@ from .geometry import (
     outer,
     phi_scalars,
 )
-from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
+from .jet import Jet, batched, cell_rows, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
 class SprayPack(NamedTuple):
@@ -82,13 +82,41 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     return p, q
 
 
+def spray_half(jets: Jet, cells: tuple, p: EvalPoint, errors: dict) -> tuple:
+    """(jet, ps, sp): phi's jets, guarded scalars and spray at the points p, from
+    phi's jets at cells (r, s, index: each point's cell); errors holds their jet
+    failures.  P and Q are taken once per cell.  First failure wins: jet, phi <= 0, P/Q."""
+    r, s, index = cells
+    jet = cell_rows(jets, {}, index, errors)
+    ps = _positive_scalars(jet, p, errors)  # the one read of phi's scalars; the packs take them
+    pq = pq_jets(jets, r, s, errors=(pq_errors := {}))
+    return jet, ps, spray_pack_from_jets(*(cell_rows(j, pq_errors, index, errors) for j in pq), p)
+
+
+def _own_cells(p: EvalPoint) -> tuple:
+    """The cells of ``spray_half`` with one cell per point of p."""
+    return p.r, p.s, np.arange(np.size(p.r)).reshape(np.shape(p.r))
+
+
 @batched
 def pq_from_phi(jet: Jet, p: EvalPoint, *, errors: dict) -> SprayPack:
     """Spray data of the metric F = u phi at the points p.  A point fails
     where phi <= 0 and where its P/Q jets fail."""
-    _positive_scalars(jet, p, errors)
-    pj, qj = pq_jets(jet, p.r, p.s, errors=errors)
-    return spray_pack_from_jets(pj, qj, p)
+    return spray_half(jet, _own_cells(p), p, errors)[2]
+
+
+@batched
+def candidate_spray(
+    p_expr: Node, q_expr: Node, cells: tuple, p: EvalPoint, *, errors: dict
+) -> SprayPack:
+    """The spray of a candidate (P, Q) at the points p, from degree-2 jets at the
+    cells of ``spray_half``.  A point keeps its first failure: P's jet, Q's jet."""
+    r, s, index = cells
+    pq = []
+    for e in (p_expr, q_expr):
+        jets = eval_jet(e, r, s, degree=2, errors=(cell_errors := {}))
+        pq.append(cell_rows(jets, cell_errors, index, errors))
+    return spray_pack_from_jets(*pq, p)
 
 
 def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
@@ -158,5 +186,4 @@ def metrizability_residuals(
     jet: Jet, p_expr: Node, q_expr: Node, p: EvalPoint
 ) -> MetrizabilityResiduals:
     """C1/C2 residuals of a candidate spray (P, Q), as degree-2 jets, against phi."""
-    sp = spray_pack_from_jets(*(eval_jet(e, p.r, p.s, degree=2) for e in (p_expr, q_expr)), p)
-    return metrizability_from_spray(jet, sp, p)
+    return metrizability_from_spray(jet, candidate_spray(p_expr, q_expr, _own_cells(p), p), p)

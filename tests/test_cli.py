@@ -477,13 +477,129 @@ def test_the_curvature_residual_scale_is_formed_once_per_run(args, monkeypatch, 
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_classify_hands_out_the_jets_of_each_point_four_times(dim, monkeypatch, capsys, tmp_path):
     # the skip scan reads phi's jets; the curvature pass reads phi's, P's and Q's
-    from finslerlab.jet import GridJets
+    from finslerlab import jet
 
-    calls, original = [], GridJets.rows
-    monkeypatch.setattr(GridJets, "rows", lambda *args: calls.append(1) or original(*args))
+    calls = []
+    wrap_everywhere(monkeypatch, jet, "cell_rows", lambda *args: calls.append(1))
     code, doc = run_json(["classify", "--phi", "1+0.3*s", "--dim", dim], capsys, tmp_path)
     assert code == 0 and len(doc["points"]) == 30
     assert len(calls) == 4
+
+
+def record_front_half_calls(monkeypatch) -> dict:
+    """Count the calls of front_half, pq_jets and riemann_pack in every finslerlab
+    namespace; a pq_jets or riemann_pack call records whether a front_half call
+    is on the stack."""
+    import sys
+
+    from finslerlab import curvature, spray
+
+    front_half_code = curvature.front_half.__code__
+
+    def in_front_half() -> bool:
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not front_half_code:
+            frame = frame.f_back
+        return frame is not None
+
+    calls = {"front_half": [], "pq_jets": [], "riemann_pack": []}
+    wrap_everywhere(monkeypatch, curvature, "front_half", lambda *a: calls["front_half"].append(1))
+    for module, name in ((spray, "pq_jets"), (curvature, "riemann_pack")):
+        add = calls[name].append
+        wrap_everywhere(monkeypatch, module, name, lambda *_, add=add, **k: add(in_front_half()))
+    return calls
+
+
+@pytest.mark.parametrize("sub", ["report", "check", "classify"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_each_subcommand_runs_the_one_front_half(sub, dim, monkeypatch, capsys, tmp_path):
+    # report, check and classify reach P/Q and the curvature through the library's front half
+    calls = record_front_half_calls(monkeypatch)
+    code, doc = run_json([sub, "--phi", "1+0.3*s", "--dim", dim], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert calls == {"front_half": [1], "pq_jets": [True], "riemann_pack": [True]}
+
+
+def test_scalar_classify_runs_the_one_front_half(monkeypatch):
+    from conftest import make_grid
+    from finslerlab import parse, scalar_classify
+
+    calls = record_front_half_calls(monkeypatch)
+    report = scalar_classify(parse("1+0.3*s"), make_grid(3, (0.5, 1.0, 1.5), (-0.5, 0.0, 0.5)))
+    assert len(report.K_samples) == 9
+    assert calls == {"front_half": [1], "pq_jets": [True], "riemann_pack": [True]}
+
+
+def test_pq_from_phi_takes_the_p_q_jets_once(monkeypatch):
+    from conftest import make_grid
+    from finslerlab import EvalPoint, eval_jet, parse, pq_from_phi
+
+    calls = record_front_half_calls(monkeypatch)
+    batch = EvalPoint.stack(make_grid(2, (0.5, 1.0), (-0.5, 0.0, 0.5)))
+    pq_from_phi(eval_jet(parse("1+0.3*s"), batch.r, batch.s), batch)
+    assert calls == {"front_half": [], "pq_jets": [False], "riemann_pack": []}
+
+
+def cli_grid(dim: int) -> "EvalPoint":
+    """The points of the CLI's default grid, unrotated, in grid order, as one batch."""
+    from finslerlab import canonical_point
+
+    axes = (parse_range(text) for text in ("0.5:1.5:3", "-0.7:0.7:5", "1:2:2"))
+    r, frac, u = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    return canonical_point(dim, r, frac * r, u)
+
+
+def hexes(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("phi, dim", [(FLAT, 3), ("sqrt(1+s^2)", 2)])
+def test_library_and_cli_agree_bit_for_bit(phi, dim, capsys, tmp_path):
+    # the library's one-cell-per-point front half gives the bits of the CLI's per-cell one
+    from finslerlab import EvalPoint, eval_jet, parse, pq_from_phi, scalar_classify
+
+    batch = cli_grid(dim)
+    grid = [EvalPoint(dim, *(v[k] for v in batch[1:])) for k in range(30)]
+    code, classify = run_json(["classify", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
+    library = scalar_classify(parse(phi), grid)
+    assert code == 0 and classify["verdicts"]["is_scalar"] is library.is_scalar
+    K = [k for _, k in library.K_samples]
+    assert K and hexes(K) == hexes(p["K"] for p in classify["points"])
+
+    code, report = run_json(["report", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
+    assert code == 0 and len(report["points"]) == 30
+    sp = pq_from_phi(eval_jet(parse(phi), batch.r, batch.s), batch)
+    for name in ("P", "Q"):
+        assert hexes(getattr(sp, name)) == hexes(p[name] for p in report["points"])
+
+
+@pytest.mark.parametrize(
+    "sub, flags",
+    [
+        ("report", [("--phi", "-s+3")]),
+        ("report", [("--phi", "-0.5*s+3")]),
+        ("report", [("--phi", "-(s)+3"), ("--dim", "3")]),
+        ("check", [("--phi", "1+0.3*s"), ("--s-frac", "-0.7:0.7:5")]),
+        ("report", [("--phi", "2+s"), ("--r", "-0.5:1.5:3"), ("--u", "-1:2:4")]),
+        ("metrize", [("--phi", "1+s"), ("--p", "-0.5*s/(1+s)"), ("--q", "-0")]),
+    ],
+)
+def test_a_flag_value_may_begin_with_a_minus(sub, flags, capsys, tmp_path):
+    # argparse alone reads the value of "--phi -s+3" as a flag and exits 2
+    spaced = [sub, *itertools.chain.from_iterable(flags)]
+    joined = [sub, *(f"{flag}={value}" for flag, value in flags)]
+    code, doc = run_json(spaced, capsys, tmp_path)
+    assert code != 2 and doc is not None
+    assert (code, doc) == run_json(joined, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("flag", ["--phi", "--r", "--s-frac", "--u"])
+def test_a_flag_without_its_value_exits_2(flag, capsys):
+    args = ["report", "--phi", "1+s", flag] if flag != "--phi" else ["report", flag]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_pack_overflow_prints_no_runtime_warning(capsys, tmp_path):

@@ -9,7 +9,6 @@ from conftest import sympy_partial
 from finslerlab import DomainError, eval_jet, fd_partials, parse
 from finslerlab.expr import to_string
 from finslerlab.jet import (
-    GridJets,
     Jet,
     jet_abs,
     jet_cos,
@@ -777,5 +776,3 @@ def test_unsupported_degree_is_a_value_error(degree):
     for e in (parse("sqrt(s)"), parse("1/s"), parse("s*s")):
         with pytest.raises(ValueError, match=message):
             eval_jet(e, 1.0, 0.5, degree=degree)
-        with pytest.raises(ValueError, match=message):
-            GridJets.evaluate(e, np.array([1.0]), np.array([0.5]), np.arange(1), degree=degree)
