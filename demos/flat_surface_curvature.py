@@ -50,8 +50,9 @@ def main():
     cv = riemann_pack(sp, jet, p)
     mp = metric_pack(jet, p)
     print(f"\nF(x, y)            = {mp.F:.8f}")
-    print(f"max |R^i_j y^j|    = {np.max(np.abs(cv.Rmat @ p.y)):.2e}")
-    trace = np.trace(cv.Rmat) / p.u**2
+    Rmat = cv.Rmat  # formed on each read
+    print(f"max |R^i_j y^j|    = {np.max(np.abs(Rmat @ p.y)):.2e}")
+    trace = np.trace(Rmat) / p.u**2
     print(f"trace contraction  = {trace:.8f}")
     print(f"(n-1)R1 + w R3     = {cv.R1 + (1.0 - 0.09) * cv.R3:.8f}")
     print(f"compatibility C3   = {cv.C3:.2e}")

@@ -36,12 +36,13 @@ from .geometry import (
 )
 from .jet import DEGREE, Jet, cell_rows, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
-from .spray import candidate_spray, horizontal_residual, metrizability_from_spray
+from .spray import _horizontal_residual, candidate_spray, metrizability_from_spray
 from .surface import main_scalar, riemannian_from_scalars
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
 SUBCOMMANDS = ("report", "check", "classify", "metrize")
+VALUE_FLAGS = ("--phi", "--p", "--q", "--r", "--s-frac", "--u")  # their values may begin with "-"
 
 
 class RunConfig(NamedTuple):
@@ -78,23 +79,18 @@ def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
 
 
 def _evaluate(
-    phi_jets: Jet, cells: tuple, p: EvalPoint, errors: dict, with_checks: bool
+    phi_jets: Jet, cells: tuple, jet: Jet, p: EvalPoint, errors: dict, with_checks: bool
 ) -> tuple[dict, dict]:
     """The report columns of the points p and, if asked, their identity-check
-    residuals, by name, all from phi's jets at the points' cells (``front_half``).
-    A point that fails a guard gets its error in errors."""
-    jet, ps, sp, cv = front_half(phi_jets, cells, p, errors)
+    residuals, by name, all from phi's jets at the points' cells and at the points
+    (``front_half``).  A point that fails a guard gets its error in errors."""
+    ps, sp, cv = front_half(phi_jets, cells, jet, p, errors)
     mp = metric_pack(ps, p, errors=errors)
     mr = metrizability_from_spray(jet, sp, p)
     columns = {
         "F": mp.F,
-        "P": sp.P,
-        "Q": sp.Q,
-        "R1": cv.R1,
-        "R2": cv.R2,
-        "R3": cv.R3,
-        "R4": cv.R4,
-        "R5": cv.R5,
+        "P": sp.P, "Q": sp.Q,
+        "R1": cv.R1, "R2": cv.R2, "R3": cv.R3, "R4": cv.R4, "R5": cv.R5,
         "K": flag_curvature(cv, ps.phi, p),
         "C1": mr.C1,
         "C2": mr.C2,
@@ -111,9 +107,10 @@ def _evaluate(
 
     cp = ms.cartan if p.n == 2 else cartan_pack(ps, p, errors=errors)
     phi0, u, w, eye = ps.phi, p.u, ps.w, np.eye(p.n)
+    Rmat, G, N = cv.Rmat, sp.G, sp.N  # each formed on read, and read twice
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
     contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * ps.d)
-    trace = np.trace(cv.Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
+    trace = np.trace(Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
     F2 = np.maximum(1.0, mp.F * mp.F)
     gy = np.einsum("...ij,...j->...i", mp.g, p.y)
     checks = {
@@ -125,13 +122,13 @@ def _evaluate(
         "cartan_y_annihilation": _maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2)
         / np.maximum(1.0, _maxabs(cp.C, 3) * u),
         "metrizability_C1_C2": np.maximum(np.abs(mr.C1), np.abs(mr.C2)) / np.maximum(1.0, phi0),
-        "horizontal_dhF": _maxabs(horizontal_residual(ps, sp, p)) / (u * np.maximum(1.0, phi0)),
-        "spray_homogeneity": _maxabs(np.einsum("...ij,...j->...i", sp.N, p.y) - 2 * sp.G)
-        / np.maximum(1.0, _maxabs(sp.G)),
+        "horizontal_dhF": _maxabs(_horizontal_residual(ps, N, p)) / (u * np.maximum(1.0, phi0)),
+        "spray_homogeneity": _maxabs(np.einsum("...ij,...j->...i", N, p.y) - 2 * G)
+        / np.maximum(1.0, _maxabs(G)),
         "curvature_C3": cv.C3 / (cv.scale * np.maximum(1.0, phi0)),
         "identity_R2": cv.id_R2 / cv.scale,
         "identity_R4": cv.id_R4 / cv.scale,
-        "jacobi_y_annihilation": _maxabs(np.einsum("...ij,...j->...i", cv.Rmat, p.y))
+        "jacobi_y_annihilation": _maxabs(np.einsum("...ij,...j->...i", Rmat, p.y))
         / (cv.scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
         "curvature_trace": trace / (cv.scale * u * u),
     }
@@ -167,8 +164,9 @@ def _classify(phi_jets: Jet, cells: tuple, p: EvalPoint, kept, verdicts: dict) -
     one's verdict is None, as is each on fewer than 8 points.  Of the front half's
     failures, the scalar test sees all, the Riemannian test phi <= 0 only and the
     degeneracy screen none."""
-    p = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y)))
-    _, ps, _, cv = front_half(phi_jets, (*cells[:2], cells[2][kept]), p, (errors := {}))
+    p, index = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y))), cells[2][kept]
+    jet = cell_rows(phi_jets, {}, index, {})
+    ps, _, cv = front_half(phi_jets, (*cells[:2], index), jet, p, (errors := {}))
     K = np.empty(0)  # no samples if the scalar test fails
     try:
         is_scalar, K, max_resid, _ = scalar_from_curvature(ps, cv, p, errors)
@@ -233,7 +231,7 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.subcommand == "metrize":
         columns = _metrize(jet, cells, p_ast, q_ast, batch, errors, tol)
     elif cfg.subcommand != "classify":
-        columns, checks = _evaluate(phi_jets, cells, batch, errors, cfg.subcommand == "check")
+        columns, checks = _evaluate(phi_jets, cells, jet, batch, errors, cfg.subcommand == "check")
     if columns:
         fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
     failed = sorted(errors)
@@ -314,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     tokens = []  # "--phi -s+3" -> "--phi=-s+3": argparse reads a lone "-s+3" as a flag
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in ("--phi", "--p", "--q", "--r", "--s-frac", "--u"):
+        flag = tokens[-1] if tokens else ""  # a flag, or a prefix argparse takes ("--s-fr")
+        if flag[2:] and any(f.startswith(flag) for f in VALUE_FLAGS):
             token = f"{tokens.pop()}={token}"
         tokens.append(token)
     args = build_parser().parse_args(tokens)

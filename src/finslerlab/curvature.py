@@ -33,12 +33,36 @@ class CurvaturePack(NamedTuple):
     R3: float
     R4: float  # printed-formula value
     R5: float
-    Rmat: np.ndarray  # R^i_j, identity values used for R2/R4
     C3: float
     id_R4: float  # R4 + s R3
     id_R2: float  # R1 + R2 + s R5
     identity_mismatch: bool
     scale: float  # residual_scale(R1, ..., R5), the scale of the curvature residuals
+    point: EvalPoint  # the points of the pack
+
+    @property
+    def Rmat(self) -> np.ndarray:
+        """The matrix R^i_j, shape (*batch, n, n), from the identity values of R2
+        and R4, formed on each read:
+
+        R^i_j = u^2 R1 d^i_j + R2 y^i y_j + u^2 R3 x^i x_j
+                + u R4 x^i y_j + u R5 x_j y^i
+        """
+        p, R1, R3, R5 = self.point, self.R1, self.R3, self.R5
+        u, x, y = p.u, p.x, p.y
+        R2_id, R4_id = _identity_R2_R4(R1, R3, R5, p.s)
+        return (
+            lift(u * u * R1, 2) * np.eye(p.n)
+            + lift(R2_id, 2) * outer(y, y)
+            + lift(u * u * R3, 2) * outer(x, x)
+            + lift(u * R4_id, 2) * outer(x, y)
+            + lift(u * R5, 2) * outer(y, x)
+        )
+
+
+def _identity_R2_R4(R1, R3, R5, s) -> tuple:
+    """R2 and R4 by the homogeneity identities R2 = -R1 - s R5, R4 = -s R3."""
+    return -R1 - s * R5, -s * R3
 
 
 def compatibility(sp: SprayPack, jet: Jet, p: EvalPoint) -> tuple:
@@ -76,17 +100,14 @@ def compatibility(sp: SprayPack, jet: Jet, p: EvalPoint) -> tuple:
 
 
 def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
-    """Curvature scalars and the matrix R^i_j at the points p.
-
-    R^i_j = u^2 R1 d^i_j + R2 y^i y_j + u^2 R3 x^i x_j
-            + u R4 x^i y_j + u R5 x_j y^i
+    """Curvature scalars at the points p, and their matrix R^i_j on read.
 
     R2 and R4 are computed twice: from the long printed expansions and
     from the homogeneity identities R2 = -R1 - s R5, R4 = -s R3.  The
     identity values feed the matrix; a disagreement beyond
     IDENTITY_MISMATCH_TOL * scale sets ``identity_mismatch``.
     """
-    r, s, u = p.r, p.s, p.u
+    r, s = p.r, p.s
     w = r * r - s * s
     P, P_r, P_s, P_ss, P_rs = sp.P, sp.P_r, sp.P_s, sp.P_ss, sp.P_rs
     Q, Q_r, Q_s, Q_ss, Q_rs = sp.Q, sp.Q_r, sp.Q_s, sp.Q_ss, sp.Q_rs
@@ -117,41 +138,30 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         - 4 * s * Q * Q
         + 2 * s * s * Q * Q_s
     )
-    R2_id = -R1 - s * R5
-    R4_id = -s * R3
+    R2_id, R4_id = _identity_R2_R4(R1, R3, R5, s)
     scale = residual_scale(R1, R2, R3, R4, R5)
     mismatch = (np.abs(R2 - R2_id) > IDENTITY_MISMATCH_TOL * scale) | (
         np.abs(R4 - R4_id) > IDENTITY_MISMATCH_TOL * scale
     )
-
-    x, y = p.x, p.y
-    Rmat = (
-        lift(u * u * R1, 2) * np.eye(p.n)
-        + lift(R2_id, 2) * outer(y, y)
-        + lift(u * u * R3, 2) * outer(x, x)
-        + lift(u * R4_id, 2) * outer(x, y)
-        + lift(u * R5, 2) * outer(y, x)
-    )
-
     return CurvaturePack(
         R1=R1,
         R2=R2,
         R3=R3,
         R4=R4,
         R5=R5,
-        Rmat=Rmat,
         C3=C3,
         id_R4=R4 + s * R3,
         id_R2=R1 + R2 + s * R5,
         identity_mismatch=mismatch,
         scale=scale,
+        point=p,
     )
 
 
-def front_half(jets: Jet, cells: tuple, p: EvalPoint, errors: dict) -> tuple:
-    """(jet, ps, sp, cv): ``spray_half`` and the curvature pack at the points p."""
-    jet, ps, sp = spray_half(jets, cells, p, errors)
-    return jet, ps, sp, riemann_pack(sp, jet, p)
+def front_half(jets: Jet, cells: tuple, jet: Jet, p: EvalPoint, errors: dict) -> tuple:
+    """(ps, sp, cv): ``spray_half`` and the curvature pack at the points p."""
+    ps, sp = spray_half(jets, cells, jet, p, errors)
+    return ps, sp, riemann_pack(sp, jet, p)
 
 
 def flag_curvature(cp: CurvaturePack, phi: float, p: EvalPoint) -> float:
@@ -185,7 +195,7 @@ def scalar_classify(phi: Node, grid: list[EvalPoint]) -> ScalarCurvatureReport:
     pts = EvalPoint.stack(grid)
     with np.errstate(all="ignore"):
         jets = eval_jet(phi, pts.r, pts.s, errors=(errors := {}))
-        _, ps, _, cv = front_half(jets, _own_cells(pts), pts, errors)
+        ps, _, cv = front_half(jets, _own_cells(pts), jets, pts, errors)
         is_scalar, K, max_resid, failing = scalar_from_curvature(ps, cv, pts, errors)
     failing = None if failing is None else grid[failing]
     return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)
@@ -202,11 +212,11 @@ def scalar_from_curvature(
     fail_nonfinite(errors, {"K": K})
     resid = np.abs(cv.R3) / cv.scale
     # reconstruction check of the scalar-curvature form
-    F = p.u * ps.phi
+    F, Rmat = p.u * ps.phi, cv.Rmat
     recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
-    rscale = np.maximum(1.0, np.max(np.abs(cv.Rmat), axis=(-2, -1)))
+    rscale = np.maximum(1.0, np.max(np.abs(Rmat), axis=(-2, -1)))
     recon_failed = (p.n == 2) | (resid < SCALAR_TOL)
-    recon_failed &= np.max(np.abs(cv.Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
+    recon_failed &= np.max(np.abs(Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
     stop = first_true(recon_failed)
     raise_first(errors, stop)
     end = len(K) if stop is None else stop + 1

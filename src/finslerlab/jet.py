@@ -41,9 +41,10 @@ point's error (``batched``).  A scan in grid order that stops early raises
 only the errors up to its stop (``raise_first``).  ``cell_rows`` hands the
 points of a grid the jets and errors of the cells (r, s) they share.
 
-``d_r``/``d_s`` of a degree-d jet are exact only up to total degree d - 1;
-truncated arithmetic never propagates high-order error downward, so values
-and low-order partials of downstream expressions stay exact.
+``Jet.derivatives`` reads the jets of partials of a jet, cut to a lower
+degree, in one gather; truncated arithmetic never propagates high-order
+error downward, so values and low-order partials of downstream expressions
+stay exact.
 """
 
 from __future__ import annotations
@@ -67,16 +68,27 @@ SINGULAR_TOL = 1e-12
 
 
 @functools.lru_cache
-def _tables(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The index tables of degree d over the flattened (d+1)x(d+1) layout:
-    the Cauchy product out[K] += x[I] * y[J], and d_r, d_s as
-    out[DST] = c[SRC] * W on the targets of total degree < d."""
+def _product_table(d: int) -> tuple[np.ndarray, ...]:
+    """The index table of the Cauchy product of degree d over the flattened
+    (d+1)x(d+1) layout: out[K] += x[I] * y[J]."""
     n, low = d + 1, [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
     mul = [(i * n + j, (a - i) * n + b - j, a * n + b)
            for a, b in low for i in range(a + 1) for j in range(b + 1)]
-    dr = [((a + 1) * n + b, a * n + b, a + 1) for a, b in low if a + b < d]
-    ds = [(a * n + b + 1, a * n + b, b + 1) for a, b in low if a + b < d]
-    return tuple(tuple(np.array(t).T.copy()) for t in (mul, dr, ds))
+    return tuple(np.array(mul).T.copy())
+
+
+@functools.lru_cache
+def _derivative_table(d: int, orders: tuple, degree: int) -> tuple[np.ndarray, ...]:
+    """The gather of ``Jet.derivatives``: out[DST] = c[SRC] * W[0] * W[1] ... over
+    the flattened layouts of a degree-d jet and of the stacked degree-`degree`
+    outputs.  The factors of (d/dr)^a (d/ds)^b at (i, j) are those d/dr then
+    d/ds apply one at a time, in that order: i+a, ..., i+1, j+b, ..., j+1."""
+    n, m = d + 1, degree + 1
+    rows = [((i + a) * n + j + b, (k * m + i) * m + j, [*range(i + a, i, -1), *range(j + b, j, -1)])
+            for k, (a, b) in enumerate(orders) for i in range(m) for j in range(m - i)]
+    width = max(len(w) for *_, w in rows)
+    weights = np.array([w + [1] * (width - len(w)) for *_, w in rows], dtype=float).T.copy()
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), weights
 
 
 def _cols(c: np.ndarray) -> np.ndarray:
@@ -98,7 +110,7 @@ def _mul_index(side: int, size: int) -> tuple[np.ndarray, ...]:
     out = _MUL_INDEX.get((side, size))
     if out is None:
         n = size // (side * side)
-        index = (np.array(_tables(side - 1)[0])[:, :, None] * n + np.arange(n)).reshape(3, -1)
+        index = (np.array(_product_table(side - 1))[:, :, None] * n + np.arange(n)).reshape(3, -1)
         index.flags.writeable = False  # shared by every caller through the cache
         out = _MUL_INDEX[side, size] = tuple(index)  # I, J, K: rows of one array, fewer heap holes
         while len(_MUL_INDEX) > 1 and sum(3 * v[0].nbytes for v in _MUL_INDEX.values()) > 8 << 20:
@@ -131,13 +143,6 @@ class Jet:
     def degree(self) -> int:
         return self.c.shape[0] - 1
 
-    def cut(self, d: int) -> "Jet":
-        """The degree-d jet of this jet's coefficients of total degree <= d."""
-        c = self.c[: d + 1, : d + 1].copy()
-        for a in range(1, d + 1):
-            c[a, d + 1 - a :] = 0.0  # total degree > d
-        return Jet(c)
-
     @property
     def batch(self) -> tuple:
         return self.c.shape[2:]
@@ -155,19 +160,19 @@ class Jet:
         v = self.c[a, b] * (_FACT[a] * _FACT[b])
         return float(v) if v.ndim == 0 else v
 
-    def d_r(self) -> "Jet":
-        """Jet of df/dr (exact to one total degree less)."""
-        return self._shift(*_tables(self.degree)[1])
-
-    def d_s(self) -> "Jet":
-        """Jet of df/ds (exact to one total degree less)."""
-        return self._shift(*_tables(self.degree)[2])
-
-    def _shift(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> "Jet":
-        x = _cols(self.c)
-        c = np.zeros(x.shape)
-        c[dst] = x[src] * w[:, None]
-        return Jet(c.reshape(self.c.shape))
+    def derivatives(self, orders: tuple, degree: int) -> list["Jet"]:
+        """The degree-`degree` jets of (d/dr)^a (d/ds)^b of this jet for (a, b) in
+        orders, a + b + degree <= this jet's degree, in one gather.  Their bits are
+        those of shifting the coefficients a times in r, b times in s, and cutting."""
+        if max(a + b for a, b in orders) + degree > self.degree:
+            raise ValueError(f"derivatives {orders} at degree {degree} outside the jet degree")
+        src, dst, weights = _derivative_table(self.degree, orders, degree)
+        x = _cols(self.c)[src]
+        for w in weights:
+            x = x * w[:, None]
+        out = np.zeros((len(orders) * (degree + 1) ** 2, x.shape[1]))
+        out[dst] = x
+        return [Jet(c) for c in out.reshape(len(orders), degree + 1, degree + 1, *self.batch)]
 
     # -- ring operations ---------------------------------------------------
     # A float operand gives exactly the constant-jet result: that route adds
@@ -304,14 +309,19 @@ def _positive_powers(g: Jet, errors: dict, name: str) -> list:
     return pw
 
 
-@batched
-def jet_reciprocal(g: Jet, *, errors: dict) -> Jet:
-    v = g.c[0, 0]
+def _reciprocal_seeds(v, count: int, errors: dict) -> list:
+    """The first count derivatives of 1/x at v, a column over the batch: a point
+    fails where v is 0 or v^5 is out of float range, at every degree."""
     pw = [np.power(v, float(k + 1)) for k in range(DEGREE + 1)]
     _fail(v == 0.0, errors, v, "division by a jet with zero value")
     out_of_range = np.isfinite(v) & (np.isinf(pw[DEGREE]) | (pw[DEGREE] == 0.0))
     _fail(out_of_range, errors, v, "reciprocal of jet value {v!r} is out of float range")
-    return _compose([(-1.0) ** k * _FACT[k] / pw[k] for k in range(len(g.c))], g)
+    return [(-1.0) ** k * _FACT[k] / pw[k] for k in range(count)]
+
+
+@batched
+def jet_reciprocal(g: Jet, *, errors: dict) -> Jet:
+    return _compose(_reciprocal_seeds(g.c[0, 0], len(g.c), errors), g)
 
 
 @batched
@@ -449,7 +459,8 @@ class _Tape:
     A node's key is its kind and its children's slots, so equal subtrees share
     a slot and no AST node is hashed.  A literal beside a non-literal operand
     of + - * or as numerator of / is a float (its route gives the constant
-    jet's bits); x / c is x * (1/c) where the jet of 1/c records no error."""
+    jet's bits); x / c is x * (1/c), 1/c taken from the seeds of ``jet_reciprocal``
+    as scalars, where the jet of 1/c records no error."""
 
     def __init__(self, e: Node, r: np.ndarray, s: np.ndarray, degree: int):
         self.variables = {"r": Jet.variable("r", r, degree), "s": Jet.variable("s", s, degree)}
@@ -490,9 +501,11 @@ class _Tape:
             a, n = self.compile(left), sign * int(lit.value)
             return self.slot(("^", a, self.slot(("int", n), n)), fn=jet_ipow, node=node)
         if op == "/" and type(right) is Num:
-            c = jet_reciprocal(Jet.constant(right.value, (), self.degree), errors=(failed := {})).c
-            if not failed:  # where a seed overflows, 1/c is NaN: x * NaN fails as x / c does
-                return self.compile(BinOp("*", left, Num(float(c[0, 0]))))
+            v = np.float64(right.value)
+            seeds = _reciprocal_seeds(v, self.degree + 1, failed := {})
+            if not failed:  # where c or a seed is not finite, the jet's NaN: (c - c) * inf
+                inv = seeds[0] if np.isfinite([v, *seeds]).all() else (v - v) * math.inf
+                return self.compile(BinOp("*", left, Num(float(inv))))
         a = self.compile(left, op in "+-*/" and type(right) is not Num)
         b = self.compile(right, op in _RING and type(left) is not Num)
         if op in _RING:
@@ -533,9 +546,14 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
     return out
 
 
-def cell_rows(jets: Jet, cell_errors: dict, index: np.ndarray, errors: dict) -> Jet:
-    """The jets at points from jets over cells, index the cell of each point.  A
-    point whose cell failed gets that cell's error in cell_errors, unless it has one."""
+def cell_rows(jets: Jet, cell_errors: dict, index: np.ndarray | None, errors: dict) -> Jet:
+    """The jets at points from jets over cells, index the cell of each point (None:
+    each point is its own cell, and jets are its jets).  A point whose cell failed
+    gets that cell's error in cell_errors, unless it has one."""
+    if index is None:
+        for k in sorted(cell_errors):
+            errors.setdefault(k, cell_errors[k])
+        return jets
     for row, k in enumerate(index.ravel().tolist()):
         if k in cell_errors and row not in errors:
             errors[row] = cell_errors[k]

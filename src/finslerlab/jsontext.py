@@ -77,10 +77,13 @@ def _column(values: list, pad: str) -> list[str]:
 def _float_format(values: list[float]) -> Callable[[list[float]], list[str]]:
     """The function from runs of the floats values to json.dumps's texts of
     them.  Where the values are finite and at most half are distinct, each
-    distinct value is formatted once, here."""
-    distinct = dict.fromkeys(values)
-    if not math.isfinite(sum(distinct)):  # a finite sum has finite terms
+    distinct value is formatted once, here.  A column of more than 64 values
+    whose first 32 are distinct is formatted value by value, unhashed."""
+    if not math.isfinite(sum(values)):  # a finite sum has finite terms
         return lambda run: [_NONFINITE.get(t, t) for t in map(repr, run)]
+    if len(values) > 64 and len(set(values[:32])) == 32:
+        return lambda run: list(map(repr, run))
+    distinct = dict.fromkeys(values)
     if 2 * len(distinct) > len(values):
         return lambda run: list(map(repr, run))
     memo = dict(zip(distinct, map(repr, distinct))).__getitem__

@@ -37,8 +37,35 @@ class SprayPack(NamedTuple):
     Q_s: float
     Q_ss: float
     Q_rs: float
-    G: np.ndarray  # spray coefficients G^h, shape (*batch, n)
-    N: np.ndarray  # connection coefficients G^i_j, shape (*batch, n, n), i row
+    point: EvalPoint  # the points of the pack
+
+    @property
+    def G(self) -> np.ndarray:
+        """The spray coefficients G^h = u P y^h + u^2 Q x^h, shape (*batch, n),
+        formed on each read."""
+        u, x, y = self.point.u, self.point.x, self.point.y
+        return lift(u * self.P) * y + lift(u * u * self.Q) * x
+
+    @property
+    def N(self) -> np.ndarray:
+        """The connection coefficients G^i_j, shape (*batch, n, n), i row, formed on each read:
+
+        G^i_j = u P d^i_j + P_s x_j y^i + (1/u)(P - s P_s) y_j y^i
+                + u Q_s x^i x_j + (2Q - s Q_s) x^i y_j
+        """
+        p, P, P_s, Q_s = self.point, self.P, self.P_s, self.Q_s
+        u, s, x, y = p.u, p.s, p.x, p.y
+        return (
+            lift(u * P, 2) * np.eye(p.n)
+            + lift(P_s, 2) * outer(y, x)
+            + lift((P - s * P_s) / u, 2) * outer(y, y)
+            + lift(u * Q_s, 2) * outer(x, x)
+            + lift(2 * self.Q - s * Q_s, 2) * outer(x, y)
+        )
+
+
+# the partials (a, b) the spray reads of phi, P and Q, in SprayPack's order: value, r, s, ss, rs
+_PARTIALS = ((0, 0), (1, 0), (0, 1), (0, 2), (1, 1))
 
 
 class MetrizabilityResiduals(NamedTuple):
@@ -60,9 +87,7 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     have made them NaN.  r and s are floats or arrays matching the jet's
     batch; per-point errors behave as in ``eval_jet``.
     """
-    phi_r, phi_s = jet.d_r(), jet.d_s()
-    phi_ss, phi_rs = phi_s.d_s().cut(2), phi_r.d_s().cut(2)
-    phi, phi_r, phi_s = jet.cut(2), phi_r.cut(2), phi_s.cut(2)
+    phi, phi_r, phi_s, phi_ss, phi_rs = jet.derivatives(_PARTIALS, 2)
     rj, sj = Jet.variable("r", r, 2), Jet.variable("s", s, 2)
     w = rj * rj - sj * sj
     denom = phi - sj * phi_s + w * phi_ss
@@ -76,33 +101,41 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
             "(TYPE_B degeneracy suspected)"
         ),
     )
-    q = (-phi_r + sj * phi_rs + rj * phi_ss) * jet_reciprocal(2.0 * rj * denom, errors=errors)
-    p = -(q * jet_reciprocal(phi, errors=errors)) * (sj * phi + w * phi_s)
-    p = p + (sj * phi_r + rj * phi_s) * jet_reciprocal(2.0 * rj * phi, errors=errors)
+    # the reciprocals of 2r denom, phi and 2r phi as one batch of three blocks:
+    # a point keeps its first error, in that order
+    two_r, size = 2.0 * rj, phi2.size
+    stack = Jet(np.stack([(two_r * denom).c, phi.c, (two_r * phi).c], axis=2))
+    inv = jet_reciprocal(stack, errors=(failed := {}))
+    for k, exc in sorted(failed.items(), key=lambda item: item[0] // size):
+        errors.setdefault(k % size, exc)
+    inv_denom, inv_phi, inv_two_r_phi = (Jet(inv.c[:, :, k]) for k in range(3))
+    q = (-phi_r + sj * phi_rs + rj * phi_ss) * inv_denom
+    p = -(q * inv_phi) * (sj * phi + w * phi_s)
+    p = p + (sj * phi_r + rj * phi_s) * inv_two_r_phi
     return p, q
 
 
-def spray_half(jets: Jet, cells: tuple, p: EvalPoint, errors: dict) -> tuple:
-    """(jet, ps, sp): phi's jets, guarded scalars and spray at the points p, from
-    phi's jets at cells (r, s, index: each point's cell); errors holds their jet
-    failures.  P and Q are taken once per cell.  First failure wins: jet, phi <= 0, P/Q."""
+def spray_half(jets: Jet, cells: tuple, jet: Jet, p: EvalPoint, errors: dict) -> tuple:
+    """(ps, sp): phi's guarded scalars and spray at the points p, from phi's jets
+    at cells (r, s, index: each point's cell, None where each point is its own)
+    and phi's jets jet at the points; errors holds their jet failures.  P and Q
+    are taken once per cell.  First failure wins: jet, phi <= 0, P/Q."""
     r, s, index = cells
-    jet = cell_rows(jets, {}, index, errors)
     ps = _positive_scalars(jet, p, errors)  # the one read of phi's scalars; the packs take them
     pq = pq_jets(jets, r, s, errors=(pq_errors := {}))
-    return jet, ps, spray_pack_from_jets(*(cell_rows(j, pq_errors, index, errors) for j in pq), p)
+    return ps, spray_pack_from_jets(*(cell_rows(j, pq_errors, index, errors) for j in pq), p)
 
 
 def _own_cells(p: EvalPoint) -> tuple:
-    """The cells of ``spray_half`` with one cell per point of p."""
-    return p.r, p.s, np.arange(np.size(p.r)).reshape(np.shape(p.r))
+    """The cells of ``spray_half`` where each point of p is its own cell."""
+    return p.r, p.s, None
 
 
 @batched
 def pq_from_phi(jet: Jet, p: EvalPoint, *, errors: dict) -> SprayPack:
     """Spray data of the metric F = u phi at the points p.  A point fails
     where phi <= 0 and where its P/Q jets fail."""
-    return spray_half(jet, _own_cells(p), p, errors)[2]
+    return spray_half(jet, _own_cells(p), jet, p, errors)[1]
 
 
 @batched
@@ -120,38 +153,8 @@ def candidate_spray(
 
 
 def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
-    """Assemble G^h and G^i_j from P/Q jets at p.
-
-    G^h  = u P y^h + u^2 Q x^h
-    G^i_j = u P d^i_j + P_s x_j y^i + (1/u)(P - s P_s) y_j y^i
-            + u Q_s x^i x_j + (2Q - s Q_s) x^i y_j
-    """
-    P, P_s = pj.partial(0, 0), pj.partial(0, 1)
-    Q, Q_s = qj.partial(0, 0), qj.partial(0, 1)
-    u, s = p.u, p.s
-    x, y = p.x, p.y
-    G = lift(u * P) * y + lift(u * u * Q) * x
-    N = (
-        lift(u * P, 2) * np.eye(p.n)
-        + lift(P_s, 2) * outer(y, x)
-        + lift((P - s * P_s) / u, 2) * outer(y, y)
-        + lift(u * Q_s, 2) * outer(x, x)
-        + lift(2 * Q - s * Q_s, 2) * outer(x, y)
-    )
-    return SprayPack(
-        P=P,
-        P_r=pj.partial(1, 0),
-        P_s=P_s,
-        P_ss=pj.partial(0, 2),
-        P_rs=pj.partial(1, 1),
-        Q=Q,
-        Q_r=qj.partial(1, 0),
-        Q_s=Q_s,
-        Q_ss=qj.partial(0, 2),
-        Q_rs=qj.partial(1, 1),
-        G=G,
-        N=N,
-    )
+    """The spray pack of the P/Q jets at the points p."""
+    return SprayPack(*(j.partial(a, b) for j in (pj, qj) for a, b in _PARTIALS), p)
 
 
 def horizontal_residual(jet: Jet | PhiScalars, sp: SprayPack, p: EvalPoint) -> np.ndarray:
@@ -160,10 +163,14 @@ def horizontal_residual(jet: Jet | PhiScalars, sp: SprayPack, p: EvalPoint) -> n
     dF/dx^j = u (phi_r x_j / r + phi_s y_j / u)
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
-    ps = phi_scalars(jet, p.r, p.s)
+    return _horizontal_residual(phi_scalars(jet, p.r, p.s), sp.N, p)
+
+
+def _horizontal_residual(ps: PhiScalars, N: np.ndarray, p: EvalPoint) -> np.ndarray:
+    """``horizontal_residual`` from phi's scalars and the connection N."""
     u, r = lift(p.u), lift(p.r)
     dF_dx = u * (lift(ps.phi_r) * p.x / r + lift(ps.phi_s) * p.y / u)
-    return dF_dx - np.einsum("...ij,...i->...j", sp.N, _ell_lo(ps, p))
+    return dF_dx - np.einsum("...ij,...i->...j", N, _ell_lo(ps, p))
 
 
 def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> MetrizabilityResiduals:

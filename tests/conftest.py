@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finslerlab import EvalPoint, canonical_point, eval_jet, parse, random_rotation
+from finslerlab import EvalPoint, Jet, canonical_point, eval_jet, parse, random_rotation
 
 
 def make_grid(n, r_values, s_fracs, u_values=(1.0,)):
@@ -33,13 +33,15 @@ def rotated_batch(text, n, seed=5):
 
 def assert_row_matches(batched, single, k):
     """Row k of a batched result equals the one-point result: scalars bit
-    for bit, vectors, matrices and tensors to 1e-15 relative."""
+    for bit, vectors, matrices and tensors to 1e-15 relative, ints equal."""
     if dataclasses.is_dataclass(single):
         for field in dataclasses.fields(single):
             assert_row_matches(getattr(batched, field.name), getattr(single, field.name), k)
     elif isinstance(single, tuple):
         for b, s in zip(batched, single, strict=True):
             assert_row_matches(b, s, k)
+    elif type(single) is int:  # a count such as the dimension of a pack's points
+        assert batched == single
     else:
         row, single = np.asarray(batched)[k], np.asarray(single)
         assert row.shape == single.shape
@@ -48,6 +50,27 @@ def assert_row_matches(batched, single, k):
         else:
             scale = max(1.0, float(np.max(np.abs(single))))
             assert np.max(np.abs(row - single)) <= 1e-15 * scale, k
+
+
+def shift_jet(j, axis):
+    """The jet of d/dr (axis 0) or d/ds (axis 1) of j, exact to one degree
+    less: the route Jet.d_r and Jet.d_s took, kept as the reference of
+    ``Jet.derivatives``.  Each coefficient is its source times its index."""
+    d, c = j.degree, np.zeros(j.c.shape)
+    for a in range(d + 1):
+        for b in range(d - a):
+            src = (a + 1, b) if axis == 0 else (a, b + 1)
+            c[a, b] = j.c[src] * np.array(src[axis])
+    return Jet(c)
+
+
+def cut_jet(j, d):
+    """The degree-d jet of j's coefficients of total degree <= d: the route
+    Jet.cut took, kept as the reference of ``Jet.derivatives``."""
+    c = j.c[: d + 1, : d + 1].copy()
+    for a in range(1, d + 1):
+        c[a, d + 1 - a :] = 0.0
+    return Jet(c)
 
 
 @pytest.fixture

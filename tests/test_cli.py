@@ -486,6 +486,40 @@ def test_classify_hands_out_the_jets_of_each_point_four_times(dim, monkeypatch, 
     assert len(calls) == 4
 
 
+def count_pack_matrices(monkeypatch) -> dict:
+    """Count the builds of CurvaturePack.Rmat, SprayPack.G and SprayPack.N, each
+    formed on read."""
+    from finslerlab import CurvaturePack, SprayPack
+
+    counts = {"Rmat": 0, "G": 0, "N": 0}
+    for cls, name in ((CurvaturePack, "Rmat"), (SprayPack, "G"), (SprayPack, "N")):
+        def counted(pack, build=getattr(cls, name).fget, name=name):
+            counts[name] += 1
+            return build(pack)
+
+        monkeypatch.setattr(cls, name, property(counted))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "sub, builds",
+    [
+        ("report", {"Rmat": 0, "G": 0, "N": 0}),
+        ("classify", {"Rmat": 1, "G": 0, "N": 0}),
+        ("check", {"Rmat": 1, "G": 1, "N": 1}),
+    ],
+)
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_the_pack_matrices_are_built_only_where_read(sub, builds, dim, monkeypatch, capsys,
+                                                     tmp_path):
+    # report prints none of them; classify reads Rmat, check all three, each
+    # reader binding a matrix it uses twice
+    counts = count_pack_matrices(monkeypatch)
+    code, doc = run_json([sub, "--phi", "1+0.3*s", "--dim", dim], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert counts == builds
+
+
 def record_front_half_calls(monkeypatch) -> dict:
     """Count the calls of front_half, pq_jets and riemann_pack in every finslerlab
     namespace; a pq_jets or riemann_pack call records whether a front_half call
@@ -591,6 +625,30 @@ def test_a_flag_value_may_begin_with_a_minus(sub, flags, capsys, tmp_path):
     code, doc = run_json(spaced, capsys, tmp_path)
     assert code != 2 and doc is not None
     assert (code, doc) == run_json(joined, capsys, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        ("check --phi 1+s --s-fr -0.7:0.7:5", "check --phi=1+s --s-frac=-0.7:0.7:5"),
+        ("report --phi 2+s --s- -0.5:0.5:4", "report --phi=2+s --s-frac=-0.5:0.5:4"),
+        ("report --ph -s+3 --dim 3", "report --phi=-s+3 --dim 3"),
+        ("report --p -s+3", "report --phi=-s+3"),  # --p is --phi's prefix here
+    ],
+)
+def test_a_flag_prefix_value_may_begin_with_a_minus(spaced, joined, capsys, tmp_path):
+    # argparse takes a unique prefix of a flag for the flag; its value is joined as the flag's
+    code, doc = run_json(spaced.split(), capsys, tmp_path)
+    assert code == 0 and doc is not None
+    assert (code, doc) == run_json(joined.split(), capsys, tmp_path)
+
+
+def test_an_ambiguous_flag_prefix_exits_2(capsys):
+    # --s is a prefix of --s-frac and --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--phi", "1+s", "--s", "-0.5:0.5:4"])
+    assert exc.value.code == 2
+    assert "ambiguous option" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--phi", "--r", "--s-frac", "--u"])
@@ -784,6 +842,11 @@ _REPEATED_COLUMNS = [
     [_NAN, float("nan"), _NAN, float("nan")],
     [float("inf"), float("-inf"), float("inf"), float("-inf"), float("inf")],
     [1e308, 1.5e308, 1e308, 1.5e308],  # finite values whose sum overflows
+    # more than 64 values whose first 32 are distinct: formatted one by one, although
+    # fewer than half are distinct; with -0.0 and 0.0, and with NaN and infinities
+    [i / 8 for i in range(40)] * 3,
+    [-0.0, *(i / 8 for i in range(1, 40))] * 2 + [0.0, -0.0] * 10,
+    [_NAN, float("inf"), *(i / 8 for i in range(40)), float("-inf")] * 2,
     [2.5],
     [1, 1.0, True],
     [1.0, 1, True, 1.0],
@@ -809,6 +872,22 @@ def test_write_report_formats_repeated_values_like_json_dumps(column, monkeypatc
     cli.write_report({"points": table}, path)
     doc = {"points": table.tolist()}
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_a_long_column_of_distinct_values_is_not_hashed_whole():
+    # more than 64 values whose first 32 are distinct: the memo test hashes those 32
+    from finslerlab.jsontext import _float_format
+
+    hashes = []
+
+    class Counted(float):
+        def __hash__(self):
+            hashes.append(self)
+            return float.__hash__(self)
+
+    column = [Counted(i / 8) for i in range(40)] * 3
+    texts = _float_format(column)(column)
+    assert texts == [json.dumps(float(v)) for v in column] and len(hashes) == 32
 
 
 _POOL = [0.0, -0.0, 1.5, -2.25, 0.1 + 0.2, 1e300, 5e-324, _NAN, float("inf"), float("-inf"),

@@ -176,6 +176,7 @@ def test_batched_curvature_rows_match_single_points(text, n):
     for k, (p, jet) in enumerate(zip(points, singles)):
         one = riemann_pack(pq_from_phi(jet, p), jet, p)
         assert_row_matches(cv, one, k)
+        assert_row_matches(cv.Rmat, one.Rmat, k)
         assert_row_matches(K, flag_curvature(one, jet.partial(0, 0), p), k)
 
 

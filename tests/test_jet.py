@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import sympy_partial
+from conftest import cut_jet, shift_jet, sympy_partial
 from finslerlab import DomainError, eval_jet, fd_partials, parse
 from finslerlab.expr import to_string
 from finslerlab.jet import (
@@ -175,8 +175,9 @@ def test_integer_powers_of_negative_base():
 
 def test_derivative_jets_shift_coefficients():
     j = eval_jet(parse("r^2*s^2"), 2.0, 3.0)
-    ds = j.d_s()
+    (ds,) = j.derivatives(((0, 1),), 3)
     # d/ds (r^2 s^2) = 2 r^2 s
+    assert ds.degree == 3
     assert ds.partial(0, 0) == pytest.approx(24.0)
     assert ds.partial(1, 1) == pytest.approx(8.0)  # d^2/drds of 2 r^2 s = 4r
 
@@ -243,13 +244,49 @@ def test_derivative_jets_match_explicit_shift():
     rng = np.random.default_rng(11)
     for _ in range(20):
         j = random_jet(rng)
-        dr, ds = np.zeros((5, 5)), np.zeros((5, 5))
+        dr, ds = np.zeros((4, 4)), np.zeros((4, 4))
         for a in range(4):
             for b in range(4 - a):
                 dr[a, b] = j.c[a + 1, b] * (a + 1)
                 ds[a, b] = j.c[a, b + 1] * (b + 1)
-        assert j.d_r().c.tobytes() == dr.tobytes()
-        assert j.d_s().c.tobytes() == ds.tobytes()
+        assert [d.c.tobytes() for d in j.derivatives(((1, 0), (0, 1)), 3)] == [
+            dr.tobytes(), ds.tobytes()
+        ]
+
+
+# the non-finite and signed-zero coefficients of test_derivative_jets_are_the_shifts_cut
+_SPECIAL = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 1e308, 5e-324]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_derivative_jets_are_the_shifts_cut(degree):
+    # the gather against the shift-then-cut route it replaced, bit for bit: each
+    # order (a, b) and target degree k alone and all of them in one gather, on a
+    # batch of jets some of whose coefficients are infinite, NaN, -0.0 or extreme
+    rng = np.random.default_rng(degree)
+    c = np.zeros((degree + 1, degree + 1, 40))
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            c[a, b] = rng.normal(size=40) * 10.0 ** rng.integers(-5, 6, 40)
+            special = rng.random(40) < 0.2
+            c[a, b, special] = rng.choice(_SPECIAL, special.sum())
+    jets = [Jet(c), Jet(c[:, :, 7].copy())]  # a batch, and one point
+    for k in range(degree + 1):
+        orders = tuple((a, b) for a in range(degree + 1 - k) for b in range(degree + 1 - k - a))
+        for j in jets:
+            reference = []
+            for a, b in orders:
+                ref = j
+                for axis in [0] * a + [1] * b:
+                    ref = shift_jet(ref, axis)
+                reference.append(cut_jet(ref, k).c.tobytes())
+            assert [g.c.tobytes() for o in orders for g in j.derivatives((o,), k)] == reference
+            gathered = j.derivatives(orders, k)
+            assert [g.c.shape for g in gathered] == [(k + 1, k + 1, *j.batch)] * len(orders)
+            assert [g.c.tobytes() for g in gathered] == reference
+    with pytest.raises(ValueError, match="outside the jet degree"):
+        Jet(c).derivatives(((0, 1),), degree)
 
 
 def test_high_order_coefficients_stay_zero():
@@ -260,7 +297,8 @@ def test_high_order_coefficients_stay_zero():
     y.c[0, 0] = -0.7
     results = [
         x * y, x * 2.0, 2.0 * x, x + y, x + 1.0, 1.0 - x, x - y, -x, x / y, x / 2.0, 2.0 / x,
-        x.d_r(), x.d_s(), jet_sqrt(x), jet_exp(x), jet_ln(x), jet_sin(x), jet_cos(x),
+        *x.derivatives(((1, 0), (0, 1)), 3),
+        jet_sqrt(x), jet_exp(x), jet_ln(x), jet_sin(x), jet_cos(x),
         jet_ipow(x, 5), jet_ipow(x, -2), jet_pow(x, y + 0.3),
     ]
     for j in results:
@@ -523,11 +561,12 @@ def test_degree_2_block_depends_only_on_degree_2_inputs(name):
 
 def test_degree_2_jets_keep_their_degree():
     full = eval_jet(parse("1 + r*s + s^2 + r^2*s"), np.array([1.0, 2.0]), np.array([0.5, -0.5]))
-    x = full.cut(2)
+    (x,) = full.derivatives(((0, 0),), 2)
     assert x.c.tobytes() == truncated(full).c.tobytes() and high_order_is_zero(x)
     x = Jet(x.c[:, :, 0])
-    for j in (x / 2.0, 2.0 / x, jet_ipow(x, 0), x.d_r(), x.d_s(), Jet.variable("s", 0.5, 2) * x):
+    for j in (x / 2.0, 2.0 / x, jet_ipow(x, 0), Jet.variable("s", 0.5, 2) * x):
         assert j.degree == 2 and j.c.shape == (3, 3)
+    assert [j.c.shape for j in x.derivatives(((1, 0), (0, 1)), 1)] == [(2, 2)] * 2
     assert x.partial(0, 2) == 2.0 and x.partial(1, 1) == 3.0  # 1 + 2r at r = 1
 
 
@@ -541,8 +580,8 @@ def test_partial_checks_the_jets_own_degree():
 
 def degree_4_pq(phi, r, s):
     """P and Q by pq_jets' formulas on degree-4 jets, without the cut."""
-    phi_r, phi_s = phi.d_r(), phi.d_s()
-    phi_ss, phi_rs = phi_s.d_s(), phi_r.d_s()
+    phi_r, phi_s = shift_jet(phi, 0), shift_jet(phi, 1)
+    phi_ss, phi_rs = shift_jet(phi_s, 1), shift_jet(phi_r, 1)
     rj, sj = Jet.variable("r", r), Jet.variable("s", s)
     w = rj * rj - sj * sj
     denom = phi - sj * phi_s + w * phi_ss
@@ -711,6 +750,42 @@ def test_literal_divisors_keep_their_errors():
     errors = {}
     out = eval_jet(parse("s/1e-63"), GRID_R, GRID_S, degree=2, errors=errors)
     assert not errors and (out.partial(0, 1) == 1 / 1e-63).all()
+
+
+# the literal divisors of test_literal_divisor_folds_to_the_reciprocal_jets_value:
+# ordinary ones, 0, a fifth power out of float range (5e-324, 1e62, 1e300), ones
+# whose degree-3 or degree-4 seed overflows (+-1e-62, 1e-64), and non-finite ones
+LITERAL_DIVISORS = [10.0, 3.0, -3.0, 0.0, 1e-62, -1e-62, 1e-64, 5e-324, 1e62, 1e300,
+                    math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", LITERAL_DIVISORS)
+def test_literal_divisor_folds_to_the_reciprocal_jets_value(c, degree):
+    # the tape compiles x / c to x * (1/c) where the jet of 1/c at the degree
+    # records no error, with that jet's value bit for bit (NaN where a seed
+    # overflows); where it fails, x / c divides by the jet at every point
+    from finslerlab.expr import BinOp, Num, Var
+    from finslerlab.jet import _divide, _Tape
+
+    e = BinOp("/", Var("s"), Num(c))
+    with np.errstate(all="ignore"):
+        reference = jet_reciprocal(Jet.constant(c, (), degree), errors=(failed := {}))
+        tape = _Tape(e, GRID_R, GRID_S, degree)
+    literals = [v for v in tape.values if type(v) is float]
+    if failed:
+        assert literals == [] and [op[1] for op in tape.ops] == [_divide]
+    else:
+        assert [np.float64(v).tobytes() for v in literals] == [reference.c[0, 0].tobytes()]
+        assert math.isnan(literals[0]) == (degree == 4 and abs(c) < 1e-60 or not math.isfinite(c))
+    if math.isnan(c):  # to_string, which names the failure, prints no NaN literal
+        return
+    with np.errstate(all="ignore"):
+        out = eval_jet(e, GRID_R, GRID_S, degree=degree, errors=(errors := {}))
+        walked, walked_errors = tree_walk(e, GRID_R, GRID_S, degree)
+    assert error_list(errors) == error_list(walked_errors)
+    live = [k for k in range(len(GRID_R)) if k not in errors]
+    assert out.c[..., live].tobytes() == walked.c[..., live].tobytes()
 
 
 # expressions in s, at r = 1 and the s of VALUES, for the operations of

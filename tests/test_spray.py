@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_row_matches, make_grid, rotated_batch
+from conftest import assert_row_matches, cut_jet, make_grid, rotated_batch, shift_jet
 from finslerlab import (
     GeometryError,
     canonical_point,
@@ -69,13 +69,10 @@ def test_horizontal_residual_detects_wrong_spray():
     p = canonical_point(2, 1.0, 0.5, 1.0)
     jet = eval_jet(parse("sqrt(1+s^2)"), 1.0, 0.5)
     sp = pq_from_phi(jet, p)
-    bad_Q = sp.Q + 0.1
-    bad_N = sp.N + (
-        p.u * 0.0 * np.eye(2)  # P untouched
-        + 2 * 0.1 * np.outer(p.x, p.y)  # (2Q - sQ_s) shift from Q -> Q + 0.1
-        + p.u * 0.0 * np.outer(p.x, p.x)
-    )
-    bad = sp._replace(Q=bad_Q, G=p.u * sp.P * p.y + p.u**2 * bad_Q * p.x, N=bad_N)
+    # G and N are formed from the pack's fields: Q -> Q + 0.1 shifts them with it
+    bad = sp._replace(Q=sp.Q + 0.1)
+    assert np.allclose(bad.N, sp.N + 2 * 0.1 * np.outer(p.x, p.y), rtol=0, atol=1e-15)
+    assert np.allclose(bad.G, sp.G + p.u**2 * 0.1 * p.x, rtol=0, atol=1e-15)
     assert np.max(np.abs(horizontal_residual(jet, bad, p))) > 1e-3
 
 
@@ -220,6 +217,7 @@ def test_batched_spray_rows_match_single_points(text, n):
     for k, (p, jet) in enumerate(zip(points, singles)):
         one = pq_from_phi(jet, p)
         assert_row_matches(sp, one, k)
+        assert_row_matches((sp.G, sp.N), (one.G, one.N), k)
         assert_row_matches(resid, horizontal_residual(jet, one, p), k)
         assert_row_matches(mr, metrizability_from_spray(jet, one, p), k)
 
@@ -233,3 +231,68 @@ def test_pq_jets_do_not_read_the_unused_reciprocal_seeds():
     assert p.c.shape == q.c.shape == (3, 3, 2)
     assert np.all(p.value == 0.0)
     assert q.value == pytest.approx(0.5 / (r * r), rel=1e-15)
+
+
+def reference_pq_jets(jet, r, s, errors):
+    """pq_jets as written before its one gather and its one reciprocal: phi's
+    partials by shifting and cutting, and the three reciprocals in turn.
+    Returns P, Q and, for each reciprocal, the points where it fails alone."""
+    from finslerlab.jet import Jet, fail_nonfinite, fail_where, jet_reciprocal
+
+    alone = []
+
+    def reciprocal(g):
+        jet_reciprocal(g, errors=(own := {}))
+        alone.append(set(own))
+        return jet_reciprocal(g, errors=errors)
+
+    phi_r, phi_s = shift_jet(jet, 0), shift_jet(jet, 1)
+    phi_ss, phi_rs = cut_jet(shift_jet(phi_s, 1), 2), cut_jet(shift_jet(phi_r, 1), 2)
+    phi, phi_r, phi_s = cut_jet(jet, 2), cut_jet(phi_r, 2), cut_jet(phi_s, 2)
+    rj, sj = Jet.variable("r", r, 2), Jet.variable("s", s, 2)
+    w = rj * rj - sj * sj
+    denom = phi - sj * phi_s + w * phi_ss
+    phi2 = phi.c[0, 0] * phi.c[0, 0]
+    fail_nonfinite(errors, {"phi^2": phi2})
+    fail_where(
+        np.abs(denom.c[0, 0]) < 1e-12 * np.maximum(1.0, phi2),
+        errors,
+        lambda: GeometryError(
+            "degenerate denominator phi - s phi_s + (r^2 - s^2) phi_ss ~ 0 "
+            "(TYPE_B degeneracy suspected)"
+        ),
+    )
+    q = (-phi_r + sj * phi_rs + rj * phi_ss) * reciprocal(2.0 * rj * denom)
+    p = -(q * reciprocal(phi)) * (sj * phi + w * phi_s)
+    p = p + (sj * phi_r + rj * phi_s) * reciprocal(2.0 * rj * phi)
+    return p, q, alone
+
+
+# r = 0 zeroes 2r denom and 2r phi, r = 1e62 puts their fifth powers out of
+# float range, and phi = 1e-70 at s = 1 puts phi's out of range (phi = 0 there
+# zeroes it, after a 2r denom out of range at r = 1e62); phi = s fails the
+# guards at s = 0.  So the points fail none, one, two or all three
+# reciprocals, or a guard first.
+STACK_R = np.repeat([0.0, 1e62, 2.0, 0.7], 4)
+STACK_S = np.tile([0.0, -0.0, 1.0, -0.5], 4)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e-70 + (s-1)^2", "(s-1)^2", "1 + s", "1e-63 + s^2", "s", "s^3 + 2"]
+)
+def test_pq_jets_stacked_reciprocal_keeps_the_sequential_route(text):
+    # the values, and each point's first error in the same insertion order, of the
+    # three reciprocals taken one after another
+    with np.errstate(all="ignore"):
+        jet = eval_jet(parse(text), STACK_R, STACK_S, errors={})
+        errors, reference_errors = {}, {}
+        p, q = pq_jets(jet, STACK_R, STACK_S, errors=errors)
+        p_ref, q_ref, alone = reference_pq_jets(jet, STACK_R, STACK_S, reference_errors)
+    listed = [(k, type(e), str(e)) for k, e in errors.items()]
+    assert listed == [(k, type(e), str(e)) for k, e in reference_errors.items()]
+    assert p.c.tobytes() == p_ref.c.tobytes() and q.c.tobytes() == q_ref.c.tobytes()
+    if text == "1e-70 + (s-1)^2":
+        # points where two and where three reciprocals fail, none failing a guard first
+        reciprocal_first = {k for k, e in errors.items() if type(e) is not GeometryError}
+        fails = {k: sum(k in a for a in alone) for k in reciprocal_first}
+        assert {2, 3} <= set(fails.values())

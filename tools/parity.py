@@ -51,6 +51,11 @@ PHIS = [
     "r^-5*(1+s^2)",
     "(2+s)^1025",
     "1/(1e-63+s^2)",
+    # literal divisors: 1/c folds into a float, overflows in a seed (NaN), or fails
+    "exp(s/10)+1",
+    "s/1e-62+2",
+    "s/0+1",
+    "(2+s)/1e62",
 ]
 DIMS = ["2", "3"]
 GRIDS = [
