@@ -164,8 +164,8 @@ def _classify(phi_jets: Jet, cells: tuple, p: EvalPoint, kept, verdicts: dict) -
     one's verdict is None, as is each on fewer than 8 points.  Of the front half's
     failures, the scalar test sees all, the Riemannian test phi <= 0 only and the
     degeneracy screen none."""
-    p, index = EvalPoint(p.n, *(v[kept] for v in (p.r, p.s, p.u, p.x, p.y))), cells[2][kept]
-    jet = cell_rows(phi_jets, {}, index, {})
+    index = kept if cells[2] is None else cells[2][kept]
+    p, jet = EvalPoint(p.n, *(v[kept] for v in p[1:])), cell_rows(phi_jets, {}, index, {})
     ps, _, cv = front_half(phi_jets, (*cells[:2], index), jet, p, (errors := {}))
     K = np.empty(0)  # no samples if the scalar test fails
     try:
@@ -216,15 +216,15 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     r, frac, u = (g.ravel() for g in grid)
     if cfg.subcommand == "classify":
         _require_grid(r)
-    # The grid's cells are evaluated as one batch, each jet once per cell of
-    # the r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are
-    # that plane; cells[2] is each point's cell.  A point keeps its first error,
-    # in stage order; one test then fails the non-finite values.  classify skips
-    # only the embedding's and phi's jet failures.  metrize reads phi to first order.
+    # The grid's cells are evaluated as one batch, each jet once per cell of the
+    # r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are that plane;
+    # cells[2] is each point's cell, None where each is its own (one u value).  A point
+    # keeps its first error, in stage order; one test then fails the non-finite values.
+    # classify skips only the embedding's and phi's jet failures; metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
     batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
-    cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu
+    cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu if nu > 1 else None
     degree = 1 if cfg.subcommand == "metrize" else DEGREE
     phi_jets = eval_jet(phi, *cells[:2], degree=degree, errors=(jet_errors := {}))
     jet = cell_rows(phi_jets, jet_errors, cells[2], errors)

@@ -200,8 +200,8 @@ def to_string(e: Node) -> str:
     """Print an AST back to text; parse(to_string(e)) == e if e is <= MAX_DEPTH // 2 deep."""
     if isinstance(e, Num):
         v = e.value
-        if math.isinf(v):
-            return "1e309" if v > 0 else "(-1e309)"  # parse reads 1e309 as inf
+        if not math.isfinite(v):  # parse reads 1e309 as inf; no text parses to a NaN literal
+            return "nan" if math.isnan(v) else "1e309" if v > 0 else "(-1e309)"
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

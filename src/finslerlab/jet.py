@@ -312,9 +312,10 @@ def _positive_powers(g: Jet, errors: dict, name: str) -> list:
 def _reciprocal_seeds(v, count: int, errors: dict) -> list:
     """The first count derivatives of 1/x at v, a column over the batch: a point
     fails where v is 0 or v^5 is out of float range, at every degree."""
-    pw = [np.power(v, float(k + 1)) for k in range(DEGREE + 1)]
+    pw = [np.power(v, float(k + 1)) for k in range(count)]  # v^1..v^count, each seed's
+    top = pw[DEGREE] if count > DEGREE else np.power(v, DEGREE + 1.0)
     _fail(v == 0.0, errors, v, "division by a jet with zero value")
-    out_of_range = np.isfinite(v) & (np.isinf(pw[DEGREE]) | (pw[DEGREE] == 0.0))
+    out_of_range = np.isfinite(v) & (np.isinf(top) | (top == 0.0))
     _fail(out_of_range, errors, v, "reciprocal of jet value {v!r} is out of float range")
     return [(-1.0) ** k * _FACT[k] / pw[k] for k in range(count)]
 
@@ -554,7 +555,7 @@ def cell_rows(jets: Jet, cell_errors: dict, index: np.ndarray | None, errors: di
         for k in sorted(cell_errors):
             errors.setdefault(k, cell_errors[k])
         return jets
-    for row, k in enumerate(index.ravel().tolist()):
+    for row, k in enumerate(index.ravel().tolist() if cell_errors else ()):
         if k in cell_errors and row not in errors:
             errors[row] = cell_errors[k]
     return _take(jets, index)

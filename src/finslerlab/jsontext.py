@@ -1,24 +1,15 @@
-"""The text of json.dumps(doc, sort_keys=True, indent=1), byte for byte,
-formatted column by column, for report documents whose lists of records may
-be held as numpy columns (``Records``).
-
-Each key of a list of records is formatted once for all its records, and
-each record's text is one join of its labels and its items' texts.  In a
-float column where the values are finite and at most half are distinct,
-each distinct value is formatted once.  ``json_pieces`` yields the text in
-pieces, a ``Records`` value a block of records at a time, so a writer need
-not hold the whole text.
-"""
+"""The text of json.dumps(doc, sort_keys=True, indent=1), byte for byte, in
+pieces, for documents whose lists of records may be held as numpy columns
+(``Records``).  A ``Records`` value is planned once and written a block of
+records at a time: the distinct values of a float column where they are
+finite and at most half the values, and a bool column's distinct rows, are
+formatted once; each record's text is one join of its labels and items."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import math
 from json.encoder import encode_basestring_ascii
-from struct import pack
-from typing import Callable
 
 import numpy as np
 
@@ -40,57 +31,36 @@ class Records:
         return [dict(zip(names, rec)) for rec in zip(*(v.tolist() for v in self.columns.values()))]
 
 
-# the texts of values of these exact types; json.dumps writes any other type
 _LITERALS = {None: "null", False: "false", True: "true"}
-_FORMATS = {str: encode_basestring_ascii, int: repr,
-            bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _column(values: list, pad: str) -> list[str]:
-    """json.dumps(v, sort_keys=True, indent=1) of each v in values, with pad
-    before each line after the first.  A column of one type takes one pass,
-    each distinct float formatted once where at most half are distinct; lists
-    of one length and dicts of one key set are joined from their items' columns."""
-    kind = type(values[0]) if len(set(map(type, values))) == 1 else None
-    if kind is float:
-        return _float_format(values)(values)
+def _float_text(v: float) -> str:
+    return _NONFINITE.get(text := repr(v), text)
+
+
+# the texts of values of these exact types; json.dumps writes any other type
+_FORMATS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+            bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
+
+
+def _text(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=1), with pad before each line
+    after the first."""
+    kind = type(value)
     if kind in _FORMATS:
-        return list(map(_FORMATS[kind], values))
-    # dicts of one key set: the union of their keys has as many as each of them
-    same_keys = kind is dict and len(values) * len(set().union(*values)) == sum(map(len, values))
-    if kind is list and len(set(map(len, values))) == 1:
-        n = len(values[0])
-        flat = _column(list(itertools.chain.from_iterable(values)), pad + " ")
-        columns, labels, brackets = [flat[j::n] for j in range(n)], [""] * n, "[]"
-    elif same_keys and all(type(k) is str for k in values[0]):
-        keys = sorted(values[0])
-        columns = [_column([d[k] for d in values], pad + " ") for k in keys]
-        labels, brackets = [encode_basestring_ascii(k) + ": " for k in keys], "{}"
+        return _FORMATS[kind](value)
+    inner = pad + " "
+    if kind is list:
+        items = [_text(v, inner) for v in value]
+    elif kind is dict and all(type(k) is str for k in value):
+        items = [encode_basestring_ascii(k) + ": " + _text(value[k], inner) for k in sorted(value)]
     else:
-        return [json.dumps(v, sort_keys=True, indent=1).replace("\n", "\n" + pad) for v in values]
-    if not labels:
-        return [brackets] * len(values)
-    return _join(columns, labels, brackets, pad)
-
-
-def _float_format(values: list[float]) -> Callable[[list[float]], list[str]]:
-    """The function from runs of the floats values to json.dumps's texts of
-    them.  Where the values are finite and at most half are distinct, each
-    distinct value is formatted once, here.  A column of more than 64 values
-    whose first 32 are distinct is formatted value by value, unhashed."""
-    if not math.isfinite(sum(values)):  # a finite sum has finite terms
-        return lambda run: [_NONFINITE.get(t, t) for t in map(repr, run)]
-    if len(values) > 64 and len(set(values[:32])) == 32:
-        return lambda run: list(map(repr, run))
-    distinct = dict.fromkeys(values)
-    if 2 * len(distinct) > len(values):
-        return lambda run: list(map(repr, run))
-    memo = dict(zip(distinct, map(repr, distinct))).__getitem__
-    # -0.0 shares 0.0's memo entry: values that may hold it format their zeros anew
-    if 0.0 in distinct and pack("<d", -0.0) in pack(f"<{len(values)}d", *values):
-        return lambda run: [memo(v) if v else repr(v) for v in run]
-    return lambda run: list(map(memo, run))
+        return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + pad)
+    brackets = "[]" if kind is list else "{}"
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
 
 
 def _join(columns: list[list[str]], labels: list[str], brackets: str, pad: str) -> list[str]:
@@ -103,39 +73,85 @@ def _join(columns: list[list[str]], labels: list[str], brackets: str, pad: str) 
     return list(map("".join, zip(*parts, itertools.repeat(close))))
 
 
+# the weights of a bool row's items in its code, which is exact in a float
+_CODES = 2.0 ** np.arange(53)
+
+
+def _bools(code: float, shape: tuple):
+    """The bool (shape ()) or the list of bools (shape (w,)) whose code is code."""
+    return [code // 2**b % 2 == 1 for b in range(shape[0])] if shape else code == 1
+
+
+def _plan(columns: list[np.ndarray], pad: str) -> tuple:
+    """How to write records whose items have pad before each line after the
+    first: the float rows formatted value by value, the memo's texts and the
+    memo rows as indices there, and per column the function from a value of
+    its row to its text (None for a memo row)."""
+    n = len(columns[0])
+    rows, formats = [], []  # per column its row and, if it always takes the memo, its text
+    for c in columns:
+        if c.dtype.char == "d" and c.ndim == 1:
+            rows.append(c)
+            formats.append(None)
+        elif c.dtype.char == "?" and c.ndim <= 2 and c[0].size <= 53:  # by its rows' codes
+            rows.append(c.reshape(n, -1) @ _CODES[: c[0].size])
+            formats.append(lambda v, shape=c[0].shape: _text(_bools(v, shape), pad))
+        else:  # any other column by its values' indices: each value formatted once
+            rows.append(np.arange(n, dtype=float))
+            formats.append(lambda v, values=c.tolist(): _text(values[int(v)], pad))
+    table = np.array(rows)
+    # each row sorted by its values' bits: equal bits are equal values, and -0.0 is not 0.0
+    bits = np.sort(table.view(np.int64), axis=1)
+    first = np.ones(bits.shape, dtype=bool)
+    first[:, 1:] = bits[:, 1:] != bits[:, :-1]
+    finite = np.logical_and.reduce(np.isfinite(table), axis=1).tolist()
+    counts = np.add.reduce(first, axis=1).tolist()
+    memo = [f is not None or ok and 2 * k <= n for f, ok, k in zip(formats, finite, counts)]
+    memo = np.array(memo, dtype=bool)
+    first = first[memo]
+    values, texts = iter(bits[memo][first].view(float).tolist()), []
+    for f, k, m in zip(formats, counts, memo.tolist()):
+        texts += map(f or repr, itertools.islice(values, k if m else 0))
+    # a value's index in the memo counts the distinct values before it
+    index, at = np.empty(first.shape, dtype=np.int32), np.arange(len(first))[:, None]
+    ranks = first.cumsum(dtype=np.int32).reshape(first.shape) - 1
+    index[at, table.view(np.int64)[memo].argsort(axis=1)] = ranks
+    plan = [None if m else repr if ok else _float_text for m, ok in zip(memo.tolist(), finite)]
+    return table[~memo], np.array(texts, dtype=object), index, plan
+
+
 # records formatted and written at a time, which bounds the writer's transient memory
 _BLOCK = 32
 
 
 def _records_text(records: Records, pad: str):
     """The text of json.dumps(records.tolist(), sort_keys=True, indent=1), with pad
-    before each line after the first, in pieces of _BLOCK records.  A float
-    column's distinct values are found once, over the column; any other column
-    is formatted by ``_column`` block by block."""
+    before each line after the first, in pieces of _BLOCK records."""
+    if not len(records):
+        yield "[]"
+        return
     names = sorted(records.columns)
-    columns = [records.columns[k] for k in names]
-    labels = [encode_basestring_ascii(k) + ": " for k in names]
-    inner = pad + " "
-    formats = [
-        _float_format(c.tolist()) if c.dtype == float and c.ndim == 1
-        else functools.partial(_column, pad=inner + " ")
-        for c in columns
-    ]
+    labels, inner = [encode_basestring_ascii(k) + ": " for k in names], pad + " "
+    table, texts, index, plan = _plan([records.columns[k] for k in names], inner + " ")
     start = "[\n" + inner
     for i in range(0, len(records), _BLOCK):
-        texts = [fmt(c[i : i + _BLOCK].tolist()) for fmt, c in zip(formats, columns)]
-        yield start + (",\n" + inner).join(_join(texts, labels, "{}", inner))
+        block = slice(i, i + _BLOCK)
+        plain, memo = iter(table[:, block].tolist()), iter(texts[index[:, block]].tolist())
+        columns = [next(memo) if f is None else map(f, next(plain)) for f in plan]
+        yield start + (",\n" + inner).join(_join(columns, labels, "{}", inner))
         start = ",\n" + inner
-    yield "[]" if not len(records) else "\n" + pad + "]"
+    yield "\n" + pad + "]"
 
 
 def json_pieces(value, pad: str = ""):
     """The text of json.dumps(value, sort_keys=True, indent=1), with pad before
-    each line after the first, in pieces: dicts with str keys item by item, and
-    ``Records`` as the list of dicts they hold, in blocks of _BLOCK records."""
+    each line after the first, in pieces: ``Records`` as the list of dicts they
+    hold, in blocks of _BLOCK records, and dicts with str keys that hold a dict
+    or ``Records`` item by item."""
     if isinstance(value, Records):
         yield from _records_text(value, pad)
-    elif type(value) is dict and value and all(type(k) is str for k in value):
+    elif type(value) is dict and all(type(k) is str for k in value) and any(
+            type(v) is dict or isinstance(v, Records) for v in value.values()):
         start = "{\n" + pad + " "
         for key in sorted(value):
             yield start + encode_basestring_ascii(key) + ": "
@@ -143,4 +159,4 @@ def json_pieces(value, pad: str = ""):
             start = ",\n" + pad + " "
         yield "\n" + pad + "}"
     else:
-        yield _column([value], pad)[0]
+        yield _text(value, pad)

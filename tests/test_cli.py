@@ -486,6 +486,29 @@ def test_classify_hands_out_the_jets_of_each_point_four_times(dim, monkeypatch, 
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
+@pytest.mark.parametrize("phi", ["1+0.3*s", "ln(s+0.5)+2"])
+def test_one_u_value_gives_each_point_its_own_jets(sub, phi, monkeypatch, capsys, tmp_path):
+    # with one u value each point is its own cell, and run hands it its jets
+    # without an index; the report is that of the same u twice, at every other point
+    from finslerlab import jet
+
+    indices = []
+    wrap_everywhere(monkeypatch, jet, "cell_rows", lambda *args: indices.append(args[2]))  # index
+    args = [sub, "--phi", phi, "--dim", "3", "--rotate", "--r=0.5:1.5:3", "--s-frac=-0.7:0.7:5"]
+    args += ["--p", "0.3/(2*(1+0.3*s))", "--q", "0"] if sub == "metrize" else []
+    code, one = run_json([*args, "--u=1.5:1.5:1"], capsys, tmp_path)
+    assert indices and indices[0] is None
+    assert all(index is None for index in indices) == (sub != "classify")
+    indices.clear()
+    two_code, two = run_json([*args, "--u=1.5:1.5:2"], capsys, tmp_path)
+    assert all(index is not None for index in indices)
+    assert (code, one["verdicts"], one["checks"]) == (two_code, two["verdicts"], two["checks"])
+    assert one["points"] == two["points"][::2] and one["skipped"] == two["skipped"][::2]
+    assert len(two["points"]) == 2 * len(one["points"])
+    assert bool(one["skipped"]) == phi.startswith("ln")
+
+
 def count_pack_matrices(monkeypatch) -> dict:
     """Count the builds of CurvaturePack.Rmat, SprayPack.G and SprayPack.N, each
     formed on read."""
@@ -874,20 +897,66 @@ def test_write_report_formats_repeated_values_like_json_dumps(column, monkeypatc
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def test_a_long_column_of_distinct_values_is_not_hashed_whole():
-    # more than 64 values whose first 32 are distinct: the memo test hashes those 32
-    from finslerlab.jsontext import _float_format
+def _writer_columns(n):
+    # float columns that take the memo (one with -0.0 beside 0.0, one whose first
+    # 32 values are distinct but which repeats later) or not (every value distinct,
+    # non-finite values), and bool columns of one and two axes
+    k = np.arange(n)
+    return {
+        "memo": np.array([-0.0, 0.0, 2.5, 0.1 + 0.2])[k % 4],
+        "repeats": (k % 40) / 8 + 0.1,
+        "distinct": k / 3 - 7.0,
+        "nonfinite": np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300])[k % 5],
+        "flag": k % 3 == 0,
+        "pair": np.stack([k % 2 == 0, k % 5 == 0], -1),
+    }
 
-    hashes = []
 
-    class Counted(float):
-        def __hash__(self):
-            hashes.append(self)
-            return float.__hash__(self)
+def test_the_writer_formats_each_needed_float_once(monkeypatch):
+    # a column where at most half the values are distinct formats each distinct
+    # value once (-0.0 and 0.0 each), any other float column each value once, and
+    # a bool column no float
+    from collections import Counter
 
-    column = [Counted(i / 8) for i in range(40)] * 3
-    texts = _float_format(column)(column)
-    assert texts == [json.dumps(float(v)) for v in column] and len(hashes) == 32
+    from finslerlab import jsontext
+
+    formatted = []
+
+    def counted(v):
+        formatted.append(float.__repr__(v))
+        return float.__repr__(v)
+
+    monkeypatch.setattr(jsontext, "repr", counted, raising=False)
+    for n in (1, 32, 33, 120):
+        columns = _writer_columns(n)
+        needed = []
+        for name in ("memo", "repeats", "distinct", "nonfinite"):
+            values = list(map(float.__repr__, columns[name].tolist()))
+            distinct = list(dict.fromkeys(values))
+            needed += distinct if 2 * len(distinct) <= n and name != "nonfinite" else values
+        formatted.clear()
+        records = jsontext.Records(columns)
+        text = "".join(jsontext.json_pieces({"points": records}))
+        assert Counter(formatted) == Counter(needed)
+        assert text == json.dumps({"points": records.tolist()}, sort_keys=True, indent=1)
+    assert len(formatted) == 4 + 40 + 120 + 120  # n = 120: memo, repeats, distinct, nonfinite
+
+
+@pytest.mark.parametrize("n", [0, 1, 32, 33, 64, 65, 120])
+def test_records_at_the_block_edges_match_json_dumps(n, tmp_path):
+    from finslerlab import jsontext
+    from finslerlab.cli import write_report
+
+    # a column of two axes of floats beside them; no columns at all for n = 0
+    vector = np.stack([np.arange(n) / 7, -np.arange(n) * 0.0], -1)
+    records = jsontext.Records({**_writer_columns(n), "vector": vector} if n else {})
+    doc = {"points": records, "nested": {"rows": records, "n": n}, "scalar": -0.0}
+    path = tmp_path / "out.json"
+    write_report(doc, path)
+    rows = records.tolist()
+    expected = {"points": rows, "nested": {"rows": rows, "n": n}, "scalar": -0.0}
+    assert path.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+    assert len(records) == n
 
 
 _POOL = [0.0, -0.0, 1.5, -2.25, 0.1 + 0.2, 1e300, 5e-324, _NAN, float("inf"), float("-inf"),
@@ -909,6 +978,25 @@ def test_write_report_matches_json_dumps_on_records_from_a_small_pool(records, t
     doc = {"points": records, "column": [r["a"] for r in records]}
     write_report(doc, path)
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 31, 32, 33, 64, 65, 70]))
+def test_records_from_a_small_pool_match_json_dumps(data, n, tmp_path_factory):
+    # each column the numpy array of n values drawn from a few of the pool's: a
+    # float, bool, int, str or object column, which may repeat after its first block
+    from finslerlab import jsontext
+    from finslerlab.cli import write_report
+
+    columns = {}
+    for name in "abc":
+        pool = data.draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=4))
+        columns[name] = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    table = jsontext.Records(columns)
+    path = tmp_path_factory.getbasetemp() / "pool_records.json"
+    write_report({"points": table}, path)
+    expected = json.dumps({"points": table.tolist()}, sort_keys=True, indent=1)
+    assert path.read_text() == expected + "\n"
 
 
 # phis whose runs give the writer clean columns, skipped points, no points at

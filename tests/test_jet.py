@@ -752,6 +752,36 @@ def test_literal_divisors_keep_their_errors():
     assert not errors and (out.partial(0, 1) == 1 / 1e-63).all()
 
 
+def test_reciprocal_seeds_take_only_the_powers_they_read():
+    # count seeds read v^1..v^count, and the guard v^5; they and the failing
+    # points are those of raising v to every power 1..5
+    from finslerlab.jet import _FACT, DEGREE, _reciprocal_seeds
+
+    v = np.array([3.0, -0.5, 1e-62, -1e-64, 5e-324, 1e62, 1e300, 0.0, -0.0, np.inf, np.nan])
+    with np.errstate(all="ignore"):
+        pw = [np.power(v, float(k + 1)) for k in range(DEGREE + 1)]
+        for count in range(1, DEGREE + 2):
+            seeds = _reciprocal_seeds(v, count, errors := {})
+            assert [s.tobytes() for s in seeds] == [
+                ((-1.0) ** k * _FACT[k] / pw[k]).tobytes() for k in range(count)
+            ]
+            top = pw[DEGREE]
+            failing = (v == 0) | np.isfinite(v) & (np.isinf(top) | (top == 0))
+            assert sorted(errors) == np.flatnonzero(failing).tolist()
+
+
+def test_a_nan_literal_divisor_records_its_error():
+    # to_string names the failure of a NaN literal, which parse never makes
+    from finslerlab.expr import BinOp, Num, Var, to_string
+
+    e = BinOp("/", Var("s"), Num(math.nan))
+    assert to_string(e) == "(s / nan)"
+    for degree in (1, 4):
+        eval_jet(e, GRID_R, GRID_S, degree=degree, errors=(errors := {}))
+        assert sorted(errors) == list(range(len(GRID_R)))
+        assert {str(exc) for exc in errors.values()} == {"non-finite jet coefficient in (s / nan)"}
+
+
 # the literal divisors of test_literal_divisor_folds_to_the_reciprocal_jets_value:
 # ordinary ones, 0, a fifth power out of float range (5e-324, 1e62, 1e300), ones
 # whose degree-3 or degree-4 seed overflows (+-1e-62, 1e-64), and non-finite ones
@@ -778,8 +808,6 @@ def test_literal_divisor_folds_to_the_reciprocal_jets_value(c, degree):
     else:
         assert [np.float64(v).tobytes() for v in literals] == [reference.c[0, 0].tobytes()]
         assert math.isnan(literals[0]) == (degree == 4 and abs(c) < 1e-60 or not math.isfinite(c))
-    if math.isnan(c):  # to_string, which names the failure, prints no NaN literal
-        return
     with np.errstate(all="ignore"):
         out = eval_jet(e, GRID_R, GRID_S, degree=degree, errors=(errors := {}))
         walked, walked_errors = tree_walk(e, GRID_R, GRID_S, degree)

@@ -65,6 +65,10 @@ GRIDS = [
     ["--r=0.3:1.2:3", "--s-frac=-0.95:0.95:4", "--rotate", "--seed", "2"],
     ["--r=1:1:3", "--s-frac=0:0:3", "--u=1:2:3"],
     ["--u=2:1:3"],
+    # the randers_n2_dense shape: 120 points, so four blocks of the writer, and one
+    # u value, so each point is its own cell; and a grid of one point
+    ["--r=0.25:0.9:10", "--s-frac=-0.8:0.8:12", "--u=1.3:1.3:1"],
+    ["--r=0.7:0.7:1", "--s-frac=0.3:0.3:1", "--u=1:1:1"],
 ]
 # the metrize candidates (P, Q), taken in turn over the phis: the spray of
 # the flat phi (a shared sqrt and literal operands), one that fails at some
