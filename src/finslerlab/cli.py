@@ -34,7 +34,7 @@ from .geometry import (
     outer,
     random_rotation,
 )
-from .jet import DEGREE, Jet, cell_rows, eval_jet, fail_nonfinite
+from .jet import DEGREE, Jet, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
 from .spray import _horizontal_residual, candidate_spray, metrizability_from_spray
 from .surface import main_scalar, riemannian_from_scalars
@@ -78,25 +78,35 @@ def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(-axes, 0)))
 
 
-def _evaluate(
-    phi_jets: Jet, cells: tuple, jet: Jet, p: EvalPoint, errors: dict, with_checks: bool
-) -> tuple[dict, dict]:
+def _spread(cell: tuple, cell_errors: dict, p: EvalPoint, index, errors: dict) -> tuple:
+    """The packs and columns cell, taken at the cells, at the points p, point k's cell
+    being index[k] (None: each point is its own, and nothing is copied); each point gets
+    its cell's error in cell_errors unless it has one, walking the points only if any."""
+    cell_of = index.tolist() if cell_errors and index is not None else ()
+    rows = zip(cell_errors, cell_errors) if index is None else enumerate(cell_of)
+    for row, k in rows:
+        if k in cell_errors:
+            errors.setdefault(row, cell_errors[k])
+    at = lambda v: p if isinstance(v, EvalPoint) else v if index is None else v[index]
+    return tuple(type(v)(*map(at, v)) if isinstance(v, tuple) else at(v) for v in cell)
+
+
+def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
+              with_checks: bool) -> tuple[dict, dict]:
     """The report columns of the points p and, if asked, their identity-check
-    residuals, by name, all from phi's jets at the points' cells and at the points
-    (``front_half``).  A point that fails a guard gets its error in errors."""
-    ps, sp, cv = front_half(phi_jets, cells, jet, p, errors)
+    residuals, by name.  The front half and C1/C2 run at the cells, from phi's jets
+    jet there, and the metric, Cartan and frame packs at the points (``_spread``).
+    A point that fails a guard gets its error in errors."""
+    ps, sp, cv = front_half(jet, cells, (cell_errors := {}))
+    mr = metrizability_from_spray(jet, sp, cells)
+    ps, sp, cv, mr = _spread((ps, sp, cv, mr), cell_errors, p, index, errors)
     mp = metric_pack(ps, p, errors=errors)
-    mr = metrizability_from_spray(jet, sp, p)
     columns = {
-        "F": mp.F,
-        "P": sp.P, "Q": sp.Q,
+        "F": mp.F, "P": sp.P, "Q": sp.Q,
         "R1": cv.R1, "R2": cv.R2, "R3": cv.R3, "R4": cv.R4, "R5": cv.R5,
         "K": flag_curvature(cv, ps.phi, p),
-        "C1": mr.C1,
-        "C2": mr.C2,
-        "C3": cv.C3,
-        "det_direct": mp.det_direct,
-        "det_formula": mp.det_formula,
+        "C1": mr.C1, "C2": mr.C2, "C3": cv.C3,
+        "det_direct": mp.det_direct, "det_formula": mp.det_formula,
         "regular": np.stack(mp.regular, axis=-1),
     }
     if p.n == 2:
@@ -148,25 +158,26 @@ def _evaluate(
     return columns, checks
 
 
-def _metrize(jet: Jet, cells: tuple, p_ast, q_ast, p: EvalPoint, errors: dict, tol: float) -> dict:
-    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, from phi
-    jets of degree 1 and P and Q jets at the cells of degree 2, all C1..C3 read."""
-    user_sp = candidate_spray(p_ast, q_ast, cells, p, errors=errors)
-    mr = metrizability_from_spray(jet, user_sp, p)
+def _metrize(jet: Jet, p_ast, q_ast, cells: EvalPoint, p: EvalPoint, index, errors: dict,
+             tol: float) -> dict:
+    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, taken at the cells
+    (``_spread``) from phi jets of degree 1 and P and Q jets of degree 2, all C1..C3 read."""
+    user_sp = candidate_spray(p_ast, q_ast, cells, errors=(cell_errors := {}))
+    mr = metrizability_from_spray(jet, user_sp, cells)
     bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
     ok = np.maximum(np.abs(mr.C1), np.abs(mr.C2)) <= bound
-    return {"C1": mr.C1, "C2": mr.C2, "C3": compatibility(user_sp, jet, p)[3], "pass": ok}
+    cell = (*mr, compatibility(user_sp, jet, cells)[3], ok)
+    return dict(zip(("C1", "C2", "C3", "pass"), _spread(cell, cell_errors, p, index, errors)))
 
 
-def _classify(phi_jets: Jet, cells: tuple, p: EvalPoint, kept, verdicts: dict) -> dict:
-    """The verdicts on the points kept of p, into verdicts, and the columns r, s,
-    u and K of the K samples.  Each classifier scans the points in order; a failed
-    one's verdict is None, as is each on fewer than 8 points.  Of the front half's
-    failures, the scalar test sees all, the Riemannian test phi <= 0 only and the
-    degeneracy screen none."""
-    index = kept if cells[2] is None else cells[2][kept]
-    p, jet = EvalPoint(p.n, *(v[kept] for v in p[1:])), cell_rows(phi_jets, {}, index, {})
-    ps, _, cv = front_half(phi_jets, (*cells[:2], index), jet, p, (errors := {}))
+def _classify(jet: Jet, cells: EvalPoint, p: EvalPoint, index, verdicts: dict) -> dict:
+    """The verdicts on the points p, whose cells are index (``_spread``), into
+    verdicts, and the columns r, s, u and K of the K samples.  Each classifier scans
+    the points in order; a failed one's verdict is None, as is each on fewer than 8
+    points.  Of the front half's failures, the scalar test sees all, the Riemannian
+    test phi <= 0 only and the degeneracy screen none."""
+    ps, _, cv = front_half(jet, cells, (cell_errors := {}))
+    ps, cv = _spread((ps, cv), cell_errors, p, index, (errors := {}))
     K = np.empty(0)  # no samples if the scalar test fails
     try:
         is_scalar, K, max_resid, _ = scalar_from_curvature(ps, cv, p, errors)
@@ -209,29 +220,28 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
 
-    rotation = None
-    if cfg.rotate:
-        rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed))
+    rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed)) if cfg.rotate else None
     grid = np.meshgrid(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid, indexing="ij")
     r, frac, u = (g.ravel() for g in grid)
     if cfg.subcommand == "classify":
         _require_grid(r)
-    # The grid's cells are evaluated as one batch, each jet once per cell of the
-    # r x s/r plane: u varies fastest, so the cells [::len(u_grid)] are that plane;
-    # cells[2] is each point's cell, None where each is its own (one u value).  A point
-    # keeps its first error, in stage order; one test then fails the non-finite values.
-    # classify skips only the embedding's and phi's jet failures; metrize reads phi to first order.
+    # The (r, s) stages run once per cell of the r x s/r plane: u varies fastest, so
+    # the points [::nu] are the cells and point k's cell is k // nu (index; None with
+    # one u value).  A point keeps its first error, in stage order; one test then fails
+    # the non-finite values.  classify skips only the embedding's and phi's jet
+    # failures; metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
     batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
-    cells = batch.r[::nu], batch.s[::nu], np.arange(r.size) // nu if nu > 1 else None
+    cells = EvalPoint(cfg.dim, *(v[::nu] for v in batch[1:]))
+    index = np.arange(r.size) // nu if nu > 1 else None
     degree = 1 if cfg.subcommand == "metrize" else DEGREE
-    phi_jets = eval_jet(phi, *cells[:2], degree=degree, errors=(jet_errors := {}))
-    jet = cell_rows(phi_jets, jet_errors, cells[2], errors)
+    jet = eval_jet(phi, cells.r, cells.s, degree=degree, errors=(jet_errors := {}))
+    _spread((), jet_errors, batch, index, errors)
     if cfg.subcommand == "metrize":
-        columns = _metrize(jet, cells, p_ast, q_ast, batch, errors, tol)
+        columns = _metrize(jet, p_ast, q_ast, cells, batch, index, errors, tol)
     elif cfg.subcommand != "classify":
-        columns, checks = _evaluate(phi_jets, cells, jet, batch, errors, cfg.subcommand == "check")
+        columns, checks = _evaluate(jet, cells, batch, index, errors, cfg.subcommand == "check")
     if columns:
         fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
     failed = sorted(errors)
@@ -242,16 +252,16 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
         "points": Records({}),
         "checks": [],
         "verdicts": {},
-        "skipped": [
-            {"r": r, "s": s, "u": u, "reason": str(errors[i])} for i, r, s, u in zip(failed, *rsu)
-        ],
+        "skipped": [{"r": r, "s": s, "u": u, "reason": str(errors[i])}
+                    for i, r, s, u in zip(failed, *rsu)],
         "version": __version__,
     }
     if not kept.size:
         return doc, 3
 
     if cfg.subcommand == "classify":
-        doc["points"] = Records(_classify(phi_jets, cells, batch, kept, doc["verdicts"]))
+        points = EvalPoint(cfg.dim, *(v[kept] for v in batch[1:]))
+        doc["points"] = Records(_classify(jet, cells, points, kept // nu, doc["verdicts"]))
         return doc, 0
 
     points = {"r": batch.r, "s": batch.s, "u": batch.u, **columns}
@@ -318,20 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         tokens.append(token)
     args = build_parser().parse_args(tokens)
     try:
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            phi=args.phi,
-            dim=args.dim,
-            r_grid=parse_range(args.r),
-            s_fraction_grid=parse_range(args.s_frac),
-            u_grid=parse_range(args.u),
-            seed=args.seed,
-            rotate=args.rotate,
-            tol_abs=args.tol_abs,
-            tol_rel=args.tol_rel,
-            p_expr=getattr(args, "p", None),
-            q_expr=getattr(args, "q", None),
-        )
+        grids = (parse_range(text) for text in (args.r, args.s_frac, args.u))
+        cfg = RunConfig(args.subcommand, args.phi, args.dim, *grids, args.seed, args.rotate,
+                        args.tol_abs, args.tol_rel, *(getattr(args, k, None) for k in "pq"))
         doc, exit_code = run_columns(cfg)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,9 @@
 """Riemann curvature scalars R1-R5, the Jacobi endomorphism matrix, the
 compatibility residual C3, and the scalar-flag-curvature verdict on phi's
-scalars and the curvature pack, at one point or a batch (see ``geometry``)."""
+scalars and the curvature pack, at one point or a batch (see ``geometry``).
+``front_half(jet, p, errors)`` runs the spray half and the curvature pack on
+one phi jet and the points p it was taken at; its scalars depend on (r, s)
+alone, and only the matrix ``Rmat``, formed on read, reads u, x and y."""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .geometry import (
     residual_scale,
 )
 from .jet import Jet, eval_jet, fail_nonfinite, first_true, raise_first
-from .spray import SprayPack, _own_cells, spray_half
+from .spray import SprayPack, spray_half
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
@@ -158,9 +161,10 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
     )
 
 
-def front_half(jets: Jet, cells: tuple, jet: Jet, p: EvalPoint, errors: dict) -> tuple:
-    """(ps, sp, cv): ``spray_half`` and the curvature pack at the points p."""
-    ps, sp = spray_half(jets, cells, jet, p, errors)
+def front_half(jet: Jet, p: EvalPoint, errors: dict) -> tuple:
+    """(ps, sp, cv): ``spray_half`` and the curvature pack at the points p, from
+    phi's jets jet there; errors holds their jet failures."""
+    ps, sp = spray_half(jet, p, errors)
     return ps, sp, riemann_pack(sp, jet, p)
 
 
@@ -195,7 +199,7 @@ def scalar_classify(phi: Node, grid: list[EvalPoint]) -> ScalarCurvatureReport:
     pts = EvalPoint.stack(grid)
     with np.errstate(all="ignore"):
         jets = eval_jet(phi, pts.r, pts.s, errors=(errors := {}))
-        ps, _, cv = front_half(jets, _own_cells(pts), jets, pts, errors)
+        ps, _, cv = front_half(jets, pts, errors)
         is_scalar, K, max_resid, failing = scalar_from_curvature(ps, cv, pts, errors)
     failing = None if failing is None else grid[failing]
     return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)

@@ -38,8 +38,7 @@ functions, ``eval_jet``, ``spray.pq_jets`` and the packs built on the jets)
 run under numpy's ``errstate``, so overflow in a failing column is not
 warned about; called without ``errors``, they raise the first failing
 point's error (``batched``).  A scan in grid order that stops early raises
-only the errors up to its stop (``raise_first``).  ``cell_rows`` hands the
-points of a grid the jets and errors of the cells (r, s) they share.
+only the errors up to its stop (``raise_first``).
 
 ``Jet.derivatives`` reads the jets of partials of a jet, cut to a lower
 degree, in one gather; truncated arithmetic never propagates high-order
@@ -545,20 +544,6 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
         lambda: DomainError(f"non-finite jet coefficient in {to_string(e)}"),
     )
     return out
-
-
-def cell_rows(jets: Jet, cell_errors: dict, index: np.ndarray | None, errors: dict) -> Jet:
-    """The jets at points from jets over cells, index the cell of each point (None:
-    each point is its own cell, and jets are its jets).  A point whose cell failed
-    gets that cell's error in cell_errors, unless it has one."""
-    if index is None:
-        for k in sorted(cell_errors):
-            errors.setdefault(k, cell_errors[k])
-        return jets
-    for row, k in enumerate(index.ravel().tolist() if cell_errors else ()):
-        if k in cell_errors and row not in errors:
-            errors[row] = cell_errors[k]
-    return _take(jets, index)
 
 
 # -- finite-difference oracle ----------------------------------------------

@@ -3,7 +3,10 @@ metrizability residuals, at one point or a batch (see ``geometry``).
 
 P and Q are built as jet-valued expressions out of the phi jet, so their
 partials come from the same truncated-Taylor engine rather than from a
-separate symbolic differentiation of the closed formulas.
+separate symbolic differentiation of the closed formulas.  ``spray_half``,
+``pq_from_phi`` and ``candidate_spray`` take one jet per expression and the
+points it was taken at; P, Q and their partials depend on (r, s) alone, so a
+caller whose points share (r, s) can run them once per pair and copy the rows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .geometry import (
     outer,
     phi_scalars,
 )
-from .jet import Jet, batched, cell_rows, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
+from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
 class SprayPack(NamedTuple):
@@ -115,40 +118,26 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     return p, q
 
 
-def spray_half(jets: Jet, cells: tuple, jet: Jet, p: EvalPoint, errors: dict) -> tuple:
+def spray_half(jet: Jet, p: EvalPoint, errors: dict) -> tuple:
     """(ps, sp): phi's guarded scalars and spray at the points p, from phi's jets
-    at cells (r, s, index: each point's cell, None where each point is its own)
-    and phi's jets jet at the points; errors holds their jet failures.  P and Q
-    are taken once per cell.  First failure wins: jet, phi <= 0, P/Q."""
-    r, s, index = cells
+    jet there; errors holds their jet failures.  First failure wins: jet, phi <= 0,
+    P/Q."""
     ps = _positive_scalars(jet, p, errors)  # the one read of phi's scalars; the packs take them
-    pq = pq_jets(jets, r, s, errors=(pq_errors := {}))
-    return ps, spray_pack_from_jets(*(cell_rows(j, pq_errors, index, errors) for j in pq), p)
-
-
-def _own_cells(p: EvalPoint) -> tuple:
-    """The cells of ``spray_half`` where each point of p is its own cell."""
-    return p.r, p.s, None
+    return ps, spray_pack_from_jets(*pq_jets(jet, p.r, p.s, errors=errors), p)
 
 
 @batched
 def pq_from_phi(jet: Jet, p: EvalPoint, *, errors: dict) -> SprayPack:
     """Spray data of the metric F = u phi at the points p.  A point fails
     where phi <= 0 and where its P/Q jets fail."""
-    return spray_half(jet, _own_cells(p), jet, p, errors)[1]
+    return spray_half(jet, p, errors)[1]
 
 
 @batched
-def candidate_spray(
-    p_expr: Node, q_expr: Node, cells: tuple, p: EvalPoint, *, errors: dict
-) -> SprayPack:
-    """The spray of a candidate (P, Q) at the points p, from degree-2 jets at the
-    cells of ``spray_half``.  A point keeps its first failure: P's jet, Q's jet."""
-    r, s, index = cells
-    pq = []
-    for e in (p_expr, q_expr):
-        jets = eval_jet(e, r, s, degree=2, errors=(cell_errors := {}))
-        pq.append(cell_rows(jets, cell_errors, index, errors))
+def candidate_spray(p_expr: Node, q_expr: Node, p: EvalPoint, *, errors: dict) -> SprayPack:
+    """The spray of a candidate (P, Q) at the points p, from degree-2 jets.  A
+    point keeps its first failure: P's jet, Q's jet."""
+    pq = (eval_jet(e, p.r, p.s, degree=2, errors=errors) for e in (p_expr, q_expr))
     return spray_pack_from_jets(*pq, p)
 
 
@@ -193,4 +182,4 @@ def metrizability_residuals(
     jet: Jet, p_expr: Node, q_expr: Node, p: EvalPoint
 ) -> MetrizabilityResiduals:
     """C1/C2 residuals of a candidate spray (P, Q), as degree-2 jets, against phi."""
-    return metrizability_from_spray(jet, candidate_spray(p_expr, q_expr, _own_cells(p), p), p)
+    return metrizability_from_spray(jet, candidate_spray(p_expr, q_expr, p), p)

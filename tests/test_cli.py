@@ -365,10 +365,13 @@ def test_jet_overflow_prints_no_runtime_warning(
         (["check", "--dim", "3"], 1),
         # metrize reads no metric, and of the curvature only the compatibility step
         (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], 0),
+        # classify reads no metric either: its one front half runs at the cells
+        (["classify", "--dim", "3"], 0),
     ],
 )
 def test_each_pack_runs_once_per_run(args, metric_packs, monkeypatch, capsys, tmp_path):
-    # the packs are evaluated as columns: one call over all 30 points of the run
+    # the packs are evaluated as columns: the (r, s) stages in one call over the 15
+    # cells of the run, the metric pack in one call over its 30 points
     from finslerlab import curvature, geometry
 
     calls = {"metric_pack": [], "riemann_pack": [], "compatibility": []}
@@ -385,8 +388,10 @@ def test_each_pack_runs_once_per_run(args, metric_packs, monkeypatch, capsys, tm
     # metrize runs the compatibility step alone; the others through riemann_pack
     assert len(calls["riemann_pack"]) == (0 if args[0] == "metrize" else 1)
     assert len(calls["compatibility"]) == 1
-    for p in calls["metric_pack"] + calls["riemann_pack"] + calls["compatibility"]:
+    for p in calls["metric_pack"]:
         assert p.r.shape == (30,)
+    for p in calls["riemann_pack"] + calls["compatibility"]:
+        assert p.r.shape == (15,) and p.u.tolist() == [1.0] * 15
 
 
 @pytest.mark.parametrize(
@@ -474,35 +479,22 @@ def test_the_curvature_residual_scale_is_formed_once_per_run(args, monkeypatch, 
     assert calls == [5]
 
 
-@pytest.mark.parametrize("dim", ["2", "3"])
-def test_classify_hands_out_the_jets_of_each_point_four_times(dim, monkeypatch, capsys, tmp_path):
-    # the skip scan reads phi's jets; the curvature pass reads phi's, P's and Q's
-    from finslerlab import jet
-
-    calls = []
-    wrap_everywhere(monkeypatch, jet, "cell_rows", lambda *args: calls.append(1))
-    code, doc = run_json(["classify", "--phi", "1+0.3*s", "--dim", dim], capsys, tmp_path)
-    assert code == 0 and len(doc["points"]) == 30
-    assert len(calls) == 4
-
-
 @pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
 @pytest.mark.parametrize("phi", ["1+0.3*s", "ln(s+0.5)+2"])
 def test_one_u_value_gives_each_point_its_own_jets(sub, phi, monkeypatch, capsys, tmp_path):
-    # with one u value each point is its own cell, and run hands it its jets
-    # without an index; the report is that of the same u twice, at every other point
-    from finslerlab import jet
+    # with one u value each point is its own cell, and its packs are the cells'
+    # columns, uncopied; the report is that of the same u twice, at every other point
+    from finslerlab import geometry
 
-    indices = []
-    wrap_everywhere(monkeypatch, jet, "cell_rows", lambda *args: indices.append(args[2]))  # index
+    guarded, packed = [], []
+    wrap_everywhere(monkeypatch, geometry, "_fail_nonpositive", lambda ps, *a: guarded.append(ps))
+    wrap_everywhere(monkeypatch, geometry, "metric_pack", lambda ps, *a, **k: packed.append(ps))
     args = [sub, "--phi", phi, "--dim", "3", "--rotate", "--r=0.5:1.5:3", "--s-frac=-0.7:0.7:5"]
     args += ["--p", "0.3/(2*(1+0.3*s))", "--q", "0"] if sub == "metrize" else []
     code, one = run_json([*args, "--u=1.5:1.5:1"], capsys, tmp_path)
-    assert indices and indices[0] is None
-    assert all(index is None for index in indices) == (sub != "classify")
-    indices.clear()
+    if sub in ("report", "check"):
+        assert len(packed) == 1 and packed[0].phi is guarded[0].phi
     two_code, two = run_json([*args, "--u=1.5:1.5:2"], capsys, tmp_path)
-    assert all(index is not None for index in indices)
     assert (code, one["verdicts"], one["checks"]) == (two_code, two["verdicts"], two["checks"])
     assert one["points"] == two["points"][::2] and one["skipped"] == two["skipped"][::2]
     assert len(two["points"]) == 2 * len(one["points"])
@@ -612,7 +604,7 @@ def hexes(values) -> list[str]:
 
 @pytest.mark.parametrize("phi, dim", [(FLAT, 3), ("sqrt(1+s^2)", 2)])
 def test_library_and_cli_agree_bit_for_bit(phi, dim, capsys, tmp_path):
-    # the library's one-cell-per-point front half gives the bits of the CLI's per-cell one
+    # the library's front half at the points gives the bits of the CLI's at the cells
     from finslerlab import EvalPoint, eval_jet, parse, pq_from_phi, scalar_classify
 
     batch = cli_grid(dim)
@@ -1277,6 +1269,25 @@ def test_cells_the_embedding_rejects_are_skips_in_grid_order(sub, capsys, tmp_pa
     if sub == "classify":
         assert doc["verdicts"]["degeneracy"] == "nondegenerate"
         assert all(math.isfinite(p["K"]) for p in doc["points"])
+
+
+@pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_a_cell_whose_own_point_the_embedding_rejects_serves_its_other_points(
+    sub, dim, capsys, tmp_path
+):
+    # the cells are the points of the first u value, and u = -1 fails the embedding
+    # there; the points of u = 1 read the cells' (r, s) stages all the same
+    args = [sub, "--phi", FLAT, "--dim", dim]
+    args += ["--p", "-s/r^2 - 3*sqrt(r^2-s^2)/(4*r^2)", "--q", "0"] if sub == "metrize" else []
+    code, doc = run_json([*args, "--u=-1:1:2"], capsys, tmp_path)
+    one_code, one = run_json([*args, "--u=1:1:1"], capsys, tmp_path)
+    assert len(doc["points"]) == 15 and len(doc["skipped"]) == 15
+    assert (code, doc["points"], doc["verdicts"]) == (one_code, one["points"], one["verdicts"])
+    assert doc["checks"] == one["checks"] and bool(doc["checks"]) == (sub == "check")
+    for point, skip in zip(one["points"], doc["skipped"]):
+        reason = f"r and u must be positive, got r={point['r']}, u=-1.0"
+        assert skip == {"r": point["r"], "s": point["s"], "u": -1.0, "reason": reason}
 
 
 def test_metrize_reads_the_candidate_spray_at_degree_2(capsys, tmp_path):

@@ -4,11 +4,14 @@
 
 Runs one fixed corpus of ``finsler-lab`` calls through ``finslerlab.cli.main``
 on the tree of the git revision REV (unpacked from ``git archive`` into a
-temporary directory) and on the working tree, one subprocess each.  Every
-call writes its report with ``--json``.  For each call the exit code,
-stdout, stderr and the report's bytes must be identical.  Prints the number
-of calls per exit code and every differing call (the first 20), and exits 1
-on any difference.  Everything it writes goes to a temporary directory.
+temporary directory) and on the working tree, one subprocess each, both with
+numpy's RuntimeWarnings raised as errors (``-W error::RuntimeWarning``).
+Every call writes its report with ``--json``.  For each call the exit code,
+stdout, stderr and the report's bytes must be identical, and no call on the
+working tree may end in a traceback (an exception out of ``cli.main``).
+Prints the number of calls per exit code, every call that raised and every
+differing call (the first 20 of each), and exits 1 on any of them.
+Everything it writes goes to a temporary directory.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def start(src: Path, workdir: Path, calls: list) -> subprocess.Popen:
     """The worker over calls, importing finslerlab from src, in workdir."""
     workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-c", WORKER, "results.pickle"]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", WORKER, "results.pickle"]
     proc = subprocess.Popen(argv, cwd=workdir, env=env, stdin=subprocess.PIPE)
     proc.stdin.write(pickle.dumps(calls))
     proc.stdin.close()
@@ -157,10 +160,16 @@ def main(argv: list[str] | None = None) -> int:
 
     codes = collections.Counter(str(code) for code, *_ in got)
     print(f"{len(calls)} calls against {args.rev}; exit codes: {dict(sorted(codes.items()))}")
+    raised = [k for k in range(len(calls)) if str(got[k][0]).startswith("raised ")]
+    if raised:
+        print(f"{len(raised)} calls raised" + ("; the first 20:" if len(raised) > 20 else ":"))
+    for k in raised[:20]:
+        print(f"  finsler-lab {' '.join(calls[k])}")
+        print(f"    {got[k][0]}")
     differ = [k for k in range(len(calls)) if want[k] != got[k]]
     if not differ:
         print("exit codes, stdout, stderr and report bytes identical in every call")
-        return 0
+        return 1 if raised else 0
     fields = ("exit code", "stdout", "stderr", "report")
     print(f"{len(differ)} calls differ" + ("; the first 20:" if len(differ) > 20 else ":"))
     for k in differ[:20]:
