@@ -10,13 +10,9 @@ kills the D = t + (r^2 - s^2)*phi_ss factor (type B). Anything that avoids
 both factors vanishing is usable as a metric.
 """
 
-from finslerlab import (
-    canonical_point,
-    degeneracy_classify,
-    eval_jet,
-    metric_pack,
-    parse,
-)
+import numpy as np
+
+from finslerlab import canonical_point, classify, eval_jet, metric_pack, parse
 
 CANDIDATES = [
     "3*s",
@@ -30,18 +26,14 @@ CANDIDATES = [
 
 def main():
     # s kept positive so every candidate phi is positive on the grid
-    grid = [
-        canonical_point(3, r, frac * r, 1.0)
-        for r in (0.7, 1.0, 1.3)
-        for frac in (0.2, 0.4, 0.6)
-    ]
+    r, frac = (a.ravel() for a in np.meshgrid((0.7, 1.0, 1.3), (0.2, 0.4, 0.6), indexing="ij"))
+    grid = canonical_point(3, r, frac * r, np.ones(r.size))
     for text in CANDIDATES:
         e = parse(text)
-        verdict = degeneracy_classify(e, grid)
-        dets = [
-            abs(metric_pack(eval_jet(e, p.r, p.s), p).det_direct) for p in grid
-        ]
-        print(f"{text:45s} {verdict.value:16s} max |det g| = {max(dets):.2e}")
+        # classify gives all its verdicts from one evaluation pass; this screen reads one
+        verdicts, _ = classify(e, grid)
+        det = metric_pack(eval_jet(e, grid.r, grid.s), grid).det_direct
+        print(f"{text:45s} {verdicts['degeneracy']:16s} max |det g| = {np.abs(det).max():.2e}")
 
 
 if __name__ == "__main__":

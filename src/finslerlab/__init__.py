@@ -3,10 +3,9 @@ F = |y| phi(|x|, <x, y>/|y|), driven by degree-4 Taylor-jet arithmetic."""
 
 from .curvature import (
     CurvaturePack,
-    ScalarCurvatureReport,
+    classify,
     flag_curvature,
     riemann_pack,
-    scalar_classify,
 )
 from .expr import DomainError, ParseError, eval_value, parse, to_string
 from .geometry import (
@@ -17,7 +16,6 @@ from .geometry import (
     MetricPack,
     canonical_point,
     cartan_pack,
-    degeneracy_classify,
     metric_pack,
     random_rotation,
 )
@@ -35,7 +33,6 @@ from .surface import (
     MainScalarPack,
     berwald_frame,
     main_scalar,
-    riemannian_test,
 )
 
 __version__ = "0.1.0"
@@ -53,12 +50,11 @@ __all__ = [
     "MetricPack",
     "MetrizabilityResiduals",
     "ParseError",
-    "ScalarCurvatureReport",
     "SprayPack",
     "berwald_frame",
     "canonical_point",
     "cartan_pack",
-    "degeneracy_classify",
+    "classify",
     "eval_jet",
     "eval_value",
     "fd_partials",
@@ -72,7 +68,5 @@ __all__ = [
     "pq_from_phi",
     "random_rotation",
     "riemann_pack",
-    "riemannian_test",
-    "scalar_classify",
     "to_string",
 ]

@@ -19,16 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .curvature import compatibility, flag_curvature, front_half, scalar_from_curvature
+from .curvature import classify_from_curvature, compatibility, flag_curvature, front_half
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
-    GeometryError,
     _ell_lo,
     _require_grid,
     canonical_point,
     cartan_pack,
-    degeneracy_from_scalars,
     lift,
     metric_pack,
     outer,
@@ -37,7 +35,7 @@ from .geometry import (
 from .jet import DEGREE, Jet, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
 from .spray import _horizontal_residual, candidate_spray, metrizability_from_spray
-from .surface import main_scalar, riemannian_from_scalars
+from .surface import main_scalar
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
@@ -170,30 +168,12 @@ def _metrize(jet: Jet, p_ast, q_ast, cells: EvalPoint, p: EvalPoint, index, erro
     return dict(zip(("C1", "C2", "C3", "pass"), _spread(cell, cell_errors, p, index, errors)))
 
 
-def _classify(jet: Jet, cells: EvalPoint, p: EvalPoint, index, verdicts: dict) -> dict:
-    """The verdicts on the points p, whose cells are index (``_spread``), into
-    verdicts, and the columns r, s, u and K of the K samples.  Each classifier scans
-    the points in order; a failed one's verdict is None, as is each on fewer than 8
-    points.  Of the front half's failures, the scalar test sees all, the Riemannian
-    test phi <= 0 only and the degeneracy screen none."""
+def _classify(jet: Jet, cells: EvalPoint, p: EvalPoint, index) -> tuple[dict, dict]:
+    """``classify`` at the points p, whose cells are index (``_spread``): the front
+    half runs at the cells, from phi's jets jet there, whose failures are skips."""
     ps, _, cv = front_half(jet, cells, (cell_errors := {}))
     ps, cv = _spread((ps, cv), cell_errors, p, index, (errors := {}))
-    K = np.empty(0)  # no samples if the scalar test fails
-    try:
-        is_scalar, K, max_resid, _ = scalar_from_curvature(ps, cv, p, errors)
-        verdicts.update(is_scalar=is_scalar, max_R3_residual=max_resid)
-    except (ArithmeticError, GeometryError) as exc:
-        verdicts.update(is_scalar=None, scalar_error=str(exc))
-    try:
-        verdicts["degeneracy"] = degeneracy_from_scalars(ps, {}).value
-    except (ArithmeticError, GeometryError) as exc:
-        verdicts.update(degeneracy=None, degeneracy_error=str(exc))
-    if p.n == 2:
-        try:
-            verdicts["riemannian"] = riemannian_from_scalars(ps, p, {})
-        except (ArithmeticError, GeometryError) as exc:
-            verdicts.update(riemannian=None, riemannian_error=str(exc))
-    return {"r": p.r[: len(K)], "s": p.s[: len(K)], "u": p.u[: len(K)], "K": K}
+    return classify_from_curvature(ps, cv, p, errors, {})
 
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
@@ -261,7 +241,8 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
 
     if cfg.subcommand == "classify":
         points = EvalPoint(cfg.dim, *(v[kept] for v in batch[1:]))
-        doc["points"] = Records(_classify(jet, cells, points, kept // nu, doc["verdicts"]))
+        doc["verdicts"], samples = _classify(jet, cells, points, kept // nu)
+        doc["points"] = Records(samples)
         return doc, 0
 
     points = {"r": batch.r, "s": batch.s, "u": batch.u, **columns}

@@ -1,6 +1,6 @@
 """Riemann curvature scalars R1-R5, the Jacobi endomorphism matrix, the
-compatibility residual C3, and the scalar-flag-curvature verdict on phi's
-scalars and the curvature pack, at one point or a batch (see ``geometry``).
+compatibility residual C3, at one point or a batch (see ``geometry``), and
+``classify``, the paper's verdicts on phi over a batch from one evaluation pass.
 ``front_half(jet, p, errors)`` runs the spray half and the curvature pack on
 one phi jet and the points p it was taken at; its scalars depend on (r, s)
 alone, and only the matrix ``Rmat``, formed on read, reads u, x and y."""
@@ -14,15 +14,18 @@ import numpy as np
 from .expr import Node
 from .geometry import (
     EvalPoint,
+    GeometryError,
     PhiScalars,
     _ell_lo,
     _require_grid,
+    degeneracy_from_scalars,
     lift,
     outer,
     residual_scale,
 )
 from .jet import Jet, eval_jet, fail_nonfinite, first_true, raise_first
 from .spray import SprayPack, spray_half
+from .surface import riemannian_from_scalars
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
@@ -72,8 +75,7 @@ def compatibility(sp: SprayPack, jet: Jet, p: EvalPoint) -> tuple:
     """R1, R3, R5 and the compatibility residual C3 = phi_s R1 + (s phi
     + (r^2-s^2) phi_s) R3 + phi R5 at the points p: phi is read through
     ``Jet.partial`` to first order, so a degree-1 phi jet suffices."""
-    r, s = p.r, p.s
-    w = r * r - s * s
+    r, s, w = p.r, p.s, p.w
     P, P_r, P_s, P_ss, P_rs = sp.P, sp.P_r, sp.P_s, sp.P_ss, sp.P_rs
     Q, Q_r, Q_s, Q_ss, Q_rs = sp.Q, sp.Q_r, sp.Q_s, sp.Q_ss, sp.Q_rs
     R1 = 2 * Q - (s / r) * P_r - P_s + 2 * w * P_s * Q + P * P + 2 * s * P * Q
@@ -110,8 +112,7 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
     identity values feed the matrix; a disagreement beyond
     IDENTITY_MISMATCH_TOL * scale sets ``identity_mismatch``.
     """
-    r, s = p.r, p.s
-    w = r * r - s * s
+    r, s, w = p.r, p.s, p.w
     P, P_r, P_s, P_ss, P_rs = sp.P, sp.P_r, sp.P_s, sp.P_ss, sp.P_rs
     Q, Q_r, Q_s, Q_ss, Q_rs = sp.Q, sp.Q_r, sp.Q_s, sp.Q_ss, sp.Q_rs
     R1, R3, R5, C3 = compatibility(sp, jet, p)
@@ -174,44 +175,58 @@ def flag_curvature(cp: CurvaturePack, phi: float, p: EvalPoint) -> float:
     For n >= 3 scalar metrics R3 vanishes and this reduces to R1 / phi^2;
     for surfaces the R3 term is essential.
     """
-    return (cp.R1 + (p.r * p.r - p.s * p.s) * cp.R3) / (phi * phi)
+    return (cp.R1 + p.w * cp.R3) / (phi * phi)
 
 
-class ScalarCurvatureReport(NamedTuple):
-    is_scalar: bool
-    K_samples: list[tuple[EvalPoint, float]]
-    max_R3_residual: float
-    n: int
-    failing_point: EvalPoint | None = None
-
-
-def scalar_classify(phi: Node, grid: list[EvalPoint]) -> ScalarCurvatureReport:
-    """Decide scalar flag curvature over a grid and extract K = R1 / phi^2.
-
-    Dimension two is unconditionally scalar.  For n >= 3 the verdict
-    requires R3 ~ 0 at every point, and the reconstruction
-    R^i_j = K F^2 (d^i_j - (y^i / F) dF/dy_j) is verified entrywise.  The
-    points are taken in grid order: the first failed reconstruction ends
-    the sampling, and a point before it whose jets, phi > 0 guard or K fail
-    raises its error.
-    """
-    _require_grid(grid)
-    pts = EvalPoint.stack(grid)
+def classify(phi: Node, p: EvalPoint) -> tuple[dict, dict]:
+    """(verdicts, samples): the paper's verdicts on phi over the points p, a batch
+    of shape (N,), from one ``eval_jet`` and one ``front_half``.  verdicts holds
+    is_scalar and max_R3_residual, degeneracy (a ``Degeneracy`` value) and, for
+    n = 2, riemannian; a test that fails, as each does on fewer than 8 points,
+    gives None with its error under scalar_error, degeneracy_error or
+    riemannian_error.  samples holds the columns r, s, u and K of the points the
+    scalar test sampled.  Each test scans the points in order, and each sees the
+    failures of phi's jets (see ``classify_from_curvature``)."""
     with np.errstate(all="ignore"):
-        jets = eval_jet(phi, pts.r, pts.s, errors=(errors := {}))
-        ps, _, cv = front_half(jets, pts, errors)
-        is_scalar, K, max_resid, failing = scalar_from_curvature(ps, cv, pts, errors)
-    failing = None if failing is None else grid[failing]
-    return ScalarCurvatureReport(is_scalar, list(zip(grid, K.tolist())), max_resid, pts.n, failing)
+        jet = eval_jet(phi, p.r, p.s, errors=(jet_errors := {}))
+        ps, _, cv = front_half(jet, p, (errors := dict(jet_errors)))
+        return classify_from_curvature(ps, cv, p, errors, jet_errors)
+
+
+def classify_from_curvature(
+    ps: PhiScalars, cv: CurvaturePack, p: EvalPoint, errors: dict, jet_errors: dict
+) -> tuple[dict, dict]:
+    """``classify`` from phi's guarded scalars ps and the curvature pack cv at the
+    points p, under the caller's ``np.errstate``: errors holds the points' failures
+    up to the front half's, jet_errors those of phi's jets alone.  Of the front
+    half's failures, the scalar test sees all, the Riemannian test phi <= 0 only
+    and the degeneracy screen none."""
+    verdicts, K = {}, np.empty(0)  # no samples if the scalar test fails
+    for name in ("scalar", "degeneracy", "riemannian")[: 3 if p.n == 2 else 2]:
+        key = "is_scalar" if name == "scalar" else name
+        try:
+            _require_grid(ps.phi)  # the one size rule of all three tests
+            if name == "scalar":
+                is_scalar, K, max_resid = scalar_from_curvature(ps, cv, p, errors)
+                verdicts.update(is_scalar=is_scalar, max_R3_residual=max_resid)
+            elif name == "degeneracy":
+                verdicts[key] = degeneracy_from_scalars(ps, dict(jet_errors)).value
+            else:
+                verdicts[key] = riemannian_from_scalars(ps, p, dict(jet_errors))
+        except (ArithmeticError, GeometryError) as exc:
+            verdicts.update({key: None, f"{name}_error": str(exc)})
+    return verdicts, {"r": p.r[: len(K)], "s": p.s[: len(K)], "u": p.u[: len(K)], "K": K}
 
 
 def scalar_from_curvature(
     ps: PhiScalars, cv: CurvaturePack, p: EvalPoint, errors: dict
-) -> tuple[bool, np.ndarray, float, int | None]:
-    """``scalar_classify`` at the points p, from phi's scalars and the
-    curvature pack there, whose earlier failures are in errors: the verdict,
-    K at the sampled points, the largest R3 residual, the failing index."""
-    _require_grid(ps.phi)
+) -> tuple[bool, np.ndarray, float]:
+    """(verdict, K at the sampled points, largest R3 residual) of the scalar flag
+    curvature test at the points p, from phi's scalars and the curvature pack there,
+    whose earlier failures are in errors.  n = 2 is always scalar; n >= 3 needs R3 ~ 0,
+    and R^i_j = K F^2 (d^i_j - (y^i / F) dF/dy_j) is checked entrywise.  The first
+    failed reconstruction ends the sampling; a point before it that failed, or whose
+    K fails, raises its error."""
     K = flag_curvature(cv, ps.phi, p)
     fail_nonfinite(errors, {"K": K})
     resid = np.abs(cv.R3) / cv.scale
@@ -227,6 +242,4 @@ def scalar_from_curvature(
     # a NaN residual never raised the running maximum
     seen = np.where(np.isnan(resid[:end]), 0.0, resid[:end])
     max_resid = float(seen.max())
-    is_scalar = stop is None and (p.n == 2 or max_resid < SCALAR_TOL)
-    failing = int(seen.argmax()) if stop is None else stop
-    return is_scalar, K[:end], max_resid, None if is_scalar else failing
+    return stop is None and (p.n == 2 or max_resid < SCALAR_TOL), K[:end], max_resid

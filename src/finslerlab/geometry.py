@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Node
-from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, first_true, raise_first
+from .jet import Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
 
 # Points closer to the |s| = r cone than this relative margin are rejected;
 # the inverse-metric scalars blow up there.
@@ -47,14 +46,10 @@ class EvalPoint(NamedTuple):
     x: np.ndarray
     y: np.ndarray
 
-    @classmethod
-    def stack(cls, points: list["EvalPoint"]) -> "EvalPoint":
-        """The batch of the one-point EvalPoints, in order."""
-        dims = {p.n for p in points}
-        if len(dims) != 1:
-            raise GeometryError(f"mixed dimensions in grid: {sorted(dims)}")
-        columns = (np.array([getattr(p, k) for p in points], dtype=float) for k in "rsuxy")
-        return cls(dims.pop(), *columns)
+    @property
+    def w(self) -> float | np.ndarray:
+        """r^2 - s^2, formed on each read."""
+        return self.r * self.r - self.s * self.s
 
 
 @batched
@@ -125,16 +120,16 @@ _PHI_A, _PHI_B = [0, 1, 0, 0, 1, 0], [0, 0, 1, 2, 1, 3]
 _PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 6.0])
 
 
-def phi_scalars(jet: Jet | PhiScalars, r, s) -> PhiScalars:
-    """The PhiScalars of phi's jet at the points (r, s); scalars already
-    read are returned unchanged, so a pack takes phi's jet or its scalars."""
+def phi_scalars(jet: Jet | PhiScalars, p: EvalPoint) -> PhiScalars:
+    """The PhiScalars of phi's jet at the points p; scalars already read are
+    returned unchanged, so a pack takes phi's jet or its scalars."""
     if isinstance(jet, PhiScalars):
         return jet
     if jet.degree < 3:
         raise ValueError(f"phi_scalars reads partials up to degree 3, jet has degree {jet.degree}")
     c = jet.c[_PHI_A, _PHI_B]  # the six coefficients, in one gather
     phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss = c * lift(_PHI_W, c.ndim - 1)
-    w = r * r - s * s
+    s, w = p.s, p.w
     t = phi - s * phi_s
     d = t + w * phi_ss
     mu = phi * phi_s - s * (phi_s * phi_s) - s * phi * phi_ss
@@ -155,7 +150,7 @@ def _positive_scalars(jet: Jet | PhiScalars, p: EvalPoint, errors: dict) -> PhiS
     shares the errors of the call that guarded them."""
     if isinstance(jet, _Guarded):
         return jet
-    ps = phi_scalars(jet, p.r, p.s)
+    ps = phi_scalars(jet, p)
     _fail_nonpositive(ps, p, errors)
     return _Guarded(*ps)
 
@@ -212,7 +207,7 @@ def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     return lift(ps.phi / p.u) * p.y + lift(ps.phi_s) * _n_lo(p)
 
 
-def _require_grid(grid: list | np.ndarray) -> None:
+def _require_grid(grid: np.ndarray) -> None:
     if len(grid) < 8:
         raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
 
@@ -346,27 +341,12 @@ class Degeneracy(enum.Enum):
     DEGENERATE_TYPE_B = "degenerate_type_b"
 
 
-def degeneracy_classify(phi: Node, grid: list[EvalPoint]) -> Degeneracy:
-    """Screen phi for the two degenerate families.
-
-    TYPE_A: phi - s phi_s vanishes on the whole grid (phi = f(r^2) s).
-    TYPE_B: phi - s phi_s + (r^2 - s^2) phi_ss vanishes on the whole grid
-            (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)).
-    Either family forces det(g) = 0.  The points are screened in grid
-    order: the first point that rules out both families decides, and a
-    point before it whose jet or values fail raises its error.
-    """
-    _require_grid(grid)
-    r, s = np.array([(p.r, p.s) for p in grid], dtype=float).T
-    with np.errstate(all="ignore"):
-        ps = phi_scalars(eval_jet(phi, r, s, errors=(errors := {})), r, s)
-        return degeneracy_from_scalars(ps, errors)
-
-
 def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> Degeneracy:
-    """``degeneracy_classify`` at the points of phi's scalars ps, whose
-    earlier failures are in errors."""
-    _require_grid(ps.phi)
+    """Screen phi's scalars ps, whose points' earlier failures are in errors, for
+    TYPE_A, t = 0 at every point (phi = f(r^2) s), and TYPE_B, d = 0 at every
+    point (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)); either forces det(g) = 0.
+    The first point, in order, that rules out both decides; a point before it
+    that failed, or whose values are not finite, raises its error."""
     scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
     fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
                             "phi - s phi_s + (r^2-s^2) phi_ss": d})

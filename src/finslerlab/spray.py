@@ -152,7 +152,7 @@ def horizontal_residual(jet: Jet | PhiScalars, sp: SprayPack, p: EvalPoint) -> n
     dF/dx^j = u (phi_r x_j / r + phi_s y_j / u)
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
-    return _horizontal_residual(phi_scalars(jet, p.r, p.s), sp.N, p)
+    return _horizontal_residual(phi_scalars(jet, p), sp.N, p)
 
 
 def _horizontal_residual(ps: PhiScalars, N: np.ndarray, p: EvalPoint) -> np.ndarray:
@@ -170,8 +170,7 @@ def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> Metrizabi
     C2 = phi_r / r - (P + Q_s (r^2-s^2)) phi_s - (P_s + s Q_s) phi
     """
     phi, phi_r, phi_s = jet.partial(0, 0), jet.partial(1, 0), jet.partial(0, 1)
-    r, s = p.r, p.s
-    w = r * r - s * s
+    r, s, w = p.r, p.s, p.w
     two_q = 2 * sp.Q - s * sp.Q_s
     c1 = (1 + s * sp.P - w * two_q) * phi_s + (s * sp.P_s - 2 * sp.P - s * two_q) * phi
     c2 = phi_r / r - (sp.P + sp.Q_s * w) * phi_s - (sp.P_s + s * sp.Q_s) * phi

@@ -2,7 +2,7 @@
 spherically symmetric Finsler surfaces (n = 2, positive-definite branch),
 at one point or a batch (see ``geometry``).  The frame and the main scalar
 take phi's jet or its ``PhiScalars``, and read the scalars once for all
-they build; the Riemannian test's column form takes the scalars.
+they build; the Riemannian test takes the scalars.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Node
 from .geometry import (
     CartanPack,
     EvalPoint,
@@ -21,13 +20,12 @@ from .geometry import (
     _ell_lo,
     _fail_nonpositive,
     _n_lo,
-    _require_grid,
     cartan_pack,
     lift,
     metric_pack,
     phi_scalars,
 )
-from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, first_true, raise_first
+from .jet import Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -61,7 +59,7 @@ def _frame(
     given, is p's metric pack)."""
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
-    ps = phi_scalars(jet, p.r, p.s)
+    ps = phi_scalars(jet, p)
     radicand = ps.phi * ps.d / ps.w
     fail_where(
         radicand <= 0,
@@ -110,7 +108,7 @@ def main_scalar(
     Direct: contraction of the full Cartan tensor with m^i.
     Points fail as in ``berwald_frame``.
     """
-    ps = phi_scalars(jet, p.r, p.s)
+    ps = phi_scalars(jet, p)
     frame, mp = _frame(ps, p, mp, errors)
     cp = cartan_pack(ps, p, errors=errors)
     A = mp.rho0 + p.s * mp.rho2 + p.r * p.r * mp.rho3
@@ -125,28 +123,12 @@ def main_scalar(
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=cp)
 
 
-def riemannian_test(phi: Node, grid: list[EvalPoint]) -> bool:
-    """True iff mu vanishes across the grid (the Riemannian criterion).
-
-    When mu vanishes, nu is checked too: d(mu)/ds = -s nu forces nu = 0,
-    so a nonzero nu flags an inconsistent evaluation.  A point whose jet,
-    phi > 0 guard, mu or nu fails raises its error, the first in grid
-    order; so does a non-finite phi^2 before the first point with a
-    nonzero mu, where the test stops.
-    """
-    _require_grid(grid)
-    pts = EvalPoint.stack(grid)
-    if pts.n != 2:
-        raise GeometryError(f"Riemannian test requires n = 2, got n = {pts.n}")
-    with np.errstate(all="ignore"):
-        ps = phi_scalars(eval_jet(phi, pts.r, pts.s, errors=(errors := {})), pts.r, pts.s)
-        return riemannian_from_scalars(ps, pts, errors)
-
-
 def riemannian_from_scalars(ps: PhiScalars, p: EvalPoint, errors: dict) -> bool:
-    """``riemannian_test`` at the surface points p, from phi's scalars ps
-    there, whose earlier failures are in errors."""
-    _require_grid(ps.phi)
+    """True iff mu vanishes at the surface points p (the Riemannian criterion), from
+    phi's scalars ps there, whose earlier failures are in errors.  d(mu)/ds = -s nu,
+    so a nonzero nu where mu vanishes raises as an inconsistent evaluation.  The
+    first point that failed, or whose phi > 0 guard, mu or nu fails, raises its
+    error; so does a non-finite phi^2 before the first nonzero mu, where it stops."""
     _fail_nonpositive(ps, p, errors)
     fail_nonfinite(errors, {"mu": ps.mu, "nu": ps.nu})
     raise_first(errors)

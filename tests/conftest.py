@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finslerlab import EvalPoint, Jet, canonical_point, eval_jet, parse, random_rotation
+from finslerlab import Jet, canonical_point, eval_jet, parse, random_rotation
 
 
 def make_grid(n, r_values, s_fracs, u_values=(1.0,)):
@@ -16,17 +16,21 @@ def make_grid(n, r_values, s_fracs, u_values=(1.0,)):
     ]
 
 
+def make_batch(n, r_values, s_fracs, u_values=(1.0,)):
+    """The points of ``make_grid`` as one batch, rows in the same order."""
+    axes = np.meshgrid(r_values, s_fracs, u_values, indexing="ij")
+    r, frac, u = (np.array(a, dtype=float).ravel() for a in axes)
+    return canonical_point(n, r, frac * r, u)
+
+
 def rotated_batch(text, n, seed=5):
     """A rotated grid of 24 points, one at a time and as one batch, with
     phi's jets: (points, batch, batched jet, one-point jets)."""
     rotation = random_rotation(n, np.random.default_rng(seed))
-    points = [
-        canonical_point(n, r, frac * r, u, rotation=rotation)
-        for r in (0.7, 1.1, 1.6)
-        for frac in (-0.6, 0.0, 0.35, 0.7)
-        for u in (0.8, 1.9)
-    ]
-    batch = EvalPoint.stack(points)
+    axes = np.meshgrid((0.7, 1.1, 1.6), (-0.6, 0.0, 0.35, 0.7), (0.8, 1.9), indexing="ij")
+    r, frac, u = (a.ravel() for a in axes)
+    batch = canonical_point(n, r, frac * r, u, rotation=rotation)
+    points = [canonical_point(n, *rsu, rotation=rotation) for rsu in zip(r, frac * r, u)]
     e = parse(text)
     return points, batch, eval_jet(e, batch.r, batch.s), [eval_jet(e, p.r, p.s) for p in points]
 

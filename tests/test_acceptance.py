@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES, make_grid, rel_close
+from conftest import ACCEPTANCE_LINES, make_batch, make_grid, rel_close
 
 from finslerlab import (
     Degeneracy,
     berwald_frame,
     cartan_pack,
-    degeneracy_classify,
+    classify,
     eval_jet,
     fd_partials,
     flag_curvature,
@@ -211,7 +211,9 @@ def test_criterion_degenerate_families():
                 mp = metric_pack(eval_jet(e, p.r, p.s), p)
                 scale = max(1.0, float(np.max(np.abs(mp.g))))
                 ok = ok and abs(mp.det_direct) < 1e-8 * scale**p.n
-            ok = ok and degeneracy_classify(e, grid) is verdict
+            for n, r_values in ((2, (0.7, 1.0, 1.4)), (3, (0.8, 1.2))):
+                verdicts, _ = classify(e, make_batch(n, r_values, fracs))
+                ok = ok and verdicts["degeneracy"] == verdict.value
     record("degenerate families: singular determinants and verdicts", ok)
 
 

@@ -569,22 +569,27 @@ def test_each_subcommand_runs_the_one_front_half(sub, dim, monkeypatch, capsys, 
     assert calls == {"front_half": [1], "pq_jets": [True], "riemann_pack": [True]}
 
 
-def test_scalar_classify_runs_the_one_front_half(monkeypatch):
-    from conftest import make_grid
-    from finslerlab import parse, scalar_classify
+@pytest.mark.parametrize("dim", [2, 3])
+def test_library_classify_runs_one_eval_jet_and_one_front_half(dim, monkeypatch):
+    from conftest import make_batch
+    from finslerlab import classify, parse
 
     calls = record_front_half_calls(monkeypatch)
-    report = scalar_classify(parse("1+0.3*s"), make_grid(3, (0.5, 1.0, 1.5), (-0.5, 0.0, 0.5)))
-    assert len(report.K_samples) == 9
+    evaluated = record_eval_jet_points(monkeypatch)
+    batch = make_batch(dim, (0.5, 1.0, 1.5), (-0.5, 0.0, 0.5))
+    verdicts, samples = classify(parse("1+0.3*s"), batch)
+    assert verdicts["is_scalar"] is True and len(samples["K"]) == 9
+    assert ("riemannian" in verdicts) is (dim == 2)
     assert calls == {"front_half": [1], "pq_jets": [True], "riemann_pack": [True]}
+    assert [rs for _, rs in evaluated] == [list(zip(batch.r.tolist(), batch.s.tolist()))]
 
 
 def test_pq_from_phi_takes_the_p_q_jets_once(monkeypatch):
-    from conftest import make_grid
-    from finslerlab import EvalPoint, eval_jet, parse, pq_from_phi
+    from conftest import make_batch
+    from finslerlab import eval_jet, parse, pq_from_phi
 
     calls = record_front_half_calls(monkeypatch)
-    batch = EvalPoint.stack(make_grid(2, (0.5, 1.0), (-0.5, 0.0, 0.5)))
+    batch = make_batch(2, (0.5, 1.0), (-0.5, 0.0, 0.5))
     pq_from_phi(eval_jet(parse("1+0.3*s"), batch.r, batch.s), batch)
     assert calls == {"front_half": [], "pq_jets": [False], "riemann_pack": []}
 
@@ -605,15 +610,13 @@ def hexes(values) -> list[str]:
 @pytest.mark.parametrize("phi, dim", [(FLAT, 3), ("sqrt(1+s^2)", 2)])
 def test_library_and_cli_agree_bit_for_bit(phi, dim, capsys, tmp_path):
     # the library's front half at the points gives the bits of the CLI's at the cells
-    from finslerlab import EvalPoint, eval_jet, parse, pq_from_phi, scalar_classify
+    from finslerlab import classify, eval_jet, parse, pq_from_phi
 
     batch = cli_grid(dim)
-    grid = [EvalPoint(dim, *(v[k] for v in batch[1:])) for k in range(30)]
-    code, classify = run_json(["classify", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
-    library = scalar_classify(parse(phi), grid)
-    assert code == 0 and classify["verdicts"]["is_scalar"] is library.is_scalar
-    K = [k for _, k in library.K_samples]
-    assert K and hexes(K) == hexes(p["K"] for p in classify["points"])
+    code, doc = run_json(["classify", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
+    verdicts, samples = classify(parse(phi), batch)
+    assert code == 0 and doc["verdicts"]["is_scalar"] is verdicts["is_scalar"]
+    assert len(samples["K"]) and hexes(samples["K"]) == hexes(p["K"] for p in doc["points"])
 
     code, report = run_json(["report", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
     assert code == 0 and len(report["points"]) == 30
@@ -1134,53 +1137,30 @@ def test_metrize_skips_points_whose_residuals_are_not_finite(
     ],
 )
 def test_classify_matches_the_public_classifiers(phi, dim, capsys, tmp_path):
-    # classify shares one evaluation pass among its classifiers; its verdicts,
-    # errors and K samples are those of the public classifiers on the points
-    # whose phi jets evaluate
-    from finslerlab import (
-        GeometryError,
-        canonical_point,
-        degeneracy_classify,
-        parse,
-        riemannian_test,
-        scalar_classify,
-    )
+    # the CLI runs the front half at the cells and spreads it to the points; the
+    # library's classify runs it at each point; both then run the same verdict code,
+    # and agree bit for bit on the points whose phi jets evaluate: the verdicts, their
+    # errors and the K samples
+    from finslerlab import canonical_point, classify, parse
 
     code, doc = run_json(["classify", "--phi", phi, "--dim", str(dim)], capsys, tmp_path)
     assert code == 0
     skipped = {(p["r"], p["s"], p["u"]) for p in doc["skipped"]}
-    grid = [
-        canonical_point(dim, r, frac * r, u)
+    kept = [
+        (r, frac * r, u)
         for r in parse_range("0.5:1.5:3")
         for frac in parse_range("-0.7:0.7:5")
         for u in parse_range("1:2:2")
         if (r, frac * r, u) not in skipped
     ]
-    e, verdicts = parse(phi), doc["verdicts"]
-
-    def outcome(classify):
-        try:
-            return classify(e, grid), None
-        except (ArithmeticError, GeometryError) as exc:
-            return None, str(exc)
-
-    report, error = outcome(scalar_classify)
-    assert verdicts.get("scalar_error") == error
-    if report is None:
-        assert verdicts["is_scalar"] is None and doc["points"] == []
-    else:
-        assert verdicts["is_scalar"] == report.is_scalar
-        assert verdicts["max_R3_residual"] == report.max_R3_residual
-        samples = [{"r": p.r, "s": p.s, "u": p.u, "K": K} for p, K in report.K_samples]
-        assert doc["points"] == samples
-    verdict, error = outcome(degeneracy_classify)
-    assert verdicts["degeneracy"] == (verdict and verdict.value)
-    assert verdicts.get("degeneracy_error") == error
-    if dim == 2:
-        verdict, error = outcome(riemannian_test)
-        assert verdicts["riemannian"] == verdict and verdicts.get("riemannian_error") == error
-    else:
-        assert "riemannian" not in verdicts
+    r, s, u = (np.array(v) for v in zip(*kept))
+    verdicts, samples = classify(parse(phi), canonical_point(dim, r, s, u))
+    assert doc["verdicts"] == verdicts
+    assert ("riemannian" in verdicts) is (dim == 2)
+    rows = zip(*(column.tolist() for column in samples.values()))
+    assert doc["points"] == [dict(zip(samples, row)) for row in rows]
+    if verdicts["is_scalar"] is None:
+        assert doc["points"] == []
 
 
 def test_classify_keeps_the_stage_order_of_errors(capsys, tmp_path):
@@ -1314,7 +1294,6 @@ def test_metrize_reads_phi_at_degree_1(capsys, tmp_path):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_metrize_matches_a_degree_4_reference_bit_for_bit(phi, dim):
     from finslerlab import (
-        EvalPoint,
         canonical_point,
         eval_jet,
         metrizability_from_spray,
@@ -1333,11 +1312,8 @@ def test_metrize_matches_a_degree_4_reference_bit_for_bit(phi, dim):
 
     # the reference: phi at degree 4, P/Q at degree 2, C3 from the whole riemann_pack
     rotation = random_rotation(dim, np.random.default_rng(7))
-    points = [
-        canonical_point(dim, r, frac * r, u, rotation=rotation)
-        for r, frac, u in itertools.product(*grid)
-    ]
-    batch, errors = EvalPoint.stack(points), {}
+    r, frac, u = (np.array(v) for v in zip(*itertools.product(*grid)))
+    batch, errors = canonical_point(dim, r, frac * r, u, rotation=rotation), {}
     with np.errstate(all="ignore"):
         jet = eval_jet(parse(phi), batch.r, batch.s, errors=errors)
         pj, qj = (eval_jet(parse(e), batch.r, batch.s, degree=2, errors=errors) for e in (p, q))
@@ -1345,9 +1321,9 @@ def test_metrize_matches_a_degree_4_reference_bit_for_bit(phi, dim):
         mr = metrizability_from_spray(jet, sp, batch)
         ref = {"C1": mr.C1, "C2": mr.C2, "C3": riemann_pack(sp, jet, batch).C3}
     finite = np.isfinite(np.stack(list(ref.values()))).all(axis=0)
-    kept = [k for k in range(len(points)) if k not in errors and finite[k]]
+    kept = [k for k in range(r.size) if k not in errors and finite[k]]
     assert [(rec["r"], rec["s"], rec["u"]) for rec in doc["points"]] == [
-        (points[k].r, points[k].s, points[k].u) for k in kept
+        (batch.r[k], batch.s[k], batch.u[k]) for k in kept
     ]
     for name, values in ref.items():
         got = np.array([rec[name] for rec in doc["points"]])

@@ -1,20 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import assert_row_matches, make_grid, rotated_batch
+from conftest import assert_row_matches, make_batch, make_grid, rotated_batch
 from finslerlab import (
     DomainError,
     GeometryError,
     canonical_point,
+    classify,
     eval_jet,
     flag_curvature,
     metric_pack,
     parse,
     pq_from_phi,
     riemann_pack,
-    scalar_classify,
 )
 
 EX45 = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
@@ -105,49 +106,46 @@ def test_two_dimensional_reconstruction(text):
 
 
 def test_scalar_classify_flat_surface():
-    grid = make_grid(2, (0.6, 1.0, 1.4), (-0.6, 0.0, 0.5))
-    report = scalar_classify(parse(EX45), grid)
-    assert report.is_scalar
-    assert report.n == 2
-    for _, K in report.K_samples:
-        assert abs(K) < 1e-10
+    verdicts, samples = classify(parse(EX45), make_batch(2, (0.6, 1.0, 1.4), (-0.6, 0.0, 0.5)))
+    assert verdicts["is_scalar"]
+    assert len(samples["K"]) == 9 and np.all(np.abs(samples["K"]) < 1e-10)
 
 
 def test_scalar_classify_riemannian_example():
-    grid = make_grid(2, (1.0,), (-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.5, 0.6))
-    report = scalar_classify(parse("sqrt(1+s^2)"), grid)
-    assert report.is_scalar
-    for _, K in report.K_samples:
+    batch = make_batch(2, (1.0,), (-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.5, 0.6))
+    verdicts, samples = classify(parse("sqrt(1+s^2)"), batch)
+    assert verdicts["is_scalar"] and len(samples["K"]) == 8
+    for K in samples["K"]:
         assert K == pytest.approx(0.25, rel=1e-9)  # 1/(1+r^2)^2 at r = 1
 
 
 def test_scalar_classify_flat_in_three_dimensions():
-    grid = make_grid(3, (0.7, 1.1, 1.5), (-0.5, 0.1, 0.6))
-    report = scalar_classify(parse("1"), grid)
-    assert report.is_scalar
-    for _, K in report.K_samples:
-        assert K == 0.0
+    verdicts, samples = classify(parse("1"), make_batch(3, (0.7, 1.1, 1.5), (-0.5, 0.1, 0.6)))
+    assert verdicts["is_scalar"] and "riemannian" not in verdicts
+    assert len(samples["K"]) == 9 and np.all(samples["K"] == 0.0)
 
 
 def test_scalar_classify_rejects_r3_in_three_dimensions():
     # the flat-surface metric has R3 != 0, so it is not of scalar
     # curvature once the dimension exceeds two
-    grid = make_grid(3, (0.7, 1.1, 1.5), (-0.5, 0.1, 0.6))
-    report = scalar_classify(parse(EX45), grid)
-    assert not report.is_scalar
-    assert report.max_R3_residual > 1e-3
-    assert report.failing_point is not None
-
-
-def test_scalar_classify_mixed_dimensions_rejected():
-    grid = make_grid(2, (0.8, 1.2), (-0.4, 0.4)) + make_grid(3, (0.8, 1.2), (-0.4, 0.4))
-    with pytest.raises(GeometryError):
-        scalar_classify(parse("1+s"), grid)
+    verdicts, _ = classify(parse(EX45), make_batch(3, (0.7, 1.1, 1.5), (-0.5, 0.1, 0.6)))
+    assert verdicts["is_scalar"] is False
+    assert verdicts["max_R3_residual"] > 1e-3
 
 
 def test_scalar_classify_grid_too_small():
-    with pytest.raises(GeometryError):
-        scalar_classify(parse("1+s"), make_grid(2, (1.0,), (0.2, 0.4)))
+    # the size rule is checked once and fails all three verdicts, with no K samples
+    verdicts, samples = classify(parse("1+s"), make_batch(2, (1.0,), (0.2, 0.4)))
+    error = "grid of >= 8 points required, got 2"
+    assert verdicts == {
+        "is_scalar": None,
+        "scalar_error": error,
+        "degeneracy": None,
+        "degeneracy_error": error,
+        "riemannian": None,
+        "riemannian_error": error,
+    }
+    assert all(len(column) == 0 for column in samples.values())
 
 
 @pytest.mark.parametrize(
@@ -159,10 +157,18 @@ def test_scalar_classify_grid_too_small():
 )
 def test_scalar_classify_raises_the_first_failing_points_error(text, error, match):
     # phi <= 0, or a jet outside its domain, at r = 1.5 only; the grid is evaluated
-    # in one batch, and the error surfaces when the loop reaches that point
+    # in one batch, and the scalar test gives the error of the first such point
     grid = make_grid(2, (1.2, 1.5), (-0.4, 0.0, 0.3, 0.6))
-    with pytest.raises(error, match=match):
-        scalar_classify(parse(text), grid)
+    verdicts, samples = classify(parse(text), make_batch(2, (1.2, 1.5), (-0.4, 0.0, 0.3, 0.6)))
+    alone = []  # the error each failing point raises on its own
+    for p in grid:
+        try:
+            curvature_at(text, p)
+        except error as exc:
+            alone.append(str(exc))
+    assert alone and re.search(match, alone[0])
+    assert verdicts["is_scalar"] is None and verdicts["scalar_error"] == alone[0]
+    assert len(samples["K"]) == 0
 
 
 @pytest.mark.parametrize("text", TEST_PHIS)
@@ -191,8 +197,8 @@ def test_scalar_classify_stops_at_the_first_failed_reconstruction(monkeypatch):
         return np.where(np.arange(np.size(K)) == 2, K + 1.0, K)
 
     monkeypatch.setattr(curvature, "flag_curvature", wrong_at_third_point)
-    grid = make_grid(2, (0.6, 1.0, 1.4), (-0.6, 0.0, 0.5))
-    report = scalar_classify(parse("sqrt(1+s^2)"), grid)
-    assert not report.is_scalar
-    assert [p for p, _ in report.K_samples] == grid[:3]
-    assert report.failing_point is grid[2]
+    batch = make_batch(2, (0.6, 1.0, 1.4), (-0.6, 0.0, 0.5))
+    verdicts, samples = classify(parse("sqrt(1+s^2)"), batch)
+    assert verdicts["is_scalar"] is False
+    for name in ("r", "s", "u"):
+        assert samples[name].tolist() == getattr(batch, name)[:3].tolist()

@@ -1,7 +1,9 @@
-"""Each narrative script in demos/ runs to completion, in a fresh interpreter
-and under the suite's warning rule: a numpy overflow warning fails it."""
+"""Each narrative script in demos/ and each Python block of the README runs to
+completion, in a fresh interpreter and under the suite's warning rule: a numpy
+overflow warning fails it."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,19 @@ def test_demo_runs(demo):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # the README's library examples run as written, each block in a fresh interpreter
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for block in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_row_matches, make_grid, rotated_batch, sympy_partial
+from conftest import assert_row_matches, make_batch, make_grid, rotated_batch, sympy_partial
 from finslerlab import (
     Degeneracy,
-    DomainError,
+    EvalPoint,
     GeometryError,
     berwald_frame,
     canonical_point,
     cartan_pack,
-    degeneracy_classify,
+    classify,
     eval_jet,
     horizontal_residual,
     main_scalar,
@@ -223,26 +223,30 @@ def test_cartan_symmetry_and_y_annihilation(text):
         assert np.max(np.abs(contracted)) < 1e-9 * max(1.0, np.max(np.abs(cp.C)))
 
 
+def degeneracy(text, batch):
+    """classify's degeneracy verdict and its error."""
+    verdicts, _ = classify(parse(text), batch)
+    return verdicts["degeneracy"], verdicts.get("degeneracy_error")
+
+
 def test_degeneracy_type_a():
-    grid = make_grid(2, (0.6, 0.9, 1.2, 1.5), (0.2, 0.5, 0.8), (1.0,))
-    assert degeneracy_classify(parse("3*s"), grid) is Degeneracy.DEGENERATE_TYPE_A
+    batch = make_batch(2, (0.6, 0.9, 1.2, 1.5), (0.2, 0.5, 0.8), (1.0,))
+    assert degeneracy("3*s", batch) == (Degeneracy.DEGENERATE_TYPE_A.value, None)
 
 
 def test_degeneracy_type_b():
-    grid = make_grid(2, (0.6, 0.9, 1.2, 1.5), (-0.5, 0.2, 0.7), (1.0,))
-    phi = parse("2*s + 0.5*sqrt(r^2-s^2)")
-    assert degeneracy_classify(phi, grid) is Degeneracy.DEGENERATE_TYPE_B
+    batch = make_batch(2, (0.6, 0.9, 1.2, 1.5), (-0.5, 0.2, 0.7), (1.0,))
+    assert degeneracy("2*s + 0.5*sqrt(r^2-s^2)", batch) == (Degeneracy.DEGENERATE_TYPE_B.value, None)
 
 
 def test_degeneracy_nondegenerate():
-    grid = make_grid(2, (0.6, 0.9, 1.2, 1.5), (-0.5, 0.2, 0.7), (1.0,))
-    assert degeneracy_classify(parse("1+s"), grid) is Degeneracy.NONDEGENERATE
+    batch = make_batch(2, (0.6, 0.9, 1.2, 1.5), (-0.5, 0.2, 0.7), (1.0,))
+    assert degeneracy("1+s", batch) == (Degeneracy.NONDEGENERATE.value, None)
 
 
 def test_degeneracy_grid_too_small():
-    grid = make_grid(2, (1.0,), (0.2, 0.5), (1.0,))
-    with pytest.raises(GeometryError):
-        degeneracy_classify(parse("1+s"), grid)
+    batch = make_batch(2, (1.0,), (0.2, 0.5), (1.0,))
+    assert degeneracy("1+s", batch) == (None, "grid of >= 8 points required, got 2")
 
 
 @pytest.mark.parametrize(
@@ -302,7 +306,7 @@ def test_packs_guard_a_jet_and_unguarded_scalars_but_not_guarded_ones():
 
     _, batch, jets, _ = rotated_batch("1+s^2-0.9*r", 3)
     for pack in (metric_pack, cartan_pack):
-        for phi in (jets, phi_scalars(jets, batch.r, batch.s)):
+        for phi in (jets, phi_scalars(jets, batch)):
             with pytest.raises(GeometryError, match="is not positive"):
                 pack(phi, batch)
     guarded = _positive_scalars(jets, batch, errors := {})
@@ -314,11 +318,11 @@ def test_packs_guard_a_jet_and_unguarded_scalars_but_not_guarded_ones():
 
 def test_degeneracy_raises_only_errors_before_the_deciding_point():
     # ln(1.4 - r) fails at r = 1.5; the points at r = 1.2 rule out both families
-    phi = parse("1 + s + ln(1.4 - r)")
-    grid = make_grid(2, (1.2, 1.5), (-0.5, 0.2, 0.7, 0.8))
-    assert degeneracy_classify(phi, grid) is Degeneracy.NONDEGENERATE
-    with pytest.raises(DomainError, match="ln of non-positive"):
-        degeneracy_classify(phi, grid[::-1])
+    phi = "1 + s + ln(1.4 - r)"
+    batch = make_batch(2, (1.2, 1.5), (-0.5, 0.2, 0.7, 0.8))
+    assert degeneracy(phi, batch) == (Degeneracy.NONDEGENERATE.value, None)
+    verdict, error = degeneracy(phi, EvalPoint(2, *(v[::-1] for v in batch[1:])))
+    assert verdict is None and error.startswith("ln of non-positive")
 
 
 # -- phi's scalars and the paper's factors, read once ------------------------
@@ -339,7 +343,7 @@ def test_phi_scalars_factors_match_their_formulas(text, r, s):
         "mu": [phi * phi_s, -s * phi_s * phi_s, -s * phi * phi_ss],
         "nu": [3 * phi_s * phi_ss, phi * phi_sss],
     }
-    ps = phi_scalars(eval_jet(parse(text), r, s), r, s)
+    ps = phi_scalars(eval_jet(parse(text), r, s), canonical_point(2, r, s, 1.0))
     for name, parts in terms.items():
         size = sum(map(abs, parts))
         assert getattr(ps, name) == pytest.approx(sum(parts), rel=1e-12, abs=1e-12 * size), name
@@ -363,8 +367,8 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("n", [2, 3])
 def test_packs_give_the_same_bits_from_phis_jet_and_from_its_scalars(text, n):
     _, p, jet, _ = rotated_batch(text, n)
-    ps = phi_scalars(jet, p.r, p.s)
-    assert phi_scalars(ps, p.r, p.s) is ps
+    ps = phi_scalars(jet, p)
+    assert phi_scalars(ps, p) is ps
     packs = [metric_pack, cartan_pack] + ([berwald_frame, main_scalar] if n == 2 else [])
     for pack in packs:
         from_jet, from_scalars = {}, {}

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_row_matches, make_grid, rotated_batch
+from conftest import assert_row_matches, make_batch, make_grid, rotated_batch
 from finslerlab import (
     GeometryError,
     berwald_frame,
     canonical_point,
     cartan_pack,
+    classify,
     eval_jet,
     main_scalar,
     metric_pack,
     parse,
-    riemannian_test,
 )
 
 EX45 = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
@@ -130,18 +130,25 @@ def test_main_scalar_two_routes_agree(text):
         assert abs(ms.I - ms.I_direct) < 1e-8 * max(1.0, abs(ms.I))
 
 
+def riemannian(text, batch):
+    """classify's Riemannian verdict and its error."""
+    verdicts, _ = classify(parse(text), batch)
+    return verdicts["riemannian"], verdicts.get("riemannian_error")
+
+
 def test_riemannian_criterion():
-    grid = make_grid(2, (0.7, 1.0, 1.3), (-0.5, 0.0, 0.6))
-    assert riemannian_test(parse("sqrt(1+s^2)"), grid)
-    assert riemannian_test(parse("sqrt(0.5*s^2 + r^2)"), grid)
-    assert not riemannian_test(parse("1+s"), grid)
+    batch = make_batch(2, (0.7, 1.0, 1.3), (-0.5, 0.0, 0.6))
+    assert riemannian("sqrt(1+s^2)", batch) == (True, None)
+    assert riemannian("sqrt(0.5*s^2 + r^2)", batch) == (True, None)
+    assert riemannian("1+s", batch) == (False, None)
 
 
 def test_riemannian_criterion_matches_main_scalar():
     grid = make_grid(2, (0.7, 1.0, 1.3), (-0.5, 0.0, 0.6))
+    batch = make_batch(2, (0.7, 1.0, 1.3), (-0.5, 0.0, 0.6))
     for text in REGULAR_PHIS + ["sqrt(0.5*s^2 + r^2)"]:
         e = parse(text)
-        verdict = riemannian_test(e, grid)
+        verdict, _ = riemannian(text, batch)
         max_I = max(
             abs(main_scalar(eval_jet(e, p.r, p.s), p).I) for p in grid
         )
@@ -149,10 +156,11 @@ def test_riemannian_criterion_matches_main_scalar():
 
 
 def test_riemannian_grid_preconditions():
-    with pytest.raises(GeometryError):
-        riemannian_test(parse("1+s"), make_grid(2, (1.0,), (0.2, 0.4)))
-    with pytest.raises(GeometryError):
-        riemannian_test(parse("1+s"), make_grid(3, (0.8, 1.2), (-0.4, 0.0, 0.3, 0.6)))
+    # too few points fail the verdict; off surfaces classify gives none
+    batch = make_batch(2, (1.0,), (0.2, 0.4))
+    assert riemannian("1+s", batch) == (None, "grid of >= 8 points required, got 2")
+    verdicts, _ = classify(parse("1+s"), make_batch(3, (0.8, 1.2), (-0.4, 0.0, 0.3, 0.6)))
+    assert not {"riemannian", "riemannian_error"} & verdicts.keys()
 
 
 @pytest.mark.parametrize("text", REGULAR_PHIS + [EX45])
