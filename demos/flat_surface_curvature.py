@@ -29,18 +29,15 @@ def main():
 
     header = f"{'r':>5} {'s':>6} {'P':>10} {'Q':>10} {'R1':>10} {'R3':>10} {'K':>12}"
     print(header)
-    for r in (0.6, 1.0, 1.5):
-        for frac in (-0.5, 0.0, 0.5):
-            s = frac * r
-            p = canonical_point(2, r, s, 1.0)
-            jet = eval_jet(e, r, s)
-            sp = pq_from_phi(jet, p)
-            cv = riemann_pack(sp, jet, p)
-            K = flag_curvature(cv, jet.partial(0, 0), p)
-            print(
-                f"{r:5.2f} {s:6.2f} {sp.P:10.5f} {sp.Q:10.5f}"
-                f" {cv.R1:10.5f} {cv.R3:10.5f} {K:12.2e}"
-            )
+    # the nine points as one batch: one evaluation pass for the whole table
+    r, frac = (a.ravel() for a in np.meshgrid((0.6, 1.0, 1.5), (-0.5, 0.0, 0.5), indexing="ij"))
+    p = canonical_point(2, r, frac * r, np.ones(r.size))
+    jet = eval_jet(e, p.r, p.s)
+    sp = pq_from_phi(jet, p)
+    cv = riemann_pack(sp, jet, p)
+    K = flag_curvature(cv, jet.partial(0, 0), p)
+    for r, s, P, Q, R1, R3, k in zip(p.r, p.s, sp.P, sp.Q, cv.R1, cv.R3, K):
+        print(f"{r:5.2f} {s:6.2f} {P:10.5f} {Q:10.5f} {R1:10.5f} {R3:10.5f} {k:12.2e}")
 
     # the Jacobi endomorphism annihilates y and its trace contracts to
     # (n-1) R1 + (r^2 - s^2) R3, both good smoke tests for the assembly

@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .jet import DEGREE, Jet, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
-from .spray import _horizontal_residual, candidate_spray, metrizability_from_spray
+from .spray import _horizontal_residual, c1_c2_test, candidate_spray, metrizability_from_spray
 from .surface import main_scalar
 
 DEFAULT_TOL_ABS = 1e-9
@@ -91,10 +91,10 @@ def _spread(cell: tuple, cell_errors: dict, p: EvalPoint, index, errors: dict) -
 
 def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
               with_checks: bool) -> tuple[dict, dict]:
-    """The report columns of the points p and, if asked, their identity-check
-    residuals, by name.  The front half and C1/C2 run at the cells, from phi's jets
-    jet there, and the metric, Cartan and frame packs at the points (``_spread``).
-    A point that fails a guard gets its error in errors."""
+    """The report columns of the points p and, if asked, their identity checks as one
+    table {name: (residual, scale)}.  The front half and C1/C2 run at the cells, from
+    phi's jets jet there, and the metric, Cartan and frame packs at the points
+    (``_spread``).  A point that fails a guard gets its error in errors."""
     ps, sp, cv = front_half(jet, cells, (cell_errors := {}))
     mr = metrizability_from_spray(jet, sp, cells)
     ps, sp, cv, mr = _spread((ps, sp, cv, mr), cell_errors, p, index, errors)
@@ -114,7 +114,7 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
         return columns, {}
 
     cp = ms.cartan if p.n == 2 else cartan_pack(ps, p, errors=errors)
-    phi0, u, w, eye = ps.phi, p.u, ps.w, np.eye(p.n)
+    phi0, u, w, eye = ps.phi, p.u, p.w, np.eye(p.n)
     Rmat, G, N = cv.Rmat, sp.G, sp.N  # each formed on read, and read twice
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
     contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * ps.d)
@@ -122,23 +122,23 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
     F2 = np.maximum(1.0, mp.F * mp.F)
     gy = np.einsum("...ij,...j->...i", mp.g, p.y)
     checks = {
-        "metric_inverse": _maxabs(mp.g @ mp.ginv - eye, 2),
-        "energy_homogeneity": ((p.y * gy).sum(-1) - mp.F * mp.F) / F2,
-        "euler_identity": _maxabs(gy - lift(mp.F) * _ell_lo(ps, p)) / F2,
-        "det_formula": (mp.det_direct - mp.det_formula) / np.maximum(1.0, np.abs(mp.det_formula)),
-        "rho_contractions": np.maximum(np.abs(contr1), np.abs(contr2)),
-        "cartan_y_annihilation": _maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2)
-        / np.maximum(1.0, _maxabs(cp.C, 3) * u),
-        "metrizability_C1_C2": np.maximum(np.abs(mr.C1), np.abs(mr.C2)) / np.maximum(1.0, phi0),
-        "horizontal_dhF": _maxabs(_horizontal_residual(ps, N, p)) / (u * np.maximum(1.0, phi0)),
-        "spray_homogeneity": _maxabs(np.einsum("...ij,...j->...i", N, p.y) - 2 * G)
-        / np.maximum(1.0, _maxabs(G)),
-        "curvature_C3": cv.C3 / (cv.scale * np.maximum(1.0, phi0)),
-        "identity_R2": cv.id_R2 / cv.scale,
-        "identity_R4": cv.id_R4 / cv.scale,
-        "jacobi_y_annihilation": _maxabs(np.einsum("...ij,...j->...i", Rmat, p.y))
-        / (cv.scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
-        "curvature_trace": trace / (cv.scale * u * u),
+        "metric_inverse": (_maxabs(mp.g @ mp.ginv - eye, 2), 1.0),
+        "energy_homogeneity": ((p.y * gy).sum(-1) - mp.F * mp.F, F2),
+        "euler_identity": (_maxabs(gy - lift(mp.F) * _ell_lo(ps, p)), F2),
+        "det_formula": (mp.det_direct - mp.det_formula, np.maximum(1.0, np.abs(mp.det_formula))),
+        "rho_contractions": (np.maximum(np.abs(contr1), np.abs(contr2)), 1.0),
+        "cartan_y_annihilation": (_maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2),
+                                  np.maximum(1.0, _maxabs(cp.C, 3) * u)),
+        "metrizability_C1_C2": c1_c2_test(mr, phi0),  # phi0 > 0 at every kept point
+        "horizontal_dhF": (_maxabs(_horizontal_residual(ps, N, p)), u * np.maximum(1.0, phi0)),
+        "spray_homogeneity": (_maxabs(np.einsum("...ij,...j->...i", N, p.y) - 2 * G),
+                              np.maximum(1.0, _maxabs(G))),
+        "curvature_C3": (cv.C3, cv.scale * np.maximum(1.0, phi0)),
+        "identity_R2": (cv.R1 + cv.R2 + p.s * cv.R5, cv.scale),
+        "identity_R4": (cv.R4 + p.s * cv.R3, cv.scale),
+        "jacobi_y_annihilation": (_maxabs(np.einsum("...ij,...j->...i", Rmat, p.y)),
+                                  cv.scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
+        "curvature_trace": (trace, cv.scale * u * u),
     }
     if p.n == 2:
         fr = ms.frame
@@ -148,11 +148,10 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
             (fr.ell_hi * fr.m_lo).sum(-1),
             (fr.m_hi * fr.m_lo).sum(-1) - 1.0,
         )
-        checks["frame_orthonormality"] = np.max(np.abs(orth), axis=0)
-        checks["frame_resolves_metric"] = (
-            _maxabs(mp.g - recon, 2) / np.maximum(1.0, _maxabs(mp.g, 2))
-        )
-        checks["main_scalar_two_routes"] = (ms.I - ms.I_direct) / np.maximum(1.0, np.abs(ms.I))
+        checks["frame_orthonormality"] = (np.max(np.abs(orth), axis=0), 1.0)
+        checks["frame_resolves_metric"] = (_maxabs(mp.g - recon, 2),
+                                           np.maximum(1.0, _maxabs(mp.g, 2)))
+        checks["main_scalar_two_routes"] = (ms.I - ms.I_direct, np.maximum(1.0, np.abs(ms.I)))
     return columns, checks
 
 
@@ -162,8 +161,8 @@ def _metrize(jet: Jet, p_ast, q_ast, cells: EvalPoint, p: EvalPoint, index, erro
     (``_spread``) from phi jets of degree 1 and P and Q jets of degree 2, all C1..C3 read."""
     user_sp = candidate_spray(p_ast, q_ast, cells, errors=(cell_errors := {}))
     mr = metrizability_from_spray(jet, user_sp, cells)
-    bound = tol * np.maximum(1.0, np.abs(jet.partial(0, 0)))
-    ok = np.maximum(np.abs(mr.C1), np.abs(mr.C2)) <= bound
+    residual, scale = c1_c2_test(mr, jet.partial(0, 0))
+    ok = residual <= tol * scale
     cell = (*mr, compatibility(user_sp, jet, cells)[3], ok)
     return dict(zip(("C1", "C2", "C3", "pass"), _spread(cell, cell_errors, p, index, errors)))
 
@@ -222,8 +221,9 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
         columns = _metrize(jet, p_ast, q_ast, cells, batch, index, errors, tol)
     elif cfg.subcommand != "classify":
         columns, checks = _evaluate(jet, cells, batch, index, errors, cfg.subcommand == "check")
+    values = {name: residual / scale for name, (residual, scale) in checks.items()}
     if columns:
-        fail_nonfinite(errors, {k: v for k, v in (columns | checks).items() if k != "regular"})
+        fail_nonfinite(errors, {k: v for k, v in (columns | values).items() if k != "regular"})
     failed = sorted(errors)
     kept = np.delete(np.arange(r.size), failed)
     rsu = (v[failed].tolist() for v in (batch.r, batch.s, batch.u))
@@ -250,7 +250,7 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.subcommand == "metrize":
         doc["verdicts"]["metrizable"] = bool(columns["pass"][kept].all())
         return doc, 0 if doc["verdicts"]["metrizable"] else 1
-    for name, value in checks.items():
+    for name, value in values.items():
         value = np.abs(value[kept])
         passed = not (value > tol).any()
         doc["checks"].append({"name": name, "max_residual": float(value.max()), "pass": passed})

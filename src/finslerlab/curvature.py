@@ -40,8 +40,6 @@ class CurvaturePack(NamedTuple):
     R4: float  # printed-formula value
     R5: float
     C3: float
-    id_R4: float  # R4 + s R3
-    id_R2: float  # R1 + R2 + s R5
     identity_mismatch: bool
     scale: float  # residual_scale(R1, ..., R5), the scale of the curvature residuals
     point: EvalPoint  # the points of the pack
@@ -154,8 +152,6 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
         R4=R4,
         R5=R5,
         C3=C3,
-        id_R4=R4 + s * R3,
-        id_R2=R1 + R2 + s * R5,
         identity_mismatch=mismatch,
         scale=scale,
         point=p,
@@ -215,7 +211,7 @@ def classify_from_curvature(
                 verdicts[key] = riemannian_from_scalars(ps, p, dict(jet_errors))
         except (ArithmeticError, GeometryError) as exc:
             verdicts.update({key: None, f"{name}_error": str(exc)})
-    return verdicts, {"r": p.r[: len(K)], "s": p.s[: len(K)], "u": p.u[: len(K)], "K": K}
+    return verdicts, {k: np.ravel(getattr(p, k))[: K.size] for k in "rsu"} | {"K": K}
 
 
 def scalar_from_curvature(

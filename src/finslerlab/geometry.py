@@ -108,7 +108,6 @@ class PhiScalars(NamedTuple):
     phi_ss: float
     phi_rs: float
     phi_sss: float
-    w: float  # r^2 - s^2
     t: float  # phi - s phi_s, the first regularity factor
     d: float  # t + w phi_ss, the second (D); det g = phi^(n+1) t^(n-2) d
     mu: float  # phi phi_s - s phi_s^2 - s phi phi_ss, with nu the Cartan scalars
@@ -134,7 +133,7 @@ def phi_scalars(jet: Jet | PhiScalars, p: EvalPoint) -> PhiScalars:
     d = t + w * phi_ss
     mu = phi * phi_s - s * (phi_s * phi_s) - s * phi * phi_ss
     nu = 3.0 * phi_s * phi_ss + phi * phi_sss
-    return PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, w, t, d, mu, nu)
+    return PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, t, d, mu, nu)
 
 
 class _Guarded(PhiScalars):
@@ -208,8 +207,8 @@ def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
 
 
 def _require_grid(grid: np.ndarray) -> None:
-    if len(grid) < 8:
-        raise GeometryError(f"grid of >= 8 points required, got {len(grid)}")
+    if np.size(grid) < 8:
+        raise GeometryError(f"grid of >= 8 points required, got {np.size(grid)}")
 
 
 class MetricPack(NamedTuple):
@@ -242,7 +241,7 @@ def metric_pack(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> MetricP
     A point with phi <= 0 fails (see ``jet.batched`` for the error policy).
     """
     ps = _positive_scalars(jet, p, errors)
-    phi, phi_s, phi_ss, w, t, d, mu = ps.phi, ps.phi_s, ps.phi_ss, ps.w, ps.t, ps.d, ps.mu
+    phi, phi_s, phi_ss, w, t, d, mu = ps.phi, ps.phi_s, ps.phi_ss, p.w, ps.t, ps.d, ps.mu
     s, u, n = p.s, p.u, p.n
 
     sigma0 = phi * t

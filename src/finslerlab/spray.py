@@ -177,6 +177,11 @@ def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> Metrizabi
     return MetrizabilityResiduals(C1=c1, C2=c2)
 
 
+def c1_c2_test(mr: MetrizabilityResiduals, phi) -> tuple:
+    """(residual, scale) of the C1/C2 test, per point: max(|C1|, |C2|), max(1, |phi|)."""
+    return np.maximum(np.abs(mr.C1), np.abs(mr.C2)), np.maximum(1.0, np.abs(phi))
+
+
 def metrizability_residuals(
     jet: Jet, p_expr: Node, q_expr: Node, p: EvalPoint
 ) -> MetrizabilityResiduals:

@@ -60,7 +60,7 @@ def _frame(
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
     ps = phi_scalars(jet, p)
-    radicand = ps.phi * ps.d / ps.w
+    radicand = ps.phi * ps.d / p.w
     fail_where(
         radicand <= 0,
         errors,
@@ -74,7 +74,7 @@ def _frame(
     if mp is None:
         mp = metric_pack(ps, p, errors=errors)
     n_lo, u = _n_lo(p), p.u
-    n_hi = lift(mp.rho0) * n_lo + lift(ps.w / u) * (lift(mp.rho2) * p.y + lift(u * mp.rho3) * p.x)
+    n_hi = lift(mp.rho0) * n_lo + lift(p.w / u) * (lift(mp.rho2) * p.y + lift(u * mp.rho3) * p.x)
     frame = BerwaldFrame(
         ell_lo=_ell_lo(ps, p),
         ell_hi=p.y / lift(mp.F),
@@ -117,7 +117,7 @@ def main_scalar(
     msq = (m * m).sum(-1)
     a = frame.a
     I = (ps.phi / 2.0) * (
-        3 * cp.mu / a * msq - 3 * a * cp.mu * ps.w * ps.w * B * B + cp.nu / (a * a * a)
+        3 * cp.mu / a * msq - 3 * a * cp.mu * p.w * p.w * B * B + cp.nu / (a * a * a)
     )
     I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", cp.C, m, m, m)
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=cp)

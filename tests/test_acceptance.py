@@ -168,8 +168,8 @@ def test_criterion_metrizability_identity_suite():
             ok = ok and abs(cv.C3) < 1e-8 * scale * max(1.0, phi)
             resid = np.max(np.abs(horizontal_residual(jet, sp, p)))
             ok = ok and resid < 1e-8 * p.u * max(1.0, phi)
-            ok = ok and abs(cv.id_R2) < 1e-8 * scale
-            ok = ok and abs(cv.id_R4) < 1e-8 * scale
+            ok = ok and abs(cv.R1 + cv.R2 + p.s * cv.R5) < 1e-8 * scale
+            ok = ok and abs(cv.R4 + p.s * cv.R3) < 1e-8 * scale
             jacobi = np.max(np.abs(cv.Rmat @ p.y))
             ok = ok and jacobi < 1e-8 * scale * p.u**2 * max(1.0, p.u, p.r)
     record("metrizability identities: C1, C2, C3, d_h F, R identities", ok)

@@ -479,6 +479,63 @@ def test_the_curvature_residual_scale_is_formed_once_per_run(args, monkeypatch, 
     assert calls == [5]
 
 
+@pytest.mark.parametrize(
+    "args, shapes",
+    [
+        (["check"], [(30,)]),
+        (["check", "--dim", "3"], [(30,)]),
+        # metrize tests C1/C2 at the 15 cells and spreads the pass column
+        (["metrize", "--p", "0.3/(2*(1+0.3*s))", "--q", "0"], [(15,)]),
+        (["report"], []),
+        (["classify"], []),
+    ],
+)
+def test_the_c1_c2_test_is_formed_once_per_run(args, shapes, monkeypatch, capsys, tmp_path):
+    # check's metrizability_C1_C2 row and metrize's pass column read the one C1/C2 test
+    from finslerlab import spray
+
+    calls = []
+    wrap_everywhere(monkeypatch, spray, "c1_c2_test", lambda mr, phi: calls.append(np.shape(phi)))
+    code, doc = run_json([*args, "--phi", "1+0.3*s", "--u", "1:2:2"], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert calls == shapes
+
+
+@pytest.mark.parametrize(
+    "phi, dim, skips",
+    [("1+0.3*s", "2", False), ("ln(s+0.5)+2", "2", True), ("sqrt(1+s^2)", "3", False),
+     ("1+s^2-0.9*r", "3", True)],
+)
+def test_check_reads_each_row_from_one_table(phi, dim, skips, monkeypatch, capsys, tmp_path):
+    # the checks are the table's rows, in its order, and each max_residual is the largest
+    # |residual / scale| over the kept points
+    from finslerlab import cli
+
+    tables, evaluate = [], cli._evaluate
+
+    def capture(jet, cells, p, *args):
+        columns, table = evaluate(jet, cells, p, *args)
+        tables.append((p, table))
+        return columns, table
+
+    monkeypatch.setattr(cli, "_evaluate", capture)
+    code, doc = run_json(["check", "--phi", phi, "--dim", dim], capsys, tmp_path)
+    assert code == 0 and bool(doc["skipped"]) == skips
+    [(p, table)] = tables
+    assert [c["name"] for c in doc["checks"]] == list(table)
+    assert len(table) == (17 if dim == "2" else 14)
+    unscaled = {name for name, (_, scale) in table.items() if isinstance(scale, float)}
+    assert unscaled == {"metric_inverse", "rho_contractions", "frame_orthonormality"} - (
+        set() if dim == "2" else {"frame_orthonormality"}
+    )
+    kept_rsu = {(q["r"], q["s"], q["u"]) for q in doc["points"]}
+    kept = np.array([rsu in kept_rsu for rsu in zip(p.r.tolist(), p.s.tolist(), p.u.tolist())])
+    assert kept.sum() == len(doc["points"]) > 0
+    for c in doc["checks"]:
+        residual, scale = table[c["name"]]
+        assert c["max_residual"] == float(np.abs(residual / scale)[kept].max())
+
+
 @pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
 @pytest.mark.parametrize("phi", ["1+0.3*s", "ln(s+0.5)+2"])
 def test_one_u_value_gives_each_point_its_own_jets(sub, phi, monkeypatch, capsys, tmp_path):

@@ -64,8 +64,8 @@ def test_curvature_identities(text):
     for p in make_grid(2, (0.7, 1.0, 1.4), (-0.5, 0.1, 0.6), (1.0, 1.8)):
         cv, _ = curvature_at(text, p)
         scale = max(1.0, abs(cv.R1), abs(cv.R2), abs(cv.R3), abs(cv.R4), abs(cv.R5))
-        assert abs(cv.id_R2) < 1e-8 * scale
-        assert abs(cv.id_R4) < 1e-8 * scale
+        assert abs(cv.R1 + cv.R2 + p.s * cv.R5) < 1e-8 * scale
+        assert abs(cv.R4 + p.s * cv.R3) < 1e-8 * scale
         assert abs(cv.C3) < 1e-8 * scale
         assert not cv.identity_mismatch
 
@@ -146,6 +146,24 @@ def test_scalar_classify_grid_too_small():
         "riemannian_error": error,
     }
     assert all(len(column) == 0 for column in samples.values())
+
+
+@pytest.mark.parametrize("shape", [(), (1,)])
+def test_classify_one_point_fails_the_size_rule(shape):
+    # a one-point call is a batch of shape (): it gives what a shape-(1,) batch gives
+    p = canonical_point(2, *(np.full(shape, v) for v in (1.0, 0.3, 1.0)))
+    verdicts, samples = classify(parse("1+s"), p)
+    error = "grid of >= 8 points required, got 1"
+    assert verdicts == {
+        "is_scalar": None,
+        "scalar_error": error,
+        "degeneracy": None,
+        "degeneracy_error": error,
+        "riemannian": None,
+        "riemannian_error": error,
+    }
+    assert list(samples) == ["r", "s", "u", "K"]
+    assert all(column.shape == (0,) for column in samples.values())
 
 
 @pytest.mark.parametrize(
