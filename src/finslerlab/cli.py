@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import NamedTuple
 
@@ -64,11 +65,11 @@ def parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be A:B:K, got {text!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not np.isfinite([start, stop]).all():
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"range end points must be finite, got {text!r}")
     if count < 1:
         raise ValueError(f"range count must be >= 1, got {count}")
-    return [float(v) for v in np.linspace(start, stop, count)]
+    return np.linspace(start, stop, count).tolist()
 
 
 def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
@@ -189,6 +190,8 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
             raise ValueError(f"s fractions must lie in (-1, 1), got {frac}")
     if cfg.dim < 2:
         raise ValueError(f"dim must be >= 2, got {cfg.dim}")
+    if not (cfg.tol_abs >= 0 and cfg.tol_rel >= 0):  # NaN fails this test, inf passes
+        raise ValueError(f"tol_abs and tol_rel must be >= 0, got {cfg.tol_abs} and {cfg.tol_rel}")
 
     phi = parse(cfg.phi)
     p_ast = parse(cfg.p_expr) if cfg.p_expr is not None else None

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 FUNCTIONS = ("sqrt", "exp", "ln", "sin", "cos", "abs")
 
@@ -38,32 +37,29 @@ class DomainError(ArithmeticError):
     negative, ln of a non-positive, abs at zero, ...)."""
 
 
-@dataclass(frozen=True)
-class Num:
+# Immutable nodes that compare and hash by value.  Two kinds never compare equal:
+# Call and BinOp alone have 2 and 3 fields, and Num, Var, Neg hold a float, str, node.
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+class Neg(NamedTuple):
+    arg: Node
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
-    arg: "Node"
+    arg: Node
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]

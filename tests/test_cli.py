@@ -27,6 +27,17 @@ def test_parse_range():
         parse_range("1:2")
     with pytest.raises(ValueError):
         parse_range("1:2:0")
+    for text in ("nan:1:3", "0:inf:3", "-inf:1:2"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_range(text)
+
+
+def test_parse_range_gives_linspace_floats_bit_for_bit():
+    for text, args in (("0.5:1.5:3", (0.5, 1.5, 3)), ("-0.7:0.7:5", (-0.7, 0.7, 5)),
+                       ("0.1:2.9:37", (0.1, 2.9, 37)), ("1e-300:3:4", (1e-300, 3.0, 4))):
+        values = parse_range(text)
+        assert all(type(v) is float for v in values)
+        assert np.array(values).tobytes() == np.linspace(*args).tobytes()
 
 
 def test_check_regular_metric_passes(capsys):
@@ -138,6 +149,28 @@ def test_bad_range_exits_2(capsys):
 def test_bad_s_fraction_exits_2(capsys):
     code, _, _ = run_cli(["check", "--phi", "1", "--s-frac=-2:2:3"], capsys)
     assert code == 2
+
+
+# after a space, argparse reads "-1" as a value but "-1e-300" as a flag
+@pytest.mark.parametrize("value", [" nan", " -1", "=-1e-300"])
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+@pytest.mark.parametrize("command", [
+    ["check", "--phi", "1e-63+s^2"],
+    ["metrize", "--phi", "1+s", "--p", "1/(2*(1+s))", "--q", "0"],
+])
+def test_nan_or_negative_tolerance_exits_2(command, flag, value, capsys):
+    # max(nan, tol) is NaN and `residual > nan` is never true, so a NaN passed every row
+    code, out, err = run_cli([*command, *(flag + value).split()], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol_abs and tol_rel must be >= 0") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_finite_tolerance_is_honoured(capsys):
+    args = ["check", "--phi", "sqrt(1+s^2)"]
+    assert run_cli(args, capsys)[0] == 0
+    assert run_cli([*args, "--tol-abs", "1e-300", "--tol-rel", "1e-300"], capsys)[0] == 1
+    assert run_cli([*args, "--tol-abs", "inf", "--tol-rel", "0"], capsys)[0] == 0
 
 
 def test_all_points_skipped_exits_3(capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +97,60 @@ _ast = st.recursive(
 @given(_ast)
 def test_print_parse_round_trip(ast):
     assert parse(to_string(ast)) == ast
+
+
+def _subtrees(e):
+    yield e
+    for child in e:
+        if isinstance(child, tuple):  # a node; the other fields are str and float
+            yield from _subtrees(child)
+
+
+@given(_ast)
+def test_nodes_are_immutable(ast):
+    for node in _subtrees(ast):
+        with pytest.raises(AttributeError):
+            setattr(node, node._fields[0], Num(0.0))
+
+
+@given(_ast)
+def test_equal_trees_compare_and_hash_equal(ast):
+    again = parse(to_string(ast))  # a tree equal to ast and built apart from it
+    assert again == ast and hash(again) == hash(ast)
+    assert {ast: 1}[again] == 1
+
+
+@given(_ast, _ast)
+def test_nodes_of_different_kinds_never_compare_equal(a, b):
+    nodes = [*_subtrees(a), *_subtrees(b)]
+    for x in nodes:
+        for y in nodes:
+            if type(x) is not type(y):
+                assert x != y
+
+
+def test_nodes_of_different_kinds_never_compare_equal_examples():
+    kinds = [Num(1.0), Var("s"), Neg(Num(1.0)), Neg(Var("s")), Call("sqrt", Var("s")),
+             BinOp("+", Num(1.0), Var("s")), BinOp("*", Var("s"), Var("s"))]
+    for x in kinds:
+        for y in kinds:
+            assert (x == y) is (x is y)
+
+
+def test_node_repr_names_its_fields():
+    assert repr(parse("1+s")) == "BinOp(op='+', left=Num(value=1.0), right=Var(name='s'))"
+    assert repr(parse("-sqrt(r)")) == "Neg(arg=Call(func='sqrt', arg=Var(name='r')))"
+
+
+def test_importing_the_cli_generates_no_dataclass():
+    # a dataclass decorator compiles its methods with exec at every import: start-up cost
+    code = ("import sys; sys.modules.pop('dataclasses', None); import numpy, finslerlab.cli; "
+            "print('dataclasses' in sys.modules)")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_infinite_number_prints_and_parses_back():
