@@ -15,15 +15,16 @@ from finslerlab import (
     main_scalar,
     metric_pack,
     parse,
+    phi_scalars,
 )
 
 
 def show(phi_text, r, s):
     p = canonical_point(2, r, s, 1.0)
-    jet = eval_jet(parse(phi_text), r, s)
-    mp = metric_pack(jet, p)
-    fr = berwald_frame(jet, p)
-    ms = main_scalar(jet, p)
+    ps = phi_scalars(eval_jet(parse(phi_text), r, s), p)  # phi's partials, read once
+    mp = metric_pack(ps, p)
+    fr = berwald_frame(ps, p, mp)
+    ms = main_scalar(ps, p, mp)
 
     recon = np.outer(fr.ell_lo, fr.ell_lo) + np.outer(fr.m_lo, fr.m_lo)
     print(f"phi = {phi_text}   at (r, s) = ({r}, {s})")

@@ -12,7 +12,7 @@ both factors vanishing is usable as a metric.
 
 import numpy as np
 
-from finslerlab import canonical_point, classify, eval_jet, metric_pack, parse
+from finslerlab import canonical_point, classify, eval_jet, metric_pack, parse, phi_scalars
 
 CANDIDATES = [
     "3*s",
@@ -32,7 +32,7 @@ def main():
         e = parse(text)
         # classify gives all its verdicts from one evaluation pass; this screen reads one
         verdicts, _ = classify(e, grid)
-        det = metric_pack(eval_jet(e, grid.r, grid.s), grid).det_direct
+        det = metric_pack(phi_scalars(eval_jet(e, grid.r, grid.s), grid), grid).det_direct
         print(f"{text:45s} {verdicts['degeneracy']:16s} max |det g| = {np.abs(det).max():.2e}")
 
 

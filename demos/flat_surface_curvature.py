@@ -16,6 +16,7 @@ from finslerlab import (
     flag_curvature,
     metric_pack,
     parse,
+    phi_scalars,
     pq_from_phi,
     riemann_pack,
 )
@@ -45,7 +46,7 @@ def main():
     jet = eval_jet(e, 1.0, 0.3)
     sp = pq_from_phi(jet, p)
     cv = riemann_pack(sp, jet, p)
-    mp = metric_pack(jet, p)
+    mp = metric_pack(phi_scalars(jet, p), p)
     print(f"\nF(x, y)            = {mp.F:.8f}")
     Rmat = cv.Rmat  # formed on each read
     print(f"max |R^i_j y^j|    = {np.max(np.abs(Rmat @ p.y)):.2e}")

@@ -14,18 +14,20 @@ from .geometry import (
     EvalPoint,
     GeometryError,
     MetricPack,
+    PhiScalars,
     canonical_point,
     cartan_pack,
     metric_pack,
+    phi_scalars,
     random_rotation,
 )
 from .jet import Jet, eval_jet, fd_partials
 from .spray import (
     MetrizabilityResiduals,
     SprayPack,
+    candidate_spray,
     horizontal_residual,
     metrizability_from_spray,
-    metrizability_residuals,
     pq_from_phi,
 )
 from .surface import (
@@ -50,8 +52,10 @@ __all__ = [
     "MetricPack",
     "MetrizabilityResiduals",
     "ParseError",
+    "PhiScalars",
     "SprayPack",
     "berwald_frame",
+    "candidate_spray",
     "canonical_point",
     "cartan_pack",
     "classify",
@@ -63,8 +67,8 @@ __all__ = [
     "metrizability_from_spray",
     "main_scalar",
     "metric_pack",
-    "metrizability_residuals",
     "parse",
+    "phi_scalars",
     "pq_from_phi",
     "random_rotation",
     "riemann_pack",

@@ -35,7 +35,7 @@ from .geometry import (
 )
 from .jet import DEGREE, Jet, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
-from .spray import _horizontal_residual, c1_c2_test, candidate_spray, metrizability_from_spray
+from .spray import c1_c2_test, candidate_spray, horizontal_residual, metrizability_from_spray
 from .surface import main_scalar
 
 DEFAULT_TOL_ABS = 1e-9
@@ -99,7 +99,7 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
     ps, sp, cv = front_half(jet, cells, (cell_errors := {}))
     mr = metrizability_from_spray(jet, sp, cells)
     ps, sp, cv, mr = _spread((ps, sp, cv, mr), cell_errors, p, index, errors)
-    mp = metric_pack(ps, p, errors=errors)
+    mp = metric_pack(ps, p)
     columns = {
         "F": mp.F, "P": sp.P, "Q": sp.Q,
         "R1": cv.R1, "R2": cv.R2, "R3": cv.R3, "R4": cv.R4, "R5": cv.R5,
@@ -114,7 +114,7 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
     if not with_checks:
         return columns, {}
 
-    cp = ms.cartan if p.n == 2 else cartan_pack(ps, p, errors=errors)
+    cp = ms.cartan if p.n == 2 else cartan_pack(ps, p)
     phi0, u, w, eye = ps.phi, p.u, p.w, np.eye(p.n)
     Rmat, G, N = cv.Rmat, sp.G, sp.N  # each formed on read, and read twice
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
@@ -131,7 +131,7 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
         "cartan_y_annihilation": (_maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2),
                                   np.maximum(1.0, _maxabs(cp.C, 3) * u)),
         "metrizability_C1_C2": c1_c2_test(mr, phi0),  # phi0 > 0 at every kept point
-        "horizontal_dhF": (_maxabs(_horizontal_residual(ps, N, p)), u * np.maximum(1.0, phi0)),
+        "horizontal_dhF": (_maxabs(horizontal_residual(ps, N, p)), u * np.maximum(1.0, phi0)),
         "spray_homogeneity": (_maxabs(np.einsum("...ij,...j->...i", N, p.y) - 2 * G),
                               np.maximum(1.0, _maxabs(G))),
         "curvature_C3": (cv.C3, cv.scale * np.maximum(1.0, phi0)),

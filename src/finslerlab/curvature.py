@@ -1,9 +1,10 @@
 """Riemann curvature scalars R1-R5, the Jacobi endomorphism matrix, the
 compatibility residual C3, at one point or a batch (see ``geometry``), and
 ``classify``, the paper's verdicts on phi over a batch from one evaluation pass.
-``front_half(jet, p, errors)`` runs the spray half and the curvature pack on
-one phi jet and the points p it was taken at; its scalars depend on (r, s)
-alone, and only the matrix ``Rmat``, formed on read, reads u, x and y."""
+``front_half(jet, p, errors)`` reads phi's scalars and runs the spray and the
+curvature pack on one phi jet and the points p it was taken at; its scalars
+depend on (r, s) alone, and only the matrix ``Rmat``, formed on read, reads
+u, x and y."""
 
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ from .geometry import (
     degeneracy_from_scalars,
     lift,
     outer,
+    phi_scalars,
     residual_scale,
 )
 from .jet import Jet, eval_jet, fail_nonfinite, first_true, raise_first
-from .spray import SprayPack, spray_half
+from .spray import SprayPack, pq_from_phi
 from .surface import riemannian_from_scalars
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
@@ -159,9 +161,11 @@ def riemann_pack(sp: SprayPack, jet: Jet, p: EvalPoint) -> CurvaturePack:
 
 
 def front_half(jet: Jet, p: EvalPoint, errors: dict) -> tuple:
-    """(ps, sp, cv): ``spray_half`` and the curvature pack at the points p, from
-    phi's jets jet there; errors holds their jet failures."""
-    ps, sp = spray_half(jet, p, errors)
+    """(ps, sp, cv): phi's scalars, its spray and the curvature pack at the points p,
+    from phi's jets jet there; errors holds their jet failures.  First failure wins:
+    jet, phi <= 0, P/Q."""
+    ps = phi_scalars(jet, p, errors=errors)
+    sp = pq_from_phi(jet, p, errors=errors)
     return ps, sp, riemann_pack(sp, jet, p)
 
 

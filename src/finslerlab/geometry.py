@@ -1,10 +1,11 @@
 """Fundamental tensor, Cartan tensor and degeneracy screening.
 
 All objects are assembled from a Taylor jet of phi of degree >= 3, at one
-evaluation point or at a batch of them: the pack functions take phi's jet
-batch, or the ``PhiScalars`` read off it once, and a batched ``EvalPoint``
-and return one row per point, scalars of shape ``batch`` and tensors of
-shape ``(*batch, n, ..., n)``; a one-point call is a batch of shape ().
+evaluation point or at a batch of them: ``phi_scalars`` reads phi's partials
+off the jet once and guards phi > 0, and the pack functions take those
+``PhiScalars`` and a batched ``EvalPoint`` and return one row per point,
+scalars of shape ``batch`` and tensors of shape ``(*batch, n, ..., n)``; a
+one-point call is a batch of shape ().
 Rows never mix, and numpy sums a contraction (``np.einsum``, ``@``) of one
 row in the same order whether or not the row is part of a batch, so each
 row equals the one-point result.  ``degeneracy_from_scalars`` screens the
@@ -119,11 +120,11 @@ _PHI_A, _PHI_B = [0, 1, 0, 0, 1, 0], [0, 0, 1, 2, 1, 3]
 _PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 6.0])
 
 
-def phi_scalars(jet: Jet | PhiScalars, p: EvalPoint) -> PhiScalars:
-    """The PhiScalars of phi's jet at the points p; scalars already read are
-    returned unchanged, so a pack takes phi's jet or its scalars."""
-    if isinstance(jet, PhiScalars):
-        return jet
+@batched
+def phi_scalars(jet: Jet, p: EvalPoint, *, errors: dict) -> PhiScalars:
+    """The PhiScalars of phi's jet at the points p: the one read of phi's partials
+    and the one phi > 0 guard, failing the points where phi <= 0 (F is not a norm
+    there)."""
     if jet.degree < 3:
         raise ValueError(f"phi_scalars reads partials up to degree 3, jet has degree {jet.degree}")
     c = jet.c[_PHI_A, _PHI_B]  # the six coefficients, in one gather
@@ -133,25 +134,9 @@ def phi_scalars(jet: Jet | PhiScalars, p: EvalPoint) -> PhiScalars:
     d = t + w * phi_ss
     mu = phi * phi_s - s * (phi_s * phi_s) - s * phi * phi_ss
     nu = 3.0 * phi_s * phi_ss + phi * phi_sss
-    return PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, t, d, mu, nu)
-
-
-class _Guarded(PhiScalars):
-    """PhiScalars whose points with phi <= 0 have failed, in the errors of the
-    ``_positive_scalars`` call that returned them."""
-
-    __slots__ = ()
-
-
-def _positive_scalars(jet: Jet | PhiScalars, p: EvalPoint, errors: dict) -> PhiScalars:
-    """phi_scalars, failing the points where phi <= 0 (F is not a norm there).
-    Scalars this guard returned pass through unchanged: a pack given them
-    shares the errors of the call that guarded them."""
-    if isinstance(jet, _Guarded):
-        return jet
-    ps = phi_scalars(jet, p)
+    ps = PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, t, d, mu, nu)
     _fail_nonpositive(ps, p, errors)
-    return _Guarded(*ps)
+    return ps
 
 
 def _fail_nonpositive(ps: PhiScalars, p: EvalPoint, errors: dict) -> None:
@@ -228,19 +213,17 @@ class MetricPack(NamedTuple):
     regular: tuple[bool, bool]
 
 
-@batched
-def metric_pack(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> MetricPack:
-    """Fundamental tensor, its inverse, and both determinant routes.
+@np.errstate(all="ignore")  # a failing point's values turn NaN or infinite, silently
+def metric_pack(ps: PhiScalars, p: EvalPoint) -> MetricPack:
+    """Fundamental tensor, its inverse, and both determinant routes, from phi's
+    scalars ps at the points p.
 
     g_jk  = sigma0 d_jk + sigma1 x_j x_k + (sigma2/u)(x_j y_k + x_k y_j)
             + (sigma3/u^2) y_j y_k
     g^jk  = rho0 d_jk + (rho1/u^2) y^j y^k + (rho2/u)(x^j y^k + x^k y^j)
             + rho3 x^j x^k
     det   = phi^(n+1) (phi - s phi_s)^(n-2) (phi - s phi_s + (r^2-s^2) phi_ss)
-
-    A point with phi <= 0 fails (see ``jet.batched`` for the error policy).
     """
-    ps = _positive_scalars(jet, p, errors)
     phi, phi_s, phi_ss, w, t, d, mu = ps.phi, ps.phi_s, ps.phi_ss, p.w, ps.t, ps.d, ps.mu
     s, u, n = p.s, p.u, p.n
 
@@ -314,12 +297,11 @@ def _sym_aab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-@batched
-def cartan_pack(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> CartanPack:
-    """Cartan tensor components and the two scalars driving them, mu and nu
-    (see ``PhiScalars``).  A point with phi <= 0 fails.
+@np.errstate(all="ignore")
+def cartan_pack(ps: PhiScalars, p: EvalPoint) -> CartanPack:
+    """Cartan tensor components and the two scalars driving them, mu and nu,
+    from phi's scalars ps at the points p.
     """
-    ps = _positive_scalars(jet, p, errors)
     s, u, n, mu, nu = p.s, p.u, p.n, ps.mu, ps.nu
     x, y = p.x, p.y
     u2 = u * u

@@ -3,10 +3,10 @@ metrizability residuals, at one point or a batch (see ``geometry``).
 
 P and Q are built as jet-valued expressions out of the phi jet, so their
 partials come from the same truncated-Taylor engine rather than from a
-separate symbolic differentiation of the closed formulas.  ``spray_half``,
-``pq_from_phi`` and ``candidate_spray`` take one jet per expression and the
-points it was taken at; P, Q and their partials depend on (r, s) alone, so a
-caller whose points share (r, s) can run them once per pair and copy the rows.
+separate symbolic differentiation of the closed formulas.  ``pq_from_phi``
+and ``candidate_spray`` take one jet per expression and the points it was
+taken at; P, Q and their partials depend on (r, s) alone, so a caller whose
+points share (r, s) can run them once per pair and copy the rows.
 """
 
 from __future__ import annotations
@@ -16,16 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import Node
-from .geometry import (
-    EvalPoint,
-    GeometryError,
-    PhiScalars,
-    _ell_lo,
-    _positive_scalars,
-    lift,
-    outer,
-    phi_scalars,
-)
+from .geometry import EvalPoint, GeometryError, PhiScalars, _ell_lo, lift, outer
 from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
@@ -118,19 +109,11 @@ def pq_jets(jet: Jet, r, s, *, errors: dict) -> tuple[Jet, Jet]:
     return p, q
 
 
-def spray_half(jet: Jet, p: EvalPoint, errors: dict) -> tuple:
-    """(ps, sp): phi's guarded scalars and spray at the points p, from phi's jets
-    jet there; errors holds their jet failures.  First failure wins: jet, phi <= 0,
-    P/Q."""
-    ps = _positive_scalars(jet, p, errors)  # the one read of phi's scalars; the packs take them
-    return ps, spray_pack_from_jets(*pq_jets(jet, p.r, p.s, errors=errors), p)
-
-
 @batched
 def pq_from_phi(jet: Jet, p: EvalPoint, *, errors: dict) -> SprayPack:
-    """Spray data of the metric F = u phi at the points p.  A point fails
-    where phi <= 0 and where its P/Q jets fail."""
-    return spray_half(jet, p, errors)[1]
+    """Spray data of the metric F = u phi at the points p, from phi's jets there.
+    A point fails where its P/Q jets fail."""
+    return spray_pack_from_jets(*pq_jets(jet, p.r, p.s, errors=errors), p)
 
 
 @batched
@@ -146,17 +129,13 @@ def spray_pack_from_jets(pj: Jet, qj: Jet, p: EvalPoint) -> SprayPack:
     return SprayPack(*(j.partial(a, b) for j in (pj, qj) for a, b in _PARTIALS), p)
 
 
-def horizontal_residual(jet: Jet | PhiScalars, sp: SprayPack, p: EvalPoint) -> np.ndarray:
-    """The n residuals dF/dx^j - G^i_j dF/dy^i (the d_h F = 0 test).
+def horizontal_residual(ps: PhiScalars, N: np.ndarray, p: EvalPoint) -> np.ndarray:
+    """The n residuals dF/dx^j - G^i_j dF/dy^i (the d_h F = 0 test), from phi's
+    scalars ps and a spray's connection N = G^i_j at the points p.
 
     dF/dx^j = u (phi_r x_j / r + phi_s y_j / u)
     dF/dy^i = (phi/u) y_i + phi_s (x_i - (s/u) y_i)
     """
-    return _horizontal_residual(phi_scalars(jet, p), sp.N, p)
-
-
-def _horizontal_residual(ps: PhiScalars, N: np.ndarray, p: EvalPoint) -> np.ndarray:
-    """``horizontal_residual`` from phi's scalars and the connection N."""
     u, r = lift(p.u), lift(p.r)
     dF_dx = u * (lift(ps.phi_r) * p.x / r + lift(ps.phi_s) * p.y / u)
     return dF_dx - np.einsum("...ij,...i->...j", N, _ell_lo(ps, p))
@@ -180,10 +159,3 @@ def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> Metrizabi
 def c1_c2_test(mr: MetrizabilityResiduals, phi) -> tuple:
     """(residual, scale) of the C1/C2 test, per point: max(|C1|, |C2|), max(1, |phi|)."""
     return np.maximum(np.abs(mr.C1), np.abs(mr.C2)), np.maximum(1.0, np.abs(phi))
-
-
-def metrizability_residuals(
-    jet: Jet, p_expr: Node, q_expr: Node, p: EvalPoint
-) -> MetrizabilityResiduals:
-    """C1/C2 residuals of a candidate spray (P, Q), as degree-2 jets, against phi."""
-    return metrizability_from_spray(jet, candidate_spray(p_expr, q_expr, p), p)

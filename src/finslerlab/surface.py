@@ -1,8 +1,8 @@
 """Berwald frame, main scalar and the Riemannian criterion for
 spherically symmetric Finsler surfaces (n = 2, positive-definite branch),
-at one point or a batch (see ``geometry``).  The frame and the main scalar
-take phi's jet or its ``PhiScalars``, and read the scalars once for all
-they build; the Riemannian test takes the scalars.
+at one point or a batch (see ``geometry``).  The frame, the main scalar and
+the Riemannian test take phi's ``PhiScalars``; the frame and the main scalar
+also take the metric pack built from them.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .geometry import (
     _n_lo,
     cartan_pack,
     lift,
-    metric_pack,
-    phi_scalars,
 )
-from .jet import Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
+from .jet import batched, fail_nonfinite, fail_where, first_true, raise_first
 
 RIEMANNIAN_TOL = 1e-8
 
@@ -41,25 +39,16 @@ class BerwaldFrame(NamedTuple):
 
 
 @batched
-def berwald_frame(jet: Jet | PhiScalars, p: EvalPoint, *, errors: dict) -> BerwaldFrame:
-    """The orthonormal pair (l, m) at surface points.
+def berwald_frame(ps: PhiScalars, p: EvalPoint, mp: MetricPack, *, errors: dict) -> BerwaldFrame:
+    """The orthonormal pair (l, m) at the surface points p, from phi's scalars ps
+    and the metric pack mp there.
 
     a(r, s) = sqrt(phi (phi - s phi_s + (r^2-s^2) phi_ss) / (r^2 - s^2)),
     n^i = rho0 n^i_euclid + ((r^2-s^2)/u)(rho2 y^i + u rho3 x^i).
-    A point fails where the radicand of a is not positive, and where
-    ``metric_pack`` fails.
+    A point fails where the radicand of a is not positive.
     """
-    return _frame(jet, p, None, errors)[0]
-
-
-def _frame(
-    jet: Jet | PhiScalars, p: EvalPoint, mp: MetricPack | None, errors: dict
-) -> tuple[BerwaldFrame, MetricPack]:
-    """The Berwald frame and the metric pack it was built from (mp, when
-    given, is p's metric pack)."""
     if p.n != 2:
         raise GeometryError(f"Berwald frame requires n = 2, got n = {p.n}")
-    ps = phi_scalars(jet, p)
     radicand = ps.phi * ps.d / p.w
     fail_where(
         radicand <= 0,
@@ -70,12 +59,9 @@ def _frame(
         radicand,
     )
     a = np.sqrt(radicand)
-
-    if mp is None:
-        mp = metric_pack(ps, p, errors=errors)
     n_lo, u = _n_lo(p), p.u
     n_hi = lift(mp.rho0) * n_lo + lift(p.w / u) * (lift(mp.rho2) * p.y + lift(u * mp.rho3) * p.x)
-    frame = BerwaldFrame(
+    return BerwaldFrame(
         ell_lo=_ell_lo(ps, p),
         ell_hi=p.y / lift(mp.F),
         n_lo=n_lo,
@@ -84,7 +70,6 @@ def _frame(
         m_lo=lift(a) * n_lo,
         m_hi=lift(a) * n_hi,
     )
-    return frame, mp
 
 
 class MainScalarPack(NamedTuple):
@@ -97,10 +82,9 @@ class MainScalarPack(NamedTuple):
 
 
 @batched
-def main_scalar(
-    jet: Jet | PhiScalars, p: EvalPoint, mp: MetricPack | None = None, *, errors: dict
-) -> MainScalarPack:
-    """Main scalar of the surface by two independent routes.
+def main_scalar(ps: PhiScalars, p: EvalPoint, mp: MetricPack, *, errors: dict) -> MainScalarPack:
+    """Main scalar of the surface by two independent routes, from phi's scalars ps
+    and the metric pack mp at the points p.
 
     Closed form:
         I = (phi/2) ( 3 mu / a * ((m^1)^2 + (m^2)^2)
@@ -108,9 +92,8 @@ def main_scalar(
     Direct: contraction of the full Cartan tensor with m^i.
     Points fail as in ``berwald_frame``.
     """
-    ps = phi_scalars(jet, p)
-    frame, mp = _frame(ps, p, mp, errors)
-    cp = cartan_pack(ps, p, errors=errors)
+    frame = berwald_frame(ps, p, mp, errors=errors)
+    cp = cartan_pack(ps, p)
     A = mp.rho0 + p.s * mp.rho2 + p.r * p.r * mp.rho3
     B = mp.rho2 + p.s * mp.rho3
     m = frame.m_hi

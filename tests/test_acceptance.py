@@ -24,6 +24,7 @@ from finslerlab import (
     metric_pack,
     metrizability_from_spray,
     parse,
+    phi_scalars,
     pq_from_phi,
     riemann_pack,
 )
@@ -115,10 +116,10 @@ def test_criterion_randers_surface_invariants():
     ok = True
     for p in make_grid(2, (0.7, 1.0, 1.4, 1.8), (-0.5, -0.2, 0.3, 0.6)):
         r, s = p.r, p.s
-        jet = eval_jet(e, r, s)
-        mp = metric_pack(jet, p)
-        cp = cartan_pack(jet, p)
-        fr = berwald_frame(jet, p)
+        ps = phi_scalars(eval_jet(e, r, s), p)
+        mp = metric_pack(ps, p)
+        cp = cartan_pack(ps, p)
+        fr = berwald_frame(ps, p, mp)
         ok = ok and rel_close(mp.rho0, 1 / (1 + s), rel=1e-9)
         ok = ok and rel_close(mp.rho1, (r * r + s) / (1 + s) ** 3, rel=1e-9)
         ok = ok and rel_close(mp.rho2, -1 / (1 + s) ** 2, rel=1e-9)
@@ -139,7 +140,8 @@ def test_criterion_randers_main_scalar_closed_form():
     ok = True
     for p in make_grid(2, (0.7, 1.0, 1.4, 1.8), (-0.5, -0.2, 0.3, 0.6)):
         r, s = p.r, p.s
-        ms = main_scalar(eval_jet(e, r, s), p)
+        ps = phi_scalars(eval_jet(e, r, s), p)
+        ms = main_scalar(ps, p, metric_pack(ps, p))
         closed = (
             -1.5
             * (r * r - 2 * s * s - 2 * s - 2)
@@ -166,7 +168,7 @@ def test_criterion_metrizability_identity_suite():
             )
             ok = ok and max(abs(mr.C1), abs(mr.C2)) < 1e-8 * max(1.0, phi)
             ok = ok and abs(cv.C3) < 1e-8 * scale * max(1.0, phi)
-            resid = np.max(np.abs(horizontal_residual(jet, sp, p)))
+            resid = np.max(np.abs(horizontal_residual(phi_scalars(jet, p), sp.N, p)))
             ok = ok and resid < 1e-8 * p.u * max(1.0, phi)
             ok = ok and abs(cv.R1 + cv.R2 + p.s * cv.R5) < 1e-8 * scale
             ok = ok and abs(cv.R4 + p.s * cv.R3) < 1e-8 * scale
@@ -181,7 +183,7 @@ def test_criterion_determinant_formula():
         e = parse(text)
         for n in (2, 3, 4):
             for p in make_grid(n, (0.7, 1.0, 1.4), (-0.6, 0.0, 0.5)):
-                mp = metric_pack(eval_jet(e, p.r, p.s), p)
+                mp = metric_pack(phi_scalars(eval_jet(e, p.r, p.s), p), p)
                 ok = ok and rel_close(mp.det_direct, mp.det_formula, rel=1e-8)
     record("determinant: direct evaluation matches the product formula", ok)
 
@@ -208,7 +210,7 @@ def test_criterion_degenerate_families():
                 3, (0.8, 1.2), fracs
             )
             for p in grid:
-                mp = metric_pack(eval_jet(e, p.r, p.s), p)
+                mp = metric_pack(phi_scalars(eval_jet(e, p.r, p.s), p), p)
                 scale = max(1.0, float(np.max(np.abs(mp.g))))
                 ok = ok and abs(mp.det_direct) < 1e-8 * scale**p.n
             for n, r_values in ((2, (0.7, 1.0, 1.4)), (3, (0.8, 1.2))):
@@ -223,16 +225,16 @@ def test_criterion_berwald_frame_suite():
     for text in texts:
         e = parse(text)
         for p in make_grid(2, (0.7, 1.0, 1.4), (-0.6, -0.2, 0.3, 0.6), (1.0, 1.7)):
-            jet = eval_jet(e, p.r, p.s)
-            mp = metric_pack(jet, p)
-            fr = berwald_frame(jet, p)
+            ps = phi_scalars(eval_jet(e, p.r, p.s), p)
+            mp = metric_pack(ps, p)
+            fr = berwald_frame(ps, p, mp)
             scale = max(1.0, float(np.max(np.abs(mp.g))))
             ok = ok and abs(fr.ell_hi @ fr.ell_lo - 1.0) < 1e-9 * scale
             ok = ok and abs(fr.ell_hi @ fr.m_lo) < 1e-9 * scale
             ok = ok and abs(fr.m_hi @ fr.m_lo - 1.0) < 1e-9 * scale
             recon = np.outer(fr.ell_lo, fr.ell_lo) + np.outer(fr.m_lo, fr.m_lo)
             ok = ok and float(np.max(np.abs(mp.g - recon))) < 1e-9 * scale
-            ms = main_scalar(jet, p)
+            ms = main_scalar(ps, p, mp)
             ok = ok and abs(ms.I - ms.I_direct) < 1e-8 * max(1.0, abs(ms.I))
     record("berwald frame: orthonormality, metric resolution, main scalar", ok)
 

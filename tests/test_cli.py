@@ -279,6 +279,23 @@ def test_classify_on_too_few_surviving_points_gives_null_verdicts(capsys, tmp_pa
     }
 
 
+INCONSISTENT = "mu vanishes on the grid but nu = 6.0 does not; inconsistent evaluation"
+
+
+def test_classify_names_an_inconsistent_riemannian_evaluation(capsys, tmp_path):
+    # every point at s = 0, where mu = 0 for any phi but nu = 6 for 1 + s^3: d(mu)/ds =
+    # -s nu cannot hold, so the Riemannian verdict is null with its reason, and exit 0
+    args = ["classify", "--phi", "1+s^3", "--r", "0.5:1.5:4", "--s-frac", "0:0:1", "--u", "1:2:2"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert f"  riemannian: None\n  riemannian_error: {INCONSISTENT}\n" in out
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 8 and doc["skipped"] == []
+    assert doc["verdicts"]["riemannian"] is None
+    assert doc["verdicts"]["riemannian_error"] == INCONSISTENT
+    assert doc["verdicts"]["degeneracy"] == "nondegenerate" and doc["verdicts"]["is_scalar"]
+
+
 @pytest.mark.parametrize("phi", [FLAT, "sqrt(1+s^2)"])
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_classify_K_samples_are_the_report_K_column(phi, dim, capsys, tmp_path):
@@ -468,7 +485,9 @@ def test_phi_scalars_are_read_off_a_jet_once_per_run(args, reads, monkeypatch, c
     from finslerlab.jet import Jet
 
     calls = []
-    wrap_everywhere(monkeypatch, geometry, "phi_scalars", lambda jet, *a: calls.append(type(jet)))
+    wrap_everywhere(
+        monkeypatch, geometry, "phi_scalars", lambda jet, *a, **k: calls.append(type(jet))
+    )
     code, doc = run_json([*args, "--phi", "1+0.3*s"], capsys, tmp_path)
     assert len(doc["points"]) == 30 and code in (0, 1)
     assert calls.count(Jet) == reads

@@ -14,6 +14,7 @@ from finslerlab import (
     flag_curvature,
     metric_pack,
     parse,
+    phi_scalars,
     pq_from_phi,
     riemann_pack,
 )
@@ -24,7 +25,9 @@ TEST_PHIS = ["1+s", "sqrt(1+s^2)", EX45, "1 + 0.2*s + 0.1*s^2 + 0.05*r^2"]
 
 
 def curvature_at(text, p):
+    """The curvature pack of phi at the point p, behind the phi > 0 guard, and phi's jet."""
     jet = eval_jet(parse(text), p.r, p.s)
+    phi_scalars(jet, p)
     return riemann_pack(pq_from_phi(jet, p), jet, p), jet
 
 
@@ -95,7 +98,7 @@ def test_two_dimensional_reconstruction(text):
     # K = (R1 + (r^2 - s^2) R3) / phi^2
     for p in make_grid(2, (0.8, 1.2), (-0.5, 0.3)):
         cv, jet = curvature_at(text, p)
-        mp = metric_pack(jet, p)
+        mp = metric_pack(phi_scalars(jet, p), p)
         phi, phi_s = jet.partial(0, 0), jet.partial(0, 1)
         K = flag_curvature(cv, phi, p)
         n_lo = p.x - (p.s / p.u) * p.y

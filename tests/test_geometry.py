@@ -14,14 +14,14 @@ from finslerlab import (
     cartan_pack,
     classify,
     eval_jet,
-    horizontal_residual,
     main_scalar,
     metric_pack,
     parse,
+    phi_scalars,
     pq_from_phi,
     random_rotation,
 )
-from finslerlab.geometry import phi_scalars
+from finslerlab.curvature import front_half
 
 RANDOM_PHIS = [
     "1 + 0.2*s + 0.1*s^2",
@@ -111,7 +111,7 @@ def test_rotation_preserves_scalars():
     p0 = canonical_point(3, 1.2, 0.4, 1.5)
     p1 = canonical_point(3, 1.2, 0.4, 1.5, rotation=rot)
     jet = eval_jet(parse("1 + 0.2*s + 0.1*s^2"), 1.2, 0.4)
-    mp0, mp1 = metric_pack(jet, p0), metric_pack(jet, p1)
+    mp0, mp1 = metric_pack(phi_scalars(jet, p0), p0), metric_pack(phi_scalars(jet, p1), p1)
     assert mp1.det_direct == pytest.approx(mp0.det_direct, rel=1e-10)
     assert mp1.F == mp0.F
     assert p1.y @ mp1.g @ p1.y == pytest.approx(p0.y @ mp0.g @ p0.y, rel=1e-12)
@@ -120,7 +120,7 @@ def test_rotation_preserves_scalars():
 def test_euclidean_metric():
     for n in (2, 3):
         p = canonical_point(n, 1.0, 0.3, 2.0)
-        mp = metric_pack(eval_jet(parse("1"), 1.0, 0.3), p)
+        mp = metric_pack(phi_scalars(eval_jet(parse("1"), 1.0, 0.3), p), p)
         assert mp.sigma0 == 1.0
         assert mp.sigma1 == mp.sigma2 == mp.sigma3 == 0.0
         assert np.allclose(mp.g, np.eye(n))
@@ -134,7 +134,7 @@ def test_randers_inverse_scalars():
     # rho2 = -1/(1+s)^2, rho3 = 0
     r, s = 1.0, 0.3
     p = canonical_point(2, r, s, 1.0)
-    mp = metric_pack(eval_jet(parse("1+s"), r, s), p)
+    mp = metric_pack(phi_scalars(eval_jet(parse("1+s"), r, s), p), p)
     assert mp.rho0 == pytest.approx(1 / 1.3, rel=1e-12)
     assert mp.rho1 == pytest.approx((r * r + s) / 1.3**3, rel=1e-12)
     assert mp.rho2 == pytest.approx(-1 / 1.3**2, rel=1e-12)
@@ -143,7 +143,7 @@ def test_randers_inverse_scalars():
 
 def test_linear_phi_is_degenerate_by_formula():
     p = canonical_point(3, 1.0, 0.5, 1.0)
-    mp = metric_pack(eval_jet(parse("s"), 1.0, 0.5), p)
+    mp = metric_pack(phi_scalars(eval_jet(parse("s"), 1.0, 0.5), p), p)
     assert mp.det_formula == pytest.approx(0.0, abs=1e-14)
     assert abs(mp.det_direct) < 1e-12
 
@@ -152,13 +152,13 @@ def test_jet_below_degree_3_is_a_clear_error():
     # phi_scalars reads phi_sss: a degree-2 jet names both degrees, not an IndexError
     p = canonical_point(2, 1.0, 0.3, 1.0)
     with pytest.raises(ValueError, match="up to degree 3, jet has degree 2"):
-        metric_pack(eval_jet(parse("1+s"), 1.0, 0.3, degree=2), p)
+        phi_scalars(eval_jet(parse("1+s"), 1.0, 0.3, degree=2), p)
 
 
 def test_non_positive_phi_rejected():
     p = canonical_point(2, 1.0, -0.5, 1.0)
     with pytest.raises(GeometryError):
-        metric_pack(eval_jet(parse("s"), 1.0, -0.5), p)
+        phi_scalars(eval_jet(parse("s"), 1.0, -0.5), p)
 
 
 @pytest.mark.parametrize("text", RANDOM_PHIS)
@@ -167,7 +167,7 @@ def test_metric_invariants(text, n):
     e = parse(text)
     for p in make_grid(n, (0.6, 1.0, 1.4), (-0.6, 0.1, 0.7), (1.0, 1.7)):
         jet = eval_jet(e, p.r, p.s)
-        mp = metric_pack(jet, p)
+        mp = metric_pack(phi_scalars(jet, p), p)
         # inverse by formula vs LU inverse
         assert np.allclose(mp.ginv, np.linalg.inv(mp.g), rtol=1e-8, atol=1e-12)
         assert np.allclose(mp.g @ mp.ginv, np.eye(n), atol=1e-10)
@@ -187,7 +187,7 @@ def test_rho_contraction_identities(text):
     e = parse(text)
     for p in make_grid(3, (0.7, 1.2), (-0.5, 0.2, 0.6)):
         jet = eval_jet(e, p.r, p.s)
-        mp = metric_pack(jet, p)
+        mp = metric_pack(phi_scalars(jet, p), p)
         phi, phi_s, phi_ss = jet.partial(0, 0), jet.partial(0, 1), jet.partial(0, 2)
         w = p.r**2 - p.s**2
         first = phi_s * mp.rho0 + phi * mp.rho2 + (p.s * phi + w * phi_s) * mp.rho3
@@ -200,7 +200,7 @@ def test_rho_contraction_identities(text):
 
 def test_cartan_scalars_randers():
     p = canonical_point(2, 1.0, 0.3, 1.0)
-    cp = cartan_pack(eval_jet(parse("1+s"), 1.0, 0.3), p)
+    cp = cartan_pack(phi_scalars(eval_jet(parse("1+s"), 1.0, 0.3), p), p)
     assert cp.mu == pytest.approx(1.0, rel=1e-14)
     assert cp.nu == pytest.approx(0.0, abs=1e-14)
 
@@ -208,7 +208,7 @@ def test_cartan_scalars_randers():
 def test_cartan_mu_vanishes_for_riemannian_phi():
     e = parse("sqrt(1+s^2)")
     for p in make_grid(2, (0.6, 1.1, 1.6), (-0.7, 0.0, 0.5)):
-        cp = cartan_pack(eval_jet(e, p.r, p.s), p)
+        cp = cartan_pack(phi_scalars(eval_jet(e, p.r, p.s), p), p)
         assert abs(cp.mu) < 1e-14
 
 
@@ -216,7 +216,7 @@ def test_cartan_mu_vanishes_for_riemannian_phi():
 def test_cartan_symmetry_and_y_annihilation(text):
     e = parse(text)
     for p in make_grid(3, (0.8, 1.3), (-0.4, 0.5)):
-        cp = cartan_pack(eval_jet(e, p.r, p.s), p)
+        cp = cartan_pack(phi_scalars(eval_jet(e, p.r, p.s), p), p)
         for perm in itertools.permutations(range(3)):
             assert np.allclose(cp.C, np.transpose(cp.C, perm), atol=1e-12)
         contracted = np.einsum("ijk,k->ij", cp.C, p.y)
@@ -256,7 +256,7 @@ def test_degeneracy_grid_too_small():
 def test_degenerate_families_have_singular_metric(text):
     e = parse(text)
     for p in make_grid(3, (0.7, 1.1, 1.5), (0.3, 0.6, 0.8)):
-        mp = metric_pack(eval_jet(e, p.r, p.s), p)
+        mp = metric_pack(phi_scalars(eval_jet(e, p.r, p.s), p), p)
         scale = max(1.0, float(np.max(np.abs(mp.g))))
         assert abs(mp.det_direct) < 1e-8 * scale**p.n
 
@@ -275,45 +275,33 @@ CURVATURE_PHIS = [
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_metric_and_cartan_rows_match_single_points(text, n):
     points, batch, jets, singles = rotated_batch(text, n)
-    mp, cp = metric_pack(jets, batch), cartan_pack(jets, batch)
+    ps = phi_scalars(jets, batch)
+    mp, cp = metric_pack(ps, batch), cartan_pack(ps, batch)
     assert mp.g.shape == (len(points), n, n) and cp.C.shape == (len(points), n, n, n)
     for k, (p, jet) in enumerate(zip(points, singles)):
-        assert_row_matches(mp, metric_pack(jet, p), k)
-        assert_row_matches(cp, cartan_pack(jet, p), k)
+        one = phi_scalars(jet, p)
+        assert_row_matches(ps, one, k)
+        assert_row_matches(mp, metric_pack(one, p), k)
+        assert_row_matches(cp, cartan_pack(one, p), k)
 
 
 def test_batched_metric_pack_keeps_each_point_error():
-    # phi = 1 + s^2 - 0.9 r is not positive at some points with r = 1.6
+    # phi = 1 + s^2 - 0.9 r is not positive at some points with r = 1.6; phi_scalars
+    # fails them, and the metric pack of the other points matches theirs alone
     points, batch, jets, singles = rotated_batch("1+s^2-0.9*r", 3)
     errors = {}
-    mp = metric_pack(jets, batch, errors=errors)
+    mp = metric_pack(phi_scalars(jets, batch, errors=errors), batch)
     assert 0 < len(errors) < len(points)
     for k, (p, jet) in enumerate(zip(points, singles)):
         try:
-            single = metric_pack(jet, p)
+            single = metric_pack(phi_scalars(jet, p), p)
         except GeometryError as exc:
             assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc)
         else:
             assert k not in errors
             assert_row_matches(mp, single, k)
     with pytest.raises(GeometryError, match="is not positive"):
-        metric_pack(jets, batch)
-
-
-def test_packs_guard_a_jet_and_unguarded_scalars_but_not_guarded_ones():
-    # phi = 1 + s^2 - 0.9 r is not positive at some points with r = 1.6
-    from finslerlab.geometry import _positive_scalars
-
-    _, batch, jets, _ = rotated_batch("1+s^2-0.9*r", 3)
-    for pack in (metric_pack, cartan_pack):
-        for phi in (jets, phi_scalars(jets, batch)):
-            with pytest.raises(GeometryError, match="is not positive"):
-                pack(phi, batch)
-    guarded = _positive_scalars(jets, batch, errors := {})
-    assert errors and _positive_scalars(guarded, batch, {}) is guarded
-    for pack in (metric_pack, cartan_pack):
-        pack(guarded, batch, errors=(again := {}))
-        assert again == {}
+        phi_scalars(jets, batch)
 
 
 def test_degeneracy_raises_only_errors_before_the_deciding_point():
@@ -366,15 +354,18 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("text", FACTOR_PHIS)
 @pytest.mark.parametrize("n", [2, 3])
-def test_packs_give_the_same_bits_from_phis_jet_and_from_its_scalars(text, n):
+def test_the_front_half_reads_phi_through_the_public_doors(text, n):
+    # front_half's scalars and spray are phi_scalars' and pq_from_phi's, bit for bit and
+    # error for error; main_scalar's frame and Cartan pack are berwald_frame's and cartan_pack's
     _, p, jet, _ = rotated_batch(text, n)
-    ps = phi_scalars(jet, p)
-    assert phi_scalars(ps, p) is ps
-    packs = [metric_pack, cartan_pack] + ([berwald_frame, main_scalar] if n == 2 else [])
-    for pack in packs:
-        from_jet, from_scalars = {}, {}
-        a, b = pack(jet, p, errors=from_jet), pack(ps, p, errors=from_scalars)
-        assert _same_bits(a, b), pack.__name__
-        assert repr(from_jet) == repr(from_scalars)
-    sp = pq_from_phi(jet, p, errors={})
-    assert _same_bits(horizontal_residual(jet, sp, p), horizontal_residual(ps, sp, p))
+    ps, sp, _ = front_half(jet, p, (halves := {}))
+    doors = {}
+    assert _same_bits(ps, phi_scalars(jet, p, errors=doors))
+    assert _same_bits(sp, pq_from_phi(jet, p, errors=doors))
+    assert repr(halves) == repr(doors)
+    if n == 2:
+        mp = metric_pack(ps, p)
+        ms = main_scalar(ps, p, mp, errors=(through := {}))
+        assert _same_bits(ms.frame, berwald_frame(ps, p, mp, errors=(alone := {})))
+        assert _same_bits(ms.cartan, cartan_pack(ps, p))
+        assert repr(through) == repr(alone)

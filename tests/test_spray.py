@@ -6,12 +6,13 @@ import pytest
 from conftest import assert_row_matches, cut_jet, make_grid, rotated_batch, shift_jet
 from finslerlab import (
     GeometryError,
+    candidate_spray,
     canonical_point,
     eval_jet,
     horizontal_residual,
     metrizability_from_spray,
-    metrizability_residuals,
     parse,
+    phi_scalars,
     pq_from_phi,
 )
 from finslerlab.spray import pq_jets
@@ -46,6 +47,17 @@ def test_euclidean_is_flat():
     assert np.allclose(sp.N, 0.0)
 
 
+def test_pq_from_phi_does_not_guard_phi():
+    # P and Q are homogeneous of degree 0 in phi: -phi has phi's spray, and
+    # phi > 0 is phi_scalars' guard alone
+    p = canonical_point(2, 1.0, 0.3, 1.5)
+    sp = pq_from_phi(eval_jet(parse("1+s"), 1.0, 0.3), p)
+    neg = pq_from_phi(eval_jet(parse("-1-s"), 1.0, 0.3), p)
+    assert np.allclose(neg[:10], sp[:10], rtol=1e-15, atol=0)
+    with pytest.raises(GeometryError, match="is not positive"):
+        phi_scalars(eval_jet(parse("-1-s"), 1.0, 0.3), p)
+
+
 def test_degenerate_denominator_reported():
     # phi = 2s + 0.5 sqrt(r^2 - s^2) kills the TYPE_B factor
     jet = eval_jet(parse("2*s + 0.5*sqrt(r^2-s^2)"), 1.0, 0.5)
@@ -61,7 +73,7 @@ def test_horizontal_residual_vanishes(text):
         jet = eval_jet(e, p.r, p.s)
         sp = pq_from_phi(jet, p)
         phi = jet.partial(0, 0)
-        resid = horizontal_residual(jet, sp, p)
+        resid = horizontal_residual(phi_scalars(jet, p), sp.N, p)
         assert np.max(np.abs(resid)) < 1e-9 * p.u * max(1.0, phi)
 
 
@@ -73,7 +85,7 @@ def test_horizontal_residual_detects_wrong_spray():
     bad = sp._replace(Q=sp.Q + 0.1)
     assert np.allclose(bad.N, sp.N + 2 * 0.1 * np.outer(p.x, p.y), rtol=0, atol=1e-15)
     assert np.allclose(bad.G, sp.G + p.u**2 * 0.1 * p.x, rtol=0, atol=1e-15)
-    assert np.max(np.abs(horizontal_residual(jet, bad, p))) > 1e-3
+    assert np.max(np.abs(horizontal_residual(phi_scalars(jet, p), bad.N, p))) > 1e-3
 
 
 def test_spray_homogeneity():
@@ -111,7 +123,7 @@ def test_metrizability_own_spray_randers():
     p_expr, q_expr = parse("1/(2*(1+s))"), parse("0")
     for p in make_grid(2, (0.7, 1.3), (-0.5, 0.2, 0.6)):
         jet = eval_jet(e, p.r, p.s)
-        res = metrizability_residuals(jet, p_expr, q_expr, p)
+        res = metrizability_from_spray(jet, candidate_spray(p_expr, q_expr, p), p)
         assert abs(res.C1) < 1e-9
         assert abs(res.C2) < 1e-9
 
@@ -125,7 +137,7 @@ def test_metrizability_flat_surface_closed_forms():
     q_expr = parse("7/(8*r^2) - 3*s^2/(8*r^4) - 3*s/(4*r^4)*sqrt(r^2-s^2)")
     for p in make_grid(2, (0.7, 1.0, 1.5), (-0.6, 0.0, 0.6)):
         jet = eval_jet(e, p.r, p.s)
-        res = metrizability_residuals(jet, p_expr, q_expr, p)
+        res = metrizability_from_spray(jet, candidate_spray(p_expr, q_expr, p), p)
         assert abs(res.C1) < 1e-8
         assert abs(res.C2) < 1e-8
 
@@ -138,8 +150,8 @@ def test_metrizability_residuals_read_phi_to_first_order(text):
     _, batch, jets, _ = rotated_batch(text, 3)
     low = eval_jet(parse(text), batch.r, batch.s, degree=1)
     for a, b in zip(
-        metrizability_residuals(low, p_expr, q_expr, batch),
-        metrizability_residuals(jets, p_expr, q_expr, batch),
+        metrizability_from_spray(low, candidate_spray(p_expr, q_expr, batch), batch),
+        metrizability_from_spray(jets, candidate_spray(p_expr, q_expr, batch), batch),
     ):
         assert a.tobytes() == b.tobytes()
 
@@ -147,7 +159,7 @@ def test_metrizability_residuals_read_phi_to_first_order(text):
 def test_metrizability_rejects_zero_spray():
     p = canonical_point(2, 1.0, 0.3, 1.0)
     jet = eval_jet(parse("1+s"), 1.0, 0.3)
-    res = metrizability_residuals(jet, parse("0"), parse("0"), p)
+    res = metrizability_from_spray(jet, candidate_spray(parse("0"), parse("0"), p), p)
     assert res.C2 == pytest.approx(0.0, abs=1e-14)  # phi_r = 0
     assert abs(res.C1) > 0.5  # C1 reduces to phi_s = 1
 
@@ -212,13 +224,13 @@ def test_batched_spray_rows_match_single_points(text, n):
     points, batch, jets, singles = rotated_batch(text, n)
     sp = pq_from_phi(jets, batch)
     assert sp.G.shape == (len(points), n) and sp.N.shape == (len(points), n, n)
-    resid = horizontal_residual(jets, sp, batch)
+    resid = horizontal_residual(phi_scalars(jets, batch), sp.N, batch)
     mr = metrizability_from_spray(jets, sp, batch)
     for k, (p, jet) in enumerate(zip(points, singles)):
         one = pq_from_phi(jet, p)
         assert_row_matches(sp, one, k)
         assert_row_matches((sp.G, sp.N), (one.G, one.N), k)
-        assert_row_matches(resid, horizontal_residual(jet, one, p), k)
+        assert_row_matches(resid, horizontal_residual(phi_scalars(jet, p), one.N, p), k)
         assert_row_matches(mr, metrizability_from_spray(jet, one, p), k)
 
 

@@ -14,6 +14,7 @@ from finslerlab import (
     main_scalar,
     metric_pack,
     parse,
+    phi_scalars,
 )
 
 EX45 = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
@@ -21,10 +22,17 @@ EX45 = "1/r^5*sqrt(r^2-s^2)*exp(2*s/sqrt(r^2-s^2))"
 REGULAR_PHIS = ["1+s", "sqrt(1+s^2)", "1 + 0.2*s + 0.1*s^2 + 0.05*r^2"]
 
 
+def surface_args(jet, p, errors=None):
+    """(ps, p, mp): phi's scalars at the points p and their metric pack, the
+    arguments of ``berwald_frame`` and ``main_scalar``."""
+    ps = phi_scalars(jet, p, errors=errors)
+    return ps, p, metric_pack(ps, p)
+
+
 def test_randers_normalization():
     r, s, u = 1.2, 0.4, 1.5
     p = canonical_point(2, r, s, u)
-    fr = berwald_frame(eval_jet(parse("1+s"), r, s), p)
+    fr = berwald_frame(*surface_args(eval_jet(parse("1+s"), r, s), p))
     assert fr.a == pytest.approx(math.sqrt((1 + s) / (r * r - s * s)), rel=1e-12)
     expected_m1 = (p.x[0] - (s / u) * p.y[0]) * fr.a
     assert fr.m_lo[0] == pytest.approx(expected_m1, rel=1e-12)
@@ -32,7 +40,7 @@ def test_randers_normalization():
 
 def test_euclidean_frame():
     p = canonical_point(2, 1.0, 0.0, 2.0)
-    fr = berwald_frame(eval_jet(parse("1"), 1.0, 0.0), p)
+    fr = berwald_frame(*surface_args(eval_jet(parse("1"), 1.0, 0.0), p))
     assert np.allclose(fr.ell_hi, p.y / 2.0)
     assert np.allclose(np.abs(fr.m_hi), np.abs(p.x))  # unit, orthogonal to y
 
@@ -40,14 +48,14 @@ def test_euclidean_frame():
 def test_frame_requires_surface():
     p = canonical_point(3, 1.0, 0.3, 1.0)
     with pytest.raises(GeometryError):
-        berwald_frame(eval_jet(parse("1+s"), 1.0, 0.3), p)
+        berwald_frame(*surface_args(eval_jet(parse("1+s"), 1.0, 0.3), p))
 
 
 def test_frame_fails_on_degenerate_radicand():
     jet = eval_jet(parse("2*s + 0.5*sqrt(r^2-s^2)"), 1.0, 0.5)
     p = canonical_point(2, 1.0, 0.5, 1.0)
     with pytest.raises(GeometryError):
-        berwald_frame(jet, p)
+        berwald_frame(*surface_args(jet, p))
 
 
 @pytest.mark.parametrize("text", REGULAR_PHIS + [EX45])
@@ -55,8 +63,8 @@ def test_orthonormality_suite(text):
     e = parse(text)
     for p in make_grid(2, (0.7, 1.0, 1.4), (-0.5, 0.1, 0.6), (1.0, 1.8)):
         jet = eval_jet(e, p.r, p.s)
-        mp = metric_pack(jet, p)
-        fr = berwald_frame(jet, p)
+        ps, _, mp = surface_args(jet, p)
+        fr = berwald_frame(ps, p, mp)
         assert fr.ell_hi @ fr.ell_lo == pytest.approx(1.0, abs=1e-9)
         assert fr.ell_hi @ fr.m_lo == pytest.approx(0.0, abs=1e-9)
         assert fr.m_hi @ fr.m_lo == pytest.approx(1.0, abs=1e-9)
@@ -75,7 +83,7 @@ def test_n_vector_suite(text):
     e = parse(text)
     for p in make_grid(2, (0.8, 1.3), (-0.4, 0.2, 0.6), (1.0, 2.0)):
         jet = eval_jet(e, p.r, p.s)
-        fr = berwald_frame(jet, p)
+        fr = berwald_frame(*surface_args(jet, p))
         w = p.r**2 - p.s**2
         assert p.y @ fr.n_lo == pytest.approx(0.0, abs=1e-12)
         assert p.x @ fr.n_lo == pytest.approx(w, rel=1e-12)
@@ -100,8 +108,8 @@ def test_normalization_identity(text):
     e = parse(text)
     for p in make_grid(2, (0.7, 1.2), (-0.5, 0.3), (1.0,)):
         jet = eval_jet(e, p.r, p.s)
-        fr = berwald_frame(jet, p)
-        ms = main_scalar(jet, p)
+        args = surface_args(jet, p)
+        fr, ms = berwald_frame(*args), main_scalar(*args)
         w = p.r**2 - p.s**2
         assert fr.a**2 * w * (ms.A - p.s * ms.B) == pytest.approx(1.0, abs=1e-10)
 
@@ -109,7 +117,7 @@ def test_normalization_identity(text):
 def test_randers_main_scalar_at_origin_slice():
     # at (r, s) = (1, 0) the closed form evaluates to 3/2
     p = canonical_point(2, 1.0, 0.0, 1.0)
-    ms = main_scalar(eval_jet(parse("1+s"), 1.0, 0.0), p)
+    ms = main_scalar(*surface_args(eval_jet(parse("1+s"), 1.0, 0.0), p))
     assert ms.I == pytest.approx(1.5, rel=1e-10)
     assert ms.I_direct == pytest.approx(1.5, rel=1e-10)
 
@@ -117,7 +125,7 @@ def test_randers_main_scalar_at_origin_slice():
 def test_riemannian_main_scalar_vanishes():
     e = parse("sqrt(1+s^2)")
     for p in make_grid(2, (0.7, 1.1, 1.5), (-0.6, 0.0, 0.5)):
-        ms = main_scalar(eval_jet(e, p.r, p.s), p)
+        ms = main_scalar(*surface_args(eval_jet(e, p.r, p.s), p))
         assert abs(ms.I) < 1e-10
         assert abs(ms.I_direct) < 1e-10
 
@@ -126,7 +134,7 @@ def test_riemannian_main_scalar_vanishes():
 def test_main_scalar_two_routes_agree(text):
     e = parse(text)
     for p in make_grid(2, (0.7, 1.0, 1.4), (-0.5, 0.1, 0.6), (1.0, 1.7)):
-        ms = main_scalar(eval_jet(e, p.r, p.s), p)
+        ms = main_scalar(*surface_args(eval_jet(e, p.r, p.s), p))
         assert abs(ms.I - ms.I_direct) < 1e-8 * max(1.0, abs(ms.I))
 
 
@@ -150,9 +158,20 @@ def test_riemannian_criterion_matches_main_scalar():
         e = parse(text)
         verdict, _ = riemannian(text, batch)
         max_I = max(
-            abs(main_scalar(eval_jet(e, p.r, p.s), p).I) for p in grid
+            abs(main_scalar(*surface_args(eval_jet(e, p.r, p.s), p)).I) for p in grid
         )
         assert verdict == (max_I < 1e-8)
+
+
+def test_riemannian_test_names_an_inconsistent_evaluation():
+    # at s = 0, mu = 0 for any phi, but nu = 6 for 1 + s^3: the verdict is None with
+    # its reason, and the other verdicts stand
+    verdicts, _ = classify(parse("1+s^3"), make_batch(2, (0.5, 0.8, 1.2, 1.5), (0.0,), (1.0, 2.0)))
+    assert verdicts["riemannian"] is None
+    assert verdicts["riemannian_error"] == (
+        "mu vanishes on the grid but nu = 6.0 does not; inconsistent evaluation"
+    )
+    assert verdicts["degeneracy"] == "nondegenerate" and verdicts["is_scalar"] is True
 
 
 def test_riemannian_grid_preconditions():
@@ -166,24 +185,37 @@ def test_riemannian_grid_preconditions():
 @pytest.mark.parametrize("text", REGULAR_PHIS + [EX45])
 def test_batched_frame_and_main_scalar_rows_match_single_points(text):
     points, batch, jets, singles = rotated_batch(text, 2)
-    fr, ms = berwald_frame(jets, batch), main_scalar(jets, batch)
+    args = surface_args(jets, batch)
+    fr, ms = berwald_frame(*args), main_scalar(*args)
     assert fr.m_hi.shape == (len(points), 2)
     for k, (p, jet) in enumerate(zip(points, singles)):
-        assert_row_matches(fr, berwald_frame(jet, p), k)
-        assert_row_matches(ms, main_scalar(jet, p), k)
+        assert_row_matches(fr, berwald_frame(*surface_args(jet, p)), k)
+        assert_row_matches(ms, main_scalar(*surface_args(jet, p)), k)
 
 
-def test_batched_frame_keeps_each_point_error():
-    # the radicand of a fails at some points only
-    points, batch, jets, singles = rotated_batch("2*s + 0.5*sqrt(r^2-s^2) + 0.3*s^2", 2)
+def assert_rows_keep_their_errors(text, match):
+    """main_scalar over rotated_batch(text, 2) fails some points only, with match
+    in each error, and every row equals its one-point call, error or pack."""
+    points, batch, jets, singles = rotated_batch(text, 2)
     errors = {}
-    ms = main_scalar(jets, batch, errors=errors)
+    ms = main_scalar(*surface_args(jets, batch, errors), errors=errors)
     assert 0 < len(errors) < len(points)
+    assert all(match in str(exc) for exc in errors.values())
     for k, (p, jet) in enumerate(zip(points, singles)):
         try:
-            single = main_scalar(jet, p)
+            single = main_scalar(*surface_args(jet, p))
         except GeometryError as exc:
             assert type(errors[k]) is GeometryError and str(errors[k]) == str(exc)
         else:
             assert k not in errors
             assert_row_matches(ms, single, k)
+
+
+def test_batched_frame_keeps_each_point_error():
+    # phi <= 0 at some points only: phi_scalars' guard fails them before the radicand of a
+    assert_rows_keep_their_errors("2*s + 0.5*sqrt(r^2-s^2) + 0.3*s^2", "is not positive at")
+
+
+def test_batched_frame_keeps_each_radicand_error():
+    # phi = 1 - s^2/2 > 0 on the grid, and D = 1 - r^2 + 3 s^2/2 < 0 at some points
+    assert_rows_keep_their_errors("1 - 0.5*s^2", "radicand")

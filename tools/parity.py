@@ -59,6 +59,8 @@ PHIS = [
     "s/1e-62+2",
     "s/0+1",
     "(2+s)/1e62",
+    # a literal minus a jet (Jet.__rsub__), the one ring operator no phi above runs
+    "3-s^2",
 ]
 DIMS = ["2", "3"]
 GRIDS = [
