@@ -9,8 +9,6 @@ from .curvature import (
 )
 from .expr import DomainError, ParseError, eval_value, parse, to_string
 from .geometry import (
-    CartanPack,
-    Degeneracy,
     EvalPoint,
     GeometryError,
     MetricPack,
@@ -41,9 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerwaldFrame",
-    "CartanPack",
     "CurvaturePack",
-    "Degeneracy",
     "DomainError",
     "EvalPoint",
     "GeometryError",

@@ -5,8 +5,8 @@ grid of points and emit a deterministic JSON report.
         --dim N --r A:B:K --s-frac A:B:K --u A:B:K
         [--seed N] [--rotate] [--tol-abs X] [--tol-rel X] [--json PATH]
 
-Exit codes: 0 success, 1 failed check, 2 parse/config error or an
-unwritable --json path, 3 every grid point was skipped.
+Exit codes: 0 success, 1 failed check, 2 parse/config error, a grid or dim
+too large for memory, or an unwritable --json path, 3 every grid point was skipped.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
     if not with_checks:
         return columns, {}
 
-    cp = ms.cartan if p.n == 2 else cartan_pack(ps, p)
+    C = ms.cartan if p.n == 2 else cartan_pack(ps, p)
     phi0, u, w, eye = ps.phi, p.u, p.w, np.eye(p.n)
     Rmat, G, N = cv.Rmat, sp.G, sp.N  # each formed on read, and read twice
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
@@ -128,8 +128,8 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
         "euler_identity": (_maxabs(gy - lift(mp.F) * _ell_lo(ps, p)), F2),
         "det_formula": (mp.det_direct - mp.det_formula, np.maximum(1.0, np.abs(mp.det_formula))),
         "rho_contractions": (np.maximum(np.abs(contr1), np.abs(contr2)), 1.0),
-        "cartan_y_annihilation": (_maxabs(np.einsum("...ijk,...k->...ij", cp.C, p.y), 2),
-                                  np.maximum(1.0, _maxabs(cp.C, 3) * u)),
+        "cartan_y_annihilation": (_maxabs(np.einsum("...ijk,...k->...ij", C, p.y), 2),
+                                  np.maximum(1.0, _maxabs(C, 3) * u)),
         "metrizability_C1_C2": c1_c2_test(mr, phi0),  # phi0 > 0 at every kept point
         "horizontal_dhF": (_maxabs(horizontal_residual(ps, N, p)), u * np.maximum(1.0, phi0)),
         "spray_homogeneity": (_maxabs(np.einsum("...ij,...j->...i", N, p.y) - 2 * G),
@@ -303,6 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception) -> int:
+    """Print exc as one error line; exit code 2.  A bare MemoryError has no message."""
+    print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     tokens = []  # "--phi -s+3" -> "--phi=-s+3": argparse reads a lone "-s+3" as a flag
     for token in sys.argv[1:] if argv is None else argv:
@@ -316,16 +322,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(args.subcommand, args.phi, args.dim, *grids, args.seed, args.rotate,
                         args.tol_abs, args.tol_rel, *(getattr(args, k, None) for k in "pq"))
         doc, exit_code = run_columns(cfg)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ParseError, ValueError, MemoryError) as exc:
+        return _error(exc)
     _print_summary(doc)
     if args.json_path:
         try:
             write_report(doc, args.json_path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        except (OSError, MemoryError) as exc:
+            return _error(exc)
     return exit_code
 
 

@@ -181,7 +181,7 @@ def flag_curvature(cp: CurvaturePack, phi: float, p: EvalPoint) -> float:
 def classify(phi: Node, p: EvalPoint) -> tuple[dict, dict]:
     """(verdicts, samples): the paper's verdicts on phi over the points p, a batch
     of shape (N,), from one ``eval_jet`` and one ``front_half``.  verdicts holds
-    is_scalar and max_R3_residual, degeneracy (a ``Degeneracy`` value) and, for
+    is_scalar and max_R3_residual, degeneracy (``degeneracy_from_scalars``) and, for
     n = 2, riemannian; a test that fails, as each does on fewer than 8 points,
     gives None with its error under scalar_error, degeneracy_error or
     riemannian_error.  samples holds the columns r, s, u and K of the points the
@@ -210,7 +210,7 @@ def classify_from_curvature(
                 is_scalar, K, max_resid = scalar_from_curvature(ps, cv, p, errors)
                 verdicts.update(is_scalar=is_scalar, max_R3_residual=max_resid)
             elif name == "degeneracy":
-                verdicts[key] = degeneracy_from_scalars(ps, dict(jet_errors)).value
+                verdicts[key] = degeneracy_from_scalars(ps, dict(jet_errors))
             else:
                 verdicts[key] = riemannian_from_scalars(ps, p, dict(jet_errors))
         except (ArithmeticError, GeometryError) as exc:

@@ -15,7 +15,6 @@ Euclidean one, so raised and lowered indices coincide numerically.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -107,17 +106,15 @@ class PhiScalars(NamedTuple):
     phi_r: float
     phi_s: float
     phi_ss: float
-    phi_rs: float
-    phi_sss: float
     t: float  # phi - s phi_s, the first regularity factor
     d: float  # t + w phi_ss, the second (D); det g = phi^(n+1) t^(n-2) d
     mu: float  # phi phi_s - s phi_s^2 - s phi phi_ss, with nu the Cartan scalars
     nu: float  # 3 phi_s phi_ss + phi phi_sss
 
 
-# The (a, b) of phi and its partials as partials of the jet, and a! b!.
-_PHI_A, _PHI_B = [0, 1, 0, 0, 1, 0], [0, 0, 1, 2, 1, 3]
-_PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 6.0])
+# The (a, b) of phi, phi_r, phi_s, phi_ss and phi_sss as partials of the jet, and a! b!.
+_PHI_A, _PHI_B = [0, 1, 0, 0, 0], [0, 0, 1, 2, 3]
+_PHI_W = np.array([1.0, 1.0, 1.0, 2.0, 6.0])
 
 
 @batched
@@ -127,14 +124,14 @@ def phi_scalars(jet: Jet, p: EvalPoint, *, errors: dict) -> PhiScalars:
     there)."""
     if jet.degree < 3:
         raise ValueError(f"phi_scalars reads partials up to degree 3, jet has degree {jet.degree}")
-    c = jet.c[_PHI_A, _PHI_B]  # the six coefficients, in one gather
-    phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss = c * lift(_PHI_W, c.ndim - 1)
+    c = jet.c[_PHI_A, _PHI_B]  # the five coefficients, in one gather
+    phi, phi_r, phi_s, phi_ss, phi_sss = c * lift(_PHI_W, c.ndim - 1)
     s, w = p.s, p.w
     t = phi - s * phi_s
     d = t + w * phi_ss
     mu = phi * phi_s - s * (phi_s * phi_s) - s * phi * phi_ss
     nu = 3.0 * phi_s * phi_ss + phi * phi_sss
-    ps = PhiScalars(phi, phi_r, phi_s, phi_ss, phi_rs, phi_sss, t, d, mu, nu)
+    ps = PhiScalars(phi, phi_r, phi_s, phi_ss, t, d, mu, nu)
     _fail_nonpositive(ps, p, errors)
     return ps
 
@@ -266,12 +263,6 @@ def metric_pack(ps: PhiScalars, p: EvalPoint) -> MetricPack:
     )
 
 
-class CartanPack(NamedTuple):
-    mu: float
-    nu: float
-    C: np.ndarray  # (*batch, n, n, n), fully symmetric
-
-
 def _sym_vd(v: np.ndarray, n: int) -> np.ndarray:
     """v_i d_jk + v_j d_ik + v_k d_ij."""
     eye = np.eye(n)
@@ -298,14 +289,12 @@ def _sym_aab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def cartan_pack(ps: PhiScalars, p: EvalPoint) -> CartanPack:
-    """Cartan tensor components and the two scalars driving them, mu and nu,
-    from phi's scalars ps at the points p.
-    """
-    s, u, n, mu, nu = p.s, p.u, p.n, ps.mu, ps.nu
-    x, y = p.x, p.y
+def cartan_pack(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
+    """The Cartan tensor C_ijk at the points p, of shape (*batch, n, n, n) and
+    fully symmetric, from phi's scalars ps there; mu and nu drive it."""
+    s, u, n, x, y, mu, nu = p.s, p.u, p.n, p.x, p.y, ps.mu, ps.nu
     u2 = u * u
-    C = (
+    return (
         lift(mu / (2 * u), 3) * _sym_vd(x, n)
         + lift(nu / (2 * u), 3) * _cube(x)
         - lift(s * mu / (2 * u2), 3) * _sym_vd(y, n)
@@ -313,19 +302,13 @@ def cartan_pack(ps: PhiScalars, p: EvalPoint) -> CartanPack:
         + lift((s * s * nu - mu) / (2 * (u2 * u)), 3) * _sym_aab(y, x)
         - lift(s * nu / (2 * u2), 3) * _sym_aab(x, y)
     )
-    return CartanPack(mu=mu, nu=nu, C=C)
 
 
-class Degeneracy(enum.Enum):
-    NONDEGENERATE = "nondegenerate"
-    DEGENERATE_TYPE_A = "degenerate_type_a"
-    DEGENERATE_TYPE_B = "degenerate_type_b"
-
-
-def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> Degeneracy:
-    """Screen phi's scalars ps, whose points' earlier failures are in errors, for
-    TYPE_A, t = 0 at every point (phi = f(r^2) s), and TYPE_B, d = 0 at every
-    point (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)); either forces det(g) = 0.
+def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> str:
+    """The verdict "nondegenerate", "degenerate_type_a" or "degenerate_type_b" of
+    phi's scalars ps, whose points' earlier failures are in errors: type A is
+    t = 0 at every point (phi = f(r^2) s), type B d = 0 at every point
+    (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)); either forces det(g) = 0.
     The first point, in order, that rules out both decides; a point before it
     that failed, or whose values are not finite, raises its error."""
     scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
@@ -338,7 +321,5 @@ def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> Degeneracy:
     decided = first_true(not_a & not_b)
     raise_first(errors, decided)
     if decided is not None:
-        return Degeneracy.NONDEGENERATE
-    if not not_a[-1]:
-        return Degeneracy.DEGENERATE_TYPE_A
-    return Degeneracy.DEGENERATE_TYPE_B
+        return "nondegenerate"
+    return "degenerate_type_b" if not_a[-1] else "degenerate_type_a"

@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
-    CartanPack,
     EvalPoint,
     GeometryError,
     MetricPack,
@@ -78,7 +77,7 @@ class MainScalarPack(NamedTuple):
     I: float  # closed-form route
     I_direct: float  # F C_ijk m^i m^j m^k
     frame: BerwaldFrame  # the frame both routes used
-    cartan: CartanPack  # the Cartan pack both routes used
+    cartan: np.ndarray  # the Cartan tensor C_ijk the direct route used
 
 
 @batched
@@ -93,17 +92,17 @@ def main_scalar(ps: PhiScalars, p: EvalPoint, mp: MetricPack, *, errors: dict) -
     Points fail as in ``berwald_frame``.
     """
     frame = berwald_frame(ps, p, mp, errors=errors)
-    cp = cartan_pack(ps, p)
+    C = cartan_pack(ps, p)
     A = mp.rho0 + p.s * mp.rho2 + p.r * p.r * mp.rho3
     B = mp.rho2 + p.s * mp.rho3
     m = frame.m_hi
     msq = (m * m).sum(-1)
     a = frame.a
     I = (ps.phi / 2.0) * (
-        3 * cp.mu / a * msq - 3 * a * cp.mu * p.w * p.w * B * B + cp.nu / (a * a * a)
+        3 * ps.mu / a * msq - 3 * a * ps.mu * p.w * p.w * B * B + ps.nu / (a * a * a)
     )
-    I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", cp.C, m, m, m)
-    return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=cp)
+    I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", C, m, m, m)
+    return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=C)
 
 
 def riemannian_from_scalars(ps: PhiScalars, p: EvalPoint, errors: dict) -> bool:

@@ -12,9 +12,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, make_batch, make_grid, rel_close
 
 from finslerlab import (
-    Degeneracy,
     berwald_frame,
-    cartan_pack,
     classify,
     eval_jet,
     fd_partials,
@@ -118,15 +116,14 @@ def test_criterion_randers_surface_invariants():
         r, s = p.r, p.s
         ps = phi_scalars(eval_jet(e, r, s), p)
         mp = metric_pack(ps, p)
-        cp = cartan_pack(ps, p)
         fr = berwald_frame(ps, p, mp)
         ok = ok and rel_close(mp.rho0, 1 / (1 + s), rel=1e-9)
         ok = ok and rel_close(mp.rho1, (r * r + s) / (1 + s) ** 3, rel=1e-9)
         ok = ok and rel_close(mp.rho2, -1 / (1 + s) ** 2, rel=1e-9)
         ok = ok and abs(mp.rho3) < 1e-12
         ok = ok and rel_close(fr.a, math.sqrt((1 + s) / (r * r - s * s)), rel=1e-9)
-        ok = ok and abs(cp.mu - 1.0) < 1e-12
-        ok = ok and abs(cp.nu) < 1e-12
+        ok = ok and abs(ps.mu - 1.0) < 1e-12
+        ok = ok and abs(ps.nu) < 1e-12
     record("randers surface: rho factors, frame scale, mu = 1, nu = 0", ok)
 
 
@@ -202,8 +199,8 @@ def test_criterion_degenerate_families():
             f" + ({c0:.4f} + {c1:.4f}*r^2)*sqrt(r^2-s^2)"
         )
         for text, verdict in (
-            (type_a, Degeneracy.DEGENERATE_TYPE_A),
-            (type_b, Degeneracy.DEGENERATE_TYPE_B),
+            (type_a, "degenerate_type_a"),
+            (type_b, "degenerate_type_b"),
         ):
             e = parse(text)
             grid = make_grid(2, (0.7, 1.0, 1.4), fracs) + make_grid(
@@ -215,7 +212,7 @@ def test_criterion_degenerate_families():
                 ok = ok and abs(mp.det_direct) < 1e-8 * scale**p.n
             for n, r_values in ((2, (0.7, 1.0, 1.4)), (3, (0.8, 1.2))):
                 verdicts, _ = classify(e, make_batch(n, r_values, fracs))
-                ok = ok and verdicts["degeneracy"] == verdict.value
+                ok = ok and verdicts["degeneracy"] == verdict
     record("degenerate families: singular determinants and verdicts", ok)
 
 

@@ -1321,6 +1321,37 @@ def test_unwritable_json_path_exits_2(where, capsys, tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+# numpy's MemoryError names the allocation; Python's own (a list too long) has no message
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 14.3 GiB for an array", ""], ids=["numpy", "bare"]
+)
+@pytest.mark.parametrize("where, args", [
+    ("linspace", ["report", "--phi", "1+s", "--r", "0.5:1.5:200000000"]),
+    ("cartan_pack", ["check", "--phi", "1+s", "--dim", "2"]),
+    ("cartan_pack", ["check", "--phi", "1+s", "--dim", "3"]),
+    ("write_report", ["report", "--phi", "1+s", "--json"]),
+], ids=["range", "cartan_n2", "cartan_n3", "write"])
+def test_running_out_of_memory_exits_2(where, args, message, monkeypatch, capsys, tmp_path):
+    # a range count, a --dim or a report too large for memory: a MemoryError, raised
+    # without allocating where each would first fail, ends in one error line, not a
+    # traceback; the report's write comes after the summary
+    from finslerlab import cli, geometry
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    if where == "linspace":
+        monkeypatch.setattr(np, "linspace", no_memory)
+    elif where == "cartan_pack":
+        wrap_everywhere(monkeypatch, geometry, "cartan_pack", no_memory)
+    else:
+        monkeypatch.setattr(cli, "write_report", no_memory)
+        args = [*args, str(tmp_path / "out.json")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and err == f"error: {message or 'out of memory'}\n"
+    assert out.startswith("finsler-lab ") == (where == "write_report")
+
+
 def test_overflowing_phi_squared_is_named_in_every_guard(capsys, tmp_path):
     # phi = 1e200 (2 + s): phi^2 overflows, so the TYPE_B guard cannot scale its
     # test; the points are skipped with the reason the classifiers give

@@ -153,6 +153,20 @@ def test_importing_the_cli_generates_no_dataclass():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("rotate, imported", [([], False), (["--rotate"], True)])
+def test_only_a_rotated_run_imports_numpy_random(rotate, imported):
+    # numpy.random's first import costs milliseconds and megabytes of a fresh process;
+    # only --rotate draws from it
+    code = ("import sys, finslerlab.cli; "
+            f"code = finslerlab.cli.main(['report', '--phi', '1+s', *{rotate!r}]); "
+            "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"0 {imported}\n"
+
+
 def test_infinite_number_prints_and_parses_back():
     inf = float("inf")
     assert to_string(Num(inf)) == "1e309"
