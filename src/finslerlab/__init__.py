@@ -7,7 +7,7 @@ from .curvature import (
     flag_curvature,
     riemann_pack,
 )
-from .expr import DomainError, ParseError, eval_value, parse, to_string
+from .expr import DomainError, ParseError, parse, to_string
 from .geometry import (
     EvalPoint,
     GeometryError,
@@ -19,7 +19,7 @@ from .geometry import (
     phi_scalars,
     random_rotation,
 )
-from .jet import Jet, eval_jet, fd_partials
+from .jet import Jet, eval_jet
 from .spray import (
     MetrizabilityResiduals,
     SprayPack,
@@ -56,8 +56,6 @@ __all__ = [
     "cartan_pack",
     "classify",
     "eval_jet",
-    "eval_value",
-    "fd_partials",
     "flag_curvature",
     "horizontal_residual",
     "metrizability_from_spray",

@@ -61,10 +61,11 @@ class RunConfig(NamedTuple):
 
 def parse_range(text: str) -> list[float]:
     """'A:B:K' -> K evenly spaced values from A to B."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must be A:B:K, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, k = text.split(":")
+        start, stop, count = float(a), float(b), int(k)
+    except ValueError:
+        raise ValueError(f"range must be A:B:K, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"range end points must be finite, got {text!r}")
     if count < 1:

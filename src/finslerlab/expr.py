@@ -1,4 +1,4 @@
-"""Parsing, printing and plain evaluation of phi(r, s) expression strings.
+"""Parsing and printing of phi(r, s) expression strings.
 
 Grammar (infix, ``^`` right-associative, unary minus binds the atom):
 
@@ -209,50 +209,4 @@ def to_string(e: Node) -> str:
         return f"({to_string(e.left)} {e.op} {to_string(e.right)})"
     if isinstance(e, Call):
         return f"{e.func}({to_string(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_MATH = {
-    "sqrt": math.sqrt, "exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "abs": abs
-}
-
-
-def eval_value(e: Node, r: float, s: float) -> float:
-    """Evaluate an AST to a plain float at (r, s)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return r if e.name == "r" else s
-    if isinstance(e, Neg):
-        return -eval_value(e.arg, r, s)
-    if isinstance(e, BinOp):
-        a = eval_value(e.left, r, s)
-        b = eval_value(e.right, r, s)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                if b == 0.0:
-                    raise DomainError(f"division by zero in {to_string(e)}")
-                return a / b
-            if e.op == "^":
-                out = a**b
-                if isinstance(out, complex):
-                    raise DomainError(f"complex power in {to_string(e)}")
-                return out
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"{exc} in {to_string(e)}") from exc
-        raise TypeError(f"unknown operator {e.op!r}")
-    if isinstance(e, Call):
-        v = eval_value(e.arg, r, s)
-        if e.func not in _MATH:
-            raise TypeError(f"unknown function {e.func!r}")
-        try:
-            return _MATH[e.func](v)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{exc} in {to_string(e)}") from exc
     raise TypeError(f"not an expression node: {e!r}")

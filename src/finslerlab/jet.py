@@ -56,7 +56,7 @@ import os
 
 import numpy as np
 
-from .expr import BinOp, Call, DomainError, Neg, Node, Num, Var, eval_value, to_string
+from .expr import BinOp, Call, DomainError, Neg, Node, Num, Var, to_string
 
 DEGREE = 4
 
@@ -544,47 +544,3 @@ def eval_jet(e: Node, r, s, *, degree: int = DEGREE, errors: dict) -> Jet:
         lambda: DomainError(f"non-finite jet coefficient in {to_string(e)}"),
     )
     return out
-
-
-# -- finite-difference oracle ----------------------------------------------
-
-# Central stencils of second-order accuracy; offsets paired with weights,
-# denominator h**order.
-_STENCILS = {
-    0: ((0,), (1.0,)),
-    1: ((-1, 1), (-0.5, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-}
-
-# Base step per total derivative order.  1e-4 is fine through order 2; the
-# higher orders need larger steps to keep 1/h^k roundoff amplification
-# below the advertised tolerances.
-_STEP = {0: 1e-4, 1: 1e-4, 2: 1e-4, 3: 4e-3, 4: 2e-2}
-
-
-def _fd_once(e: Node, r: float, s: float, a: int, b: int, h: float) -> float:
-    offs_r, w_r = _STENCILS[a]
-    offs_s, w_s = _STENCILS[b]
-    acc = 0.0
-    for oi, wi in zip(offs_r, w_r):
-        for oj, wj in zip(offs_s, w_s):
-            acc += wi * wj * eval_value(e, r + oi * h, s + oj * h)
-    return acc / h ** (a + b)
-
-
-def fd_partials(e: Node, r: float, s: float, a: int, b: int) -> float:
-    """Central-difference estimate of (d/dr)^a (d/ds)^b e at (r, s).
-
-    One Richardson refinement of the second-order central stencils; the
-    point must be interior to the domain by at least 4h in each direction.
-    """
-    if a < 0 or b < 0 or a + b > DEGREE:
-        raise ValueError(f"partial order ({a},{b}) outside supported range")
-    if a + b == 0:
-        return eval_value(e, r, s)
-    h = _STEP[a + b] * max(1.0, abs(r), abs(s))
-    coarse = _fd_once(e, r, s, a, b, h)
-    fine = _fd_once(e, r, s, a, b, h / 2)
-    return (4.0 * fine - coarse) / 3.0

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES, make_batch, make_grid, rel_close
+from oracles import fd_partials
 
 from finslerlab import (
     berwald_frame,
     classify,
     eval_jet,
-    fd_partials,
     flag_curvature,
     horizontal_residual,
     main_scalar,

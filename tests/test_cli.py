@@ -140,10 +140,30 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
-def test_bad_range_exits_2(capsys):
-    code, _, err = run_cli(["check", "--phi", "1", "--r", "1:2"], capsys)
+@pytest.mark.parametrize("text", ["1:2", "1:2:3.0", "a:1:2", "1:2:x"])
+def test_bad_range_exits_2(text, capsys):
+    code, _, err = run_cli(["check", "--phi", "1", "--r", text], capsys)
     assert code == 2
-    assert "error:" in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"error: range must be A:B:K, got {text!r}"
+    ]
+
+
+@pytest.mark.parametrize("dim", ["1", "0"])
+def test_dim_below_2_exits_2(dim, capsys):
+    code, _, err = run_cli(["check", "--phi", "1+s", "--dim", dim], capsys)
+    assert code == 2
+    assert err == f"error: dim must be >= 2, got {dim}\n"
+
+
+def test_run_columns_rejects_a_config_argparse_never_builds():
+    from finslerlab.cli import RunConfig, run_columns
+
+    grids = [1.0], [0.3], [1.0]
+    with pytest.raises(ValueError, match="^metrize requires --p and --q$"):
+        run_columns(RunConfig("metrize", "1+s", 2, *grids))
+    with pytest.raises(ValueError, match="unknown subcommand 'plot'"):
+        run_columns(RunConfig("plot", "1+s", 2, *grids))
 
 
 def test_bad_s_fraction_exits_2(capsys):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import eval_value
 
-from finslerlab import DomainError, ParseError, eval_jet, eval_value, parse, to_string
+from finslerlab import DomainError, ParseError, eval_jet, parse, to_string
 from finslerlab.expr import BinOp, Call, Neg, Num, Var
 
 
@@ -76,6 +77,25 @@ def test_eval_value_basics():
     assert eval_value(parse("exp(0*r)"), 5.0, 5.0) == 1.0
     assert eval_value(parse("ln(r)"), math.e, 0.0) == pytest.approx(1.0)
     assert eval_value(parse("abs(s)"), 0.0, -2.5) == 2.5
+
+
+@pytest.mark.parametrize(
+    "text", ["s/0", "(-1)^0.5", "exp(1000)", "sqrt(-1)", "ln(0)", "10^400", "s^0.5"]
+)
+def test_eval_value_domain_errors_name_the_node(text):
+    # the oracle and the jet engine both reject the point
+    e = parse(text)
+    with pytest.raises(DomainError) as info:
+        eval_value(e, 1.0, -0.3)
+    assert to_string(e) in str(info.value)
+    errors = {}
+    eval_jet(e, 1.0, -0.3, errors=errors)
+    assert list(errors) == [0]
+
+
+def test_eval_value_rejects_a_non_node():
+    with pytest.raises(TypeError, match="not an expression node"):
+        eval_value("s", 1.0, 0.3)
 
 
 _numbers = st.one_of(

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import cut_jet, shift_jet, sympy_partial
-from finslerlab import DomainError, eval_jet, fd_partials, parse
+from oracles import fd_partials
+from finslerlab import DomainError, eval_jet, parse
 from finslerlab.expr import to_string
 from finslerlab.jet import (
     Jet,
