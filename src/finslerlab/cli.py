@@ -69,7 +69,7 @@ def parse_range(text: str) -> list[float]:
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"range end points must be finite, got {text!r}")
     if count < 1:
-        raise ValueError(f"range count must be >= 1, got {count}")
+        raise ValueError(f"range count must be >= 1, got {text!r}")
     return np.linspace(start, stop, count).tolist()
 
 

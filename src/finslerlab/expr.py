@@ -8,6 +8,7 @@ Grammar (infix, ``^`` right-associative, unary minus binds the atom):
     unary  := '-'? atom
     atom   := number | 'r' | 's' | ident '(' expr ')' | '(' expr ')'
 
+``_Parser`` reads it by precedence climbing over the binding powers of ``_BINDING``.
 The variables are ``r`` and ``s``, the functions those of :data:`FUNCTIONS`; input
 nested deeper than :data:`MAX_DEPTH` parentheses, calls, signs and operators fails.
 """
@@ -67,25 +68,20 @@ Node = Union[Num, Var, Neg, BinOp, Call]
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]+)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
+
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}  # ^ alone chains to the right
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            offset = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[offset]!r}", offset)
-        kind = m.lastgroup  # "num", "ident" or "op"
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, value, offset in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", offset)
+    return [*tokens, ("end", "", len(text))]
 
 
 class _Parser:
@@ -112,7 +108,7 @@ class _Parser:
         kind, _, offset = self.peek()
         if kind == "end":
             raise ParseError("empty input", offset)
-        node, _ = self.expr(0)  # each rule parses at a depth, returning its node and deepest level
+        node, _ = self.binary(0)  # each rule parses at a depth, returning its node and deepest level
         kind, value, offset = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", offset)
@@ -123,35 +119,18 @@ class _Parser:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
         return n
 
-    def expr(self, depth: int) -> tuple[Node, int]:
-        node, reach = self.term(depth)
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                right, rreach = self.term(depth)
-                node, reach = BinOp(value, node, right), self.level(1 + max(reach, rreach), offset)
-            else:
-                return node, reach
-
-    def term(self, depth: int) -> tuple[Node, int]:
-        node, reach = self.factor(depth)
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                right, rreach = self.factor(depth)
-                node, reach = BinOp(value, node, right), self.level(1 + max(reach, rreach), offset)
-            else:
-                return node, reach
-
-    def factor(self, depth: int) -> tuple[Node, int]:
+    def binary(self, depth: int, floor: int = 1) -> tuple[Node, int]:
+        """Operators binding at least floor: + - * / keep their operands at depth,
+        an exponent sits a level deeper."""
         node, reach = self.unary(depth)
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            right, rreach = self.factor(self.level(depth + 1, offset))
-            node, reach = BinOp("^", node, right), self.level(max(reach + 1, rreach), offset)
+        while _BINDING.get(self.peek()[1], 0) >= floor:
+            _, value, offset = self.advance()
+            if value == "^":
+                right, rreach = self.binary(self.level(depth + 1, offset), _BINDING[value])
+                node, reach = BinOp(value, node, right), self.level(max(reach + 1, rreach), offset)
+            else:
+                right, rreach = self.binary(depth, _BINDING[value] + 1)
+                node, reach = BinOp(value, node, right), self.level(1 + max(reach, rreach), offset)
         return node, reach
 
     def unary(self, depth: int) -> tuple[Node, int]:
@@ -172,14 +151,14 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset)
                 self.advance()
-                arg, reach = self.expr(self.level(depth + 1, offset))
+                arg, reach = self.binary(self.level(depth + 1, offset))
                 self.expect_op(")")
                 return Call(value, arg), reach
             if value in VARIABLES:
                 return Var(value), depth
             raise ParseError(f"unknown identifier {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.expr(self.level(depth + 1, offset))
+            node = self.binary(self.level(depth + 1, offset))
             self.expect_op(")")
             return node
         if kind == "end":

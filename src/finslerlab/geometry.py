@@ -309,15 +309,13 @@ def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> str:
     phi's scalars ps, whose points' earlier failures are in errors: type A is
     t = 0 at every point (phi = f(r^2) s), type B d = 0 at every point
     (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)); either forces det(g) = 0.
-    The first point, in order, that rules out both decides; a point before it
-    that failed, or whose values are not finite, raises its error."""
+    The first point, in order, that rules out both decides; a point no later
+    than it that failed, or whose values are not finite, raises its error."""
     scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
     fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
                             "phi - s phi_s + (r^2-s^2) phi_ss": d})
-    ok = np.ones(len(t), dtype=bool)
-    ok[list(errors)] = False
-    not_a = np.logical_or.accumulate(ok & (np.abs(t) >= DEGENERACY_TOL * scale))
-    not_b = np.logical_or.accumulate(ok & (np.abs(d) >= DEGENERACY_TOL * scale))
+    not_a = np.logical_or.accumulate(np.abs(t) >= DEGENERACY_TOL * scale)
+    not_b = np.logical_or.accumulate(np.abs(d) >= DEGENERACY_TOL * scale)
     decided = first_true(not_a & not_b)
     raise_first(errors, decided)
     if decided is not None:

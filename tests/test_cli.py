@@ -140,12 +140,17 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("text", ["1:2", "1:2:3.0", "a:1:2", "1:2:x"])
-def test_bad_range_exits_2(text, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param(text, "range must be A:B:K", id=text)
+     for text in ("1:2", "1:2:3.0", "a:1:2", "1:2:x")]
+    + [pytest.param("1:2:0", "range count must be >= 1", id="1:2:0")],
+)
+def test_bad_range_exits_2(text, message, capsys):
     code, _, err = run_cli(["check", "--phi", "1", "--r", text], capsys)
     assert code == 2
     assert [line for line in err.splitlines() if "error:" in line] == [
-        f"error: range must be A:B:K, got {text!r}"
+        f"error: {message}, got {text!r}"
     ]
 
 

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from oracles import eval_value
 
 from finslerlab import DomainError, ParseError, eval_jet, parse, to_string
@@ -46,6 +46,21 @@ def test_unknown_function():
     with pytest.raises(ParseError) as exc:
         parse("1 + tan(s)")
     assert exc.value.offset == 4
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("1+$", "unexpected character '$'", 2),
+        ("1+ $", "unexpected character '$'", 3),
+        ("1+)", "unexpected token ')'", 2),
+    ],
+)
+def test_stray_character_and_token_name_their_offset(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (at offset {offset})"
+    assert exc.value.offset == offset
 
 
 def test_unbalanced_parens():
@@ -117,6 +132,25 @@ _ast = st.recursive(
 @given(_ast)
 def test_print_parse_round_trip(ast):
     assert parse(to_string(ast)) == ast
+
+
+# the grammar's tokens, some glued to a neighbour, plus characters it has no token for
+# and whitespace that only Unicode calls whitespace
+_TEXT_PIECES = ["r", "s", "1", "2.5", ".5", "3e2", "1e309", "+", "-", "*", "/", "^", "(",
+                ")", "sqrt(", "abs", "x", " ", "$", ".", "\u00e9", "\u0663", "\t", "\n",
+                "\u00a0", "\u2003", "\u001c", "\u0085"]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=14).map("".join))
+def test_parse_returns_a_printable_tree_or_raises_parse_error(text):
+    # 14 pieces nest at most 14 levels, inside the MAX_DEPTH // 2 that printing allows
+    try:
+        e = parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+    else:
+        assert parse(to_string(e)) == e
 
 
 def _subtrees(e):

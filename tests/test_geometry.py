@@ -304,12 +304,17 @@ def test_batched_metric_pack_keeps_each_point_error():
 
 
 def test_degeneracy_raises_only_errors_before_the_deciding_point():
-    # ln(1.4 - r) fails at r = 1.5; the points at r = 1.2 rule out both families
-    phi = "1 + s + ln(1.4 - r)"
-    batch = make_batch(2, (1.2, 1.5), (-0.5, 0.2, 0.7, 0.8))
-    assert degeneracy(phi, batch) == ("nondegenerate", None)
-    verdict, error = degeneracy(phi, EvalPoint(2, *(v[::-1] for v in batch[1:])))
-    assert verdict is None and error.startswith("ln of non-positive")
+    cases = [
+        # ln(1.4 - r) fails at r = 1.5; the points at r = 1.2 rule out both families
+        ("1 + s + ln(1.4 - r)", (-0.5, 0.2, 0.7, 0.8), "ln of non-positive"),
+        # abs fails at s = 0, the last point of each r, with t and d still finite there
+        ("abs(s)+1", (-0.5, 0.2, 0.7, 0.0), "abs of a jet with value at the kink"),
+    ]
+    for phi, s_fracs, error in cases:
+        batch = make_batch(2, (1.2, 1.5), s_fracs)
+        assert degeneracy(phi, batch) == ("nondegenerate", None)
+        verdict, message = degeneracy(phi, EvalPoint(2, *(v[::-1] for v in batch[1:])))
+        assert verdict is None and message.startswith(error)
 
 
 # -- phi's scalars and the paper's factors, read once ------------------------

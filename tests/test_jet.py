@@ -54,6 +54,7 @@ def test_constant_jet():
     j = Jet.constant(3.5)
     assert j.partial(0, 0) == 3.5
     assert np.count_nonzero(j.c) == 1
+    assert repr(j) == "Jet(value=3.5)"
 
 
 def test_product_is_cauchy_truncation():
