@@ -203,7 +203,9 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
 
-    rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed)) if cfg.rotate else None
+    # metrize's C1..C3 are scalars in (r, s): it builds no frame, so it draws no rotation
+    rotate = cfg.rotate and cfg.subcommand != "metrize"
+    rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed)) if rotate else None
     grid = np.meshgrid(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid, indexing="ij")
     r, frac, u = (g.ravel() for g in grid)
     if cfg.subcommand == "classify":

@@ -9,7 +9,8 @@ Grammar (infix, ``^`` right-associative, unary minus binds the atom):
     atom   := number | 'r' | 's' | ident '(' expr ')' | '(' expr ')'
 
 ``_Parser`` reads it by precedence climbing over the binding powers of ``_BINDING``.
-The variables are ``r`` and ``s``, the functions those of :data:`FUNCTIONS`; input
+The variables are ``r`` and ``s``, the functions those of :data:`FUNCTIONS`; the text
+is ASCII (any other character is unexpected, and only ASCII blanks separate); input
 nested deeper than :data:`MAX_DEPTH` parentheses, calls, signs and operators fails.
 """
 
@@ -69,7 +70,8 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]+)"
     r"|(?P<op>[-+*/^()])"
-    r"|(?P<bad>\S))"
+    r"|(?P<bad>\S))",
+    re.ASCII,  # digits are 0-9 and blanks are ASCII: the text sympy reads
 )
 
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}  # ^ alone chains to the right

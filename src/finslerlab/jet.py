@@ -20,11 +20,11 @@ coefficients up to the degree).  ``eval_jet`` runs an AST as a tape
 Every jet operation is one numpy call over the whole batch, and the batch
 columns never mix, so each row of a batched result equals the one-point
 result bit for bit.  The product is one index-map kernel: the index triples
-of the truncated Cauchy product over the flattened array (70 at degree 4,
-15 at degree 2) list only entries of total degree <= d, so the kernel
-relies on the zero invariant above.  One bincount over keys offset by the
-batch column sums each output bin in the order of the textbook quadruple
-loop, so products match that loop bit for bit.
+of the truncated Cauchy product (70 at degree 4, 15 at degree 2) gather rows
+of the ((d+1)^2, points) layout and list only entries of total degree <= d,
+so the kernel relies on the zero invariant above.  One bincount over keys
+offset by the batch column sums each output bin in the order of the textbook
+quadruple loop, so products match that loop bit for bit.
 
 The Taylor seeds (the derivatives of sqrt, exp, ln, sin, cos and 1/x at the
 jet's value) are numpy columns over the batch, and every domain guard is a
@@ -95,24 +95,24 @@ def _cols(c: np.ndarray) -> np.ndarray:
     return c.reshape(len(c) * len(c), -1)
 
 
-_MUL_INDEX: dict = {}  # (side, size) -> the indices of _mul_index, oldest first
+_MUL_INDEX: dict = {}  # (side, size) -> the keys of _mul_index, oldest first
 
 
-def _mul_index(side: int, size: int) -> tuple[np.ndarray, ...]:
-    """Flat indices of the product terms of jets of size coefficients,
-    side = d + 1, term-major: term t of point k multiplies x[I[t], k] by
-    y[J[t], k] into bin K[t] of point k.
+def _mul_index(side: int, size: int) -> np.ndarray:
+    """The bincount keys of the product terms of jets of size coefficients,
+    side = d + 1, term-major: term t of point k, x[I[t], k] * y[J[t], k] in
+    the rows I, J of ``_product_table``, falls in bin K[t] of point k.
 
-    The indices are cached.  The oldest entries leave while the cache holds
-    more than 8 MiB: 24 bytes a product term, so one batch of up to 4993
+    The keys are cached.  The oldest entries leave while the cache holds
+    more than 8 MiB: 8 bytes a product term, so one batch of up to 14979
     columns at degree 4."""
     out = _MUL_INDEX.get((side, size))
     if out is None:
         n = size // (side * side)
-        index = (np.array(_product_table(side - 1))[:, :, None] * n + np.arange(n)).reshape(3, -1)
-        index.flags.writeable = False  # shared by every caller through the cache
-        out = _MUL_INDEX[side, size] = tuple(index)  # I, J, K: rows of one array, fewer heap holes
-        while len(_MUL_INDEX) > 1 and sum(3 * v[0].nbytes for v in _MUL_INDEX.values()) > 8 << 20:
+        out = (_product_table(side - 1)[2][:, None] * n + np.arange(n)).ravel()
+        out.flags.writeable = False  # shared by every caller through the cache
+        _MUL_INDEX[side, size] = out
+        while len(_MUL_INDEX) > 1 and sum(v.nbytes for v in _MUL_INDEX.values()) > 8 << 20:
             del _MUL_INDEX[next(iter(_MUL_INDEX))]
     return out
 
@@ -200,8 +200,10 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
         x, y = self.c, other.c
-        i, j, k = _mul_index(len(x), x.size)
-        return Jet(np.bincount(k, x.ravel()[i] * y.ravel()[j], minlength=x.size).reshape(x.shape))
+        i, j, _ = _product_table(len(x) - 1)
+        terms = _cols(x).take(i, 0) * _cols(y).take(j, 0)
+        return Jet(np.bincount(_mul_index(len(x), x.size), terms.ravel(), minlength=x.size)
+                   .reshape(x.shape))
 
     __rmul__ = __mul__
 

@@ -1495,6 +1495,55 @@ def test_metrize_matches_a_degree_4_reference_bit_for_bit(phi, dim):
         assert got.tobytes() == values[kept].tobytes(), name
 
 
+def test_metrize_draws_no_rotation(monkeypatch, capsys, tmp_path):
+    # C1..C3 are scalars in (r, s), so metrize builds no frame to rotate;
+    # its config still echoes the flags
+    from finslerlab import cli
+
+    def no_rotation(*args):
+        raise AssertionError("metrize drew a rotation")
+
+    monkeypatch.setattr(cli, "random_rotation", no_rotation)
+    args = ["metrize", "--phi", "1+s", "--p", "1/(2*(1+s))", "--q", "0", "--rotate", "--seed", "5"]
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    assert doc["config"]["rotate"] is True and doc["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("sub", ["report", "check", "classify"])
+def test_a_rotated_frame_is_drawn_once(sub, monkeypatch, capsys):
+    from finslerlab import cli
+
+    calls, draw = [], cli.random_rotation
+    monkeypatch.setattr(cli, "random_rotation", lambda n, rng: calls.append(n) or draw(n, rng))
+    assert main([sub, "--phi", "1+s", "--dim", "3", "--rotate"]) == 0
+    capsys.readouterr()
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--phi", "1+s", "--p", "1/(2*(1+s))", "--q", "0"],
+        ["--phi", FLAT, "--p", "-s/r^2 - 3*sqrt(r^2-s^2)/(4*r^2)",
+         "--q", "7/(8*r^2) - 3*s^2/(8*r^4) - 3*s*sqrt(r^2-s^2)/(4*r^4)"],
+        # the embedding skips r = 0 and |s| = 0.9999999 r, the jet ln(s + 0.5) < 0
+        ["--phi", "ln(s+0.5)+2", "--p", "0", "--q", "0", "--r=0:1.5:4",
+         "--s-frac=-0.9999999:0.9999999:5"],
+    ],
+)
+def test_metrize_output_is_frame_free(args, dim, capsys, tmp_path):
+    outputs = []
+    for rotate in ([], ["--rotate", "--seed", "1"], ["--rotate", "--seed", "2"]):
+        code, doc = run_json(["metrize", *args, "--dim", dim, *rotate], capsys, tmp_path)
+        outputs.append((code, json.dumps([doc["points"], doc["skipped"], doc["verdicts"]])))
+    assert outputs[0] == outputs[1] == outputs[2]
+    if "ln(s+0.5)+2" in args:
+        reasons = [rec["reason"] for rec in json.loads(outputs[0][1])[1]]
+        assert {reason.split()[0] for reason in reasons} == {"r", "|s|", "ln"}
+
+
 @pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
 def test_a_clean_run_leaves_no_cyclic_garbage(sub):
     import gc

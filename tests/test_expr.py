@@ -54,6 +54,11 @@ def test_unknown_function():
         ("1+$", "unexpected character '$'", 2),
         ("1+ $", "unexpected character '$'", 3),
         ("1+)", "unexpected token ')'", 2),
+        # the text is ASCII, as sympy reads it: no other digits, and no other blanks
+        ("\u0663+s", "unexpected character '\u0663'", 0),  # an Arabic-Indic three
+        ("\uff11+s", "unexpected character '\uff11'", 0),  # a fullwidth one
+        ("1+\x1cs", "unexpected character '\\x1c'", 2),  # a file separator
+        ("1+\x85s", "unexpected character '\\x85'", 2),  # a next-line character
     ],
 )
 def test_stray_character_and_token_name_their_offset(text, message, offset):
@@ -61,6 +66,10 @@ def test_stray_character_and_token_name_their_offset(text, message, offset):
         parse(text)
     assert str(exc.value) == f"{message} (at offset {offset})"
     assert exc.value.offset == offset
+
+
+def test_tab_and_newline_are_blanks():
+    assert parse("1+\ts") == parse("1\n+ s\r\n") == BinOp("+", Num(1.0), Var("s"))
 
 
 def test_unbalanced_parens():
@@ -111,6 +120,15 @@ def test_eval_value_domain_errors_name_the_node(text):
 def test_eval_value_rejects_a_non_node():
     with pytest.raises(TypeError, match="not an expression node"):
         eval_value("s", 1.0, 0.3)
+
+
+def test_printer_and_tape_reject_what_is_not_a_tree():
+    with pytest.raises(TypeError, match="^not an expression node: 's'$"):
+        to_string("s")
+    with pytest.raises(TypeError, match="^not an expression node: 's'$"):
+        eval_jet("s", 1.0, 0.5)
+    with pytest.raises(TypeError, match="^unknown operator '%'$"):
+        eval_jet(BinOp("%", Var("r"), Var("s")), 1.0, 0.5)
 
 
 _numbers = st.one_of(

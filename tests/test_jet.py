@@ -854,20 +854,20 @@ def test_degree_2_tape_is_the_degree_4_tape_cut(name):
 
 
 def test_product_index_cache_keeps_at_most_8_mib():
-    # the oldest cached product indices leave once the cache holds more than
+    # the oldest cached product keys leave once the cache holds more than
     # 8 MiB, the newest entry always stays, and products keep the bits of the
     # reference loop whatever the cache held
     from finslerlab.jet import _MUL_INDEX
 
     rng = np.random.default_rng(3)
     high = np.add.outer(range(5), range(5)) > 4
-    for columns in (300, 3000, 5000, 300):  # 0.5, 5.0, 8.4 and 0.5 MB of indices
+    for columns in (300, 9000, 15000, 300):  # 0.17, 5.0, 8.4 and 0.17 MB of keys
         x, y = rng.normal(size=(2, 5, 5, columns)) * 10.0 ** rng.integers(-3, 4, (2, 5, 5, columns))
         x[rng.random(x.shape) < 0.2], y[rng.random(y.shape) < 0.2] = -0.0, 0.0
         x[high], y[high] = 0.0, 0.0
         product = (Jet(x) * Jet(y)).c
         assert (5, x.size) in _MUL_INDEX
-        held = sum(3 * index[0].nbytes for index in _MUL_INDEX.values())
+        held = sum(keys.nbytes for keys in _MUL_INDEX.values())
         assert held <= 8 << 20 or len(_MUL_INDEX) == 1
         for k in (0, columns // 2, columns - 1):
             assert product[:, :, k].tobytes() == cauchy_reference(x[:, :, k], y[:, :, k]).tobytes()
