@@ -33,7 +33,7 @@ from .geometry import (
     outer,
     random_rotation,
 )
-from .jet import DEGREE, Jet, eval_jet, fail_nonfinite
+from .jet import DEGREE, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
 from .spray import c1_c2_test, candidate_spray, horizontal_residual, metrizability_from_spray
 from .surface import main_scalar
@@ -91,15 +91,11 @@ def _spread(cell: tuple, cell_errors: dict, p: EvalPoint, index, errors: dict) -
     return tuple(type(v)(*map(at, v)) if isinstance(v, tuple) else at(v) for v in cell)
 
 
-def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
-              with_checks: bool) -> tuple[dict, dict]:
+def _evaluate(ps, sp, cv, mr, p: EvalPoint, errors: dict, with_checks: bool) -> tuple[dict, dict]:
     """The report columns of the points p and, if asked, their identity checks as one
-    table {name: (residual, scale)}.  The front half and C1/C2 run at the cells, from
-    phi's jets jet there, and the metric, Cartan and frame packs at the points
-    (``_spread``).  A point that fails a guard gets its error in errors."""
-    ps, sp, cv = front_half(jet, cells, (cell_errors := {}))
-    mr = metrizability_from_spray(jet, sp, cells)
-    ps, sp, cv, mr = _spread((ps, sp, cv, mr), cell_errors, p, index, errors)
+    table {name: (residual, scale)}, from the (r, s) stage's packs at p: phi's scalars,
+    its spray, the curvature pack and C1/C2.  The metric, Cartan and frame packs run
+    here, at the points; a point that fails a guard gets its error in errors."""
     mp = metric_pack(ps, p)
     columns = {
         "F": mp.F, "P": sp.P, "Q": sp.Q,
@@ -157,26 +153,6 @@ def _evaluate(jet: Jet, cells: EvalPoint, p: EvalPoint, index, errors: dict,
     return columns, checks
 
 
-def _metrize(jet: Jet, p_ast, q_ast, cells: EvalPoint, p: EvalPoint, index, errors: dict,
-             tol: float) -> dict:
-    """C1/C2 and C3 of the user spray (P, Q) at the points p, by name, taken at the cells
-    (``_spread``) from phi jets of degree 1 and P and Q jets of degree 2, all C1..C3 read."""
-    user_sp = candidate_spray(p_ast, q_ast, cells, errors=(cell_errors := {}))
-    mr = metrizability_from_spray(jet, user_sp, cells)
-    residual, scale = c1_c2_test(mr, jet.partial(0, 0))
-    ok = residual <= tol * scale
-    cell = (*mr, compatibility(user_sp, jet, cells)[3], ok)
-    return dict(zip(("C1", "C2", "C3", "pass"), _spread(cell, cell_errors, p, index, errors)))
-
-
-def _classify(jet: Jet, cells: EvalPoint, p: EvalPoint, index) -> tuple[dict, dict]:
-    """``classify`` at the points p, whose cells are index (``_spread``): the front
-    half runs at the cells, from phi's jets jet there, whose failures are skips."""
-    ps, _, cv = front_half(jet, cells, (cell_errors := {}))
-    ps, cv = _spread((ps, cv), cell_errors, p, index, (errors := {}))
-    return classify_from_curvature(ps, cv, p, errors, {})
-
-
 def run(cfg: RunConfig) -> tuple[dict, int]:
     """Execute a subcommand; returns (report document, exit code)."""
     doc, exit_code = run_columns(cfg)
@@ -210,11 +186,12 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     r, frac, u = (g.ravel() for g in grid)
     if cfg.subcommand == "classify":
         _require_grid(r)
-    # The (r, s) stages run once per cell of the r x s/r plane: u varies fastest, so
-    # the points [::nu] are the cells and point k's cell is k // nu (index; None with
-    # one u value).  A point keeps its first error, in stage order; one test then fails
-    # the non-finite values.  classify skips only the embedding's and phi's jet
-    # failures; metrize reads phi to first order.
+    # The (r, s) stage runs once per cell of the r x s/r plane and is spread once to the
+    # points (``_spread``): u varies fastest, so the points [::nu] are the cells and
+    # point k's cell is k // nu (index; None with one u value).  A point keeps its first
+    # error, in stage order; one test then fails the non-finite values.  classify skips
+    # only the embedding's and phi's jet failures, so its front half is spread to the
+    # kept points alone; metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
     batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
@@ -223,10 +200,19 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
     degree = 1 if cfg.subcommand == "metrize" else DEGREE
     jet = eval_jet(phi, cells.r, cells.s, degree=degree, errors=(jet_errors := {}))
     _spread((), jet_errors, batch, index, errors)
-    if cfg.subcommand == "metrize":
-        columns = _metrize(jet, p_ast, q_ast, cells, batch, index, errors, tol)
-    elif cfg.subcommand != "classify":
-        columns, checks = _evaluate(jet, cells, batch, index, errors, cfg.subcommand == "check")
+    if cfg.subcommand == "metrize":  # C1/C2 and C3 of the user spray (P, Q)
+        user_sp = candidate_spray(p_ast, q_ast, cells, errors=(cell_errors := {}))
+        mr = metrizability_from_spray(jet, user_sp, cells)
+        residual, scale = c1_c2_test(mr, jet.partial(0, 0))
+        cell = (*mr, compatibility(user_sp, jet, cells)[3], residual <= tol * scale)
+        cell = _spread(cell, cell_errors, batch, index, errors)
+        columns = dict(zip(("C1", "C2", "C3", "pass"), cell))
+    else:
+        ps, sp, cv = front_half(jet, cells, (cell_errors := {}))
+    if cfg.subcommand in ("report", "check"):
+        cell = (ps, sp, cv, metrizability_from_spray(jet, sp, cells))
+        cell = _spread(cell, cell_errors, batch, index, errors)
+        columns, checks = _evaluate(*cell, batch, errors, cfg.subcommand == "check")
     values = {name: residual / scale for name, (residual, scale) in checks.items()}
     if columns:
         fail_nonfinite(errors, {k: v for k, v in (columns | values).items() if k != "regular"})
@@ -247,7 +233,8 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
 
     if cfg.subcommand == "classify":
         points = EvalPoint(cfg.dim, *(v[kept] for v in batch[1:]))
-        doc["verdicts"], samples = _classify(jet, cells, points, kept // nu)
+        ps, cv = _spread((ps, cv), cell_errors, points, kept // nu, (errors := {}))
+        doc["verdicts"], samples = classify_from_curvature(ps, cv, points, errors, {})
         doc["points"] = Records(samples)
         return doc, 0
 

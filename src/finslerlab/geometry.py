@@ -263,14 +263,9 @@ def metric_pack(ps: PhiScalars, p: EvalPoint) -> MetricPack:
     )
 
 
-def _sym_vd(v: np.ndarray, n: int) -> np.ndarray:
-    """v_i d_jk + v_j d_ik + v_k d_ij."""
-    eye = np.eye(n)
-    return (
-        v[..., :, None, None] * eye
-        + v[..., None, :, None] * eye[:, None, :]
-        + v[..., None, None, :] * eye[:, :, None]
-    )
+def _cyclic(t: np.ndarray) -> np.ndarray:
+    """t_ijk + t_jki + t_kij, summed in that order: the Cartan tensor's bits depend on it."""
+    return t + np.moveaxis(t, -1, -3) + np.moveaxis(t, -3, -1)
 
 
 def _cube(a: np.ndarray) -> np.ndarray:
@@ -278,29 +273,20 @@ def _cube(a: np.ndarray) -> np.ndarray:
     return outer(a, a)[..., None] * a[..., None, None, :]
 
 
-def _sym_aab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i a_j b_k + a_j a_k b_i + a_i a_k b_j."""
-    aa = outer(a, a)
-    return (
-        aa[..., :, :, None] * b[..., None, None, :]
-        + aa[..., None, :, :] * b[..., :, None, None]
-        + aa[..., :, None, :] * b[..., None, :, None]
-    )
-
-
 @np.errstate(all="ignore")
 def cartan_pack(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     """The Cartan tensor C_ijk at the points p, of shape (*batch, n, n, n) and
     fully symmetric, from phi's scalars ps there; mu and nu drive it."""
-    s, u, n, x, y, mu, nu = p.s, p.u, p.n, p.x, p.y, ps.mu, ps.nu
+    s, u, x, y, mu, nu, eye = p.s, p.u, p.x, p.y, ps.mu, ps.nu, np.eye(p.n)
     u2 = u * u
     return (
-        lift(mu / (2 * u), 3) * _sym_vd(x, n)
+        lift(mu / (2 * u), 3) * _cyclic(x[..., :, None, None] * eye)
         + lift(nu / (2 * u), 3) * _cube(x)
-        - lift(s * mu / (2 * u2), 3) * _sym_vd(y, n)
+        - lift(s * mu / (2 * u2), 3) * _cyclic(y[..., :, None, None] * eye)
         + lift((3 * s * mu - s * s * s * nu) / (2 * (u2 * u2)), 3) * _cube(y)
-        + lift((s * s * nu - mu) / (2 * (u2 * u)), 3) * _sym_aab(y, x)
-        - lift(s * nu / (2 * u2), 3) * _sym_aab(x, y)
+        + lift((s * s * nu - mu) / (2 * (u2 * u)), 3)
+          * _cyclic(outer(y, y)[..., None] * x[..., None, None, :])
+        - lift(s * nu / (2 * u2), 3) * _cyclic(outer(x, x)[..., None] * y[..., None, None, :])
     )
 
 

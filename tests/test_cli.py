@@ -590,8 +590,8 @@ def test_check_reads_each_row_from_one_table(phi, dim, skips, monkeypatch, capsy
 
     tables, evaluate = [], cli._evaluate
 
-    def capture(jet, cells, p, *args):
-        columns, table = evaluate(jet, cells, p, *args)
+    def capture(ps, sp, cv, mr, p, *args):
+        columns, table = evaluate(ps, sp, cv, mr, p, *args)
         tables.append((p, table))
         return columns, table
 
@@ -1433,6 +1433,45 @@ def test_a_cell_whose_own_point_the_embedding_rejects_serves_its_other_points(
     for point, skip in zip(one["points"], doc["skipped"]):
         reason = f"r and u must be positive, got r={point['r']}, u=-1.0"
         assert skip == {"r": point["r"], "s": point["s"], "u": -1.0, "reason": reason}
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("sub, phi", [("report", "ln(s+0.5)+0.8"), ("check", "ln(s+0.5)+0.8"),
+                                      ("metrize", "ln(s+0.5)+2")])
+def test_each_skip_names_the_earliest_stage_through_the_one_run(sub, phi, dim, capsys, tmp_path):
+    # stage order: the embedding (u = -1), phi's jet, the (r, s) stage (the front half, or
+    # metrize's candidate spray), the point packs; at s = -0.7 phi's jet and the (r, s)
+    # stage both fail, and the jet's reason wins
+    from finslerlab import candidate_spray, canonical_point, eval_jet, parse
+    from finslerlab.curvature import front_half
+
+    args = [sub, "--phi", phi, "--dim", dim, "--r=1:1:1", "--s-frac=-0.7:0.7:5"]
+    args += ["--p", "1/(s+0.7)+1/s", "--q", "0"] if sub == "metrize" else []
+    code, doc = run_json([*args, "--u=-1:1:2"], capsys, tmp_path)
+    one_code, one = run_json([*args, "--u=1:1:1"], capsys, tmp_path)
+    assert (code, doc["points"]) == (one_code, one["points"]) and doc["points"]
+
+    cells = canonical_point(int(dim), np.ones(5), np.array(parse_range("-0.7:0.7:5")), 1.0)
+    jet = eval_jet(parse(phi), cells.r, cells.s, errors=(jet_errors := {}))
+    with np.errstate(all="ignore"):
+        if sub == "metrize":
+            candidate_spray(parse("1/(s+0.7)+1/s"), parse("0"), cells, errors=(stage_errors := {}))
+        else:
+            front_half(jet, cells, (stage_errors := {}))
+    assert 0 in jet_errors and 0 in stage_errors and set(stage_errors) - set(jet_errors)
+    first = {s: str({**stage_errors, **jet_errors}[k]) for k, s in enumerate(cells.s.tolist())
+             if k in jet_errors or k in stage_errors}
+    assert [skip["reason"] for skip in one["skipped"] if skip["s"] in first] == [*first.values()]
+    # the other skips are the point packs': the frame's radicand, at n = 2 only
+    later = {skip["reason"] for skip in one["skipped"] if skip["s"] not in first}
+    assert bool(later) == (sub != "metrize" and dim == "2")
+    assert not later & {*map(str, jet_errors.values()), *map(str, stage_errors.values())}
+    embedding = "r and u must be positive, got r=1.0, u=-1.0"
+    expected = []
+    for s in cells.s.tolist():
+        expected.append({"r": 1.0, "s": s, "u": -1.0, "reason": embedding})
+        expected += [skip for skip in one["skipped"] if skip["s"] == s]
+    assert doc["skipped"] == expected
 
 
 def test_metrize_reads_the_candidate_spray_at_degree_2(capsys, tmp_path):

@@ -222,6 +222,39 @@ def test_cartan_symmetry_and_y_annihilation(text):
         assert np.max(np.abs(contracted)) < 1e-9 * max(1.0, np.max(np.abs(C)))
 
 
+def cartan_by_index(ps, p) -> np.ndarray:
+    """cartan_pack's sum written out index by index, each symmetrised term as three
+    summands in this order: v_i d_jk + v_j d_ik + v_k d_ij and
+    a_i a_j b_k + a_j a_k b_i + a_i a_k b_j."""
+    s, u, x, y, mu, nu, d = p.s, p.u, p.x, p.y, ps.mu, ps.nu, np.eye(p.n)
+    u2 = u * u
+    c = (mu / (2 * u), nu / (2 * u), s * mu / (2 * u2),
+         (3 * s * mu - s * s * s * nu) / (2 * (u2 * u2)), (s * s * nu - mu) / (2 * (u2 * u)),
+         s * nu / (2 * u2))
+    C = np.empty(x.shape + (p.n, p.n))
+    for i, j, k in itertools.product(range(p.n), repeat=3):
+        def vd(v):
+            return v[..., i] * d[j, k] + v[..., j] * d[i, k] + v[..., k] * d[i, j]
+
+        def aab(a, b):
+            return (a[..., i] * a[..., j] * b[..., k] + a[..., j] * a[..., k] * b[..., i]
+                    + a[..., i] * a[..., k] * b[..., j])
+
+        C[..., i, j, k] = (c[0] * vd(x) + c[1] * (x[..., i] * x[..., j] * x[..., k])
+                           - c[2] * vd(y) + c[3] * (y[..., i] * y[..., j] * y[..., k])
+                           + c[4] * aab(y, x) - c[5] * aab(x, y))
+    return C
+
+
+@pytest.mark.parametrize("text", ["1+s", *RANDOM_PHIS])
+@pytest.mark.parametrize("n", [2, 3])
+def test_cartan_pack_keeps_its_bits(text, n):
+    # the symmetrised sums keep their summand order: a reordering moves the last bit
+    _, p, jet, _ = rotated_batch(text, n)
+    ps = phi_scalars(jet, p)
+    assert np.array_equal(cartan_pack(ps, p), cartan_by_index(ps, p))
+
+
 def degeneracy(text, batch):
     """classify's degeneracy verdict and its error."""
     verdicts, _ = classify(parse(text), batch)
