@@ -32,6 +32,7 @@ from .geometry import (
     metric_pack,
     outer,
     random_rotation,
+    residual_scale,
 )
 from .jet import DEGREE, eval_jet, fail_nonfinite
 from .jsontext import Records, json_pieces
@@ -80,14 +81,12 @@ def _maxabs(a: np.ndarray, axes: int = 1) -> np.ndarray:
 
 def _spread(cell: tuple, cell_errors: dict, p: EvalPoint, index, errors: dict) -> tuple:
     """The packs and columns cell, taken at the cells, at the points p, point k's cell
-    being index[k] (None: each point is its own, and nothing is copied); each point gets
-    its cell's error in cell_errors unless it has one, walking the points only if any."""
-    cell_of = index.tolist() if cell_errors and index is not None else ()
-    rows = zip(cell_errors, cell_errors) if index is None else enumerate(cell_of)
-    for row, k in rows:
+    being index[k]; each point gets its cell's error in cell_errors unless it has one,
+    walking the points only if any."""
+    for row, k in enumerate(index.tolist() if cell_errors else ()):
         if k in cell_errors:
             errors.setdefault(row, cell_errors[k])
-    at = lambda v: p if isinstance(v, EvalPoint) else v if index is None else v[index]
+    at = lambda v: p if isinstance(v, EvalPoint) else v[index]
     return tuple(type(v)(*map(at, v)) if isinstance(v, tuple) else at(v) for v in cell)
 
 
@@ -117,25 +116,25 @@ def _evaluate(ps, sp, cv, mr, p: EvalPoint, errors: dict, with_checks: bool) -> 
     contr1 = ps.phi_s * mp.rho0 + phi0 * mp.rho2 + (p.s * phi0 + w * ps.phi_s) * mp.rho3
     contr2 = mp.rho0 + w * mp.rho3 - 1.0 / (phi0 * ps.d)
     trace = np.trace(Rmat, axis1=-2, axis2=-1) - u * u * ((p.n - 1) * cv.R1 + w * cv.R3)
-    F2 = np.maximum(1.0, mp.F * mp.F)
+    F2, phi_scale = residual_scale(mp.F * mp.F), residual_scale(phi0)
     gy = np.einsum("...ij,...j->...i", mp.g, p.y)
     checks = {
         "metric_inverse": (_maxabs(mp.g @ mp.ginv - eye, 2), 1.0),
         "energy_homogeneity": ((p.y * gy).sum(-1) - mp.F * mp.F, F2),
         "euler_identity": (_maxabs(gy - lift(mp.F) * _ell_lo(ps, p)), F2),
-        "det_formula": (mp.det_direct - mp.det_formula, np.maximum(1.0, np.abs(mp.det_formula))),
+        "det_formula": (mp.det_direct - mp.det_formula, residual_scale(mp.det_formula)),
         "rho_contractions": (np.maximum(np.abs(contr1), np.abs(contr2)), 1.0),
         "cartan_y_annihilation": (_maxabs(np.einsum("...ijk,...k->...ij", C, p.y), 2),
-                                  np.maximum(1.0, _maxabs(C, 3) * u)),
+                                  residual_scale(_maxabs(C, 3) * u)),
         "metrizability_C1_C2": c1_c2_test(mr, phi0),  # phi0 > 0 at every kept point
-        "horizontal_dhF": (_maxabs(horizontal_residual(ps, N, p)), u * np.maximum(1.0, phi0)),
+        "horizontal_dhF": (_maxabs(horizontal_residual(ps, N, p)), u * phi_scale),
         "spray_homogeneity": (_maxabs(np.einsum("...ij,...j->...i", N, p.y) - 2 * G),
-                              np.maximum(1.0, _maxabs(G))),
-        "curvature_C3": (cv.C3, cv.scale * np.maximum(1.0, phi0)),
+                              residual_scale(_maxabs(G))),
+        "curvature_C3": (cv.C3, cv.scale * phi_scale),
         "identity_R2": (cv.R1 + cv.R2 + p.s * cv.R5, cv.scale),
         "identity_R4": (cv.R4 + p.s * cv.R3, cv.scale),
         "jacobi_y_annihilation": (_maxabs(np.einsum("...ij,...j->...i", Rmat, p.y)),
-                                  cv.scale * u * u * np.maximum(np.maximum(1.0, u), p.r)),
+                                  cv.scale * u * u * residual_scale(u, p.r)),
         "curvature_trace": (trace, cv.scale * u * u),
     }
     if p.n == 2:
@@ -148,20 +147,15 @@ def _evaluate(ps, sp, cv, mr, p: EvalPoint, errors: dict, with_checks: bool) -> 
         )
         checks["frame_orthonormality"] = (np.max(np.abs(orth), axis=0), 1.0)
         checks["frame_resolves_metric"] = (_maxabs(mp.g - recon, 2),
-                                           np.maximum(1.0, _maxabs(mp.g, 2)))
-        checks["main_scalar_two_routes"] = (ms.I - ms.I_direct, np.maximum(1.0, np.abs(ms.I)))
+                                           residual_scale(_maxabs(mp.g, 2)))
+        checks["main_scalar_two_routes"] = (ms.I - ms.I_direct, residual_scale(ms.I))
     return columns, checks
 
 
-def run(cfg: RunConfig) -> tuple[dict, int]:
-    """Execute a subcommand; returns (report document, exit code)."""
-    doc, exit_code = run_columns(cfg)
-    return {**doc, "points": doc["points"].tolist()}, exit_code
-
-
 @np.errstate(all="ignore")  # a failing point's values turn NaN or infinite; its error is kept
-def run_columns(cfg: RunConfig) -> tuple[dict, int]:
-    """``run``, with the document's points held as columns, a ``Records``."""
+def run(cfg: RunConfig) -> tuple[dict, int]:
+    """Execute a subcommand; returns (report document, exit code), the document's points
+    held as columns, a ``Records`` (``.tolist()`` gives one dict per point)."""
     for frac in cfg.s_fraction_grid:
         if not -1.0 < frac < 1.0:
             raise ValueError(f"s fractions must lie in (-1, 1), got {frac}")
@@ -188,15 +182,15 @@ def run_columns(cfg: RunConfig) -> tuple[dict, int]:
         _require_grid(r)
     # The (r, s) stage runs once per cell of the r x s/r plane and is spread once to the
     # points (``_spread``): u varies fastest, so the points [::nu] are the cells and
-    # point k's cell is k // nu (index; None with one u value).  A point keeps its first
-    # error, in stage order; one test then fails the non-finite values.  classify skips
-    # only the embedding's and phi's jet failures, so its front half is spread to the
-    # kept points alone; metrize reads phi to first order.
+    # point k's cell is k // nu (index).  A point keeps its first error, in stage order;
+    # one test then fails the non-finite values.  classify skips only the embedding's
+    # and phi's jet failures, so its front half is spread to the kept points alone;
+    # metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
     nu = len(cfg.u_grid)
     batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
     cells = EvalPoint(cfg.dim, *(v[::nu] for v in batch[1:]))
-    index = np.arange(r.size) // nu if nu > 1 else None
+    index = np.arange(r.size) // nu
     degree = 1 if cfg.subcommand == "metrize" else DEGREE
     jet = eval_jet(phi, cells.r, cells.s, degree=degree, errors=(jet_errors := {}))
     _spread((), jet_errors, batch, index, errors)
@@ -311,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         grids = (parse_range(text) for text in (args.r, args.s_frac, args.u))
         cfg = RunConfig(args.subcommand, args.phi, args.dim, *grids, args.seed, args.rotate,
                         args.tol_abs, args.tol_rel, *(getattr(args, k, None) for k in "pq"))
-        doc, exit_code = run_columns(cfg)
+        doc, exit_code = run(cfg)
     except (ParseError, ValueError, MemoryError) as exc:
         return _error(exc)
     _print_summary(doc)

@@ -233,7 +233,7 @@ def scalar_from_curvature(
     # reconstruction check of the scalar-curvature form
     F, Rmat = p.u * ps.phi, cv.Rmat
     recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
-    rscale = np.maximum(1.0, np.max(np.abs(Rmat), axis=(-2, -1)))
+    rscale = residual_scale(np.max(np.abs(Rmat), axis=(-2, -1)))
     recon_failed = (p.n == 2) | (resid < SCALAR_TOL)
     recon_failed &= np.max(np.abs(Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
     stop = first_true(recon_failed)

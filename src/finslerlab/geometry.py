@@ -15,6 +15,7 @@ Euclidean one, so raised and lowered indices coincide numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -164,10 +165,7 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def residual_scale(*values):
     """max(1, |v|) over the values, per point."""
-    out = np.maximum(1.0, np.abs(values[0]))
-    for v in values[1:]:
-        out = np.maximum(out, np.abs(v))
-    return out
+    return functools.reduce(np.maximum, map(np.abs, values), 1.0)
 
 
 def _ipow(a, k: int):

@@ -59,6 +59,7 @@ import numpy as np
 from .expr import BinOp, Call, DomainError, Neg, Node, Num, Var, to_string
 
 DEGREE = 4
+MAX_INT_EXPONENT = 1024  # base^n with |n| at most this is taken by squaring, at any base
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
@@ -405,7 +406,7 @@ def jet_pow(base: Jet, expo: Jet, *, errors: dict) -> Jet:
     are evaluated as one sub-batch."""
     e, b = np.ravel(expo.c[0, 0]), np.ravel(base.c[0, 0])
     constant = np.abs(_cols(expo.c)[1:]).max(axis=0) < 1e-14
-    integer = constant & np.isfinite(e) & (e == np.trunc(e)) & (np.abs(e) <= 1024)
+    integer = constant & np.isfinite(e) & (e == np.trunc(e)) & (np.abs(e) <= MAX_INT_EXPONENT)
     _fail(~integer & (b <= 0.0), errors, b, "non-integer power of non-positive base {v!r}")
     live = np.ones(b.size, dtype=bool)
     live[list(errors)] = False
@@ -499,7 +500,8 @@ class _Tape:
         op, left, right = node.op, node.left, node.right
         # an integer literal exponent (n or -n): jet_pow's squaring route at every point
         lit, sign = (right.arg, -1) if type(right) is Neg else (right, 1)
-        if op == "^" and type(lit) is Num and abs(lit.value) <= 1024 and lit.value % 1 == 0:
+        if (op == "^" and type(lit) is Num and abs(lit.value) <= MAX_INT_EXPONENT
+                and lit.value % 1 == 0):
             a, n = self.compile(left), sign * int(lit.value)
             return self.slot(("^", a, self.slot(("int", n), n)), fn=jet_ipow, node=node)
         if op == "/" and type(right) is Num:

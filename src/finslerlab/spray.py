@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import Node
-from .geometry import EvalPoint, GeometryError, PhiScalars, _ell_lo, lift, outer
+from .geometry import EvalPoint, GeometryError, PhiScalars, _ell_lo, lift, outer, residual_scale
 from .jet import Jet, batched, eval_jet, fail_nonfinite, fail_where, jet_reciprocal
 
 
@@ -158,4 +158,4 @@ def metrizability_from_spray(jet: Jet, sp: SprayPack, p: EvalPoint) -> Metrizabi
 
 def c1_c2_test(mr: MetrizabilityResiduals, phi) -> tuple:
     """(residual, scale) of the C1/C2 test, per point: max(|C1|, |C2|), max(1, |phi|)."""
-    return np.maximum(np.abs(mr.C1), np.abs(mr.C2)), np.maximum(1.0, np.abs(phi))
+    return np.maximum(np.abs(mr.C1), np.abs(mr.C2)), residual_scale(phi)

@@ -161,14 +161,14 @@ def test_dim_below_2_exits_2(dim, capsys):
     assert err == f"error: dim must be >= 2, got {dim}\n"
 
 
-def test_run_columns_rejects_a_config_argparse_never_builds():
-    from finslerlab.cli import RunConfig, run_columns
+def test_run_rejects_a_config_argparse_never_builds():
+    from finslerlab.cli import RunConfig, run
 
     grids = [1.0], [0.3], [1.0]
     with pytest.raises(ValueError, match="^metrize requires --p and --q$"):
-        run_columns(RunConfig("metrize", "1+s", 2, *grids))
+        run(RunConfig("metrize", "1+s", 2, *grids))
     with pytest.raises(ValueError, match="unknown subcommand 'plot'"):
-        run_columns(RunConfig("plot", "1+s", 2, *grids))
+        run(RunConfig("plot", "1+s", 2, *grids))
 
 
 def test_bad_s_fraction_exits_2(capsys):
@@ -546,14 +546,15 @@ def test_the_phi_guard_runs_once_per_front_half(args, guards, monkeypatch, capsy
     "args", [["report"], ["check"], ["classify"], ["check", "--dim", "3"], ["classify", "--dim", "3"]]
 )
 def test_the_curvature_residual_scale_is_formed_once_per_run(args, monkeypatch, capsys, tmp_path):
-    # riemann_pack forms max(1, |R1|, ..., |R5|) once; check and classify read it off the pack
+    # riemann_pack forms max(1, |R1|, ..., |R5|) once; check and classify read it off the
+    # pack, and form their other scales from one or two values each
     from finslerlab import geometry
 
     calls = []
     wrap_everywhere(monkeypatch, geometry, "residual_scale", lambda *a: calls.append(len(a)))
     code, doc = run_json([*args, "--phi", "1+0.3*s"], capsys, tmp_path)
     assert len(doc["points"]) == 30 and code in (0, 1)
-    assert calls == [5]
+    assert [n for n in calls if n > 2] == [5]
 
 
 @pytest.mark.parametrize(
@@ -616,8 +617,8 @@ def test_check_reads_each_row_from_one_table(phi, dim, skips, monkeypatch, capsy
 @pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
 @pytest.mark.parametrize("phi", ["1+0.3*s", "ln(s+0.5)+2"])
 def test_one_u_value_gives_each_point_its_own_jets(sub, phi, monkeypatch, capsys, tmp_path):
-    # with one u value each point is its own cell, and its packs are the cells'
-    # columns, uncopied; the report is that of the same u twice, at every other point
+    # with one u value each point is its own cell, and its packs hold the cells'
+    # values; the report is that of the same u twice, at every other point
     from finslerlab import geometry
 
     guarded, packed = [], []
@@ -627,7 +628,8 @@ def test_one_u_value_gives_each_point_its_own_jets(sub, phi, monkeypatch, capsys
     args += ["--p", "0.3/(2*(1+0.3*s))", "--q", "0"] if sub == "metrize" else []
     code, one = run_json([*args, "--u=1.5:1.5:1"], capsys, tmp_path)
     if sub in ("report", "check"):
-        assert len(packed) == 1 and packed[0].phi is guarded[0].phi
+        assert len(packed) == 1
+        assert np.array_equal(packed[0].phi, guarded[0].phi, equal_nan=True)
     two_code, two = run_json([*args, "--u=1.5:1.5:2"], capsys, tmp_path)
     assert (code, one["verdicts"], one["checks"]) == (two_code, two["verdicts"], two["checks"])
     assert one["points"] == two["points"][::2] and one["skipped"] == two["skipped"][::2]
@@ -900,6 +902,7 @@ def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
     capsys.readouterr()
     grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
     doc, _ = run(RunConfig("check", "1+s", 2, *grids))
+    doc["points"] = doc["points"].tolist()
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
@@ -921,18 +924,18 @@ def test_report_file_is_the_indented_json_of_the_report(capsys, tmp_path):
     ],
 )
 def test_report_file_is_byte_for_byte_the_indented_json(args, dim, monkeypatch, capsys, tmp_path):
-    # main writes the columns run_columns returns; the file is the indented
+    # main writes the columns run returns; the file is the indented
     # JSON of the document built from them, one dict per point
     from finslerlab import cli
 
-    docs, run_columns = [], cli.run_columns
+    docs, run = [], cli.run
 
-    def recording_run_columns(cfg):
-        doc, code = run_columns(cfg)
+    def recording_run(cfg):
+        doc, code = run(cfg)
         docs.append(doc)
         return doc, code
 
-    monkeypatch.setattr(cli, "run_columns", recording_run_columns)
+    monkeypatch.setattr(cli, "run", recording_run)
     path = tmp_path / "out.json"
     code = main([*args, "--dim", dim, "--json", str(path)])
     capsys.readouterr()
@@ -1187,25 +1190,26 @@ def test_main_writes_the_indented_json_of_run(sub, phi, dim, grid, rotate, block
     cfg = cli.RunConfig(sub, phi, dim, *map(parse_range, ranges), 3, rotate, p_expr=spray[0],
                         q_expr=spray[1])
     doc, run_code = cli.run(cfg)
+    doc["points"] = doc["points"].tolist()
     assert code == run_code
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def test_main_writes_the_report_from_its_columns(monkeypatch, capsys, tmp_path):
     # main never builds the per-point document: the points stay numpy columns
-    # from run_columns to the file
+    # from run to the file
     from finslerlab import cli
 
     args = ["check", "--phi", "1+s", "--r", "0.5:1.2:8", "--s-frac=-0.7:0.7:15", "--u", "1:1:1"]
     grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
     expected, _ = cli.run(cli.RunConfig("check", "1+s", 2, *grids))
+    expected["points"] = expected["points"].tolist()
 
     def refuse(*args, **kwargs):
         raise AssertionError("main built one dict per point")
 
-    docs, run_columns = [], cli.run_columns
-    monkeypatch.setattr(cli, "run_columns", lambda cfg: docs.append(run_columns(cfg)) or docs[-1])
-    monkeypatch.setattr(cli, "run", refuse)
+    docs, run = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda cfg: docs.append(run(cfg)) or docs[-1])
     monkeypatch.setattr(cli.Records, "tolist", refuse)
     path = tmp_path / "out.json"
     assert main([*args, "--json", str(path)]) == 0
@@ -1221,10 +1225,10 @@ def test_the_writer_holds_one_block_of_the_report_at_a_time(tmp_path):
     # whole, with its dicts or its columns of texts, peaks at 200 kB or more
     import tracemalloc
 
-    from finslerlab.cli import RunConfig, run_columns, write_report
+    from finslerlab.cli import RunConfig, run, write_report
 
     grids = parse_range("0.5:1.2:8"), parse_range("-0.7:0.7:15"), [1.0]
-    doc, code = run_columns(RunConfig("report", "1+s", 2, *grids))
+    doc, code = run(RunConfig("report", "1+s", 2, *grids))
     assert code == 0 and len(doc["points"]) == 120
     path = tmp_path / "out.json"
     write_report(doc, path)
@@ -1474,6 +1478,46 @@ def test_each_skip_names_the_earliest_stage_through_the_one_run(sub, phi, dim, c
     assert doc["skipped"] == expected
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: only the n = 2 Berwald frame's radicand reads the metric's "
+    "signature, so at n >= 3 report and check keep points whose metric is indefinite",
+)
+def test_n3_skips_the_wrong_signature_points_that_n2_skips(capsys, tmp_path):
+    # at these (r, s), ln(s+0.5)+0.8 gives an indefinite metric: n = 2 skips both points
+    # on the frame's radicand, while n = 3 keeps them with det g < 0
+    args = ["report", "--phi", "ln(s+0.5)+0.8", "--r=1:1:1", "--s-frac=0:0.35:2", "--u=1:1:1"]
+    two_code, two = run_json([*args, "--dim", "2"], capsys, tmp_path)
+    assert two_code == 3 and len(two["skipped"]) == 2
+    _, three = run_json([*args, "--dim", "3"], capsys, tmp_path)
+    rs = lambda doc: [(skip["r"], skip["s"]) for skip in doc["skipped"]]
+    assert rs(three) == rs(two)
+
+
+@pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
+def test_main_reaches_every_public_function_of_the_cli(sub, monkeypatch, capsys, tmp_path):
+    # a second door beside a public function leaves that function unreached by the CLI,
+    # and the benchmark's span of it reads 0 with no error
+    import inspect
+
+    from finslerlab import cli
+
+    names = [name for name, fn in vars(cli).items() if not name.startswith("_")
+             and inspect.isfunction(fn) and fn.__module__ == cli.__name__]
+    reached = set()
+    for name in names:
+        def wrapper(*args, fn=getattr(cli, name), name=name, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    args = [sub, "--phi", "1+s", "--json", str(tmp_path / "out.json")]
+    args += ["--p", "1/(2*(1+s))", "--q", "0"] if sub == "metrize" else []
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert "run" in names and reached == set(names)
+
+
 def test_metrize_reads_the_candidate_spray_at_degree_2(capsys, tmp_path):
     # 1/(1e-63 + s^2) overflows at s = 0 only in its degree-4 seed 24/v^5,
     # which C1..C3 never read: every point is evaluated, and the spray fails
@@ -1513,6 +1557,7 @@ def test_metrize_matches_a_degree_4_reference_bit_for_bit(phi, dim):
     grid = [0.5, 1.0, 1.5], [-0.8, -0.3, 0.0, 0.3, 0.8], [0.6, 2.0]
     cfg = RunConfig("metrize", phi, dim, *grid, seed=7, rotate=True, p_expr=p, q_expr=q)
     doc, _ = run(cfg)  # ln(1e100+s) skips every point at any degree: its v^4 overflows
+    doc["points"] = doc["points"].tolist()
 
     # the reference: phi at degree 4, P/Q at degree 2, C3 from the whole riemann_pack
     rotation = random_rotation(dim, np.random.default_rng(7))
