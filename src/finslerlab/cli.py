@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -43,6 +44,8 @@ DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-7
 SUBCOMMANDS = ("report", "check", "classify", "metrize")
 VALUE_FLAGS = ("--phi", "--p", "--q", "--r", "--s-frac", "--u")  # their values may begin with "-"
+# the flags and the prefixes argparse takes for them ("--s-fr"); "--" and "-" are neither
+_VALUE_FLAG_PREFIXES = frozenset(f[:k] for f in VALUE_FLAGS for k in range(3, len(f) + 1))
 
 
 class RunConfig(NamedTuple):
@@ -102,7 +105,7 @@ def _evaluate(ps, sp, cv, mr, p: EvalPoint, errors: dict, with_checks: bool) -> 
         "K": flag_curvature(cv, ps.phi, p),
         "C1": mr.C1, "C2": mr.C2, "C3": cv.C3,
         "det_direct": mp.det_direct, "det_formula": mp.det_formula,
-        "regular": np.stack(mp.regular, axis=-1),
+        "regular": np.array(mp.regular).T,
     }
     if p.n == 2:
         ms = main_scalar(ps, p, mp, errors=errors)
@@ -176,8 +179,10 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     # metrize's C1..C3 are scalars in (r, s): it builds no frame, so it draws no rotation
     rotate = cfg.rotate and cfg.subcommand != "metrize"
     rotation = random_rotation(cfg.dim, np.random.default_rng(cfg.seed)) if rotate else None
-    grid = np.meshgrid(cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid, indexing="ij")
-    r, frac, u = (g.ravel() for g in grid)
+    nu, axes = len(cfg.u_grid), (cfg.r_grid, cfg.s_fraction_grid, cfg.u_grid)
+    grid = np.empty((3, *map(len, axes)))  # np.meshgrid(*axes, indexing="ij"), stacked
+    grid[0].T[...], grid[1].swapaxes(1, 2)[...], grid[2] = axes
+    r, frac, u = grid.reshape(3, -1)
     if cfg.subcommand == "classify":
         _require_grid(r)
     # The (r, s) stage runs once per cell of the r x s/r plane and is spread once to the
@@ -187,7 +192,6 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     # and phi's jet failures, so its front half is spread to the kept points alone;
     # metrize reads phi to first order.
     columns, checks, errors = {}, {}, {}
-    nu = len(cfg.u_grid)
     batch = canonical_point(cfg.dim, r, frac * r, u, rotation=rotation, errors=errors)
     cells = EvalPoint(cfg.dim, *(v[::nu] for v in batch[1:]))
     index = np.arange(r.size) // nu
@@ -211,7 +215,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if columns:
         fail_nonfinite(errors, {k: v for k, v in (columns | values).items() if k != "regular"})
     failed = sorted(errors)
-    kept = np.delete(np.arange(r.size), failed)
+    kept = np.ones(r.size, dtype=bool)
+    kept[failed] = False
     rsu = (v[failed].tolist() for v in (batch.r, batch.s, batch.u))
     doc: dict = {
         "config": {**cfg._asdict(), "jet_degree": DEGREE},
@@ -222,12 +227,12 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                     for i, r, s, u in zip(failed, *rsu)],
         "version": __version__,
     }
-    if not kept.size:
+    if not kept.any():
         return doc, 3
 
     if cfg.subcommand == "classify":
         points = EvalPoint(cfg.dim, *(v[kept] for v in batch[1:]))
-        ps, cv = _spread((ps, cv), cell_errors, points, kept // nu, (errors := {}))
+        ps, cv = _spread((ps, cv), cell_errors, points, index[kept], (errors := {}))
         doc["verdicts"], samples = classify_from_curvature(ps, cv, points, errors, {})
         doc["points"] = Records(samples)
         return doc, 0
@@ -237,11 +242,13 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.subcommand == "metrize":
         doc["verdicts"]["metrizable"] = bool(columns["pass"][kept].all())
         return doc, 0 if doc["verdicts"]["metrizable"] else 1
-    for name, value in values.items():
-        value = np.abs(value[kept])
-        passed = not (value > tol).any()
-        doc["checks"].append({"name": name, "max_residual": float(value.max()), "pass": passed})
-    return doc, 0 if all(c["pass"] for c in doc["checks"]) else 1
+    if not values:
+        return doc, 0
+    table = np.abs(np.array(list(values.values()))[:, kept])  # a row per check, in order
+    passed = ~(table > tol).any(axis=1)
+    rows = zip(values, table.max(axis=1).tolist(), passed.tolist())
+    doc["checks"] = [{"name": name, "max_residual": m, "pass": ok} for name, m, ok in rows]
+    return doc, 0 if passed.all() else 1
 
 
 def _print_summary(doc: dict):
@@ -296,8 +303,7 @@ def _error(exc: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     tokens = []  # "--phi -s+3" -> "--phi=-s+3": argparse reads a lone "-s+3" as a flag
     for token in sys.argv[1:] if argv is None else argv:
-        flag = tokens[-1] if tokens else ""  # a flag, or a prefix argparse takes ("--s-fr")
-        if flag[2:] and any(f.startswith(flag) for f in VALUE_FLAGS):
+        if tokens and tokens[-1] in _VALUE_FLAG_PREFIXES:
             token = f"{tokens.pop()}={token}"
         tokens.append(token)
     args = build_parser().parse_args(tokens)
@@ -308,7 +314,11 @@ def main(argv: list[str] | None = None) -> int:
         doc, exit_code = run(cfg)
     except (ParseError, ValueError, MemoryError) as exc:
         return _error(exc)
-    _print_summary(doc)
+    try:
+        _print_summary(doc)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:  # and changes neither the report nor the exit code
+        sys.stdout = open(os.devnull, "w")
     if args.json_path:
         try:
             write_report(doc, args.json_path)

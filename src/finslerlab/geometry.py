@@ -263,7 +263,8 @@ def metric_pack(ps: PhiScalars, p: EvalPoint) -> MetricPack:
 
 def _cyclic(t: np.ndarray) -> np.ndarray:
     """t_ijk + t_jki + t_kij, summed in that order: the Cartan tensor's bits depend on it."""
-    return t + np.moveaxis(t, -1, -3) + np.moveaxis(t, -3, -1)
+    *batch, i, j, k = range(t.ndim)
+    return t + t.transpose(*batch, k, i, j) + t.transpose(*batch, j, k, i)
 
 
 def _cube(a: np.ndarray) -> np.ndarray:

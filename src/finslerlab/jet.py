@@ -104,17 +104,15 @@ def _mul_index(side: int, size: int) -> np.ndarray:
     side = d + 1, term-major: term t of point k, x[I[t], k] * y[J[t], k] in
     the rows I, J of ``_product_table``, falls in bin K[t] of point k.
 
-    The keys are cached.  The oldest entries leave while the cache holds
-    more than 8 MiB: 8 bytes a product term, so one batch of up to 14979
-    columns at degree 4."""
-    out = _MUL_INDEX.get((side, size))
-    if out is None:
-        n = size // (side * side)
-        out = (_product_table(side - 1)[2][:, None] * n + np.arange(n)).ravel()
-        out.flags.writeable = False  # shared by every caller through the cache
-        _MUL_INDEX[side, size] = out
-        while len(_MUL_INDEX) > 1 and sum(v.nbytes for v in _MUL_INDEX.values()) > 8 << 20:
-            del _MUL_INDEX[next(iter(_MUL_INDEX))]
+    The keys are cached in ``_MUL_INDEX``, which ``Jet.__mul__`` reads first.
+    The oldest entries leave while the cache holds more than 8 MiB: 8 bytes a
+    product term, so one batch of up to 14979 columns at degree 4."""
+    n = size // (side * side)
+    out = (_product_table(side - 1)[2][:, None] * n + np.arange(n)).ravel()
+    out.flags.writeable = False  # shared by every caller through the cache
+    _MUL_INDEX[side, size] = out
+    while len(_MUL_INDEX) > 1 and sum(v.nbytes for v in _MUL_INDEX.values()) > 8 << 20:
+        del _MUL_INDEX[next(iter(_MUL_INDEX))]
     return out
 
 
@@ -200,11 +198,13 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(self.c * other + 0.0)
-        x, y = self.c, other.c
-        i, j, _ = _product_table(len(x) - 1)
-        terms = _cols(x).take(i, 0) * _cols(y).take(j, 0)
-        return Jet(np.bincount(_mul_index(len(x), x.size), terms.ravel(), minlength=x.size)
-                   .reshape(x.shape))
+        x, y, side = self.c, other.c, len(self.c)
+        i, j, _ = _product_table(side - 1)
+        keys = _MUL_INDEX.get((side, x.size))
+        if keys is None:
+            keys = _mul_index(side, x.size)
+        terms = x.reshape(side * side, -1).take(i, 0) * y.reshape(side * side, -1).take(j, 0)
+        return Jet(np.bincount(keys, terms.ravel(), minlength=x.size).reshape(x.shape))
 
     __rmul__ = __mul__
 

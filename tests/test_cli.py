@@ -1,8 +1,11 @@
 """End-to-end tests for the finsler-lab command line interface."""
 
+import io
 import itertools
 import json
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -579,14 +582,9 @@ def test_the_c1_c2_test_is_formed_once_per_run(args, shapes, monkeypatch, capsys
     assert calls == shapes
 
 
-@pytest.mark.parametrize(
-    "phi, dim, skips",
-    [("1+0.3*s", "2", False), ("ln(s+0.5)+2", "2", True), ("sqrt(1+s^2)", "3", False),
-     ("1+s^2-0.9*r", "3", True)],
-)
-def test_check_reads_each_row_from_one_table(phi, dim, skips, monkeypatch, capsys, tmp_path):
-    # the checks are the table's rows, in its order, and each max_residual is the largest
-    # |residual / scale| over the kept points
+def run_check_table(phi, dim, monkeypatch, capsys, tmp_path) -> tuple:
+    """Run check on phi; returns its exit code, its report, the check table
+    {name: (residual, scale)} that ``_evaluate`` built, and the mask of the kept points."""
     from finslerlab import cli
 
     tables, evaluate = [], cli._evaluate
@@ -598,16 +596,28 @@ def test_check_reads_each_row_from_one_table(phi, dim, skips, monkeypatch, capsy
 
     monkeypatch.setattr(cli, "_evaluate", capture)
     code, doc = run_json(["check", "--phi", phi, "--dim", dim], capsys, tmp_path)
-    assert code == 0 and bool(doc["skipped"]) == skips
     [(p, table)] = tables
+    kept_rsu = {(q["r"], q["s"], q["u"]) for q in doc["points"]}
+    kept = np.array([rsu in kept_rsu for rsu in zip(p.r.tolist(), p.s.tolist(), p.u.tolist())])
+    return code, doc, table, kept
+
+
+@pytest.mark.parametrize(
+    "phi, dim, skips",
+    [("1+0.3*s", "2", False), ("ln(s+0.5)+2", "2", True), ("sqrt(1+s^2)", "3", False),
+     ("1+s^2-0.9*r", "3", True)],
+)
+def test_check_reads_each_row_from_one_table(phi, dim, skips, monkeypatch, capsys, tmp_path):
+    # the checks are the table's rows, in its order, and each max_residual is the largest
+    # |residual / scale| over the kept points
+    code, doc, table, kept = run_check_table(phi, dim, monkeypatch, capsys, tmp_path)
+    assert code == 0 and bool(doc["skipped"]) == skips
     assert [c["name"] for c in doc["checks"]] == list(table)
     assert len(table) == (17 if dim == "2" else 14)
     unscaled = {name for name, (_, scale) in table.items() if isinstance(scale, float)}
     assert unscaled == {"metric_inverse", "rho_contractions", "frame_orthonormality"} - (
         set() if dim == "2" else {"frame_orthonormality"}
     )
-    kept_rsu = {(q["r"], q["s"], q["u"]) for q in doc["points"]}
-    kept = np.array([rsu in kept_rsu for rsu in zip(p.r.tolist(), p.s.tolist(), p.u.tolist())])
     assert kept.sum() == len(doc["points"]) > 0
     for c in doc["checks"]:
         residual, scale = table[c["name"]]
@@ -1647,3 +1657,97 @@ def test_a_clean_run_leaves_no_cyclic_garbage(sub):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: the named method raises BrokenPipeError."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":  # a buffered stdout fails when it is flushed
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("args, expected", [
+    (["check", "--phi", "1+s", "--dim", "3"], 0),
+    (["check", "--phi", "1e-63+s^2"], 1),  # fails metric_inverse and rho_contractions
+    (["classify", "--phi", FLAT], 0),
+])
+def test_a_closed_stdout_changes_neither_the_exit_code_nor_the_report(
+    args, expected, failing, capsys, tmp_path
+):
+    # main points stdout at os.devnull, so the flush at exit cannot fail either
+    assert main([*args, "--json", str(tmp_path / "open.json")]) == expected
+    capsys.readouterr()
+    stdout, sys.stdout = sys.stdout, ClosedStdout(failing)
+    try:
+        code = main([*args, "--json", str(tmp_path / "closed.json")])
+        devnull = sys.stdout
+    finally:
+        sys.stdout = stdout
+    devnull.close()
+    assert code == expected and devnull.name == os.devnull
+    assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("sub", ["report", "check", "classify", "metrize"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_a_run_calls_no_meshgrid_moveaxis_or_delete(sub, dim, monkeypatch, capsys, tmp_path):
+    # the grid is broadcast, the Cartan tensor's shifts are transposes, and the kept
+    # points are a mask: none of these numpy helpers is on a run's path
+    args = [sub, "--phi", "1+0.3*s", "--dim", dim, "--rotate", "--seed", "4"]
+    if sub == "metrize":
+        args += ["--p", "1/(2*(1+s))", "--q", "0"]
+    expected = run_json(args, capsys, tmp_path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a numpy helper off the run's path was called")
+
+    for name in ("meshgrid", "moveaxis", "delete"):
+        monkeypatch.setattr(np, name, forbidden)
+    assert run_json(args, capsys, tmp_path) == expected
+
+
+@pytest.mark.parametrize("counts", itertools.product(range(1, 5), repeat=3))
+def test_the_grid_is_meshgrid_raveled_bit_for_bit(counts):
+    from finslerlab.cli import RunConfig, run
+
+    axes = [parse_range(f"{a}:{b}:{k}") for (a, b), k in zip(((0.5, 1.5), (-0.7, 0.7), (1, 2)),
+                                                              counts)]
+    r, frac, u = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    doc, code = run(RunConfig("report", "2+s", 2, *axes))
+    assert code == 0 and doc["skipped"] == []
+    columns = doc["points"].columns
+    for name, expected in (("r", r), ("s", frac * r), ("u", u)):
+        assert columns[name].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("phi, dim, failing", [
+    ("sqrt(1+s^2)", "3", set()), ("1+0.3*s", "2", set()), ("ln(s+0.5)+2", "2", set()),
+    ("1e-63+s^2", "3", {"metric_inverse", "rho_contractions"}),
+    ("1e-63+s^2", "2", {"metric_inverse", "rho_contractions", "frame_orthonormality"}),
+])
+def test_each_check_row_is_its_own_reduction(phi, dim, failing, monkeypatch, capsys, tmp_path):
+    # the table reduced in one pass gives each row's max |residual / scale| over the
+    # kept points and its pass flag, as one row at a time does
+    from finslerlab.cli import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
+
+    code, doc, table, kept = run_check_table(phi, dim, monkeypatch, capsys, tmp_path)
+    tol = max(DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
+    rows = []
+    with np.errstate(all="ignore"):
+        for name, (residual, scale) in table.items():
+            value = np.abs(residual / scale)[kept]
+            rows.append({"name": name, "max_residual": float(value.max()),
+                         "pass": not (value > tol).any()})
+    assert doc["checks"] == rows and code == (1 if failing else 0)
+    assert {row["name"] for row in rows if not row["pass"]} == failing
