@@ -21,12 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .curvature import classify_from_curvature, compatibility, flag_curvature, front_half
+from .curvature import (_require_grid, classify_from_curvature, compatibility, flag_curvature,
+                        front_half)
 from .expr import ParseError, parse
 from .geometry import (
     EvalPoint,
     _ell_lo,
-    _require_grid,
     canonical_point,
     cartan_pack,
     lift,
@@ -166,6 +166,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         raise ValueError(f"dim must be >= 2, got {cfg.dim}")
     if not (cfg.tol_abs >= 0 and cfg.tol_rel >= 0):  # NaN fails this test, inf passes
         raise ValueError(f"tol_abs and tol_rel must be >= 0, got {cfg.tol_abs} and {cfg.tol_rel}")
+    if cfg.seed < 0:  # numpy's own error names no flag, and a run without --rotate ignores it
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
 
     phi = parse(cfg.phi)
     p_ast = parse(cfg.p_expr) if cfg.p_expr is not None else None

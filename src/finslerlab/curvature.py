@@ -4,7 +4,9 @@ compatibility residual C3, at one point or a batch (see ``geometry``), and
 ``front_half(jet, p, errors)`` reads phi's scalars and runs the spray and the
 curvature pack on one phi jet and the points p it was taken at; its scalars
 depend on (r, s) alone, and only the matrix ``Rmat``, formed on read, reads
-u, x and y."""
+u, x and y.  Every rule of ``classify`` is here: each verdict scans the points in
+grid order, stops at the point that decides it (``_first_point``) and reads one
+threshold, ``VERDICT_TOL``."""
 
 from __future__ import annotations
 
@@ -18,21 +20,19 @@ from .geometry import (
     GeometryError,
     PhiScalars,
     _ell_lo,
-    _require_grid,
-    degeneracy_from_scalars,
+    _fail_nonpositive,
     lift,
     outer,
     phi_scalars,
     residual_scale,
 )
-from .jet import Jet, eval_jet, fail_nonfinite, first_true, raise_first
+from .jet import Jet, eval_jet, fail_nonfinite, raise_first
 from .spray import SprayPack, pq_from_phi
-from .surface import riemannian_from_scalars
 
 # Printed-formula vs identity values for R2/R4 flagged beyond this.
 IDENTITY_MISMATCH_TOL = 1e-6
-
-SCALAR_TOL = 1e-8
+# The one threshold of classify's verdicts: on R3 / scale, and t, d, mu, nu / max(1, phi^2).
+VERDICT_TOL = 1e-8
 
 
 class CurvaturePack(NamedTuple):
@@ -234,12 +234,64 @@ def scalar_from_curvature(
     F, Rmat = p.u * ps.phi, cv.Rmat
     recon = lift(K * F * F, 2) * (np.eye(p.n) - outer(p.y, _ell_lo(ps, p)) / lift(F, 2))
     rscale = residual_scale(np.max(np.abs(Rmat), axis=(-2, -1)))
-    recon_failed = (p.n == 2) | (resid < SCALAR_TOL)
+    recon_failed = (p.n == 2) | (resid < VERDICT_TOL)
     recon_failed &= np.max(np.abs(Rmat - recon), axis=(-2, -1)) > 1e-6 * rscale
-    stop = first_true(recon_failed)
-    raise_first(errors, stop)
+    stop = _first_point(recon_failed, errors)
     end = len(K) if stop is None else stop + 1
     # a NaN residual never raised the running maximum
     seen = np.where(np.isnan(resid[:end]), 0.0, resid[:end])
     max_resid = float(seen.max())
-    return stop is None and (p.n == 2 or max_resid < SCALAR_TOL), K[:end], max_resid
+    return stop is None and (p.n == 2 or max_resid < VERDICT_TOL), K[:end], max_resid
+
+
+def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> str:
+    """The verdict "nondegenerate", "degenerate_type_a" or "degenerate_type_b" of
+    phi's scalars ps, whose points' earlier failures are in errors: type A is
+    t = 0 at every point (phi = f(r^2) s), type B d = 0 at every point
+    (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)); either forces det(g) = 0.
+    The first point, in order, that rules out both decides; a point no later
+    than it that failed, or whose values are not finite, raises its error."""
+    scale, t, d = residual_scale(ps.phi * ps.phi), ps.t, ps.d
+    fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
+                            "phi - s phi_s + (r^2-s^2) phi_ss": d})
+    not_a = np.logical_or.accumulate(np.abs(t) >= VERDICT_TOL * scale)
+    not_b = np.logical_or.accumulate(np.abs(d) >= VERDICT_TOL * scale)
+    if _first_point(not_a & not_b, errors) is not None:
+        return "nondegenerate"
+    return "degenerate_type_b" if not_a[-1] else "degenerate_type_a"
+
+
+def riemannian_from_scalars(ps: PhiScalars, p: EvalPoint, errors: dict) -> bool:
+    """True iff mu vanishes at the surface points p (the Riemannian criterion), from
+    phi's scalars ps there, whose earlier failures are in errors.  d(mu)/ds = -s nu,
+    so a nonzero nu where mu vanishes raises as an inconsistent evaluation.  The
+    first point that failed, or whose phi > 0 guard, mu or nu fails, raises its
+    error; so does a non-finite phi^2 before the first nonzero mu, where it stops."""
+    _fail_nonpositive(ps, p, errors)
+    fail_nonfinite(errors, {"mu": ps.mu, "nu": ps.nu})
+    raise_first(errors)
+    fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})
+    scale = VERDICT_TOL * residual_scale(ps.phi * ps.phi)
+    # the mu test stops at the first point with a nonzero mu
+    if _first_point(np.abs(ps.mu) >= scale, errors) is not None:
+        return False
+    inconsistent = _first_point(np.abs(ps.nu) >= scale, errors)
+    if inconsistent is not None:
+        raise GeometryError(f"mu vanishes on the grid but nu = {ps.nu[inconsistent].item()} "
+                            "does not; inconsistent evaluation")
+    return True
+
+
+def _first_point(mask, errors: dict) -> int | None:
+    """The flat index of the first point where mask holds (None: none does), the
+    point where a verdict's scan in grid order stops; first raises the error of
+    the first failed point no later than it (``raise_first``)."""
+    hits = np.asarray(mask).ravel().nonzero()[0]
+    stop = int(hits[0]) if hits.size else None
+    raise_first(errors, stop)
+    return stop
+
+
+def _require_grid(grid: np.ndarray) -> None:
+    if np.size(grid) < 8:
+        raise GeometryError(f"grid of >= 8 points required, got {np.size(grid)}")

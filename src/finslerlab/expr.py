@@ -1,11 +1,11 @@
 """Parsing and printing of phi(r, s) expression strings.
 
-Grammar (infix, ``^`` right-associative, unary minus binds the atom):
+Grammar (infix; ``^`` is right-associative and binds tighter than unary minus, as in Python):
 
     expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := unary ('^' factor)?
-    unary  := '-'? atom
+    term   := unary (('*'|'/') unary)*
+    unary  := '-' unary | power
+    power  := atom ('^' unary)?
     atom   := number | 'r' | 's' | ident '(' expr ')' | '(' expr ')'
 
 ``_Parser`` reads it by precedence climbing over the binding powers of ``_BINDING``.
@@ -139,7 +139,7 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            node, reach = self.atom(self.level(depth + 1, offset))
+            node, reach = self.binary(self.level(depth + 1, offset), _BINDING["^"])
             return Neg(node), reach
         return self.atom(depth)
 

@@ -1,4 +1,4 @@
-"""Fundamental tensor, Cartan tensor and degeneracy screening.
+"""The embedding of (r, s, u), phi's scalars, and the fundamental and Cartan tensors.
 
 All objects are assembled from a Taylor jet of phi of degree >= 3, at one
 evaluation point or at a batch of them: ``phi_scalars`` reads phi's partials
@@ -8,9 +8,8 @@ scalars of shape ``batch`` and tensors of shape ``(*batch, n, ..., n)``; a
 one-point call is a batch of shape ().
 Rows never mix, and numpy sums a contraction (``np.einsum``, ``@``) of one
 row in the same order whether or not the row is part of a batch, so each
-row equals the one-point result.  ``degeneracy_from_scalars`` screens the
-scalars under its caller's ``np.errstate``.  The carrier metric is the
-Euclidean one, so raised and lowered indices coincide numerically.
+row equals the one-point result.  The carrier metric is the Euclidean one,
+so raised and lowered indices coincide numerically.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jet import Jet, batched, fail_nonfinite, fail_where, first_true, raise_first
+from .jet import Jet, batched, fail_where
 
 # Points closer to the |s| = r cone than this relative margin are rejected;
 # the inverse-metric scalars blow up there.
 BOUNDARY_MARGIN = 1e-6
-
-DEGENERACY_TOL = 1e-8
 
 
 class GeometryError(ValueError):
@@ -186,11 +183,6 @@ def _ell_lo(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
     return lift(ps.phi / p.u) * p.y + lift(ps.phi_s) * _n_lo(p)
 
 
-def _require_grid(grid: np.ndarray) -> None:
-    if np.size(grid) < 8:
-        raise GeometryError(f"grid of >= 8 points required, got {np.size(grid)}")
-
-
 class MetricPack(NamedTuple):
     sigma0: float
     sigma1: float
@@ -287,22 +279,3 @@ def cartan_pack(ps: PhiScalars, p: EvalPoint) -> np.ndarray:
           * _cyclic(outer(y, y)[..., None] * x[..., None, None, :])
         - lift(s * nu / (2 * u2), 3) * _cyclic(outer(x, x)[..., None] * y[..., None, None, :])
     )
-
-
-def degeneracy_from_scalars(ps: PhiScalars, errors: dict) -> str:
-    """The verdict "nondegenerate", "degenerate_type_a" or "degenerate_type_b" of
-    phi's scalars ps, whose points' earlier failures are in errors: type A is
-    t = 0 at every point (phi = f(r^2) s), type B d = 0 at every point
-    (phi = f1(r^2) s + f2(r^2) sqrt(r^2 - s^2)); either forces det(g) = 0.
-    The first point, in order, that rules out both decides; a point no later
-    than it that failed, or whose values are not finite, raises its error."""
-    scale, t, d = np.maximum(1.0, ps.phi * ps.phi), ps.t, ps.d
-    fail_nonfinite(errors, {"phi^2": scale, "phi - s phi_s": t,
-                            "phi - s phi_s + (r^2-s^2) phi_ss": d})
-    not_a = np.logical_or.accumulate(np.abs(t) >= DEGENERACY_TOL * scale)
-    not_b = np.logical_or.accumulate(np.abs(d) >= DEGENERACY_TOL * scale)
-    decided = first_true(not_a & not_b)
-    raise_first(errors, decided)
-    if decided is not None:
-        return "nondegenerate"
-    return "degenerate_type_b" if not_a[-1] else "degenerate_type_a"

@@ -265,12 +265,6 @@ def fail_nonfinite(errors: dict, columns: dict) -> None:
         fail_where(~finite.all(0), errors, error, finite.argmin(0), np.arange(values.shape[1]))
 
 
-def first_true(mask) -> int | None:
-    """The flat index of the first True entry of mask, or None."""
-    hits = np.asarray(mask).ravel().nonzero()[0]
-    return int(hits[0]) if hits.size else None
-
-
 def raise_first(errors: dict, stop: int | None = None) -> None:
     """Raise the error of the first failed point, in flat batch order, if it
     comes no later than the point stop where a scan in that order ends

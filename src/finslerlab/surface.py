@@ -1,9 +1,6 @@
-"""Berwald frame, main scalar and the Riemannian criterion for
-spherically symmetric Finsler surfaces (n = 2, positive-definite branch),
-at one point or a batch (see ``geometry``).  The frame, the main scalar and
-the Riemannian test take phi's ``PhiScalars``; the frame and the main scalar
-also take the metric pack built from them.
-"""
+"""Berwald frame and main scalar of spherically symmetric Finsler surfaces (n = 2,
+positive-definite branch), at one point or a batch (see ``geometry``), from phi's
+``PhiScalars`` and the metric pack built from them."""
 
 from __future__ import annotations
 
@@ -17,14 +14,11 @@ from .geometry import (
     MetricPack,
     PhiScalars,
     _ell_lo,
-    _fail_nonpositive,
     _n_lo,
     cartan_pack,
     lift,
 )
-from .jet import batched, fail_nonfinite, fail_where, first_true, raise_first
-
-RIEMANNIAN_TOL = 1e-8
+from .jet import batched, fail_where
 
 
 class BerwaldFrame(NamedTuple):
@@ -103,28 +97,3 @@ def main_scalar(ps: PhiScalars, p: EvalPoint, mp: MetricPack, *, errors: dict) -
     )
     I_direct = mp.F * np.einsum("...ijk,...i,...j,...k->...", C, m, m, m)
     return MainScalarPack(A=A, B=B, I=I, I_direct=I_direct, frame=frame, cartan=C)
-
-
-def riemannian_from_scalars(ps: PhiScalars, p: EvalPoint, errors: dict) -> bool:
-    """True iff mu vanishes at the surface points p (the Riemannian criterion), from
-    phi's scalars ps there, whose earlier failures are in errors.  d(mu)/ds = -s nu,
-    so a nonzero nu where mu vanishes raises as an inconsistent evaluation.  The
-    first point that failed, or whose phi > 0 guard, mu or nu fails, raises its
-    error; so does a non-finite phi^2 before the first nonzero mu, where it stops."""
-    _fail_nonpositive(ps, p, errors)
-    fail_nonfinite(errors, {"mu": ps.mu, "nu": ps.nu})
-    raise_first(errors)
-    fail_nonfinite(errors, {"phi^2": ps.phi * ps.phi})
-    scale = RIEMANNIAN_TOL * np.maximum(1.0, ps.phi * ps.phi)
-    not_riemannian = first_true(np.abs(ps.mu) >= scale)
-    inconsistent = first_true(np.abs(ps.nu) >= scale)
-    # the mu test stops at the first point with a nonzero mu
-    raise_first(errors, not_riemannian)
-    if not_riemannian is not None:
-        return False
-    if inconsistent is not None:
-        raise GeometryError(
-            f"mu vanishes on the grid but nu = {ps.nu[inconsistent].item()} does not; "
-            "inconsistent evaluation"
-        )
-    return True

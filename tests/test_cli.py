@@ -194,6 +194,21 @@ def test_nan_or_negative_tolerance_exits_2(command, flag, value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rotate", [[], ["--rotate"]])
+@pytest.mark.parametrize("command", [
+    ["report", "--phi", "1+s"],
+    ["check", "--phi", "1+s"],
+    ["classify", "--phi", "1+s"],
+    ["metrize", "--phi", "1+s", "--p", "1/(2*(1+s))", "--q", "0"],
+])
+def test_a_negative_seed_exits_2_and_names_the_flag(command, rotate, capsys):
+    # numpy's own error ("expected non-negative integer") named no flag, and a run that
+    # drew no rotation ignored the seed
+    code, out, err = run_cli([*command, *rotate, "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_a_finite_tolerance_is_honoured(capsys):
     args = ["check", "--phi", "sqrt(1+s^2)"]
     assert run_cli(args, capsys)[0] == 0
@@ -253,6 +268,14 @@ def run_json(args, capsys, tmp_path):
     code = main([*args, "--json", str(path)])
     capsys.readouterr()
     return code, json.loads(path.read_text()) if path.exists() else None
+
+
+def test_a_minus_before_a_power_negates_the_power(capsys, tmp_path):
+    # exp(-r^2) is exp(-(r^2)), as Python reads it, not exp((-r)^2) = exp(r^2)
+    code, doc = run_json(["report", "--phi", "1+0.3*s+exp(-r^2)"], capsys, tmp_path)
+    assert code == 0 and len(doc["points"]) == 30
+    for p in doc["points"]:
+        assert p["F"] == p["u"] * (1 + 0.3 * p["s"] + math.exp(-p["r"] ** 2))
 
 
 def test_jet_overflow_and_pack_underflow_are_skips(capsys, tmp_path):
@@ -322,6 +345,26 @@ def test_classify_names_an_inconsistent_riemannian_evaluation(capsys, tmp_path):
     assert doc["verdicts"]["riemannian"] is None
     assert doc["verdicts"]["riemannian_error"] == INCONSISTENT
     assert doc["verdicts"]["degeneracy"] == "nondegenerate" and doc["verdicts"]["is_scalar"]
+
+
+@pytest.mark.parametrize("r_range, decided", [("0.5:1.5:3", True), ("1.5:0.5:3", False)])
+def test_degeneracy_and_riemannian_scans_stop_at_their_deciding_point(
+    r_range, decided, capsys, tmp_path
+):
+    # phi^2 overflows at r = 1.5 alone: scanned last, both verdicts are decided at r = 0.5
+    # before they reach it; scanned first, it is the first point, and both are null
+    args = ["classify", "--phi", "1+0.5*s+exp(800*(r-1))", "--dim", "2", f"--r={r_range}",
+            "--s-frac=-0.3:0.3:3", "--u=1:1:1"]
+    code, doc = run_json(args, capsys, tmp_path)
+    assert code == 0
+    verdicts = doc["verdicts"]
+    if decided:
+        assert verdicts["degeneracy"] == "nondegenerate" and verdicts["riemannian"] is False
+        assert "degeneracy_error" not in verdicts and "riemannian_error" not in verdicts
+    else:
+        for key in ("degeneracy", "riemannian"):
+            assert verdicts[key] is None
+            assert verdicts[f"{key}_error"] == "non-finite phi^2 = inf"
 
 
 @pytest.mark.parametrize("phi", [FLAT, "sqrt(1+s^2)"])

@@ -90,9 +90,28 @@ def test_precedence_and_associativity():
     assert parse("r/s/2") == BinOp("/", BinOp("/", Var("r"), Var("s")), Num(2.0))
 
 
-def test_unary_minus_binds_atom():
-    # per the grammar, -s^2 is (-s)^2
-    assert parse("-s^2") == BinOp("^", Neg(Var("s")), Num(2.0))
+def test_unary_minus_binds_below_power():
+    # as in Python and sympy, -s^2 is -(s^2): ^ binds tighter than a unary minus, which
+    # binds tighter than * and /, and an exponent may carry its own sign
+    s, r, two = Var("s"), Var("r"), Num(2.0)
+    assert parse("-s^2") == Neg(BinOp("^", s, two))
+    assert parse("exp(-r^2)") == Call("exp", Neg(BinOp("^", r, two)))
+    assert parse("-2^2") == Neg(BinOp("^", two, two))
+    assert parse("--s") == Neg(Neg(s))
+    assert parse("r^-2") == BinOp("^", r, Neg(two))
+    assert parse("(2+s)^-3") == BinOp("^", BinOp("+", two, s), Neg(Num(3.0)))
+    assert parse("-s*2") == BinOp("*", Neg(s), two)
+    assert parse("-s/r^2") == BinOp("/", Neg(s), BinOp("^", r, two))
+    assert parse("2^-3^2") == BinOp("^", two, Neg(BinOp("^", Num(3.0), two)))
+
+
+@pytest.mark.parametrize("text, r, s", [
+    ("-s^2", 1.0, 0.5), ("exp(-r^2)", 1.5, 0.0), ("-2^2", 1.0, 0.0), ("--s", 1.0, 0.3),
+    ("r^-2", 2.0, 0.0), ("(2+s)^-3", 1.0, 0.5), ("-s/r^2", 2.0, 0.5), ("2^-3^2", 1.0, 0.0),
+])
+def test_signed_powers_evaluate_as_python_reads_them(text, r, s):
+    python = eval(text.replace("^", "**"), {"exp": math.exp, "r": r, "s": s})
+    assert eval_value(parse(text), r, s) == pytest.approx(python, rel=1e-15)
 
 
 def test_eval_value_basics():
